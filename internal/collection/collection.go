@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/search"
 	"repro/internal/xpath"
 )
 
@@ -56,9 +55,10 @@ type Config struct {
 	// context.DeadlineExceeded instead of occupying a worker forever. Zero
 	// means no per-request deadline.
 	RequestTimeout time.Duration
-	// DisableSearch turns off the collection search tier: no posting
-	// index is maintained as documents register (saving the tokenization
-	// pass per open) and Search fails with ErrSearchDisabled.
+	// DisableSearch turns off the collection search tier: Search fails
+	// with ErrSearchDisabled, so no document's postings are ever built.
+	// Opening costs the same either way — postings are built by the first
+	// Search that needs them, never by Open, Add or Reload.
 	DisableSearch bool
 	// Index configures document building and loading.
 	Index core.Config
@@ -83,11 +83,6 @@ type Collection struct {
 	cacheMu sync.Mutex
 	cache   *lru // guarded by cacheMu; nil when caching is disabled
 
-	// search is the collection-scale posting index (nil when
-	// Config.DisableSearch is set); it has its own internal lock and is
-	// kept in sync by add/Remove.
-	search *search.Index
-
 	met metrics
 }
 
@@ -109,9 +104,6 @@ func New(cfg Config) *Collection {
 	if size > 0 {
 		c.cache = newLRU(size)
 	}
-	if !cfg.DisableSearch {
-		c.search = search.NewIndex()
-	}
 	return c
 }
 
@@ -125,13 +117,6 @@ func (c *Collection) Add(name string, eng *core.Engine) {
 }
 
 func (c *Collection) add(name string, eng *core.Engine, src *docSource) {
-	// Build the postings before touching any lock: tokenizing a large
-	// document is the expensive part, and Engine.Postings caches it on
-	// the engine, so re-registering is free.
-	var dp *search.DocPostings
-	if c.search != nil {
-		dp = eng.Postings()
-	}
 	c.mu.Lock()
 	c.docs[name] = eng
 	if src != nil {
@@ -141,11 +126,6 @@ func (c *Collection) add(name string, eng *core.Engine, src *docSource) {
 	}
 	c.mu.Unlock()
 	c.dropCached(name)
-	if dp != nil {
-		// After the registry flip: a search that snapshots between the two
-		// still scores self-consistent (postings carry their own document).
-		c.search.Add(name, dp)
-	}
 }
 
 // Remove unregisters a document and drops its cached compiled queries; it
@@ -157,9 +137,6 @@ func (c *Collection) Remove(name string) bool {
 	delete(c.sources, name)
 	c.mu.Unlock()
 	c.dropCached(name)
-	if c.search != nil {
-		c.search.Remove(name)
-	}
 	return ok
 }
 
@@ -684,20 +661,26 @@ feed:
 // backed) versus private index memory. Canceled counts requests the client
 // abandoned (context.Canceled), kept out of Errors so the error rate
 // reflects server behavior only; Reloads counts Reload passes.
+// PostingsDocs counts the documents whose search postings exist — built
+// by a Search since the document was last opened — and PostingsBytes is
+// their heap footprint, which HeapBytes does not include; reading them
+// never builds any.
 type Stats struct {
-	Docs        int   `json:"docs"`
-	MappedDocs  int   `json:"mapped_docs"`
-	MappedBytes int64 `json:"mapped_bytes"`
-	HeapBytes   int64 `json:"heap_bytes"`
-	Queries     int64 `json:"queries"`
-	Errors      int64 `json:"errors"`
-	Canceled    int64 `json:"canceled"`
-	Reloads     int64 `json:"reloads"`
-	Searches    int64 `json:"searches"`
-	SearchErrs  int64 `json:"search_errors"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	CacheLen    int   `json:"cache_len"`
+	Docs          int   `json:"docs"`
+	MappedDocs    int   `json:"mapped_docs"`
+	MappedBytes   int64 `json:"mapped_bytes"`
+	HeapBytes     int64 `json:"heap_bytes"`
+	PostingsDocs  int   `json:"postings_docs"`
+	PostingsBytes int64 `json:"postings_bytes"`
+	Queries       int64 `json:"queries"`
+	Errors        int64 `json:"errors"`
+	Canceled      int64 `json:"canceled"`
+	Reloads       int64 `json:"reloads"`
+	Searches      int64 `json:"searches"`
+	SearchErrs    int64 `json:"search_errors"`
+	CacheHits     int64 `json:"cache_hits"`
+	CacheMisses   int64 `json:"cache_misses"`
+	CacheLen      int   `json:"cache_len"`
 }
 
 // Stats reports the current serving counters.
@@ -721,6 +704,10 @@ func (c *Collection) Stats() Stats {
 		}
 		s.MappedBytes += int64(es.MappedBytes)
 		s.HeapBytes += int64(es.HeapBytes)
+		if dp := eng.PostingsIfBuilt(); dp != nil {
+			s.PostingsDocs++
+			s.PostingsBytes += int64(dp.SizeInBytes())
+		}
 	}
 	c.mu.RUnlock()
 	if c.cache != nil {

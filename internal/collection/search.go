@@ -7,14 +7,17 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/search"
 )
 
 // This file is the collection's ranked full-text tier: Search answers
-// "which documents talk about these terms" from the posting index first,
-// and only then runs structural XPath — on the matching candidates, never
-// the whole collection. Scoring is BM25 over the posting snapshot; quoted
-// phrase terms fall back to FM-index substring counts per candidate.
+// "which documents talk about these terms" from the documents' postings
+// first, and only then runs structural XPath — on the matching candidates,
+// never the whole collection. Scoring is BM25 over the posting snapshot;
+// quoted phrase terms fall back to FM-index substring counts per candidate.
+// Nothing here runs before the first Search: postings are built by the
+// search that first needs them (searchSnapshot), once per engine.
 
 // ErrSearchDisabled reports a Search call on a collection built with
 // Config.DisableSearch.
@@ -23,8 +26,9 @@ var ErrSearchDisabled = errors.New("collection: search tier disabled")
 // DefaultTopK is the Search result size when the caller passes k <= 0.
 const DefaultTopK = 10
 
-// maxTopK caps the result size a single Search may request.
-const maxTopK = 1000
+// MaxTopK caps the result size of a single Search; a larger k is lowered
+// to it.
+const MaxTopK = 1000
 
 // SearchHit is one ranked document of a Search.
 type SearchHit struct {
@@ -32,8 +36,10 @@ type SearchHit struct {
 	Doc string `json:"doc"`
 	// Score is the document's BM25 score over the query terms.
 	Score float64 `json:"score"`
-	// Snippet is a short text window around the first matched term ("" when
-	// extraction found nothing within its budget).
+	// Snippet is a short text window around one occurrence of the first
+	// query term — the first row of its suffix range in the document's
+	// FM-index, not the earliest in document order ("" when extraction
+	// found nothing within its budget).
 	Snippet string `json:"snippet,omitempty"`
 	// Nodes is the structural result count when the search carried an XPath
 	// filter; 0 otherwise.
@@ -42,6 +48,9 @@ type SearchHit struct {
 
 // SearchReport is the outcome of one Search.
 type SearchReport struct {
+	// K is the result size the search ran with: the requested k, or
+	// DefaultTopK when that was <= 0, lowered to MaxTopK when above it.
+	K int `json:"k"`
 	// Terms echoes the parsed query terms (phrases quoted).
 	Terms []string `json:"terms"`
 	// Candidates is how many documents the posting index admitted before
@@ -59,23 +68,26 @@ type SearchReport struct {
 }
 
 // Search ranks the collection's documents against a full-text query and
-// returns the top k (DefaultTopK when k <= 0), scored with BM25 over the
-// posting index. Terms are implicitly conjunctive; "quoted phrases" match
-// exact byte substrings through each candidate's FM-index. A non-empty
-// xpath restricts the result to documents where the expression matches at
-// least one node, evaluated in counting mode on the batch worker pool —
-// only on the term candidates, which is the point of the tier.
+// returns the top k (DefaultTopK when k <= 0, at most MaxTopK; the report
+// carries the value used), scored with BM25 over the documents' postings.
+// Terms are implicitly conjunctive; "quoted phrases" match exact byte
+// substrings through each candidate's FM-index. A non-empty xpath
+// restricts the result to documents where the expression matches at least
+// one node, evaluated in counting mode on the batch worker pool — only on
+// the term candidates, which is the point of the tier.
 //
-// Search works on a point-in-time snapshot of the posting index: a
-// concurrent Reload or Add swaps documents for later searches but never
-// mixes old and new postings inside this one. The XPath filter, by
-// contrast, runs on the live registry (compiled queries are only valid
-// against live engines), so a document swapped mid-search is filtered
-// against its newest index — and one removed mid-search lands in Failed.
+// Search works on a point-in-time snapshot of the registry's postings,
+// building first the ones no earlier search has needed (see
+// searchSnapshot): a concurrent Reload or Add swaps documents for later
+// searches but never mixes old and new postings inside this one. The
+// XPath filter, by contrast, runs on the live registry (compiled queries
+// are only valid against live engines), so a document swapped mid-search
+// is filtered against its newest index — and one removed mid-search lands
+// in Failed.
 //
 // Parse failures of the query return a *QueryError, like bad XPath.
 func (c *Collection) Search(ctx context.Context, query, xpath string, k int) (rep *SearchReport, err error) {
-	if c.search == nil {
+	if c.cfg.DisableSearch {
 		return nil, ErrSearchDisabled
 	}
 	c.met.searches.Add(1)
@@ -94,18 +106,21 @@ func (c *Collection) Search(ctx context.Context, query, xpath string, k int) (re
 	if k <= 0 {
 		k = DefaultTopK
 	}
-	if k > maxTopK {
-		k = maxTopK
+	if k > MaxTopK {
+		k = MaxTopK
 	}
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
 
-	snap := c.search.Snapshot()
+	snap, err := c.searchSnapshot(ctx)
+	if err != nil {
+		return nil, err
+	}
 	cands, err := search.Candidates(ctx, snap, terms)
 	if err != nil {
 		return nil, err
 	}
-	rep = &SearchReport{Candidates: len(cands), Hits: []SearchHit{}}
+	rep = &SearchReport{K: k, Candidates: len(cands), Hits: []SearchHit{}}
 	for _, t := range terms {
 		rep.Terms = append(rep.Terms, t.String())
 	}
@@ -182,6 +197,50 @@ func (c *Collection) Search(ctx context.Context, query, xpath string, k int) (re
 	return rep, nil
 }
 
+// searchSnapshot derives the posting snapshot of one Search from the live
+// registry. An engine registered, or swapped in by Reload, since the last
+// search has no postings yet; those are built here, in parallel on the
+// worker pool. Engine.Postings is the single flight, so concurrent first
+// searches tokenize each document once and share the result, and the
+// postings carry their own document, so the snapshot stays consistent
+// whatever the registry does next. When every engine already has its
+// postings — every search but the first after an open — the snapshot is
+// one O(docs) copy under the read lock and nothing else.
+func (c *Collection) searchSnapshot(ctx context.Context) (search.Snapshot, error) {
+	var unbuilt map[string]*core.Engine
+	c.mu.RLock()
+	snap := search.Snapshot{Docs: make(map[string]*search.DocPostings, len(c.docs))}
+	for name, eng := range c.docs {
+		dp := eng.PostingsIfBuilt()
+		if dp == nil {
+			if unbuilt == nil {
+				unbuilt = map[string]*core.Engine{}
+			}
+			unbuilt[name] = eng
+			continue
+		}
+		snap.Docs[name] = dp
+		snap.Total += dp.Tokens()
+	}
+	c.mu.RUnlock()
+	if len(unbuilt) == 0 {
+		return snap, nil
+	}
+	names := make([]string, 0, len(unbuilt))
+	for name := range unbuilt {
+		names = append(names, name)
+	}
+	if err := c.forEach(ctx, names, func(name string) { unbuilt[name].Postings() }); err != nil {
+		return search.Snapshot{}, err
+	}
+	for name, eng := range unbuilt {
+		dp := eng.Postings()
+		snap.Docs[name] = dp
+		snap.Total += dp.Tokens()
+	}
+	return snap, nil
+}
+
 // isCtxErr reports whether err is the context's own failure — the whole
 // search is over, as opposed to one document failing.
 func isCtxErr(err error) bool {
@@ -233,15 +292,29 @@ feed:
 }
 
 // SaveSearchIndex writes the collection's posting index to path (the
-// aligned container OpenIndexFile maps back in); it fails with
-// ErrSearchDisabled when the tier is off.
+// aligned container OpenIndexFile maps back in), building the postings no
+// search has needed yet; it fails with ErrSearchDisabled when the tier is
+// off.
 func (c *Collection) SaveSearchIndex(path string) (int64, error) {
-	if c.search == nil {
+	if c.cfg.DisableSearch {
 		return 0, ErrSearchDisabled
 	}
-	return c.search.SaveFile(path)
+	return c.SearchIndex().SaveFile(path)
 }
 
-// SearchIndex exposes the posting index (nil when disabled) for tests and
-// tools; callers must treat it as read-only.
-func (c *Collection) SearchIndex() *search.Index { return c.search }
+// SearchIndex returns the posting index of the documents registered now
+// (nil when the tier is disabled), building the postings no search has
+// needed yet. It is a copy for tests and tools: later Add, Remove and
+// Reload calls do not reach it.
+func (c *Collection) SearchIndex() *search.Index {
+	if c.cfg.DisableSearch {
+		return nil
+	}
+	// The only error searchSnapshot returns is its context's.
+	snap, _ := c.searchSnapshot(context.Background())
+	ix := search.NewIndex()
+	for name, dp := range snap.Docs {
+		ix.Add(name, dp)
+	}
+	return ix
+}

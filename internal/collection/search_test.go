@@ -3,11 +3,17 @@ package collection
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/search"
 )
 
 // searchDocs is a small corpus with known term statistics.
@@ -158,6 +164,142 @@ func TestSearchIndexFollowsRegistry(t *testing.T) {
 	}
 	if rep.Matched != 1 || rep.Hits[0].Doc != "mining" {
 		t.Fatalf("report for new terms = %+v", rep)
+	}
+}
+
+// TestPostingsBuiltOnFirstSearch pins when postings come to exist: never
+// on LoadDir, Add or Reload, for every registered document on the first
+// Search after them, and again only for the engines a Reload swapped in.
+func TestPostingsBuiltOnFirstSearch(t *testing.T) {
+	dir := t.TempDir()
+	for name, xml := range searchDocs {
+		if err := os.WriteFile(filepath.Join(dir, name+".xml"), []byte(xml), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	c := New(Config{})
+	if _, err := c.LoadDir(ctx, dir); err != nil {
+		t.Fatal(err)
+	}
+	c.Add("extra", buildEngine(t, `<doc><p>gold leaf</p></doc>`))
+	built := func(when string, want int) {
+		t.Helper()
+		st := c.Stats()
+		if st.PostingsDocs != want || (st.PostingsBytes > 0) != (want > 0) {
+			t.Fatalf("%s: PostingsDocs = %d (%d bytes), want %d", when, st.PostingsDocs, st.PostingsBytes, want)
+		}
+	}
+	search := func(want int) {
+		t.Helper()
+		rep, err := c.Search(ctx, "gold", "", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Matched != want {
+			t.Fatalf("gold matched %d documents, want %d: %+v", rep.Matched, want, rep)
+		}
+	}
+	built("after LoadDir and Add", 0)
+	search(3)
+	built("after the first Search", 4)
+
+	// Reload swaps one changed file: its new engine has no postings until
+	// the next Search, the other three keep theirs.
+	path := filepath.Join(dir, "cooking.xml")
+	if err := os.WriteFile(path, []byte(`<doc><p>gold leaf on chocolate</p></doc>`), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, time.Time{}, time.Now().Add(2*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if rep := c.Reload(ctx); len(rep.Reloaded) != 1 || rep.Unchanged != 2 {
+		t.Fatalf("reload report: %+v", rep)
+	}
+	built("after Reload", 3)
+	search(4)
+	built("after the Search that follows", 4)
+
+	// A removed document leaves the next snapshot with its engine.
+	c.Remove("extra")
+	built("after Remove", 3)
+	search(3)
+
+	// A disabled tier never builds any.
+	d := New(Config{DisableSearch: true})
+	d.Add("mining", buildEngine(t, searchDocs["mining"]))
+	if _, err := d.Search(ctx, "gold", "", 10); !errors.Is(err, ErrSearchDisabled) {
+		t.Fatalf("disabled search error = %v", err)
+	}
+	if st := d.Stats(); st.PostingsDocs != 0 {
+		t.Fatalf("disabled collection built %d postings", st.PostingsDocs)
+	}
+}
+
+// TestFirstSearchRace sends the first Search of a fresh collection from 8
+// goroutines at once (run with -race): each engine's postings are built
+// once and shared, and every report equals the one a collection whose
+// postings were built beforehand gives.
+func TestFirstSearchRace(t *testing.T) {
+	const docs, searchers = 12, 8
+	engines := make(map[string]*core.Engine, docs)
+	warm := New(Config{Workers: 4})
+	for i := 0; i < docs; i++ {
+		name := fmt.Sprintf("d%02d", i)
+		engines[name] = buildEngine(t, string(gen.Medline(uint64(i+1), 8192)))
+		w := buildEngine(t, string(gen.Medline(uint64(i+1), 8192)))
+		w.Postings()
+		warm.Add(name, w)
+	}
+	ctx := context.Background()
+	queries := []string{"the", "of cell", `"of the"`}
+	want := make([]*SearchReport, len(queries))
+	for i, q := range queries {
+		rep, err := warm.Search(ctx, q, "", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Matched == 0 {
+			t.Fatalf("query %q matches nothing: the comparison would be vacuous", q)
+		}
+		want[i] = rep
+	}
+
+	c := New(Config{Workers: 4})
+	for name, eng := range engines {
+		c.Add(name, eng)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	seen := make([]map[string]*search.DocPostings, searchers)
+	for g := 0; g < searchers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			q := g % len(queries)
+			rep, err := c.Search(ctx, queries[q], "", 5)
+			if err != nil {
+				t.Errorf("searcher %d: %v", g, err)
+				return
+			}
+			if !reflect.DeepEqual(rep, want[q]) {
+				t.Errorf("searcher %d, query %q:\n got %+v\nwant %+v", g, queries[q], rep, want[q])
+			}
+			seen[g] = make(map[string]*search.DocPostings, docs)
+			for name, eng := range engines {
+				seen[g][name] = eng.PostingsIfBuilt()
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range seen {
+		for name, eng := range engines {
+			if dp := seen[g][name]; dp == nil || dp != eng.Postings() {
+				t.Errorf("searcher %d saw postings %p of %s after its search, the engine holds %p", g, dp, name, eng.Postings())
+			}
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/automata"
 	"repro/internal/build"
@@ -56,8 +57,10 @@ type Engine struct {
 	// postings caches the word-level postings of Postings(), built on
 	// first use. Clones (WithEval/WithQueryOptions) start with a fresh
 	// cache; they share the immutable Doc, so a rebuild is identical.
+	// postOnce is the single flight of the build; the pointer is atomic so
+	// PostingsIfBuilt can look without joining it.
 	postOnce sync.Once
-	postings *search.DocPostings
+	postings atomic.Pointer[search.DocPostings]
 }
 
 // Config controls indexing and evaluation.
@@ -320,9 +323,14 @@ func IsIndexData(data []byte) bool {
 // safe for concurrent use; the returned value is immutable and carries
 // the engine's document for phrase counting and snippet extraction.
 func (e *Engine) Postings() *search.DocPostings {
-	e.postOnce.Do(func() { e.postings = search.BuildDoc(e.Doc) })
-	return e.postings
+	e.postOnce.Do(func() { e.postings.Store(search.BuildDoc(e.Doc)) })
+	return e.postings.Load()
 }
+
+// PostingsIfBuilt returns the postings if a Postings call has already
+// built them and nil otherwise; it never builds and never waits for a
+// build in flight.
+func (e *Engine) PostingsIfBuilt() *search.DocPostings { return e.postings.Load() }
 
 // Compile compiles a Core+ XPath query against the document.
 func (e *Engine) Compile(query string) (*xpath.Query, error) {

@@ -11,13 +11,9 @@ import (
 // without an engine behind it (Rank and Candidates only need the columnar
 // data).
 func postingsFromText(text string) *DocPostings {
-	counts := map[string]int32{}
-	var tokens int64
-	for _, tok := range Tokenize([]byte(text)) {
-		counts[tok]++
-		tokens++
-	}
-	return fromCounts(counts, tokens)
+	var tc termCounts
+	tc.add([]byte(text))
+	return tc.freeze()
 }
 
 func testIndex() *Index {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/mmap"
+	"repro/internal/wordindex"
 	"repro/internal/xmltree"
 )
 
@@ -37,40 +38,61 @@ type DocPostings struct {
 // BuildDoc tokenizes every text of d and builds its postings. The
 // returned postings carry d for phrase counting and snippets.
 func BuildDoc(d *xmltree.Doc) *DocPostings {
-	counts := map[string]int32{}
-	var tokens int64
+	var tc termCounts
 	for id := 0; id < d.NumTexts(); id++ {
-		for _, tok := range Tokenize(d.Text(id)) {
-			counts[tok]++
-			tokens++
-		}
+		tc.add(d.Text(id))
 	}
-	dp := fromCounts(counts, tokens)
+	dp := tc.freeze()
 	dp.doc = d
 	return dp
 }
 
-// fromCounts freezes a term→frequency map into the columnar layout.
-func fromCounts(counts map[string]int32, tokens int64) *DocPostings {
-	terms := make([]string, 0, len(counts))
-	for t := range counts {
+// termCounts accumulates the term frequencies of one document. A token is
+// folded into a stack buffer and looked up by its bytes, so counting
+// allocates once per distinct term, not once per token.
+type termCounts struct {
+	slot   map[string]int32 // term → index into tf
+	tf     []int32
+	tokens int64
+}
+
+// add counts the tokens of one text (the tokens Tokenize would return).
+func (tc *termCounts) add(text []byte) {
+	if tc.slot == nil {
+		tc.slot = map[string]int32{}
+	}
+	var buf [MaxTokenBytes]byte
+	wordindex.ScanWords(text, func(start, end int) {
+		tok := foldInto(buf[:0], text[start:end])
+		if i, ok := tc.slot[string(tok)]; ok {
+			tc.tf[i]++
+		} else {
+			tc.slot[string(tok)] = int32(len(tc.tf))
+			tc.tf = append(tc.tf, 1)
+		}
+		tc.tokens++
+	})
+}
+
+// freeze lays the counts out in the columnar form, terms sorted.
+func (tc *termCounts) freeze() *DocPostings {
+	terms := make([]string, 0, len(tc.slot))
+	size := 0
+	for t := range tc.slot {
 		terms = append(terms, t)
+		size += len(t)
 	}
 	sort.Strings(terms)
 	dp := &DocPostings{
+		blob:   make([]byte, 0, size),
 		offs:   make([]int32, len(terms)),
 		tf:     make([]int32, len(terms)),
-		tokens: tokens,
+		tokens: tc.tokens,
 	}
-	var size int
-	for _, t := range terms {
-		size += len(t)
-	}
-	dp.blob = make([]byte, 0, size)
 	for i, t := range terms {
 		dp.blob = append(dp.blob, t...)
 		dp.offs[i] = int32(len(dp.blob))
-		dp.tf[i] = counts[t]
+		dp.tf[i] = tc.tf[tc.slot[t]]
 	}
 	return dp
 }

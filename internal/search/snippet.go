@@ -18,12 +18,17 @@ const maxSnippetScan = 1 << 20
 // SnippetWidth is the default snippet window in bytes.
 const SnippetWidth = 160
 
-// Snippet extracts a short text window around the first occurrence of the
-// first query term in the document behind dp, preferring the FM-index
-// (exact bytes, O(term) to find the texts containing it) and falling back
-// to a bounded case-insensitive scan of the text store. It returns ""
-// when the postings carry no document or nothing matches within the scan
-// budget.
+// Snippet extracts a short text window around one occurrence of the first
+// query term in the document behind dp. The FM-index answers first: one
+// backward search plus one located row, O(|term| + l) for sample rate l
+// whatever the term's frequency. The occurrence shown is the first row of
+// the term's suffix range — the one whose following text sorts lowest, not
+// the one in the lowest text id — which is a property of the index alone,
+// so built, copy-loaded and mapped engines show the same window. When the
+// range is empty (word terms are case-folded, the FM-index matches raw
+// bytes) a bounded case-insensitive scan of the text store takes over. It
+// returns "" when the postings carry no document or nothing matches
+// within the scan budget.
 func Snippet(ctx context.Context, dp *DocPostings, terms []Term, width int) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -41,15 +46,13 @@ func Snippet(ctx context.Context, dp *DocPostings, terms []Term, width int) (str
 	// terms the folded token still matches documents that use it in
 	// lowercase, which is the common case.
 	if fm := d.FM; fm != nil {
-		ids := fm.Contains(pat)
-		polls := 0
-		for _, id := range ids {
-			if err := pollCtx(ctx, &polls); err != nil {
-				return "", err
-			}
-			text := d.Text(id)
-			if at := bytes.Index(text, pat); at >= 0 {
-				return window(text, at, len(pat), width), nil
+		if sp, ep := fm.BackwardSearch(pat); sp < ep {
+			occ := fm.LocateRow(sp)
+			text := d.Text(occ.Text)
+			// A window is only cut around bytes that are the term; anything
+			// else falls through to the scan.
+			if end := occ.Offset + len(pat); end <= len(text) && bytes.Equal(text[occ.Offset:end], pat) {
+				return window(text, occ.Offset, len(pat), width), nil
 			}
 		}
 	}

@@ -1,16 +1,18 @@
-// Package search is the collection-scale ranked full-text tier: a global
-// word/posting index over every document registered in a collection,
+// Package search is the collection-scale ranked full-text tier: per-document
+// word postings (term frequencies plus the document's token count),
 // answering "which documents match these terms" before any structural
-// XPath runs, with BM25 top-k ranking and snippet extraction. Per-document
-// postings (term frequencies plus the document's token count) are built
-// from the engine's text store as documents register; the collection tier
-// (package collection) keeps the index in sync across Add/Open/Reload and
-// runs candidate scoring on its bounded worker pool.
+// XPath runs, with BM25 top-k ranking and snippet extraction. A document's
+// postings are built from its text store by BuildDoc — core.Engine.Postings
+// runs it once per engine, on first use — and the collection tier (package
+// collection) builds them when the first search needs them, never when a
+// document is opened or reloaded; it derives a Snapshot of the registered
+// documents' postings per search and scores against that.
 //
 // Word terms are matched at word boundaries, case-folded (ASCII); phrase
-// terms — quoted in the query — bypass the posting index and are counted
-// with one FM-index backward search per document, so they match exact
-// substrings at full-text granularity.
+// terms — quoted in the query — bypass the postings and are counted with
+// one FM-index backward search per document, so they match exact
+// substrings at full-text granularity. A snippet costs one backward search
+// and one located row, whatever the term's frequency.
 package search
 
 import (
@@ -42,27 +44,29 @@ func foldByte(c byte) byte {
 	return c
 }
 
-// foldToken folds one word run and applies the token cap.
-func foldToken(text []byte, start, end int) string {
-	if end-start > MaxTokenBytes {
-		end = start + MaxTokenBytes
+// foldInto appends the token of one word run to buf: the run folded and
+// cut at the token cap.
+func foldInto(buf, word []byte) []byte {
+	if len(word) > MaxTokenBytes {
+		word = word[:MaxTokenBytes]
 	}
-	b := make([]byte, end-start)
-	for i := start; i < end; i++ {
-		b[i-start] = foldByte(text[i])
+	for _, c := range word {
+		buf = append(buf, foldByte(c))
 	}
-	return string(b)
+	return buf
 }
 
 // Tokenize splits text into search tokens: the word boundaries of
 // wordindex.ScanWords (letter/digit runs, bytes ≥ 0x80 included), each
-// token ASCII-case-folded and capped at MaxTokenBytes. The same function
-// tokenizes documents and queries, so lookups agree with the index by
+// token ASCII-case-folded and capped at MaxTokenBytes. Queries are
+// tokenized here and documents by termCounts.add, both through foldInto
+// over the same boundaries, so lookups agree with the index by
 // construction.
 func Tokenize(text []byte) []string {
 	var tokens []string
+	var buf [MaxTokenBytes]byte
 	wordindex.ScanWords(text, func(start, end int) {
-		tokens = append(tokens, foldToken(text, start, end))
+		tokens = append(tokens, string(foldInto(buf[:0], text[start:end])))
 	})
 	return tokens
 }

@@ -96,3 +96,29 @@ func TestTermString(t *testing.T) {
 		t.Fatalf("phrase String = %q", got)
 	}
 }
+
+// TestCountingAllocatesPerDistinctTerm pins the document-side tokenizer:
+// it counts exactly the tokens Tokenize returns, and a token whose term was
+// seen before costs no allocation, so building postings allocates with the
+// vocabulary, not with the text.
+func TestCountingAllocatesPerDistinctTerm(t *testing.T) {
+	text := []byte(strings.Repeat("Gold rush, GOLD mine; "+strings.Repeat("Z", 3*MaxTokenBytes)+" ", 200))
+	var tc termCounts
+	tc.add(text)
+	want := map[string]int32{}
+	for _, tok := range Tokenize(text) {
+		want[tok]++
+	}
+	dp := tc.freeze()
+	if dp.NumTerms() != len(want) || dp.Tokens() != 5*200 {
+		t.Fatalf("%d terms, %d tokens; Tokenize gives %d terms", dp.NumTerms(), dp.Tokens(), len(want))
+	}
+	for tok, n := range want {
+		if got := dp.TF(tok); got != n {
+			t.Errorf("TF(%q) = %d, Tokenize counts %d", tok, got, n)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { tc.add(text) }); n != 0 {
+		t.Errorf("counting 1,000 tokens of known terms allocates %.0f objects, want 0", n)
+	}
+}

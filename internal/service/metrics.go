@@ -51,6 +51,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("sxsi_mapped_docs", "Documents whose index is memory-mapped.", float64(m.MappedDocs))
 	gauge("sxsi_index_mapped_bytes", "Index bytes aliasing mapped files (shared with the page cache).", float64(m.MappedBytes))
 	gauge("sxsi_index_heap_bytes", "Index bytes held on the Go heap (private).", float64(m.HeapBytes))
+	gauge("sxsi_postings_docs", "Documents whose search postings exist (built by the first search after the document was opened).", float64(m.PostingsDocs))
+	gauge("sxsi_postings_bytes", "Heap bytes of the search postings built so far (not part of sxsi_index_heap_bytes).", float64(m.PostingsBytes))
 
 	writeLatencyHistogram(&b, m.Latency)
 	writeSearchHistogram(&b, m.SearchLatency)

@@ -8,12 +8,11 @@ import (
 	"repro/internal/collection"
 )
 
-// searchBody is the GET /search response: the collection.SearchReport plus
-// an echo of the request.
+// searchBody is the GET /search response: the collection.SearchReport
+// (whose k is the effective result size) after an echo of the request.
 type searchBody struct {
 	Query string `json:"query"`
 	XPath string `json:"xpath,omitempty"`
-	K     int    `json:"k"`
 	collection.SearchReport
 }
 
@@ -25,10 +24,11 @@ type searchBody struct {
 // through the FM-index); xpath optionally restricts the result to
 // documents where the expression selects at least one node (evaluated only
 // on the term candidates); k caps the ranked hits (default
-// collection.DefaultTopK). The response carries the BM25-ranked hits with
-// scores, text snippets and — when xpath was given — per-document result
-// node counts. Like every evaluating endpoint it runs under the admission
-// semaphore and the request's context.
+// collection.DefaultTopK, at most collection.MaxTopK; the response's k is
+// the value the search ran with). The response carries the BM25-ranked
+// hits with scores, text snippets and — when xpath was given —
+// per-document result node counts. Like every evaluating endpoint it runs
+// under the admission semaphore and the request's context.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
@@ -54,8 +54,5 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if k == 0 {
-		k = collection.DefaultTopK
-	}
-	writeJSON(w, http.StatusOK, searchBody{Query: q, XPath: xpath, K: k, SearchReport: *rep})
+	writeJSON(w, http.StatusOK, searchBody{Query: q, XPath: xpath, SearchReport: *rep})
 }

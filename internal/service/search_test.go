@@ -112,6 +112,33 @@ func TestSearchEndpointTopKAndXPath(t *testing.T) {
 	}
 }
 
+// TestSearchEndpointEchoesEffectiveK pins the k of the response to the
+// value the search ran with, not the one the request carried.
+func TestSearchEndpointEchoesEffectiveK(t *testing.T) {
+	ts, _ := newSearchServer(t)
+	for _, tc := range []struct {
+		k    string
+		want int
+	}{
+		{"", collection.DefaultTopK},
+		{"3", 3},
+		{"1000", collection.MaxTopK},
+		{"5000", collection.MaxTopK},
+	} {
+		params := url.Values{"q": {"gold"}}
+		if tc.k != "" {
+			params.Set("k", tc.k)
+		}
+		code, out, body := doSearch(t, ts.URL, params)
+		if code != http.StatusOK || out.K != tc.want {
+			t.Errorf("k=%q: status %d, echoed k %d, want %d: %s", tc.k, code, out.K, tc.want, body)
+		}
+		if want := min(tc.want, 5); len(out.Hits) != want {
+			t.Errorf("k=%q: %d hits, want %d", tc.k, len(out.Hits), want)
+		}
+	}
+}
+
 func TestSearchEndpointErrors(t *testing.T) {
 	ts, _ := newSearchServer(t)
 	for _, tc := range []struct {
@@ -142,6 +169,14 @@ func TestSearchEndpointDisabled(t *testing.T) {
 // TestSearchMetrics pins the sxsi_search_* exposition series.
 func TestSearchMetrics(t *testing.T) {
 	ts, _ := newSearchServer(t)
+	// Scraping must not build postings: none exist before the first search.
+	if _, body := get(t, ts.URL+"/metrics"); !strings.Contains(string(body), "\nsxsi_postings_docs 0\n") ||
+		!strings.Contains(string(body), "\nsxsi_postings_bytes 0\n") {
+		t.Fatalf("postings gauges before the first search:\n%s", body)
+	}
+	if _, body := get(t, ts.URL+"/stats"); !strings.Contains(string(body), `"postings_docs":0,"postings_bytes":0`) {
+		t.Fatalf("/stats before the first search: %s", body)
+	}
 	if code, _, _ := doSearch(t, ts.URL, url.Values{"q": {"gold"}}); code != http.StatusOK {
 		t.Fatal("warm-up search failed")
 	}
@@ -160,9 +195,18 @@ func TestSearchMetrics(t *testing.T) {
 		`sxsi_search_duration_seconds_bucket{le="+Inf"} 2`,
 		"sxsi_search_duration_seconds_count 2",
 		"sxsi_search_duration_seconds_sum ",
+		"# TYPE sxsi_postings_docs gauge",
+		"\nsxsi_postings_docs 5\n",
+		"# TYPE sxsi_postings_bytes gauge",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+	if strings.Contains(string(body), "\nsxsi_postings_bytes 0\n") {
+		t.Fatalf("postings bytes still 0 after a search:\n%s", body)
+	}
+	if _, body := get(t, ts.URL+"/stats"); !strings.Contains(string(body), `"postings_docs":5,`) {
+		t.Fatalf("/stats after a search: %s", body)
 	}
 }
