@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -201,6 +202,10 @@ func (x *Index) NumTexts() int { return x.d }
 // Size returns |T|, the total length including one terminator per text.
 func (x *Index) Size() int { return x.n }
 
+// SampleRate returns the text-position sampling step l: a locate walks
+// about l/2 LF steps per occurrence.
+func (x *Index) SampleRate() int { return x.l }
+
 // TextLen returns the length of text id (without terminator).
 func (x *Index) TextLen(id int) int { return int(x.lens[id]) }
 
@@ -295,18 +300,13 @@ func (x *Index) Locate(p []byte) []Occurrence {
 // Contains returns the sorted identifiers of the distinct texts containing p.
 func (x *Index) Contains(p []byte) []int {
 	sp, ep := x.BackwardSearch(p)
-	seen := make(map[int]struct{})
+	ids := make([]int, 0, max(0, ep-sp))
 	for i := sp; i < ep; i++ {
-		g := x.locateRow(i)
-		t, _ := x.PosToText(g)
-		seen[t] = struct{}{}
-	}
-	ids := make([]int, 0, len(seen))
-	for t := range seen {
+		t, _ := x.PosToText(x.locateRow(i))
 		ids = append(ids, t)
 	}
 	sort.Ints(ids)
-	return ids
+	return slices.Compact(ids)
 }
 
 // ContainsCount returns the number of distinct texts containing p.

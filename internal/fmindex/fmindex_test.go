@@ -302,3 +302,24 @@ func BenchmarkBackwardSearch(b *testing.B) {
 		idx.GlobalCount([]byte("abcde"))
 	}
 }
+
+// TestContainsAllocs pins Contains to a single allocation — the id slice,
+// sized by the row range and compacted in place — however many occurrences
+// and distinct texts the pattern has.
+func TestContainsAllocs(t *testing.T) {
+	var texts [][]byte
+	for i := 0; i < 500; i++ {
+		texts = append(texts, []byte(strings.Repeat("brain cell ", 1+i%7)))
+	}
+	idx := build(t, texts, 16)
+	p := []byte("brain")
+	if got := idx.Contains(p); len(got) != len(texts) {
+		t.Fatalf("Contains matched %d texts, want %d", len(got), len(texts))
+	}
+	if idx.SampleRate() != 16 {
+		t.Fatalf("SampleRate()=%d want 16", idx.SampleRate())
+	}
+	if a := testing.AllocsPerRun(20, func() { idx.Contains(p) }); a > 1 {
+		t.Fatalf("Contains allocates %.0f objects per call, want <= 1", a)
+	}
+}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,8 +14,10 @@ import (
 
 // strategyConfigs are the base evaluator configurations the equivalence
 // suite rotates through, mirroring the rotation of TestDifferential: the
-// default planner, the naive text semantics, and a plain-scan cutoff of 1
-// (every contains/ends-with match set goes through the plain-text store).
+// default planner, the naive text semantics, a plain-scan cutoff of 1
+// (every contains/ends-with match set goes through the plain-text store) and
+// an unreachable cutoff (every match set is located through the FM-index,
+// including the frequent literals the default cost rule sends to the scan).
 var strategyConfigs = []struct {
 	name string
 	opts xpath.Options
@@ -22,6 +25,7 @@ var strategyConfigs = []struct {
 	{"default", xpath.Options{}},
 	{"naivetext", xpath.Options{ForceNaiveText: true}},
 	{"plainscan", xpath.Options{PlainCutoff: 1}},
+	{"fmonly", xpath.Options{PlainCutoff: math.MaxInt}},
 }
 
 var forcedStrategies = []xpath.Strategy{

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"sync"
 
@@ -38,8 +39,8 @@ func (c *compiler) singleText(t predTarget) (int32, bool) {
 
 // makePred builds the predicate function for op(value, literal). When the
 // FM-index is available and the target is a single text node, the matching
-// text identifiers are computed once (choosing FM-index search or plain
-// scan by global count, Section 3.4) and the predicate becomes a range
+// text identifiers are computed once (by FM-index search or a plain scan,
+// whichever costs less, Section 3.4) and the predicate becomes a range
 // check against the node's text identifier interval. Otherwise the naive
 // string-value semantics is used (Section 6.6).
 func (c *compiler) makePred(op TextOp, fn, lit string, tgt predTarget) automata.PredFunc {
@@ -108,9 +109,13 @@ func nodeValue(d *xmltree.Doc, x int) []byte {
 	return d.TextValue(x)
 }
 
-// matchSet returns the sorted identifiers of texts matching op(text, lit),
-// deciding between the FM-index and a plain-text scan by the global
-// occurrence count (the cut-off rule of Sections 3.4 and 6.3).
+// matchSet returns the sorted identifiers of texts matching op(text, lit).
+// contains and ends-with pick between locating every occurrence through the
+// FM-index and scanning the plain-text store (Sections 3.4 and 6.3) by
+// comparing the two costs (scanThreshold). starts-with and equality have no
+// scan arm: they read text ids straight from the Doc array after the
+// backward search, without locating, so the FM-index is always the cheaper
+// arm for them.
 func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
 	if op == OpCustom {
 		if f, ok := opts.CustomMatchSets[fn]; ok {
@@ -120,10 +125,6 @@ func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
 	}
 	fm := d.FM
 	p := []byte(lit)
-	cutoff := opts.PlainCutoff
-	if cutoff <= 0 {
-		cutoff = defaultPlainCutoff
-	}
 	var ids []int
 	switch op {
 	case OpStartsWith:
@@ -131,7 +132,7 @@ func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
 	case OpEquals:
 		ids = fm.Equals(p)
 	case OpEndsWith:
-		if fm.EndsWithCount(p) > cutoff && d.Plain != nil {
+		if fm.EndsWithCount(p) > scanThreshold(d, opts) {
 			return plainScan(d, op, p)
 		}
 		ids = fm.EndsWith(p)
@@ -140,7 +141,7 @@ func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
 		if g == 0 {
 			return nil
 		}
-		if g > cutoff && d.Plain != nil {
+		if g > scanThreshold(d, opts) {
 			return plainScan(d, op, p)
 		}
 		ids = fm.Contains(p)
@@ -152,7 +153,30 @@ func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
 	return out
 }
 
-const defaultPlainCutoff = 20000
+// Cost constants of the match-set rule, in nanoseconds. lfStepNs is one LF
+// step of a locate walk, read from the benchmark's fmindex.locate_ns_per_occ
+// (2.3-5.9 us per occurrence at l = 64, i.e. 70-180 ns per step). scanByteNs
+// is one byte of a bytes.Contains pass over the plain store, read from the
+// naive-scan row of BenchmarkTable2_FMSearch (0.99 ms over 2 MB of Medline).
+const (
+	lfStepNs   = 150
+	scanByteNs = 1
+)
+
+// scanThreshold returns the occurrence count above which scanning the plain
+// store costs less than locating: a locate walks about l/2 LF steps to a
+// sampled row plus one step for the sample lookup and text mapping, while a
+// scan reads every byte of the store once. Options.PlainCutoff, when set,
+// replaces the rule; a document without a plain store always locates.
+func scanThreshold(d *xmltree.Doc, opts Options) int {
+	switch {
+	case d.Plain == nil:
+		return math.MaxInt
+	case opts.PlainCutoff > 0:
+		return opts.PlainCutoff
+	}
+	return d.FM.Size() * scanByteNs / ((d.FM.SampleRate()/2 + 1) * lfStepNs)
+}
 
 // plainScan evaluates the predicate over the redundant plain-text store.
 func plainScan(d *xmltree.Doc, op TextOp, p []byte) []int32 {

@@ -25,9 +25,10 @@ type Options struct {
 	// ForceNaiveText disables the FM-index for text predicates, using the
 	// naive string-value semantics everywhere.
 	ForceNaiveText bool
-	// PlainCutoff is the global-count threshold above which contains
-	// predicates scan the plain texts instead of locating via the FM-index
-	// (Section 3.4). Zero means the default.
+	// PlainCutoff is the occurrence count above which contains and
+	// ends-with match sets scan the plain texts instead of locating via the
+	// FM-index (Section 3.4). Zero means the cost rule of scanThreshold,
+	// which compares the locate and scan costs for this document.
 	PlainCutoff int
 	// CustomMatchSets registers extension predicates by function name (the
 	// paper's PSSM queries, Section 6.7): the function receives the literal
@@ -66,7 +67,9 @@ type Query struct {
 
 // Strategy describes the chosen evaluation plan, in the notation of
 // Figure 14: "top-down" or "bottom-up", plus "fm" or "naive" when the query
-// has text predicates.
+// has text predicates. "fm" means the text index is usable for the match
+// sets, not that they are located: a frequent contains or ends-with literal
+// is still answered by a plain-store scan (see matchSet).
 func (q *Query) Strategy() string {
 	s := "top-down"
 	if q.plan != nil {

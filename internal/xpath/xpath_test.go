@@ -2,6 +2,7 @@ package xpath_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,6 +36,8 @@ var configs = []struct {
 	{"nobottomup", Options{DisableBottomUp: true}},
 	{"naivetext", Options{ForceNaiveText: true}},
 	{"nofm-nobu", Options{ForceNaiveText: true, DisableBottomUp: true}},
+	{"plainscan", Options{PlainCutoff: 1}},
+	{"fmonly", Options{PlainCutoff: math.MaxInt}},
 }
 
 // checkAgainstOracle verifies Count, Nodes and result identity (by preorder
