@@ -111,7 +111,9 @@ func BenchmarkBuildParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLoad measures deserializing a saved index of the same corpus.
+// BenchmarkLoad measures deserializing a saved index of the same corpus:
+// one copy into an aligned heap buffer, then the decoder the mapped open
+// runs.
 func BenchmarkLoad(b *testing.B) {
 	setup(b)
 	var buf bytes.Buffer
@@ -129,8 +131,8 @@ func BenchmarkLoad(b *testing.B) {
 
 // BenchmarkOpenMapped measures the zero-copy open of the same saved index
 // from disk: mmap plus derived-directory rebuilds only, no payload copies.
-// Compare with BenchmarkLoad — the gap is the whole point of the mapped
-// path, and it widens with index size (see BenchmarkOpenMappedLarge).
+// Compare with BenchmarkLoad — the gap is the copy, and it widens with
+// index size (see BenchmarkOpenMappedLarge).
 func BenchmarkOpenMapped(b *testing.B) {
 	setup(b)
 	path := filepath.Join(b.TempDir(), "xmark.sxsi")

@@ -10,9 +10,9 @@
 //	sxsi serve -dir ./indexes -addr :8080        serve a directory over HTTP
 //
 // Query and count accept either a saved index (memory-mapped by default,
-// so opening is near-instant regardless of index size; -no-mmap copies
-// instead) or a raw XML file (indexed on the fly); the two are
-// distinguished by the index magic number. The query may be given
+// so opening is near-instant regardless of index size; -no-mmap reads the
+// file into memory instead) or a raw XML file (indexed on the fly); the
+// two are distinguished by the index magic number. The query may be given
 // positionally or with -q. "index" is accepted as an alias of "build" and
 // -in/-out as aliases of -i/-o.
 package main
@@ -63,7 +63,6 @@ func main() {
 	maxQueue := fs.Int("max-queue", 0, "max queued requests before 429 for 'serve'")
 	xpathFilter := fs.String("xpath", "", "restrict 'search' hits to documents matching this XPath")
 	topK := fs.Int("k", 0, "number of ranked hits for 'search' (0 = default 10)")
-	saveIndex := fs.String("save-index", "", "after 'search', save the posting index to this file")
 	fs.StringVar(in, "in", "", "alias of -i")
 	fs.StringVar(out, "out", "", "alias of -o")
 	fs.Parse(os.Args[2:])
@@ -97,7 +96,7 @@ func main() {
 		if *q == "" {
 			fatal("missing search terms")
 		}
-		runSearch(*dir, *q, *xpathFilter, *topK, *saveIndex,
+		runSearch(*dir, *q, *xpathFilter, *topK,
 			collection.Config{Workers: *workers, CacheSize: *cacheSize, RequestTimeout: *timeout, Index: cfg})
 		return
 	}
@@ -181,10 +180,8 @@ func main() {
 //	RANK. NAME  SCORE  [nodes=N]  SNIPPET
 //
 // An -xpath filter keeps only documents where the expression selects at
-// least one node (N in the output); -save-index persists the posting index
-// built along the way, which `sxsi serve` rebuilds on startup anyway but
-// other tools can mmap.
-func runSearch(dir, terms, xpathFilter string, k int, saveIndex string, ccfg collection.Config) {
+// least one node (N in the output).
+func runSearch(dir, terms, xpathFilter string, k int, ccfg collection.Config) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	c := collection.New(ccfg)
@@ -208,11 +205,6 @@ func runSearch(dir, terms, xpathFilter string, k int, saveIndex string, ccfg col
 	}
 	for _, name := range sortedKeys(rep.Failed) {
 		fmt.Fprintf(os.Stderr, "sxsi: %s: %s\n", name, rep.Failed[name])
-	}
-	if saveIndex != "" {
-		n, err := c.SaveSearchIndex(saveIndex)
-		check(err)
-		fmt.Printf("wrote %d index bytes to %s\n", n, saveIndex)
 	}
 }
 
@@ -287,14 +279,14 @@ commands:
 flags: -sample N (FM sampling rate), -rl (run-length text index),
        -p N (build: parallel workers, 0 = all CPUs),
        -mem BUDGET (build: transient memory budget, e.g. 512M or 2G),
-       -no-mmap (copy saved indexes instead of memory-mapping them),
+       -no-mmap (read saved indexes into memory instead of mapping them),
        -strategy auto|top-down|bottom-up (force the evaluation strategy),
        -workers N / -cache N (serve worker pool and query-cache size),
        -timeout D (serve per-request evaluation deadline, e.g. 30s),
        -watch D (serve: poll files and hot-swap changed indexes),
        -debug-addr A (serve: net/http/pprof listener),
        -max-concurrent N / -max-queue N (serve: admission control, 429 when full),
-       -xpath EXPR / -k N / -save-index F (search: structural filter, top-k, persist)`)
+       -xpath EXPR / -k N (search: structural filter, top-k)`)
 	os.Exit(2)
 }
 

@@ -1,10 +1,6 @@
 package bitvec
 
-import (
-	"io"
-
-	"repro/internal/persist"
-)
+import "repro/internal/persist"
 
 // On-disk layout of the bit vectors. Both kinds carry a one-byte format
 // version so a standalone payload is self-describing; the rank directories
@@ -12,9 +8,8 @@ import (
 // the cheap part of construction.
 //
 // Store/ReadVector (and the Sparse pair) compose into a caller's
-// persist.Writer/Reader so enclosing structures serialize through one
-// buffered stream; Save/Load are the standalone io.Writer/io.Reader
-// wrappers.
+// persist.Writer/MReader, so enclosing structures serialize through one
+// buffered stream and decode out of one buffer.
 
 const (
 	vectorFormat = 1
@@ -31,7 +26,7 @@ func (v *Vector) Store(pw *persist.Writer) {
 
 // ReadVector reads a vector written by Store and rebuilds its rank
 // directory. On corrupt input it returns nil and leaves the error in pr.
-func ReadVector(pr persist.Source) *Vector {
+func ReadVector(pr *persist.MReader) *Vector {
 	if pr.Check(pr.Byte() == vectorFormat, "unknown bit vector format") != nil {
 		return nil
 	}
@@ -52,23 +47,6 @@ func ReadVector(pr persist.Source) *Vector {
 	return v
 }
 
-// Save serializes the frozen vector to w.
-func (v *Vector) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	v.Store(pw)
-	return pw.Flush()
-}
-
-// LoadVector reads a vector written by Save.
-func LoadVector(r io.Reader) (*Vector, error) {
-	pr := persist.NewReader(r)
-	v := ReadVector(pr)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return v, nil
-}
-
 // Store serializes the sparse vector into pw: universe size and the packed
 // Elias–Fano components (low bits plus the unary high stream).
 func (s *Sparse) Store(pw *persist.Writer) {
@@ -83,7 +61,7 @@ func (s *Sparse) Store(pw *persist.Writer) {
 
 // ReadSparse reads a sparse vector written by Store. On corrupt input it
 // returns nil and leaves the error in pr.
-func ReadSparse(pr persist.Source) *Sparse {
+func ReadSparse(pr *persist.MReader) *Sparse {
 	if pr.Check(pr.Byte() == sparseFormat, "unknown sparse vector format") != nil {
 		return nil
 	}
@@ -116,21 +94,4 @@ func ReadSparse(pr persist.Source) *Sparse {
 		return nil
 	}
 	return s
-}
-
-// Save serializes the sparse vector to w.
-func (s *Sparse) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	s.Store(pw)
-	return pw.Flush()
-}
-
-// LoadSparse reads a sparse vector written by Save.
-func LoadSparse(r io.Reader) (*Sparse, error) {
-	pr := persist.NewReader(r)
-	s := ReadSparse(pr)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return s, nil
 }

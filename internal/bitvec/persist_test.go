@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 func TestVectorSaveLoadRoundTrip(t *testing.T) {
@@ -19,11 +20,7 @@ func TestVectorSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 		v.Build()
-		var buf bytes.Buffer
-		if err := v.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadVector(&buf)
+		got, err := persisttest.Read(persisttest.Bytes(t, v), ReadVector)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -54,11 +51,7 @@ func TestSparseSaveLoadRoundTrip(t *testing.T) {
 		}
 		sortInts(positions)
 		s := NewSparse(tc.n, positions)
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadSparse(&buf)
+		got, err := persisttest.Read(persisttest.Bytes(t, s), ReadSparse)
 		if err != nil {
 			t.Fatalf("n=%d m=%d: %v", tc.n, tc.m, err)
 		}
@@ -80,7 +73,7 @@ func TestSparseSaveLoadRoundTrip(t *testing.T) {
 
 // TestVectorLoadRebuildsSelectSamples proves the select samples are a
 // derived structure: they are not part of the on-disk payload (same format
-// version as the seed), Load rebuilds them identically to a fresh Build,
+// version as the seed), Read rebuilds them identically to a fresh Build,
 // and re-saving a loaded vector is byte-identical to the original payload.
 func TestVectorLoadRebuildsSelectSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -92,12 +85,8 @@ func TestVectorLoadRebuildsSelectSamples(t *testing.T) {
 			}
 		}
 		v.Build()
-		var buf bytes.Buffer
-		if err := v.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		saved := append([]byte(nil), buf.Bytes()...)
-		got, err := LoadVector(bytes.NewReader(saved))
+		saved := persisttest.Bytes(t, v)
+		got, err := persisttest.Read(saved, ReadVector)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +104,7 @@ func TestVectorLoadRebuildsSelectSamples(t *testing.T) {
 				t.Fatalf("n=%d: selSamp0[%d] differs", n, i)
 			}
 		}
-		var buf2 bytes.Buffer
-		if err := got.Save(&buf2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(saved, buf2.Bytes()) {
+		if !bytes.Equal(saved, persisttest.Bytes(t, got)) {
 			t.Fatalf("n=%d: re-saved payload not byte-identical", n)
 		}
 	}
@@ -127,42 +112,45 @@ func TestVectorLoadRebuildsSelectSamples(t *testing.T) {
 
 func TestVectorLoadCorrupt(t *testing.T) {
 	v := FromBools([]bool{true, false, true, true})
-	var buf bytes.Buffer
-	v.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Bytes(t, v)
 	// Truncations.
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := LoadVector(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Read(data[:cut], ReadVector); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// Wrong format byte.
-	bad := append([]byte(nil), data...)
-	bad[0] = 0xFF
-	if _, err := LoadVector(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Read(persisttest.Flip(data, 0), ReadVector); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad format: %v", err)
 	}
 	// Word count inconsistent with the bit length.
-	bad = append([]byte(nil), data...)
+	bad := persisttest.Flip(data, 1)
 	bad[1] = 200 // n = 200 needs 4 words, payload has 1
-	if _, err := LoadVector(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Read(bad, ReadVector); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad word count: %v", err)
+	}
+	// Any single-byte flip loads or fails typed, never panics.
+	for i := range data {
+		if _, err := persisttest.Read(persisttest.Flip(data, i), ReadVector); err != nil && !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("byte %d: %v", i, err)
+		}
 	}
 }
 
 func TestSparseLoadCorrupt(t *testing.T) {
 	s := NewSparse(1000, []int{3, 77, 500, 999})
-	var buf bytes.Buffer
-	s.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Bytes(t, s)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := LoadSparse(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Read(data[:cut], ReadSparse); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
-	bad := append([]byte(nil), data...)
-	bad[0] = 0xFF
-	if _, err := LoadSparse(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Read(persisttest.Flip(data, 0), ReadSparse); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad format: %v", err)
+	}
+	for i := range data {
+		if _, err := persisttest.Read(persisttest.Flip(data, i), ReadSparse); err != nil && !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("byte %d: %v", i, err)
+		}
 	}
 }

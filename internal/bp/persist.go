@@ -1,15 +1,13 @@
 package bp
 
 import (
-	"io"
-
 	"repro/internal/bits"
 	"repro/internal/bitvec"
 	"repro/internal/persist"
 )
 
 // On-disk layout: only the parenthesis bit vector is stored. The
-// range-min-max tree is a linear-time directory over it, so Load rebuilds
+// range-min-max tree is a linear-time directory over it, so Read rebuilds
 // it instead of paying the disk space.
 
 const parensFormat = 1
@@ -23,7 +21,7 @@ func (p *Parens) Store(pw *persist.Writer) {
 // Read reads a parenthesis sequence written by Store and rebuilds the
 // range-min-max tree over it. On corrupt input it returns nil and leaves
 // the error in pr.
-func Read(pr persist.Source) *Parens {
+func Read(pr *persist.MReader) *Parens {
 	if pr.Check(pr.Byte() == parensFormat, "unknown parentheses format") != nil {
 		return nil
 	}
@@ -61,21 +59,4 @@ func Read(pr persist.Source) *Parens {
 		return nil
 	}
 	return New(v)
-}
-
-// Save serializes the parenthesis sequence to w.
-func (p *Parens) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	p.Store(pw)
-	return pw.Flush()
-}
-
-// Load reads a parenthesis sequence written by Save.
-func Load(r io.Reader) (*Parens, error) {
-	pr := persist.NewReader(r)
-	p := Read(pr)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return p, nil
 }

@@ -1,12 +1,12 @@
 package bp
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 // randomTree produces a balanced parenthesis sequence of n nodes.
@@ -31,11 +31,7 @@ func TestParensSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 2, 10, 300, 2000} {
 		p := NewFromBools(randomTree(rng, n))
-		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Load(&buf)
+		got, err := persisttest.Read(persisttest.Bytes(t, p), Read)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -61,18 +57,21 @@ func TestParensSaveLoadRoundTrip(t *testing.T) {
 
 func TestParensLoadCorrupt(t *testing.T) {
 	p := NewFromBools([]bool{true, true, false, true, false, false})
-	var buf bytes.Buffer
-	p.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Bytes(t, p)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Read(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// An odd parenthesis count cannot be a tree.
-	bad := append([]byte(nil), data...)
+	bad := persisttest.Flip(data, 2)
 	bad[2] = 7 // vector length field (offset: parens format byte + vector format byte)
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Read(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("odd count: %v", err)
+	}
+	for i := range data {
+		if _, err := persisttest.Read(persisttest.Flip(data, i), Read); err != nil && !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("byte %d: %v", i, err)
+		}
 	}
 }

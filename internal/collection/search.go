@@ -291,17 +291,6 @@ feed:
 	return nil
 }
 
-// SaveSearchIndex writes the collection's posting index to path (the
-// aligned container OpenIndexFile maps back in), building the postings no
-// search has needed yet; it fails with ErrSearchDisabled when the tier is
-// off.
-func (c *Collection) SaveSearchIndex(path string) (int64, error) {
-	if c.cfg.DisableSearch {
-		return 0, ErrSearchDisabled
-	}
-	return c.SearchIndex().SaveFile(path)
-}
-
 // SearchIndex returns the posting index of the documents registered now
 // (nil when the tier is disabled), building the postings no search has
 // needed yet. It is a copy for tests and tools: later Add, Remove and

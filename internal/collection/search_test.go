@@ -303,21 +303,6 @@ func TestFirstSearchRace(t *testing.T) {
 	}
 }
 
-func TestSaveSearchIndex(t *testing.T) {
-	c := searchCollection(t)
-	path := filepath.Join(t.TempDir(), "postings.sxsp")
-	if _, err := c.SaveSearchIndex(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	d := New(Config{DisableSearch: true})
-	if _, err := d.SaveSearchIndex(path); !errors.Is(err, ErrSearchDisabled) {
-		t.Fatalf("disabled save error = %v", err)
-	}
-}
-
 // TestSearchDuringReload hammers Search while the underlying files are
 // rewritten and hot-reloaded: run with -race, it pins the reload
 // consistency contract — a search that snapshotted the posting index

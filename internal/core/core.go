@@ -7,9 +7,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -41,18 +39,21 @@ import (
 // WithQueryOptions share only the immutable index and are safe to use
 // concurrently with their parent.
 //
-// An engine opened through OpenFile may be memory-mapped: its succinct
-// payloads alias the mapped index file and only the derived directories
-// live on the heap. The mapping stays valid for the engine's whole
-// lifetime (clones included); Close releases it and must only be called
-// once no goroutine can touch the engine or a clone again.
+// A loaded engine's succinct payloads alias the file image it was decoded
+// from and only the derived directories are built beside it. Through
+// OpenFile that image is a memory mapping, which stays valid for the
+// engine's whole lifetime (clones included); Close releases it and must
+// only be called once no goroutine can touch the engine or a clone again.
 type Engine struct {
 	Doc  *xmltree.Doc
 	opts Config
 
-	// backing keeps the mapped index file alive for mapped engines; nil
-	// for built or copy-loaded engines.
+	// backing keeps the file image alive for engines opened through
+	// OpenFile; nil for built or Load/LoadFile engines.
 	backing *mmap.File
+	// mapped records that the image the Doc aliases is an OS mapping
+	// (shared with the page cache) rather than a private heap buffer.
+	mapped bool
 
 	// postings caches the word-level postings of Postings(), built on
 	// first use. Clones (WithEval/WithQueryOptions) start with a fresh
@@ -71,14 +72,19 @@ type Config struct {
 	// SkipFM disables the text self-index (tree-only workloads).
 	SkipFM bool
 	// SkipPlain drops the redundant plain-text store of Section 3.4; text
-	// extraction then walks the BWT.
+	// extraction then walks the BWT. A loaded index keeps its whole file
+	// image, so on a heap-buffer load (NoMmap, Load, LoadFile) the skipped
+	// section's bytes stay resident all the same; only a mapping leaves
+	// them to the page cache.
 	SkipPlain bool
 	// RunLength uses the run-length FM sequence (package rlfm) instead of
 	// the wavelet tree — the RLCSA swap of Section 6.7 for repetitive
 	// collections.
 	RunLength bool
-	// NoMmap disables the memory-mapped load path of OpenFile: the index is
-	// copied into private memory as with LoadFile.
+	// NoMmap makes OpenFile read the whole index file into one aligned
+	// heap buffer, as LoadFile does, instead of mapping it; the decoder is
+	// the same. The buffer is private memory, reported in Stats.HeapBytes,
+	// and it holds every section, SkipFM/SkipPlain ones included.
 	NoMmap bool
 	// BuildProcs is the worker count for parallel index construction
 	// (0 = GOMAXPROCS). Any value produces the same index.
@@ -214,52 +220,67 @@ func (cw *ctxWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-// Load reads an index previously written by Save.
+// Load reads an index previously written by Save: r is read to the end
+// into one 8-aligned heap buffer, which the decoder then aliases exactly
+// as it would a mapping. Loading skips suffix sorting and only builds the
+// derived directories.
 func Load(r io.Reader, cfg Config) (*Engine, error) {
-	doc, err := xmltree.ReadIndex(r, cfg.treeOptions())
+	buf, err := readAligned(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{Doc: doc, opts: cfg}, nil
+	return load(buf, false, cfg)
 }
 
-// LoadFile reads an index file previously written by SaveFile.
+// readAligned reads r to the end into one 8-aligned buffer of exactly the
+// data's length, sized up front when r reports what is left to read
+// (bytes.Reader, bytes.Buffer) and copied once from a growing one
+// otherwise.
+func readAligned(r io.Reader) ([]byte, error) {
+	if lr, ok := r.(interface{ Len() int }); ok {
+		buf := persist.AlignedBuffer(lr.Len())
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	buf := persist.AlignedBuffer(len(data))
+	copy(buf, data)
+	return buf, nil
+}
+
+// LoadFile reads an index file previously written by SaveFile into one
+// aligned heap buffer and decodes it in place, like Load.
 func LoadFile(path string, cfg Config) (*Engine, error) {
-	f, err := os.Open(path)
+	f, err := mmap.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f, cfg)
+	return load(f.Data(), false, cfg)
 }
 
-// ErrNotMappable reports an index whose on-disk version predates the
-// aligned layout; it loads through Load/LoadFile but not LoadMapped.
-var ErrNotMappable = xmltree.ErrNotMappable
-
-// LoadMapped reads an index out of data — typically an mmap'd file —
-// aliasing the succinct payloads in place instead of copying them. Only
-// derived directories are built on the heap, so the load cost is
-// independent of the text and tree payload sizes. data must stay alive
-// and unchanged for the engine's whole lifetime (for a real mapping, keep
-// the mapping open; OpenFile manages that automatically). Indexes older
-// than the aligned format return ErrNotMappable.
-func LoadMapped(data []byte, cfg Config) (*Engine, error) {
-	doc, err := xmltree.ReadIndexMapped(persist.EnsureAligned(data), cfg.treeOptions())
+// load decodes the index image data, which must stay alive and unchanged
+// for the engine's whole lifetime; mapped says whether it is an OS mapping
+// or private heap, which only the caller that produced it knows.
+func load(data []byte, mapped bool, cfg Config) (*Engine, error) {
+	doc, err := xmltree.ReadIndexMapped(data, cfg.treeOptions())
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{Doc: doc, opts: cfg}, nil
+	return &Engine{Doc: doc, opts: cfg, mapped: mapped}, nil
 }
 
 // OpenFile opens an index file for querying with the fastest available
 // path: the file is memory-mapped (or, on platforms without mmap, read
-// into one aligned buffer) and loaded zero-copy via LoadMapped, so opening
-// a multi-gigabyte index costs only its derived directories and restarts
-// hit the OS page cache instead of re-reading the index. Pre-aligned-
-// layout files, big-endian hosts, and cfg.NoMmap all fall back to the
-// copying load. The engine owns the mapping; release it with Close once
-// the engine is no longer in use.
+// into one aligned buffer) and decoded in place, so opening a
+// multi-gigabyte index costs only its derived directories and restarts hit
+// the OS page cache instead of re-reading the index. cfg.NoMmap reads the
+// file into a heap buffer instead (LoadFile). The engine owns the mapping;
+// release it with Close once the engine is no longer in use.
 func OpenFile(path string, cfg Config) (*Engine, error) {
 	if cfg.NoMmap {
 		return LoadFile(path, cfg)
@@ -268,33 +289,28 @@ func OpenFile(path string, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := LoadMapped(m.Data(), cfg)
-	if err == nil {
-		eng.backing = m
-		// Fallback release: once the document — the object whose slices
-		// alias the mapping, shared by every clone and compiled query — is
-		// unreachable, unmap. This is what keeps a long-running service
-		// that replaces documents (collection.Add over an existing name)
-		// from accumulating dead mappings; explicit Close stays available
-		// for deterministic release and the two compose because Close is
-		// idempotent. Caveat: a caller that keeps an aliased []byte (e.g. a
-		// Doc.Text result) without keeping the engine or document alive has
-		// already broken the documented lifetime contract.
-		runtime.SetFinalizer(eng.Doc, func(*xmltree.Doc) { m.Close() })
-		return eng, nil
+	eng, err := load(m.Data(), m.Mapped(), cfg)
+	if err != nil {
+		m.Close()
+		return nil, err
 	}
-	if errors.Is(err, ErrNotMappable) {
-		// Old unaligned container: decode it the copying way, straight out
-		// of the mapped bytes, then drop the mapping.
-		eng, err = Load(bytes.NewReader(m.Data()), cfg)
-	}
-	m.Close()
-	return eng, err
+	eng.backing = m
+	// Fallback release: once the document — the object whose slices alias
+	// the mapping, shared by every clone and compiled query — is
+	// unreachable, unmap. This is what keeps a long-running service that
+	// replaces documents (collection.Add over an existing name) from
+	// accumulating dead mappings; explicit Close stays available for
+	// deterministic release and the two compose because Close is
+	// idempotent. Caveat: a caller that keeps an aliased []byte (e.g. a
+	// Doc.Text result) without keeping the engine or document alive has
+	// already broken the documented lifetime contract.
+	runtime.SetFinalizer(eng.Doc, func(*xmltree.Doc) { m.Close() })
+	return eng, nil
 }
 
-// Mapped reports whether the engine's payloads alias a mapped (or aligned
-// fallback) buffer rather than private heap memory.
-func (e *Engine) Mapped() bool { return e.Doc.MappedBytes() > 0 }
+// Mapped reports whether the engine's payloads alias an OS memory mapping
+// (shared with the page cache) rather than private heap memory.
+func (e *Engine) Mapped() bool { return e.mapped }
 
 // Close releases the mapping behind a mapped engine; it is a no-op for
 // heap-loaded engines and is idempotent. The caller must guarantee that
@@ -407,10 +423,13 @@ func (e *Engine) SerializeContext(ctx context.Context, query string, w io.Writer
 
 // Stats describes the in-memory footprint of the index components
 // (Figure 8's memory column). For mapped engines, Mapped is true,
-// MappedBytes is the size of the aliased index file, and HeapBytes
+// MappedBytes is the size of the mapped index file, and HeapBytes
 // estimates the private memory left over (the derived directories): the
 // component byte counts include the aliased payloads, so heap usage is
-// their total minus the mapping.
+// their total minus the mapping. An engine decoded from a heap buffer
+// (Load, LoadFile, NoMmap, or a platform without mmap) owns that whole
+// buffer privately: MappedBytes is zero and HeapBytes counts the buffer
+// plus the derived directories.
 type Stats struct {
 	Nodes       int  `json:"nodes"`
 	Texts       int  `json:"texts"`
@@ -434,9 +453,14 @@ func (e *Engine) Stats() Stats {
 		TextBytes:  text,
 		PlainBytes: plain,
 	}
-	st.MappedBytes = e.Doc.MappedBytes()
-	st.Mapped = st.MappedBytes > 0
-	st.HeapBytes = max(0, tree+text+plain-st.MappedBytes)
+	image := e.Doc.AliasedBytes()
+	if e.mapped {
+		st.Mapped = true
+		st.MappedBytes = image
+		st.HeapBytes = max(0, tree+text+plain-image)
+	} else {
+		st.HeapBytes = image + max(0, tree+text+plain-image)
+	}
 	return st
 }
 
@@ -461,7 +485,7 @@ func (e *Engine) WithEval(opts automata.Options) *Engine {
 	cfg := e.opts
 	cfg.Query = cloneQueryOptions(cfg.Query)
 	cfg.Query.Eval = opts
-	return &Engine{Doc: e.Doc, opts: cfg}
+	return &Engine{Doc: e.Doc, opts: cfg, mapped: e.mapped}
 }
 
 // WithQueryOptions returns a copy of the engine using the given query
@@ -470,7 +494,7 @@ func (e *Engine) WithEval(opts automata.Options) *Engine {
 func (e *Engine) WithQueryOptions(opts xpath.Options) *Engine {
 	cfg := e.opts
 	cfg.Query = cloneQueryOptions(opts)
-	return &Engine{Doc: e.Doc, opts: cfg}
+	return &Engine{Doc: e.Doc, opts: cfg, mapped: e.mapped}
 }
 
 func (e *Engine) String() string {

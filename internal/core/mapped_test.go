@@ -2,20 +2,24 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/automata"
 	"repro/internal/gen"
 	"repro/internal/persist"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
 // TestMappedIdenticalOutput is the zero-copy correctness contract: for
 // every corpus shape, a memory-mapped engine must produce byte-identical
-// query output to the copying load path, under each of the three
+// query output to the heap-buffer load path, under each of the three
 // evaluator configurations the oracle suite uses (default planner,
 // bottom-up disabled, naive text predicates).
 func TestMappedIdenticalOutput(t *testing.T) {
@@ -127,54 +131,64 @@ func TestMappedRunLength(t *testing.T) {
 	}
 }
 
-// TestOpenFileFallbacks: NoMmap and pre-alignment files both take the
-// copying path and still answer queries.
+// TestOpenFileFallbacks: NoMmap, LoadFile and Load decode a heap buffer
+// and still answer queries; a file of a retired format version (2, the
+// unaligned layout) is refused typed on every path, naming the rebuild.
 func TestOpenFileFallbacks(t *testing.T) {
 	e, err := Build([]byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-
 	path := filepath.Join(dir, "doc.sxsi")
 	if _, err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	noMap, err := OpenFile(path, Config{NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noMap.Mapped() {
-		t.Fatal("NoMmap engine claims to be mapped")
+	for name, open := range openPaths {
+		eng, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name != "OpenFile" && eng.Mapped() {
+			t.Fatalf("%s: heap-buffer engine claims to be mapped", name)
+		}
+		if n, err := eng.Count("//item"); err != nil || n != 2 {
+			t.Fatalf("%s: count=%d err=%v", name, n, err)
+		}
+		eng.Close()
 	}
 
-	// A version-2 (unaligned) file: OpenFile must fall back to copying.
-	var old bytes.Buffer
-	if _, err := e.Doc.WriteToVersion(&old, 2); err != nil {
-		t.Fatal(err)
-	}
-	oldPath := filepath.Join(dir, "old.sxsi")
-	if err := os.WriteFile(oldPath, old.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	oldEng, err := OpenFile(oldPath, Config{})
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oldEng.Mapped() {
-		t.Fatal("v2 engine claims to be mapped")
+	binary.LittleEndian.PutUint16(data[len(xmltree.IndexMagic):], 2)
+	oldPath := filepath.Join(dir, "old.sxsi")
+	if err := os.WriteFile(oldPath, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, eng := range []*Engine{noMap, oldEng} {
-		n, err := eng.Count("//item")
-		if err != nil || n != 2 {
-			t.Fatalf("count=%d err=%v", n, err)
+	for name, open := range openPaths {
+		_, err := open(oldPath)
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "version 2") ||
+			!strings.Contains(err.Error(), "sxsi build") {
+			t.Fatalf("%s(v2): want a typed rebuild error, got %v", name, err)
 		}
 	}
+}
 
-	// LoadMapped on a v2 stream reports the typed sentinel.
-	if _, err := LoadMapped(old.Bytes(), Config{}); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("LoadMapped(v2): want ErrNotMappable, got %v", err)
-	}
+// openPaths are the ways an engine is loaded from a saved file.
+var openPaths = map[string]func(string) (*Engine, error){
+	"OpenFile":        func(p string) (*Engine, error) { return OpenFile(p, Config{}) },
+	"OpenFile/NoMmap": func(p string) (*Engine, error) { return OpenFile(p, Config{NoMmap: true}) },
+	"LoadFile":        func(p string) (*Engine, error) { return LoadFile(p, Config{}) },
+	"Load": func(p string) (*Engine, error) {
+		f, err := os.Open(p)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return Load(f, Config{})
+	},
 }
 
 // TestOpenFileCorruptMapped drives corrupted index files through OpenFile
@@ -214,7 +228,8 @@ func TestOpenFileCorruptMapped(t *testing.T) {
 }
 
 // TestMappedStats: the stats of a mapped engine expose the mapped/heap
-// split; heap-loaded engines report zero mapped bytes.
+// split; built engines and engines decoded from a heap buffer report zero
+// mapped bytes, and the latter count the whole buffer as heap.
 func TestMappedStats(t *testing.T) {
 	e, err := Build([]byte(persistDoc), Config{})
 	if err != nil {
@@ -236,6 +251,25 @@ func TestMappedStats(t *testing.T) {
 	}
 	if hs := e.Stats(); hs.Mapped || hs.MappedBytes != 0 {
 		t.Fatalf("built stats: %+v", hs)
+	}
+	for name, open := range openPaths {
+		if name == "OpenFile" {
+			continue
+		}
+		eng, err := open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := eng.Stats()
+		if hs.Mapped || hs.MappedBytes != 0 || int64(hs.HeapBytes) < n {
+			t.Fatalf("%s stats: %+v (file %d bytes)", name, hs, n)
+		}
+		if c := eng.WithQueryOptions(xpath.Options{}); c.Mapped() || c.Stats() != hs {
+			t.Fatalf("%s: clone stats %+v differ from %+v", name, c.Stats(), hs)
+		}
+	}
+	if c := mapped.WithEval(automata.Options{}); !c.Mapped() || c.Stats() != st {
+		t.Fatalf("mapped clone stats %+v differ from %+v", c.Stats(), st)
 	}
 }
 
@@ -316,8 +350,11 @@ func TestMappedEngineIsZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if m.Doc.MappedBytes() == 0 {
-		t.Fatal("no mapped bytes")
+	image := m.backing.Data()
+	words := m.Doc.Par.BitWords()
+	base, p := uintptr(unsafe.Pointer(&image[0])), uintptr(unsafe.Pointer(&words[0]))
+	if m.Doc.AliasedBytes() != len(image) || p < base || p >= base+uintptr(len(image)) {
+		t.Fatal("parenthesis words do not alias the mapped file")
 	}
 	// The engine and a re-opened engine must not share heap: two separate
 	// opens alias the same file but different mappings, and both answer.

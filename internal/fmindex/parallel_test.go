@@ -9,18 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-)
 
-// saveBytes serializes an index the way .sxsi files embed it; byte equality
-// here is what makes parallel and serial builds produce identical files.
-func saveBytes(t *testing.T, x *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+	"repro/internal/persist/persisttest"
+)
 
 // assertIdentical pins the parallel build against the serial one: identical
 // serialized bytes and identical in-memory tables (c and strt are not part
@@ -35,7 +26,9 @@ func assertIdentical(t *testing.T, texts [][]byte, opts Options, bo BuildOptions
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveBytes(t, want), saveBytes(t, got)) {
+	// Byte equality of the stored form is what makes parallel and serial
+	// builds produce identical .sxsi files.
+	if !bytes.Equal(persisttest.Bytes(t, want), persisttest.Bytes(t, got)) {
 		t.Fatalf("serialized bytes differ (procs=%d budget=%d)", bo.Procs, bo.MemoryBudget)
 	}
 	if want.c != got.c {

@@ -1,8 +1,6 @@
 package fmindex
 
 import (
-	"io"
-
 	"repro/internal/bitvec"
 	"repro/internal/persist"
 	"repro/internal/wavelet"
@@ -59,7 +57,7 @@ type storedTree interface {
 // override a structurally stored wavelet tree). A nil builder keeps the
 // stored wavelet tree as is. On corrupt input Read returns nil and leaves
 // the error in pr.
-func Read(pr persist.Source, builder SequenceBuilder) *Index {
+func Read(pr *persist.MReader, builder SequenceBuilder) *Index {
 	if pr.Check(pr.Byte() == indexFormat, "unknown fm-index format") != nil {
 		return nil
 	}
@@ -82,11 +80,10 @@ func Read(pr persist.Source, builder SequenceBuilder) *Index {
 	}
 	// The sampling metadata is fully decoded here, so its validation and
 	// the text-start directory build are independent of the sequence
-	// decode below. On mapped sources — where this sits on the open-latency
-	// path — the two run concurrently; the goroutine must not touch pr.
+	// decode below. They sit on the open-latency path, so the two run
+	// concurrently; the goroutine must not touch pr.
 	done := make(chan sampleCheck, 1)
-	_, overlap := pr.(*persist.MReader)
-	drained := !overlap
+	drained := false
 	// Every return path must join the goroutine: it reads slices that may
 	// alias a mapping the caller unmaps as soon as Read reports an error.
 	defer func() {
@@ -94,16 +91,14 @@ func Read(pr persist.Source, builder SequenceBuilder) *Index {
 			<-done
 		}
 	}()
-	if overlap {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					done <- sampleCheck{what: "fm-index sample validation failure"}
-				}
-			}()
-			done <- x.validateSamples()
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- sampleCheck{what: "fm-index sample validation failure"}
+			}
 		}()
-	}
+		done <- x.validateSamples()
+	}()
 	kind := pr.Byte()
 	switch kind {
 	case seqWavelet:
@@ -138,13 +133,8 @@ func Read(pr persist.Source, builder SequenceBuilder) *Index {
 		pr.Check(false, "unknown bwt sequence kind")
 		return nil
 	}
-	var sc sampleCheck
-	if overlap {
-		sc = <-done
-		drained = true
-	} else {
-		sc = x.validateSamples()
-	}
+	sc := <-done
+	drained = true
 	if pr.Check(sc.what == "", sc.what) != nil {
 		return nil
 	}
@@ -168,8 +158,7 @@ type sampleCheck struct {
 // validateSamples cross-checks the sampling metadata (text lengths, doc
 // identifiers, sampled positions) and builds the text-start sparse vector.
 // It depends only on fields decoded before the sequence payload and is
-// free of Source access, so the mapped load path overlaps it with the
-// wavelet decode.
+// free of MReader access, so Read overlaps it with the wavelet decode.
 func (x *Index) validateSamples() sampleCheck {
 	if len(x.lens) != x.d || len(x.doc) != x.d || x.bs.Ones() != len(x.ps) || x.l <= 0 {
 		return sampleCheck{what: "fm-index component mismatch"}
@@ -205,21 +194,4 @@ func (x *Index) validateSamples() sampleCheck {
 		pos += int(x.lens[i]) + 1
 		return p
 	})}
-}
-
-// Save serializes the index to w.
-func (x *Index) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	x.Store(pw)
-	return pw.Flush()
-}
-
-// Load reads an index written by Save; builder is as in Read.
-func Load(r io.Reader, builder SequenceBuilder) (*Index, error) {
-	pr := persist.NewReader(r)
-	x := Read(pr, builder)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return x, nil
 }

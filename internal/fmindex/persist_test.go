@@ -7,8 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 	"repro/internal/rlfm"
 )
+
+// load decodes a stored index with the given sequence builder, the way the
+// index container's FM section is read.
+func load(data []byte, builder SequenceBuilder) (*Index, error) {
+	return persisttest.Read(data, func(mr *persist.MReader) *Index { return Read(mr, builder) })
+}
 
 var persistTexts = [][]byte{
 	[]byte("abracadabra"),
@@ -59,11 +66,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), nil)
+	got, err := load(persisttest.Bytes(t, x), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +78,7 @@ func TestIndexSaveLoadEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, nil)
+	got, err := load(persisttest.Bytes(t, x), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +97,7 @@ func TestIndexSaveLoadCrossSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	gotRL, err := Load(bytes.NewReader(buf.Bytes()), rlBuilder)
+	gotRL, err := load(persisttest.Bytes(t, x), rlBuilder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +107,7 @@ func TestIndexSaveLoadCrossSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf2 bytes.Buffer
-	if err := xRL.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	gotWT, err := Load(bytes.NewReader(buf2.Bytes()), nil)
+	gotWT, err := load(persisttest.Bytes(t, xRL), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +119,21 @@ func TestIndexLoadCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	x.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Bytes(t, x)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut]), nil); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := load(data[:cut], nil); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// Text count inconsistent with the terminator count.
-	bad := append([]byte(nil), data...)
-	bad[9]++ // d field (format byte + n)
-	if _, err := Load(bytes.NewReader(bad), nil); !errors.Is(err, persist.ErrCorrupt) {
+	bad := persisttest.Flip(data, 9)
+	bad[9] = data[9] + 1 // d field (format byte + n)
+	if _, err := load(bad, nil); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad d: %v", err)
+	}
+	for i := range data {
+		if _, err := load(persisttest.Flip(data, i), nil); err != nil && !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("byte %d: %v", i, err)
+		}
 	}
 }

@@ -17,7 +17,7 @@
 // import path, because every sxsivet analyzer scopes itself by package
 // path; imports are resolved against the real repo packages via
 // `go list -export`, so a fixture can exercise cross-package taint
-// (e.g. a slice obtained from persist.Source).
+// (e.g. a slice obtained from a persist.MReader).
 package analysistest
 
 import (

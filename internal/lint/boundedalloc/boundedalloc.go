@@ -1,6 +1,6 @@
 // Package boundedalloc enforces the capped-allocation contract from the
 // persistence layer's hardening (PR 1): a `make` whose size flows from a
-// length read off disk (persist.Source / persist.Reader integer reads)
+// length read off disk (persist.MReader integer reads)
 // must be validated first — otherwise one corrupt length field turns
 // into an attacker-sized allocation before the first byte of payload is
 // checked.
@@ -31,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// intReaders are the integer-reading methods of the persist decoders
+// intReaders are the integer-reading methods of the persist decoder
 // whose results are untrusted on-disk lengths.
 var intReaders = map[string]bool{
 	"Int": true, "Int32": true, "Uint32": true, "Uint64": true, "Byte": true,
@@ -182,8 +182,8 @@ func (st *state) taintedExpr(e ast.Expr) bool {
 	return false
 }
 
-// isPersistIntRead reports whether call reads an integer off a persist
-// decoder (Source, Reader, MReader — matched by receiver package).
+// isPersistIntRead reports whether call reads an integer off the persist
+// decoder (MReader — matched by receiver package).
 func (st *state) isPersistIntRead(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !intReaders[sel.Sel.Name] {
@@ -207,7 +207,7 @@ func (st *state) isPersistIntRead(call *ast.CallExpr) bool {
 // recordValidations scans for bound checks and records, per tainted
 // object, where it was first validated. Comparisons anywhere count —
 // loaders often compute `ok := got == n && ...` and feed it to
-// Source.Check rather than branching inline.
+// MReader.Check rather than branching inline.
 func (st *state) recordValidations(body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {

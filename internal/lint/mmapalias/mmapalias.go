@@ -1,6 +1,6 @@
 // Package mmapalias enforces the mapped-memory contract from
-// ARCHITECTURE's "replace-never-mutate" rule: slices decoded through
-// persist.Source (and the data of internal/mmap files) may alias a
+// ARCHITECTURE's "replace-never-mutate" rule: slices decoded through a
+// persist.MReader (and the data of internal/mmap files) may alias a
 // read-only OS mapping, so they must never be written through, and the
 // unsafe reinterpretation that produces them stays confined to the two
 // loader-support packages. Concretely:
@@ -8,7 +8,7 @@
 //  1. importing "unsafe" is allowed only in internal/persist and
 //     internal/mmap;
 //  2. no element write, copy-into, append-to or clear of a slice derived
-//     from a persist.Source / persist.MReader / mmap.File payload;
+//     from a persist.MReader / persist.MappedFile / mmap.File payload;
 //  3. outside the loader packages (persist, mmap and the structure
 //     packages that decode sections), a mapped-derived slice must not be
 //     stored into a struct field, where it could outlive the mapping.
@@ -37,13 +37,12 @@ var unsafeOK = []string{"internal/persist", "internal/mmap"}
 
 // loaderOK lists the packages allowed to keep mapped-derived slices in
 // struct fields: the loader-support packages plus every structure
-// package whose Load decodes sections into long-lived directories. Their
+// package whose Read decodes sections into long-lived directories. Their
 // lifetime is managed by Engine.Close via the mapping finalizer.
 var loaderOK = []string{
 	"internal/persist", "internal/mmap", "internal/bitvec", "internal/bp",
 	"internal/wavelet", "internal/fmindex", "internal/wordindex", "internal/tags",
 	"internal/xmltree", "internal/rlfm", "internal/pssm", "internal/core",
-	"internal/search",
 }
 
 func pathIn(path string, list []string) bool {
@@ -114,7 +113,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, isLoader bool) {
 		case *ast.AssignStmt:
 			for i, lhs := range s.Lhs {
 				if idx, ok := lhs.(*ast.IndexExpr); ok && t.expr(idx.X) {
-					pass.Reportf(idx.Pos(), "write through slice derived from mapped index memory (persist.Source payloads are read-only)")
+					pass.Reportf(idx.Pos(), "write through slice derived from mapped index memory (persist.MReader payloads are read-only)")
 				}
 				if !isLoader && len(s.Lhs) == len(s.Rhs) && t.expr(s.Rhs[i]) {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok && isFieldStore(pass.TypesInfo, sel) {
@@ -143,7 +142,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, isLoader bool) {
 				switch name {
 				case "copy", "append", "clear":
 					if len(s.Args) > 0 && t.expr(s.Args[0]) {
-						pass.Reportf(s.Pos(), "%s on a slice derived from mapped index memory (persist.Source payloads are read-only)", name)
+						pass.Reportf(s.Pos(), "%s on a slice derived from mapped index memory (persist.MReader payloads are read-only)", name)
 					}
 				}
 			}
@@ -216,8 +215,8 @@ func (t *tainter) expr(e ast.Expr) bool {
 }
 
 // isMappedPayloadCall reports whether call is a slice-returning method
-// of persist.Source / *persist.MReader / *persist.MappedFile, or
-// mmap.(*File).Data — the taint sources.
+// of *persist.MReader / *persist.MappedFile, or mmap.(*File).Data — the
+// taint sources.
 func (t *tainter) isMappedPayloadCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -244,7 +243,7 @@ func (t *tainter) isMappedPayloadCall(call *ast.CallExpr) bool {
 	}
 	pkg, name := named.Obj().Pkg().Path(), named.Obj().Name()
 	switch {
-	case strings.HasSuffix(pkg, "internal/persist") && (name == "Source" || name == "MReader" || name == "MappedFile"):
+	case strings.HasSuffix(pkg, "internal/persist") && (name == "MReader" || name == "MappedFile"):
 		return true
 	case strings.HasSuffix(pkg, "internal/mmap") && name == "File" && s.Obj().Name() == "Data":
 		return true

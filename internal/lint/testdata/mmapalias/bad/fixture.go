@@ -5,6 +5,7 @@ package fixture
 import (
 	_ "unsafe" // want `unsafe is confined to internal/persist and internal/mmap`
 
+	"repro/internal/mmap"
 	"repro/internal/persist"
 )
 
@@ -12,7 +13,7 @@ type holder struct {
 	data []byte
 }
 
-func mutate(src persist.Source) *holder {
+func mutate(src *persist.MReader) *holder {
 	b := src.Bytes()
 	b[0] = 1 // want `write through slice derived from mapped index memory`
 	var tmp [4]byte
@@ -27,8 +28,10 @@ func mutate(src persist.Source) *holder {
 	return h
 }
 
-func reslice(src persist.Source) {
+func reslice(src *persist.MReader, f *mmap.File) {
 	b := src.Raw(16)
 	c := b[2:8]
 	c[0] = 9 // want `write through slice derived from mapped index memory`
+	d := f.Data()[4:]
+	d[0] = 9 // want `write through slice derived from mapped index memory`
 }

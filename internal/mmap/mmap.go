@@ -1,10 +1,10 @@
-// Package mmap provides read-only memory mapping of files for the
-// zero-copy index load path. On Unix platforms Open maps the file with
-// mmap(2), so the index pages stay in the OS page cache and are shared
-// across processes serving the same files; elsewhere it falls back to
-// reading the whole file into an 8-byte-aligned private buffer, which
-// keeps the same API (and the same alignment guarantees the mapped
-// decoders rely on) at the cost of the copy.
+// Package mmap provides the two file images the index decoder runs over.
+// On Unix platforms Open maps the file read-only with mmap(2), so the index
+// pages stay in the OS page cache and are shared across processes serving
+// the same files. ReadFile reads the whole file into an 8-byte-aligned
+// private buffer instead — the copying load, and Open's fallback on other
+// platforms — which keeps the same API (and the same alignment guarantees
+// the decoder relies on) at the cost of the copy.
 //
 // The returned data is read-only: writing through it faults on mapped
 // platforms. Close invalidates the data — the caller must guarantee no
@@ -12,7 +12,12 @@
 // engine loaded from the mapping has been dropped.
 package mmap
 
-import "os"
+import (
+	"io"
+	"os"
+
+	"repro/internal/persist"
+)
 
 // File is an open read-only file image.
 type File struct {
@@ -36,6 +41,30 @@ func (f *File) Size() int { return len(f.data) }
 // Open maps (or, on fallback platforms, reads) the file at path.
 func Open(path string) (*File, error) {
 	return open(path)
+}
+
+// ReadFile reads the whole file at path into one 8-byte-aligned heap
+// buffer. The decoder aliases payloads out of it exactly as it would out
+// of a mapping; only the page sharing with the OS cache is lost. The
+// result is never Mapped.
+func ReadFile(path string) (*File, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	size, err := statSize(file)
+	if err != nil {
+		return nil, err
+	}
+	if size != int64(int(size)) {
+		return nil, &os.PathError{Op: "read", Path: path, Err: os.ErrInvalid}
+	}
+	data := persist.AlignedBuffer(int(size))
+	if _, err := io.ReadFull(file, data); err != nil {
+		return nil, &os.PathError{Op: "read", Path: path, Err: err}
+	}
+	return &File{data: data}, nil
 }
 
 // Close releases the mapping. Any slice aliasing Data becomes invalid.

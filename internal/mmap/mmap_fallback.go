@@ -2,39 +2,9 @@
 
 package mmap
 
-import (
-	"io"
-	"os"
-
-	"repro/internal/persist"
-)
-
-// open reads the whole file into an 8-byte-aligned private buffer. The
-// decoders alias payloads out of it exactly as they would out of a real
-// mapping, so every caller above this package behaves identically; only
-// the page sharing with the OS cache is lost.
-func open(path string) (*File, error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer file.Close()
-	size, err := statSize(file)
-	if err != nil {
-		return nil, err
-	}
-	if size == 0 {
-		return &File{}, nil
-	}
-	if size != int64(int(size)) {
-		return nil, &os.PathError{Op: "mmap", Path: path, Err: os.ErrInvalid}
-	}
-	data := persist.AlignedBuffer(int(size))
-	if _, err := io.ReadFull(file, data); err != nil {
-		return nil, &os.PathError{Op: "mmap", Path: path, Err: err}
-	}
-	return &File{data: data, mapped: false}, nil
-}
+// open reads the whole file into an aligned private buffer: without mmap,
+// the file image is the copying one.
+func open(path string) (*File, error) { return ReadFile(path) }
 
 func (f *File) close() error {
 	f.data = nil // the buffer is garbage-collected once unreferenced

@@ -8,31 +8,37 @@ import (
 	"unsafe"
 )
 
+// TestOpenReadsFile checks both file images: Open (a mapping where the
+// platform has mmap) and ReadFile (always an aligned heap buffer).
 func TestOpenReadsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
 	want := bytes.Repeat([]byte("sxsi-mmap!"), 1000)
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if !bytes.Equal(f.Data(), want) {
-		t.Fatal("data differs from file content")
-	}
-	if f.Size() != len(want) {
-		t.Fatalf("Size=%d want %d", f.Size(), len(want))
-	}
-	if uintptr(unsafe.Pointer(&f.Data()[0]))&7 != 0 {
-		t.Fatal("data base not 8-byte aligned")
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil { // idempotent
-		t.Fatal(err)
+	for name, open := range map[string]func(string) (*File, error){"Open": Open, "ReadFile": ReadFile} {
+		f, err := open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.Data(), want) {
+			t.Fatalf("%s: data differs from file content", name)
+		}
+		if f.Size() != len(want) {
+			t.Fatalf("%s: Size=%d want %d", name, f.Size(), len(want))
+		}
+		if uintptr(unsafe.Pointer(&f.Data()[0]))&7 != 0 {
+			t.Fatalf("%s: data base not 8-byte aligned", name)
+		}
+		if name == "ReadFile" && f.Mapped() {
+			t.Fatal("ReadFile claims a mapping")
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil { // idempotent
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -60,5 +66,8 @@ func TestOpenErrors(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("directory: expected error")
+	}
+	if _, err := ReadFile(dir); err == nil {
+		t.Fatal("ReadFile of a directory: expected error")
 	}
 }

@@ -16,36 +16,36 @@ var nativeIsLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// MReader deserializes primitives from an in-memory buffer — typically an
-// mmap'd index file. It implements Source like the streaming Reader, with
-// one crucial difference: Words, Int32s, Bytes and Raw return slices that
-// alias the buffer instead of copying it, so loading a structure through an
-// MReader costs O(derived directories), not O(index size), and the pages
-// behind the payloads stay shared with the OS page cache.
+// MReader deserializes primitives written by Writer out of an in-memory
+// buffer — an mmap'd index file or the whole file read into one aligned
+// heap buffer. Words, Int32s, Bytes and Raw return slices that alias the
+// buffer instead of copying it, so loading a structure through an MReader
+// costs O(derived directories), not O(index size), and on a mapping the
+// pages behind the payloads stay shared with the OS page cache.
 //
 // Aliasing []uint64 and []int32 requires the element start to sit on its
-// natural boundary in memory. The aligned container format guarantees the
-// right in-buffer offsets; the buffer itself must start 8-byte aligned
-// (mmap regions are page-aligned; heap fallbacks must allocate via
-// AlignedBuffer). When the buffer start is unaligned, or the host is
-// big-endian, or the reader is switched out of aligned mode, MReader
+// natural boundary in memory. The aligned layout guarantees the right
+// in-buffer offsets; the buffer itself must start 8-byte aligned (mmap
+// regions are page-aligned; heap buffers must come from AlignedBuffer).
+// When the buffer start is unaligned, or the host is big-endian, MReader
 // silently decodes by copying instead — callers still get correct data,
 // just not zero-copy.
 //
 // The returned slices share memory with the buffer: they are read-only and
 // valid only while the backing buffer (and any mapping behind it) stays
-// alive and unchanged. The first error sticks, as with Reader.
+// alive and unchanged. The first error sticks and subsequent reads return
+// zero values; check Err once after the last read, or rely on the
+// validation the caller performs on the decoded values.
 type MReader struct {
 	data     []byte
 	off      int
-	aligned  bool
 	canAlias bool
 	err      error
 }
 
-// NewMReader returns an MReader over data, in aligned mode.
+// NewMReader returns an MReader over data.
 func NewMReader(data []byte) *MReader {
-	mr := &MReader{data: data, aligned: true}
+	mr := &MReader{data: data}
 	mr.canAlias = nativeIsLittle &&
 		(len(data) == 0 || uintptr(unsafe.Pointer(&data[0]))&7 == 0)
 	return mr
@@ -54,10 +54,6 @@ func NewMReader(data []byte) *MReader {
 // Aliasing reports whether payload slices alias the buffer (as opposed to
 // the copying fallback for unaligned buffers or big-endian hosts).
 func (mr *MReader) Aliasing() bool { return mr.canAlias }
-
-// SetAligned switches the alignment mode of subsequent reads. Outside
-// aligned mode payloads have no alignment guarantee, so they are copied.
-func (mr *MReader) SetAligned(on bool) { mr.aligned = on }
 
 func (mr *MReader) fail(what string) {
 	if mr.err == nil {
@@ -153,7 +149,8 @@ func (mr *MReader) Bytes() []byte {
 // immutability must not depend on the mapping.
 func (mr *MReader) String() string { return string(mr.Bytes()) }
 
-// Raw returns exactly n unprefixed bytes aliasing the buffer.
+// Raw returns exactly n unprefixed bytes aliasing the buffer (the
+// counterpart of Writer.Raw).
 func (mr *MReader) Raw(n int) []byte {
 	if mr.err == nil && (n < 0 || n > maxLen) {
 		mr.fail(fmt.Sprintf("implausible raw length %d", n))
@@ -169,9 +166,7 @@ func (mr *MReader) Raw(n int) []byte {
 // Words reads a length-prefixed []uint64 aliasing the buffer (zero-copy on
 // aligned little-endian buffers, copied otherwise).
 func (mr *MReader) Words() []uint64 {
-	if mr.aligned {
-		mr.align8()
-	}
+	mr.align8()
 	n, ok := mr.sliceLen(8)
 	if !ok {
 		return nil
@@ -179,7 +174,7 @@ func (mr *MReader) Words() []uint64 {
 	if n == 0 {
 		return []uint64{}
 	}
-	if mr.canAlias && mr.aligned && mr.off&7 == 0 {
+	if mr.canAlias {
 		ws := unsafe.Slice((*uint64)(unsafe.Pointer(&mr.data[mr.off])), n)
 		mr.off += 8 * n
 		return ws
@@ -194,9 +189,7 @@ func (mr *MReader) Words() []uint64 {
 
 // Int32s reads a length-prefixed []int32 aliasing the buffer.
 func (mr *MReader) Int32s() []int32 {
-	if mr.aligned {
-		mr.align8()
-	}
+	mr.align8()
 	n, ok := mr.sliceLen(4)
 	if !ok {
 		return nil
@@ -204,7 +197,7 @@ func (mr *MReader) Int32s() []int32 {
 	if n == 0 {
 		return []int32{}
 	}
-	if mr.canAlias && mr.aligned && mr.off&3 == 0 {
+	if mr.canAlias {
 		xs := unsafe.Slice((*int32)(unsafe.Pointer(&mr.data[mr.off])), n)
 		mr.off += 4 * n
 		return xs
@@ -221,6 +214,7 @@ func (mr *MReader) Int32s() []int32 {
 func (mr *MReader) Err() error { return mr.err }
 
 // Check returns cond ? nil : a corruption error with the given context.
+// Loaders use it to turn validation failures into uniform errors.
 func (mr *MReader) Check(cond bool, what string) error {
 	if mr.err != nil {
 		return mr.err
@@ -231,9 +225,8 @@ func (mr *MReader) Check(cond bool, what string) error {
 	return mr.err
 }
 
-// AlignedBuffer returns an 8-byte-aligned byte slice of length n, for
-// read-everything fallbacks that must feed an MReader without an mmap
-// region behind it.
+// AlignedBuffer returns an 8-byte-aligned byte slice of length n: the heap
+// buffer a whole index file is read into when it is not memory-mapped.
 func AlignedBuffer(n int) []byte {
 	if n == 0 {
 		return nil
@@ -243,8 +236,8 @@ func AlignedBuffer(n int) []byte {
 }
 
 // EnsureAligned returns data if its base is 8-byte aligned, or an aligned
-// private copy otherwise. Mapped loads require the former; the copy keeps
-// odd callers (tests, fuzzing) correct at the cost of zero-copy.
+// private copy otherwise, so odd callers (tests, fuzzing) keep zero-copy
+// decoding.
 func EnsureAligned(data []byte) []byte {
 	if len(data) == 0 || uintptr(unsafe.Pointer(&data[0]))&7 == 0 {
 		return data
@@ -254,16 +247,15 @@ func EnsureAligned(data []byte) []byte {
 	return cp
 }
 
-// Chunked runs fn over the index ranges of [0, n), split across the CPUs
-// when src is a mapped reader: mapped payloads are random-access and fully
-// bounds-checked up front, so validation and slicing passes over them
-// parallelize trivially. Streaming sources run fn(0, n) inline, keeping
-// the sequential load path exactly as it always was. fn must treat its
-// range as exclusive property; Chunked waits for all chunks.
-func Chunked(src Source, n int, fn func(lo, hi int)) {
+// Chunked runs fn over the index ranges of [0, n), split across the CPUs.
+// Loaders use it for validation and slicing passes over decoded payloads,
+// which are random-access and fully bounds-checked up front, so they
+// parallelize trivially. fn must treat its range as exclusive property;
+// Chunked waits for all chunks.
+func Chunked(n int, fn func(lo, hi int)) {
 	const minChunk = 1 << 16
 	workers := runtime.GOMAXPROCS(0)
-	if _, mapped := src.(*MReader); !mapped || workers == 1 || n < 2*minChunk {
+	if workers == 1 || n < 2*minChunk {
 		fn(0, n)
 		return
 	}
@@ -282,41 +274,29 @@ func Chunked(src Source, n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// --- Mapped container ---
+// --- Container walker ---
 
-// MappedFile walks the sections of an aligned container held in memory,
-// mirroring FileReader over a buffer. Sections decode through MReaders, so
-// payloads alias the buffer.
+// MappedFile walks the sections of a container held in memory. Sections
+// decode through MReaders, so payloads alias the buffer.
 type MappedFile struct {
 	data    []byte
 	pos     int
 	version uint16
-	aligned bool
 }
 
-// ErrNotMappable reports a container whose format version predates the
-// aligned layout: its payloads are not alignment-padded, so it cannot be
-// aliased and must be loaded through the copying path instead.
-var ErrNotMappable = fmt.Errorf("persist: container version predates the aligned layout")
-
-// OpenMappedContainer checks the magic and version of the container in
-// data and positions a section walker at the first section. Containers
-// older than alignedFrom return ErrNotMappable.
-func OpenMappedContainer(data []byte, magic string, maxVersion, alignedFrom uint16) (*MappedFile, error) {
+// OpenMappedContainer checks the magic of the container in data and
+// positions a section walker at the first section. The format version is
+// reported by Version; which versions are readable is the caller's
+// decision, made before any section is decoded.
+func OpenMappedContainer(data []byte, magic string) (*MappedFile, error) {
 	if len(data) < len(magic)+2 {
 		return nil, fmt.Errorf("%w: missing magic", ErrCorrupt)
 	}
 	if string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(magic)])
 	}
-	ver := binary.LittleEndian.Uint16(data[len(magic):])
-	if ver == 0 || ver > maxVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d (newest understood: %d)", ErrCorrupt, ver, maxVersion)
-	}
-	if alignedFrom == 0 || ver < alignedFrom {
-		return nil, ErrNotMappable
-	}
-	mf := &MappedFile{data: data, pos: len(magic) + 2, version: ver, aligned: true}
+	mf := &MappedFile{data: data, pos: len(magic) + 2}
+	mf.version = binary.LittleEndian.Uint16(data[len(magic):])
 	mf.pos += -mf.pos & 7 // header padding
 	return mf, nil
 }
@@ -346,6 +326,5 @@ func (mf *MappedFile) Next() (uint32, *MReader, error) {
 	}
 	payload := mf.data[mf.pos : mf.pos+int(length) : mf.pos+int(length)]
 	mf.pos += int(length)
-	mr := NewMReader(payload)
-	return id, mr, nil
+	return id, NewMReader(payload), nil
 }

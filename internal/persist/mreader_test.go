@@ -2,18 +2,17 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"unsafe"
 )
 
-// writeAligned serializes one of every primitive with an aligned Writer,
-// returning the stream and the expected values.
+// writeAligned serializes one of every primitive, returning the stream.
 func writeAligned(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
-	pw.SetAligned(true)
 	pw.Byte(0xAB)
 	pw.Words([]uint64{1, 1 << 63, 0})
 	pw.Uint32(7)
@@ -29,50 +28,58 @@ func writeAligned(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func checkAlignedStream(t *testing.T, pr Source) {
+func checkAlignedStream(t *testing.T, mr *MReader) {
 	t.Helper()
-	if v := pr.Byte(); v != 0xAB {
+	if v := mr.Byte(); v != 0xAB {
 		t.Fatalf("Byte=%x", v)
 	}
-	if w := pr.Words(); len(w) != 3 || w[1] != 1<<63 {
+	if w := mr.Words(); len(w) != 3 || w[1] != 1<<63 {
 		t.Fatalf("Words=%v", w)
 	}
-	if v := pr.Uint32(); v != 7 {
+	if v := mr.Uint32(); v != 7 {
 		t.Fatalf("Uint32=%d", v)
 	}
-	if xs := pr.Int32s(); len(xs) != 3 || xs[0] != -1 || xs[2] != 1<<30 {
+	if xs := mr.Int32s(); len(xs) != 3 || xs[0] != -1 || xs[2] != 1<<30 {
 		t.Fatalf("Int32s=%v", xs)
 	}
-	if v := pr.Int(); v != 123456 {
+	if v := mr.Int(); v != 123456 {
 		t.Fatalf("Int=%d", v)
 	}
-	if b := pr.Bytes(); string(b) != "hello" {
+	if b := mr.Bytes(); string(b) != "hello" {
 		t.Fatalf("Bytes=%q", b)
 	}
-	if s := pr.String(); s != "wörld" {
+	if s := mr.String(); s != "wörld" {
 		t.Fatalf("String=%q", s)
 	}
-	if w := pr.Words(); len(w) != 0 {
+	if w := mr.Words(); len(w) != 0 {
 		t.Fatalf("empty Words=%v", w)
 	}
-	if b := pr.Raw(3); !bytes.Equal(b, []byte{9, 8, 7}) {
+	if b := mr.Raw(3); !bytes.Equal(b, []byte{9, 8, 7}) {
 		t.Fatalf("Raw=%v", b)
 	}
-	if pr.Err() != nil {
-		t.Fatal(pr.Err())
+	if mr.Err() != nil {
+		t.Fatal(mr.Err())
 	}
 }
 
-// TestAlignedStreamBothReaders decodes one aligned stream through the
-// streaming Reader and the mapped MReader: the Source contract.
+// TestAlignedStreamBothReaders decodes one stream through both decode
+// modes of the MReader: aliasing (aligned buffer) and copying (a buffer
+// whose base is off by one byte).
 func TestAlignedStreamBothReaders(t *testing.T) {
 	data := writeAligned(t)
-	pr := NewReader(bytes.NewReader(data))
-	pr.SetAligned(true)
-	checkAlignedStream(t, pr)
+	checkAlignedStream(t, NewMReader(EnsureAligned(data)))
 
-	aligned := EnsureAligned(data)
-	checkAlignedStream(t, NewMReader(aligned))
+	backing := make([]byte, len(data)+8)
+	off := 1
+	if uintptr(unsafe.Pointer(&backing[0]))&7 == 7 {
+		off = 2
+	}
+	copy(backing[off:], data)
+	copying := NewMReader(backing[off : off+len(data)])
+	if copying.Aliasing() {
+		t.Fatal("unaligned base reported as aliasing")
+	}
+	checkAlignedStream(t, copying)
 }
 
 // TestMReaderAliases proves the zero-copy property: the slices returned by
@@ -80,7 +87,6 @@ func TestAlignedStreamBothReaders(t *testing.T) {
 func TestMReaderAliases(t *testing.T) {
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
-	pw.SetAligned(true)
 	pw.Words([]uint64{11, 22})
 	pw.Int32s([]int32{33, 44})
 	pw.Bytes([]byte("payload"))
@@ -144,25 +150,25 @@ func TestMReaderTruncation(t *testing.T) {
 	}
 }
 
-// TestMReaderImplausibleLength mirrors the streaming reader's cap.
+// TestMReaderImplausibleLength: a length beyond the cap is corruption, not
+// an allocation request.
 func TestMReaderImplausibleLength(t *testing.T) {
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
 	pw.Uint64(1 << 62)
 	pw.Flush()
 	mr := NewMReader(EnsureAligned(buf.Bytes()))
-	mr.SetAligned(false)
 	if b := mr.Bytes(); b != nil || !errors.Is(mr.Err(), ErrCorrupt) {
 		t.Fatalf("b=%v err=%v", b, mr.Err())
 	}
 }
 
-// TestAlignedContainerRoundTrip writes an aligned container and reads it
-// back through both FileReader and OpenMappedContainer, checking payload
-// alignment along the way.
+// TestAlignedContainerRoundTrip writes a container and walks it with
+// OpenMappedContainer, checking that section payloads and their word
+// arrays land on 8-byte offsets and alias the buffer.
 func TestAlignedContainerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 3, true)
+	fw := NewFileWriter(&buf, "MAGIC!", 3)
 	fw.Section(1, func(pw *Writer) { pw.String("one") })
 	fw.Section(9, func(pw *Writer) { pw.Int(99) })
 	fw.Section(2, func(pw *Writer) { pw.Byte(1); pw.Words([]uint64{5, 6}) })
@@ -170,86 +176,64 @@ func TestAlignedContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	if n != int64(len(data)) {
-		t.Fatalf("Close reported %d bytes, wrote %d", n, len(data))
+	data := EnsureAligned(buf.Bytes())
+	if n != int64(len(data)) || n%8 != 4 {
+		t.Fatalf("Close reported %d bytes, wrote %d (end marker must follow padding)", n, len(data))
 	}
 
-	// Streaming read with alignment from version 3 on.
-	fr, err := NewFileReader(bytes.NewReader(data), "MAGIC!", 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, pr, err := fr.Next()
-	if err != nil || id != 1 || pr.String() != "one" {
-		t.Fatalf("section 1: id=%d err=%v", id, err)
-	}
-	id, _, err = fr.Next() // skip the unknown section by length
-	if err != nil || id != 9 {
-		t.Fatalf("section 9: id=%d err=%v", id, err)
-	}
-	id, pr, err = fr.Next()
-	if err != nil || id != 2 || pr.Byte() != 1 {
-		t.Fatalf("section 2: id=%d err=%v", id, err)
-	}
-	if w := pr.Words(); len(w) != 2 || w[0] != 5 || w[1] != 6 {
-		t.Fatalf("section 2 payload: %v", w)
-	}
-	if id, _, err = fr.Next(); err != nil || id != 0 {
-		t.Fatalf("end: id=%d err=%v", id, err)
-	}
-
-	// Mapped read.
-	mf, err := OpenMappedContainer(EnsureAligned(data), "MAGIC!", 3, 3)
+	mf, err := OpenMappedContainer(data, "MAGIC!")
 	if err != nil {
 		t.Fatal(err)
 	}
 	id, mr, err := mf.Next()
 	if err != nil || id != 1 || mr.String() != "one" {
-		t.Fatalf("mapped section 1: id=%d err=%v", id, err)
+		t.Fatalf("section 1: id=%d err=%v", id, err)
 	}
-	id, _, err = mf.Next()
+	id, _, err = mf.Next() // skip the unknown section by length
 	if err != nil || id != 9 {
-		t.Fatalf("mapped section 9: id=%d err=%v", id, err)
+		t.Fatalf("section 9: id=%d err=%v", id, err)
 	}
 	id, mr, err = mf.Next()
 	if err != nil || id != 2 || mr.Byte() != 1 {
-		t.Fatalf("mapped section 2: id=%d err=%v", id, err)
+		t.Fatalf("section 2: id=%d err=%v", id, err)
 	}
-	if w := mr.Words(); len(w) != 2 || w[1] != 6 {
-		t.Fatalf("mapped section 2 payload: %v", w)
+	w := mr.Words()
+	if len(w) != 2 || w[0] != 5 || w[1] != 6 {
+		t.Fatalf("section 2 payload: %v", w)
+	}
+	if off := uintptr(unsafe.Pointer(&w[0])) - uintptr(unsafe.Pointer(&data[0])); mr.Aliasing() && (off >= uintptr(len(data)) || off%8 != 0) {
+		t.Fatalf("word payload at file offset %d: not aliased on an 8-byte boundary", off)
 	}
 	if id, _, err = mf.Next(); err != nil || id != 0 {
-		t.Fatalf("mapped end: id=%d err=%v", id, err)
+		t.Fatalf("end: id=%d err=%v", id, err)
 	}
 }
 
-// TestOpenMappedContainerRejects: wrong magic, future version, unaligned
-// (old) version, truncations.
+// TestOpenMappedContainerRejects: wrong magic, an implausible section
+// length, and every truncation.
 func TestOpenMappedContainerRejects(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 3, true)
+	fw := NewFileWriter(&buf, "MAGIC!", 3)
 	fw.Section(1, func(pw *Writer) { pw.Words(make([]uint64, 64)) })
 	fw.Close()
 	data := EnsureAligned(buf.Bytes())
 
-	if _, err := OpenMappedContainer([]byte("WRONG!aa"), "MAGIC!", 3, 3); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMappedContainer([]byte("WRONG!aa"), "MAGIC!"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if _, err := OpenMappedContainer(data, "MAGIC!", 2, 2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("future version: %v", err)
-	}
 
-	var old bytes.Buffer
-	ow := NewFileWriter(&old, "MAGIC!", 2, false)
-	ow.Section(1, func(pw *Writer) { pw.Int(1) })
-	ow.Close()
-	if _, err := OpenMappedContainer(EnsureAligned(old.Bytes()), "MAGIC!", 3, 3); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("old version: %v", err)
+	huge := EnsureAligned(append([]byte(nil), data...))
+	binary.LittleEndian.PutUint64(huge[16:], 1<<62) // section 1's length field
+	mf, err := OpenMappedContainer(huge, "MAGIC!")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mf.Next(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("implausible section length: %v", err)
 	}
 
 	for cut := 0; cut < len(data); cut++ {
-		mf, err := OpenMappedContainer(EnsureAligned(data[:cut]), "MAGIC!", 3, 3)
+		mf, err := OpenMappedContainer(EnsureAligned(data[:cut]), "MAGIC!")
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("cut=%d header err=%v", cut, err)
@@ -278,18 +262,24 @@ func TestOpenMappedContainerRejects(t *testing.T) {
 	}
 }
 
-// TestUnalignedWriterUnchanged pins that non-aligned serialization is
-// byte-for-byte what it was before alignment existed: no padding anywhere.
-func TestUnalignedWriterUnchanged(t *testing.T) {
+// TestWriterPadsWordPayloads pins the stream layout: scalars are never
+// padded, and every Words/Int32s length prefix starts on an 8-byte offset.
+func TestWriterPadsWordPayloads(t *testing.T) {
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
 	pw.Byte(1)
 	pw.Words([]uint64{2})
 	pw.Int32s([]int32{3})
+	pw.Byte(4)
 	pw.Flush()
-	// byte + (len + word) + (len + int32) with no padding
-	if want := 1 + 8 + 8 + 8 + 4; buf.Len() != want {
-		t.Fatalf("unaligned stream is %d bytes, want %d", buf.Len(), want)
+	want := []byte{
+		1, 0, 0, 0, 0, 0, 0, 0, // byte + pad to 8
+		1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // len + word
+		1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, // already aligned: len + int32
+		4, // no padding after a scalar
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("stream\n%v\nwant\n%v", buf.Bytes(), want)
 	}
 }
 

@@ -1,24 +1,20 @@
 // Package persist provides the shared binary primitives of the on-disk
-// index format: a bounds-checked little-endian reader/writer pair for the
-// scalar and slice types the succinct structures are made of, and a
-// sectioned container format with a magic number, a format version and an
-// explicit byte length per section, so that future layout changes are
-// detected (version mismatch) or skipped (unknown section) rather than
-// silently misread. Every structure in the index stack (bitvec, bp,
-// wavelet, tags, fmindex, wordindex, xmltree) builds its Save/Load on these
-// primitives.
+// index format: a little-endian Writer for the scalar and slice types the
+// succinct structures are made of, a bounds-checked MReader that decodes
+// them back out of a byte buffer, and a sectioned container format with a
+// magic number, a format version and an explicit byte length per section,
+// so that layout changes are detected (version mismatch) or skipped
+// (unknown section) rather than silently misread. Every structure in the
+// index stack (bitvec, bp, wavelet, tags, fmindex, wordindex, xmltree)
+// builds its Store/Read pair on these primitives.
 //
-// There are two read paths over the same logical layout. The streaming
-// Reader decodes from an io.Reader into freshly allocated memory; the
-// MReader (mreader.go) decodes from a byte buffer — typically an mmap'd
-// file — and aliases its word and int32 payloads instead of copying them.
-// Structure loaders are written once against the Source interface and work
-// over both. Aliasing requires the payloads to sit on their natural
-// boundaries, which is what aligned mode provides: Words and Int32s pad
-// the stream to an 8-byte boundary before their length prefix, and the
-// aligned container gives every section an 8-byte-aligned payload start.
-// Alignment is a property of the enclosing format version, not of the
-// primitives, so pre-alignment files keep decoding byte-for-byte as before.
+// There is one layout and one read path. The layout is aligned: Words and
+// Int32s pad the stream to an 8-byte boundary before their length prefix,
+// and the container gives every section an 8-byte-aligned payload start,
+// so the MReader (mreader.go) can alias word and int32 payloads in place
+// instead of copying them. The buffer behind it is either an mmap'd file
+// or, for the copying loads, the whole file read into one 8-aligned heap
+// buffer (AlignedBuffer); the decoder is the same either way.
 //
 // All corruption and truncation conditions surface as errors wrapping
 // ErrCorrupt; no input may cause a panic or an unbounded allocation.
@@ -29,7 +25,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 )
 
@@ -40,28 +35,21 @@ var ErrCorrupt = errors.New("persist: corrupt or truncated data")
 // it are treated as corruption rather than allocation requests.
 const maxLen = 1 << 38
 
-// allocChunk bounds the up-front allocation for length-prefixed payloads:
-// buffers grow as data actually arrives, so a corrupt length field cannot
-// trigger a giant allocation before the read fails.
-const allocChunk = 1 << 20
-
 // --- Writer ---
 
 // Writer serializes primitives to an underlying stream. The first write
 // error sticks; check Err (or Flush) once at the end instead of after every
 // call.
 //
-// In aligned mode (SetAligned) the word-sized slice primitives pad the
-// stream to an 8-byte boundary before their length prefix, so that a reader
-// over a buffer whose start is 8-byte aligned can alias the payloads in
-// place. Alignment is relative to the Writer's own first byte; enclosing
-// formats must place that first byte on an 8-byte file offset (the aligned
-// container does).
+// The word-sized slice primitives pad the stream to an 8-byte boundary
+// before their length prefix, so that a reader over a buffer whose start is
+// 8-byte aligned can alias the payloads in place. Alignment is relative to
+// the Writer's own first byte; enclosing formats must place that first byte
+// on an 8-byte file offset (the container does).
 type Writer struct {
-	w       *bufio.Writer
-	n       int64
-	aligned bool
-	err     error
+	w   *bufio.Writer
+	n   int64
+	err error
 }
 
 var zeroPad [8]byte
@@ -77,9 +65,6 @@ func (pw *Writer) write(b []byte) {
 	pw.n += int64(n)
 	pw.err = err
 }
-
-// SetAligned switches the alignment mode of subsequent writes.
-func (pw *Writer) SetAligned(on bool) { pw.aligned = on }
 
 // align8 pads the stream with zero bytes to the next 8-byte boundary
 // relative to the Writer's first byte.
@@ -132,13 +117,10 @@ func (pw *Writer) String(s string) {
 	}
 }
 
-// Words writes a length-prefixed []uint64. In aligned mode the length
-// prefix is padded onto an 8-byte boundary, which puts the payload on one
-// too.
+// Words writes a length-prefixed []uint64. The length prefix is padded
+// onto an 8-byte boundary, which puts the payload on one too.
 func (pw *Writer) Words(ws []uint64) {
-	if pw.aligned {
-		pw.align8()
-	}
+	pw.align8()
 	pw.Int(len(ws))
 	var b [8]byte
 	for _, x := range ws {
@@ -149,9 +131,7 @@ func (pw *Writer) Words(ws []uint64) {
 
 // Int32s writes a length-prefixed []int32, aligned like Words.
 func (pw *Writer) Int32s(xs []int32) {
-	if pw.aligned {
-		pw.align8()
-	}
+	pw.align8()
 	pw.Int(len(xs))
 	var b [4]byte
 	for _, x := range xs {
@@ -176,258 +156,10 @@ func (pw *Writer) Flush() error {
 	return pw.err
 }
 
-// --- Source ---
-
-// Source is the decoding interface the structure loaders are written
-// against. Two implementations exist: the streaming Reader, which copies
-// every payload into fresh memory, and the buffer-backed MReader, which
-// aliases word-sized payloads directly out of its (typically mmap'd)
-// buffer. A loader built on Source therefore serves both the copying Load
-// path and the zero-copy LoadMapped path with one body.
-type Source interface {
-	Byte() byte
-	Uint32() uint32
-	Uint64() uint64
-	Int() int
-	Int32() int32
-	Bytes() []byte
-	String() string
-	Raw(n int) []byte
-	Words() []uint64
-	Int32s() []int32
-	// SetAligned switches alignment-aware decoding of Words/Int32s; formats
-	// that embed their own version byte use it after reading that byte.
-	SetAligned(on bool)
-	Err() error
-	Check(cond bool, what string) error
-}
-
-// --- Reader ---
-
-// Reader deserializes primitives written by Writer. The first error sticks
-// and subsequent reads return zero values; check Err once after the last
-// read, or rely on the validation the caller performs on the decoded
-// values.
-type Reader struct {
-	r       io.Reader
-	off     int64
-	aligned bool
-	err     error
-}
-
-// NewReader returns a Reader over r. The stream is buffered unless it
-// already is.
-func NewReader(r io.Reader) *Reader {
-	if _, ok := r.(io.ByteReader); !ok {
-		r = bufio.NewReader(r)
-	}
-	return &Reader{r: r}
-}
-
-func (pr *Reader) fail(err error) {
-	if pr.err == nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			err = fmt.Errorf("%w: unexpected end of input", ErrCorrupt)
-		}
-		pr.err = err
-	}
-}
-
-func (pr *Reader) read(b []byte) bool {
-	if pr.err != nil {
-		return false
-	}
-	n, err := io.ReadFull(pr.r, b)
-	pr.off += int64(n)
-	if err != nil {
-		pr.fail(err)
-		return false
-	}
-	return true
-}
-
-// SetAligned switches the alignment mode of subsequent reads.
-func (pr *Reader) SetAligned(on bool) { pr.aligned = on }
-
-// align8 discards the padding bytes a Writer in aligned mode emitted before
-// a word-sized payload. Offsets are relative to the Reader's first byte,
-// mirroring the Writer.
-func (pr *Reader) align8() {
-	if pad := int(-pr.off & 7); pad > 0 {
-		var b [8]byte
-		pr.read(b[:pad])
-	}
-}
-
-// Uint64 reads a fixed 8-byte little-endian value.
-func (pr *Reader) Uint64() uint64 {
-	var b [8]byte
-	if !pr.read(b[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// Uint32 reads a fixed 4-byte little-endian value.
-func (pr *Reader) Uint32() uint32 {
-	var b [4]byte
-	if !pr.read(b[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// Byte reads a single byte.
-func (pr *Reader) Byte() byte {
-	var b [1]byte
-	if !pr.read(b[:]) {
-		return 0
-	}
-	return b[0]
-}
-
-// Int reads a non-negative int, rejecting implausible values.
-func (pr *Reader) Int() int {
-	v := pr.Uint64()
-	if v > maxLen {
-		pr.fail(fmt.Errorf("%w: implausible length %d", ErrCorrupt, v))
-		return 0
-	}
-	return int(v)
-}
-
-// Int32 reads an int32.
-func (pr *Reader) Int32() int32 { return int32(pr.Uint32()) }
-
-// Bytes reads a length-prefixed byte slice. Allocation grows with the data
-// actually read, so a corrupt length cannot exhaust memory up front.
-func (pr *Reader) Bytes() []byte {
-	n := pr.Int()
-	if pr.err != nil || n == 0 {
-		return nil
-	}
-	if n <= allocChunk {
-		buf := make([]byte, n)
-		if !pr.read(buf) {
-			return nil
-		}
-		return buf
-	}
-	buf := make([]byte, 0, allocChunk)
-	chunk := make([]byte, allocChunk)
-	for len(buf) < n {
-		k := min(n-len(buf), allocChunk)
-		if !pr.read(chunk[:k]) {
-			return nil
-		}
-		buf = append(buf, chunk[:k]...)
-	}
-	return buf
-}
-
-// String reads a length-prefixed string.
-func (pr *Reader) String() string { return string(pr.Bytes()) }
-
-// Raw reads exactly n unprefixed bytes (the counterpart of Writer.Raw).
-// Allocation grows with the data actually read.
-func (pr *Reader) Raw(n int) []byte {
-	if pr.err != nil || n < 0 || n > maxLen {
-		pr.fail(fmt.Errorf("%w: implausible raw length %d", ErrCorrupt, n))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	if n <= allocChunk {
-		buf := make([]byte, n)
-		if !pr.read(buf) {
-			return nil
-		}
-		return buf
-	}
-	buf := make([]byte, 0, allocChunk)
-	chunk := make([]byte, allocChunk)
-	for len(buf) < n {
-		k := min(n-len(buf), allocChunk)
-		if !pr.read(chunk[:k]) {
-			return nil
-		}
-		buf = append(buf, chunk[:k]...)
-	}
-	return buf
-}
-
-// Words reads a length-prefixed []uint64.
-func (pr *Reader) Words() []uint64 {
-	if pr.aligned {
-		pr.align8()
-	}
-	n := pr.Int()
-	if pr.err != nil {
-		return nil
-	}
-	out := make([]uint64, 0, min(n, allocChunk/8))
-	var b [8]byte
-	for i := 0; i < n; i++ {
-		if !pr.read(b[:]) {
-			return nil
-		}
-		out = append(out, binary.LittleEndian.Uint64(b[:]))
-	}
-	return out
-}
-
-// Int32s reads a length-prefixed []int32.
-func (pr *Reader) Int32s() []int32 {
-	if pr.aligned {
-		pr.align8()
-	}
-	n := pr.Int()
-	if pr.err != nil {
-		return nil
-	}
-	out := make([]int32, 0, min(n, allocChunk/4))
-	var b [4]byte
-	for i := 0; i < n; i++ {
-		if !pr.read(b[:]) {
-			return nil
-		}
-		out = append(out, int32(binary.LittleEndian.Uint32(b[:])))
-	}
-	return out
-}
-
-// Err returns the first read error.
-func (pr *Reader) Err() error { return pr.err }
-
-// Check returns cond ? nil : a corruption error with the given context.
-// Loaders use it to turn validation failures into uniform errors.
-func (pr *Reader) Check(cond bool, what string) error {
-	if pr.err != nil {
-		return pr.err
-	}
-	if !cond {
-		pr.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
-		return pr.err
-	}
-	return nil
-}
-
 // --- Sectioned container ---
 
-// The classic (unaligned) container layout is:
-//
-//	magic   [len(magic)]byte
-//	version uint16
-//	section*:
-//	    id      uint32  (nonzero)
-//	    length  uint64  (payload bytes)
-//	    payload [length]byte
-//	end     uint32(0)
-//
-// The aligned layout — used by format versions at or above the caller's
-// alignment cutover — keeps every section payload on an 8-byte file offset
-// so a buffer-backed reader can alias word payloads in place:
+// The container layout keeps every section payload on an 8-byte file
+// offset so the MReader can alias word payloads in place:
 //
 //	magic   [len(magic)]byte
 //	version uint16
@@ -440,9 +172,9 @@ func (pr *Reader) Check(cond bool, what string) error {
 //	    payload  [length]byte        (starts 8-byte aligned)
 //	end     pad to an 8-byte offset, then uint32(0)
 //
-// Readers iterate sections by id, skipping unknown ones by their length;
-// an unexpected magic or a version above the reader's maximum is reported
-// before any payload is interpreted.
+// Readers iterate sections by id (MappedFile), skipping unknown ones by
+// their length; an unexpected magic is reported before any payload is
+// interpreted, and the caller checks the version the same way.
 
 // FileWriter writes a sectioned container. Each section is buffered to
 // learn its length before being written out, so Save's transient memory
@@ -450,18 +182,15 @@ func (pr *Reader) Check(cond bool, what string) error {
 // index container). A seekable-writer backpatching fast path can remove
 // that if it ever matters.
 type FileWriter struct {
-	w       io.Writer
-	n       int64
-	aligned bool
-	err     error
-	buf     bytes.Buffer
+	w   io.Writer
+	n   int64
+	err error
+	buf bytes.Buffer
 }
 
 // NewFileWriter writes the header (magic + version) and returns the writer.
-// With aligned set, the aligned layout is used and every section payload is
-// serialized by an aligned Writer.
-func NewFileWriter(w io.Writer, magic string, version uint16, aligned bool) *FileWriter {
-	fw := &FileWriter{w: w, aligned: aligned}
+func NewFileWriter(w io.Writer, magic string, version uint16) *FileWriter {
+	fw := &FileWriter{w: w}
 	fw.writeAll([]byte(magic))
 	var v [2]byte
 	binary.LittleEndian.PutUint16(v[:], version)
@@ -479,11 +208,8 @@ func (fw *FileWriter) writeAll(b []byte) {
 	fw.err = err
 }
 
-// pad8 advances to the next 8-byte file offset in aligned mode.
+// pad8 advances to the next 8-byte file offset.
 func (fw *FileWriter) pad8() {
-	if !fw.aligned {
-		return
-	}
 	if pad := int(-fw.n & 7); pad > 0 {
 		fw.writeAll(zeroPad[:pad])
 	}
@@ -497,24 +223,16 @@ func (fw *FileWriter) Section(id uint32, fn func(*Writer)) {
 	}
 	fw.buf.Reset()
 	pw := NewWriter(&fw.buf)
-	pw.SetAligned(fw.aligned)
 	fn(pw)
 	if err := pw.Flush(); err != nil {
 		fw.err = err
 		return
 	}
 	fw.pad8()
-	if fw.aligned {
-		var hdr [16]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], id)
-		binary.LittleEndian.PutUint64(hdr[8:16], uint64(fw.buf.Len()))
-		fw.writeAll(hdr[:])
-	} else {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], id)
-		binary.LittleEndian.PutUint64(hdr[4:12], uint64(fw.buf.Len()))
-		fw.writeAll(hdr[:])
-	}
+	var hdr [16]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], id)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(fw.buf.Len()))
+	fw.writeAll(hdr[:])
 	fw.writeAll(fw.buf.Bytes())
 }
 
@@ -524,125 +242,4 @@ func (fw *FileWriter) Close() (int64, error) {
 	var end [4]byte
 	fw.writeAll(end[:])
 	return fw.n, fw.err
-}
-
-// FileReader iterates the sections of a container.
-type FileReader struct {
-	r       *bufio.Reader
-	version uint16
-	aligned bool
-	off     int64 // absolute bytes consumed from the underlying stream
-	cur     int64 // unread bytes of the current section
-}
-
-// NewFileReader checks the magic and version and positions the reader at
-// the first section. maxVersion is the newest format the caller
-// understands; versions at or above alignedFrom (when nonzero) use the
-// aligned layout.
-func NewFileReader(r io.Reader, magic string, maxVersion, alignedFrom uint16) (*FileReader, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("%w: missing magic", ErrCorrupt)
-	}
-	if string(got) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, got)
-	}
-	var v [2]byte
-	if _, err := io.ReadFull(br, v[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing version", ErrCorrupt)
-	}
-	ver := binary.LittleEndian.Uint16(v[:])
-	if ver == 0 || ver > maxVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d (newest understood: %d)", ErrCorrupt, ver, maxVersion)
-	}
-	fr := &FileReader{r: br, version: ver, off: int64(len(magic)) + 2}
-	fr.aligned = alignedFrom != 0 && ver >= alignedFrom
-	if err := fr.skipPad(); err != nil {
-		return nil, err
-	}
-	return fr, nil
-}
-
-// Version returns the container's format version.
-func (fr *FileReader) Version() uint16 { return fr.version }
-
-// skipPad discards alignment padding up to the next 8-byte offset.
-func (fr *FileReader) skipPad() error {
-	if !fr.aligned {
-		return nil
-	}
-	if pad := int64(-fr.off & 7); pad > 0 {
-		n, err := io.CopyN(io.Discard, fr.r, pad)
-		fr.off += n
-		if err != nil {
-			return fmt.Errorf("%w: truncated padding", ErrCorrupt)
-		}
-	}
-	return nil
-}
-
-// Next skips any unread remainder of the current section and returns the
-// next section's id and a Reader limited to its payload. It returns id 0
-// at the end marker.
-func (fr *FileReader) Next() (uint32, *Reader, error) {
-	if fr.cur > 0 {
-		n, err := io.CopyN(io.Discard, fr.r, fr.cur)
-		fr.off += n
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: truncated section", ErrCorrupt)
-		}
-		fr.cur = 0
-	}
-	if err := fr.skipPad(); err != nil {
-		return 0, nil, err
-	}
-	var idb [4]byte
-	if _, err := io.ReadFull(fr.r, idb[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: missing section header", ErrCorrupt)
-	}
-	fr.off += 4
-	id := binary.LittleEndian.Uint32(idb[:])
-	if id == 0 {
-		return 0, nil, nil
-	}
-	if fr.aligned {
-		var resb [4]byte
-		if _, err := io.ReadFull(fr.r, resb[:]); err != nil {
-			return 0, nil, fmt.Errorf("%w: missing section header", ErrCorrupt)
-		}
-		fr.off += 4
-	}
-	var lb [8]byte
-	if _, err := io.ReadFull(fr.r, lb[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: missing section length", ErrCorrupt)
-	}
-	fr.off += 8
-	length := binary.LittleEndian.Uint64(lb[:])
-	if length > maxLen {
-		return 0, nil, fmt.Errorf("%w: implausible section length %d", ErrCorrupt, length)
-	}
-	fr.cur = int64(length)
-	lr := &countingLimitReader{fr: fr, r: io.LimitReader(fr.r, int64(length))}
-	pr := NewReader(lr)
-	pr.SetAligned(fr.aligned)
-	return id, pr, nil
-}
-
-// countingLimitReader tracks how much of the section the consumer has read
-// so Next can skip the rest.
-type countingLimitReader struct {
-	fr *FileReader
-	r  io.Reader
-}
-
-func (c *countingLimitReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.fr.cur -= int64(n)
-	c.fr.off += int64(n)
-	if err == io.EOF && c.fr.cur == 0 {
-		// A fully consumed section is a clean EOF for the section reader.
-		return n, io.EOF
-	}
-	return n, err
 }

@@ -7,105 +7,121 @@ import (
 	"testing"
 )
 
-func TestPrimitivesRoundTrip(t *testing.T) {
+// encode runs fn over a fresh Writer and returns the flushed stream in an
+// aligned buffer, ready for an MReader.
+func encode(t *testing.T, fn func(*Writer)) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
-	pw.Uint64(42)
-	pw.Uint32(7)
-	pw.Byte(0xAB)
-	pw.Int(123456)
-	pw.Int32(-5)
-	pw.Bytes([]byte("hello"))
-	pw.Bytes(nil)
-	pw.String("wörld")
-	pw.Words([]uint64{1, 1 << 63, 0})
-	pw.Int32s([]int32{-1, 0, 1 << 30})
+	fn(pw)
 	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if pw.Count() != int64(buf.Len()) {
 		t.Fatalf("Count=%d len=%d", pw.Count(), buf.Len())
 	}
+	return EnsureAligned(buf.Bytes())
+}
 
-	pr := NewReader(&buf)
-	if v := pr.Uint64(); v != 42 {
+func TestPrimitivesRoundTrip(t *testing.T) {
+	data := encode(t, func(pw *Writer) {
+		pw.Uint64(42)
+		pw.Uint32(7)
+		pw.Byte(0xAB)
+		pw.Int(123456)
+		pw.Int32(-5)
+		pw.Bytes([]byte("hello"))
+		pw.Bytes(nil)
+		pw.String("wörld")
+		pw.Words([]uint64{1, 1 << 63, 0})
+		pw.Int32s([]int32{-1, 0, 1 << 30})
+	})
+
+	mr := NewMReader(data)
+	if v := mr.Uint64(); v != 42 {
 		t.Fatalf("Uint64=%d", v)
 	}
-	if v := pr.Uint32(); v != 7 {
+	if v := mr.Uint32(); v != 7 {
 		t.Fatalf("Uint32=%d", v)
 	}
-	if v := pr.Byte(); v != 0xAB {
+	if v := mr.Byte(); v != 0xAB {
 		t.Fatalf("Byte=%x", v)
 	}
-	if v := pr.Int(); v != 123456 {
+	if v := mr.Int(); v != 123456 {
 		t.Fatalf("Int=%d", v)
 	}
-	if v := pr.Int32(); v != -5 {
+	if v := mr.Int32(); v != -5 {
 		t.Fatalf("Int32=%d", v)
 	}
-	if b := pr.Bytes(); string(b) != "hello" {
+	if b := mr.Bytes(); string(b) != "hello" {
 		t.Fatalf("Bytes=%q", b)
 	}
-	if b := pr.Bytes(); len(b) != 0 {
+	if b := mr.Bytes(); len(b) != 0 {
 		t.Fatalf("empty Bytes=%q", b)
 	}
-	if s := pr.String(); s != "wörld" {
+	if s := mr.String(); s != "wörld" {
 		t.Fatalf("String=%q", s)
 	}
-	if w := pr.Words(); len(w) != 3 || w[1] != 1<<63 {
+	if w := mr.Words(); len(w) != 3 || w[1] != 1<<63 {
 		t.Fatalf("Words=%v", w)
 	}
-	if xs := pr.Int32s(); len(xs) != 3 || xs[0] != -1 || xs[2] != 1<<30 {
+	if xs := mr.Int32s(); len(xs) != 3 || xs[0] != -1 || xs[2] != 1<<30 {
 		t.Fatalf("Int32s=%v", xs)
 	}
-	if pr.Err() != nil {
-		t.Fatal(pr.Err())
+	if mr.Err() != nil {
+		t.Fatal(mr.Err())
 	}
 }
 
 func TestReaderTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	pw := NewWriter(&buf)
-	pw.Bytes(make([]byte, 1000))
-	pw.Flush()
-	data := buf.Bytes()
+	data := encode(t, func(pw *Writer) { pw.Bytes(make([]byte, 1000)) })
 	// Every proper prefix must produce ErrCorrupt, never a panic.
 	for cut := 0; cut < len(data); cut += 7 {
-		pr := NewReader(bytes.NewReader(data[:cut]))
-		pr.Bytes()
-		if !errors.Is(pr.Err(), ErrCorrupt) {
-			t.Fatalf("cut=%d err=%v", cut, pr.Err())
+		mr := NewMReader(data[:cut])
+		mr.Bytes()
+		if !errors.Is(mr.Err(), ErrCorrupt) {
+			t.Fatalf("cut=%d err=%v", cut, mr.Err())
 		}
 	}
 }
 
+// TestReaderImplausibleLength: an absurd length prefix fails typed on every
+// length-prefixed slice reader, before it can size an allocation.
 func TestReaderImplausibleLength(t *testing.T) {
-	var buf bytes.Buffer
-	pw := NewWriter(&buf)
-	pw.Uint64(1 << 62) // absurd length prefix
-	pw.Flush()
-	pr := NewReader(&buf)
-	if b := pr.Bytes(); b != nil || !errors.Is(pr.Err(), ErrCorrupt) {
-		t.Fatalf("b=%v err=%v", b, pr.Err())
+	data := encode(t, func(pw *Writer) { pw.Uint64(1 << 62) })
+	for name, read := range map[string]func(*MReader) bool{
+		"Words":  func(mr *MReader) bool { return mr.Words() == nil },
+		"Int32s": func(mr *MReader) bool { return mr.Int32s() == nil },
+		"String": func(mr *MReader) bool { return mr.String() == "" },
+		"Raw":    func(mr *MReader) bool { return mr.Raw(1<<40) == nil },
+	} {
+		mr := NewMReader(data)
+		if !read(mr) || !errors.Is(mr.Err(), ErrCorrupt) {
+			t.Fatalf("%s: err=%v", name, mr.Err())
+		}
+	}
+	mr := NewMReader(data)
+	if mr.Raw(-1) != nil || !errors.Is(mr.Err(), ErrCorrupt) {
+		t.Fatalf("negative Raw: err=%v", mr.Err())
 	}
 }
 
 func TestReaderErrorSticks(t *testing.T) {
-	pr := NewReader(bytes.NewReader(nil))
-	pr.Uint64()
-	first := pr.Err()
+	mr := NewMReader(nil)
+	mr.Uint64()
+	first := mr.Err()
 	if first == nil {
 		t.Fatal("expected error")
 	}
-	pr.Int32s()
-	if pr.Err() != first {
+	mr.Int32s()
+	if mr.Check(false, "later failure") != first || mr.Err() != first {
 		t.Fatal("error did not stick")
 	}
 }
 
 func TestContainerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 3, false)
+	fw := NewFileWriter(&buf, "MAGIC!", 3)
 	fw.Section(1, func(pw *Writer) { pw.String("one") })
 	fw.Section(9, func(pw *Writer) { pw.Int(99) })
 	fw.Section(2, func(pw *Writer) { pw.Words([]uint64{5, 6}) })
@@ -117,56 +133,62 @@ func TestContainerRoundTrip(t *testing.T) {
 		t.Fatalf("Close reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	fr, err := NewFileReader(&buf, "MAGIC!", 3, 0)
+	mf, err := OpenMappedContainer(EnsureAligned(buf.Bytes()), "MAGIC!")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Version() != 3 {
-		t.Fatalf("version=%d", fr.Version())
+	if mf.Version() != 3 {
+		t.Fatalf("version=%d", mf.Version())
 	}
-	id, pr, err := fr.Next()
-	if err != nil || id != 1 || pr.String() != "one" {
+	id, mr, err := mf.Next()
+	if err != nil || id != 1 || mr.String() != "one" {
 		t.Fatalf("section 1: id=%d err=%v", id, err)
 	}
 	// Section 9 is "unknown": skip it without reading the payload.
-	id, _, err = fr.Next()
+	id, _, err = mf.Next()
 	if err != nil || id != 9 {
 		t.Fatalf("section 9: id=%d err=%v", id, err)
 	}
-	id, pr, err = fr.Next()
+	id, mr, err = mf.Next()
 	if err != nil || id != 2 {
 		t.Fatalf("section 2: id=%d err=%v", id, err)
 	}
-	if w := pr.Words(); len(w) != 2 || w[0] != 5 {
+	if w := mr.Words(); len(w) != 2 || w[0] != 5 {
 		t.Fatalf("section 2 payload: %v", w)
 	}
-	id, _, err = fr.Next()
+	id, _, err = mf.Next()
 	if err != nil || id != 0 {
 		t.Fatalf("end: id=%d err=%v", id, err)
 	}
 }
 
+// TestContainerBadHeader: a wrong or truncated magic fails typed; the
+// version is reported as written, for the format owner to judge.
 func TestContainerBadHeader(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 2, false)
+	fw := NewFileWriter(&buf, "MAGIC!", 2)
 	fw.Section(1, func(pw *Writer) { pw.Int(1) })
 	fw.Close()
-	data := buf.Bytes()
+	data := EnsureAligned(buf.Bytes())
 
-	if _, err := NewFileReader(bytes.NewReader([]byte("WRONG!....")), "MAGIC!", 2, 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMappedContainer([]byte("WRONG!...."), "MAGIC!"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if _, err := NewFileReader(bytes.NewReader(data), "MAGIC!", 1, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("future version: %v", err)
-	}
-	if _, err := NewFileReader(bytes.NewReader(data[:3]), "MAGIC!", 2, 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMappedContainer(data[:3], "MAGIC!"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated magic: %v", err)
+	}
+	if _, err := OpenMappedContainer(data[:7], "MAGIC!"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated version: %v", err)
+	}
+	mf, err := OpenMappedContainer(data, "MAGIC!")
+	if err != nil || mf.Version() != 2 {
+		t.Fatalf("version: %v %v", mf, err)
 	}
 }
 
 func TestContainerTruncatedSection(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 1, false)
+	fw := NewFileWriter(&buf, "MAGIC!", 1)
 	fw.Section(1, func(pw *Writer) { pw.Bytes(make([]byte, 500)) })
 	fw.Section(2, func(pw *Writer) { pw.Int(2) })
 	fw.Close()
@@ -174,7 +196,7 @@ func TestContainerTruncatedSection(t *testing.T) {
 	// Every proper prefix of the stream must surface ErrCorrupt somewhere —
 	// at the header, at a section header, or inside a payload read.
 	for cut := 0; cut < len(data); cut++ {
-		fr, err := NewFileReader(bytes.NewReader(data[:cut]), "MAGIC!", 1, 0)
+		mf, err := OpenMappedContainer(EnsureAligned(data[:cut]), "MAGIC!")
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("cut=%d header err=%v", cut, err)
@@ -183,7 +205,7 @@ func TestContainerTruncatedSection(t *testing.T) {
 		}
 		detected := false
 		for {
-			id, pr, err := fr.Next()
+			id, mr, err := mf.Next()
 			if err != nil {
 				detected = errors.Is(err, ErrCorrupt)
 				break
@@ -191,8 +213,8 @@ func TestContainerTruncatedSection(t *testing.T) {
 			if id == 0 {
 				break
 			}
-			pr.Bytes() // drive a payload read into the cut
-			if pr.Err() != nil {
+			mr.Bytes() // drive a payload read into the cut
+			if mr.Err() != nil {
 				detected = true
 				break
 			}

@@ -7,11 +7,10 @@ import (
 	"sync"
 )
 
-// Index is a mutable set of named document postings: the in-memory form
-// of the posting container (Save, OpenIndexFile) and what
-// collection.Collection.SearchIndex assembles from its engines. A serving
-// collection keeps none — it derives a Snapshot from its registry per
-// search. All methods are safe for concurrent use; readers work on
+// Index is a mutable set of named document postings: what
+// collection.Collection.SearchIndex assembles from its engines for tests
+// and tools. A serving collection keeps none — it derives a Snapshot from
+// its registry per search. All methods are safe for concurrent use; readers work on
 // snapshots, so a swap never mixes old and new postings within one query.
 type Index struct {
 	mu    sync.RWMutex

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sort"
 
-	"repro/internal/mmap"
 	"repro/internal/wordindex"
 	"repro/internal/xmltree"
 )
@@ -15,9 +14,9 @@ import (
 // is immutable once built — the collection tier swaps whole values on
 // reload, never mutates one in place — so readers need no locking.
 //
-// Layout is columnar and mmap-friendly: the sorted terms live
-// concatenated in one blob with int32 end offsets, term frequencies in a
-// parallel int32 array. Term i is blob[offs[i-1]:offs[i]] (offs[-1] = 0).
+// Layout is columnar: the sorted terms live concatenated in one blob with
+// int32 end offsets, term frequencies in a parallel int32 array. Term i is
+// blob[offs[i-1]:offs[i]] (offs[-1] = 0).
 type DocPostings struct {
 	blob   []byte
 	offs   []int32
@@ -27,12 +26,8 @@ type DocPostings struct {
 	// doc is the runtime attachment to the document the postings were
 	// built from: phrase counting and snippet extraction run against
 	// exactly this document, so a search that snapshotted the index before
-	// a hot reload stays internally consistent. Not persisted.
+	// a hot reload stays internally consistent.
 	doc *xmltree.Doc
-
-	// backing pins the mapped file the columnar payloads alias, for
-	// postings loaded through OpenIndexFile; nil otherwise.
-	backing *mmap.File
 }
 
 // BuildDoc tokenizes every text of d and builds its postings. The
@@ -103,13 +98,11 @@ func (dp *DocPostings) NumTerms() int { return len(dp.offs) }
 // Tokens returns the document's total token count (the BM25 length).
 func (dp *DocPostings) Tokens() int64 { return dp.tokens }
 
-// Doc returns the document the postings were built from (nil for
-// postings loaded from disk before WithDoc re-attached one).
+// Doc returns the document the postings were built from.
 func (dp *DocPostings) Doc() *xmltree.Doc { return dp.doc }
 
 // WithDoc returns a copy of the postings attached to d; the columnar
-// payloads are shared, so the copy is cheap and a mapped load stays
-// mapped.
+// payloads are shared, so the copy is cheap.
 func (dp *DocPostings) WithDoc(d *xmltree.Doc) *DocPostings {
 	cp := *dp
 	cp.doc = d

@@ -1,7 +1,6 @@
 package tags
 
 import (
-	"io"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -30,7 +29,7 @@ func (s *Sequence) Store(pw *persist.Writer) {
 
 // Read reads a sequence written by Store. On corrupt input it returns nil
 // and leaves the error in pr.
-func Read(pr persist.Source) *Sequence {
+func Read(pr *persist.MReader) *Sequence {
 	if pr.Check(pr.Byte() == sequenceFormat, "unknown tag sequence format") != nil {
 		return nil
 	}
@@ -55,11 +54,11 @@ func Read(pr persist.Source) *Sequence {
 	s.width = uint(w)
 	// Every packed id must be in range: consumers index per-tag arrays with
 	// Access results. Skip the scan when the width makes all values legal;
-	// on mapped sources the scan is chunked across the CPUs — it is pure
-	// reads over an aliased array and sits on the open-latency path.
+	// otherwise the scan is chunked across the CPUs — it is pure reads over
+	// an aliased array and sits on the open-latency path.
 	if s.maxTagID < 1<<s.width {
 		var bad atomic.Bool
-		persist.Chunked(pr, s.n, func(lo, hi int) {
+		persist.Chunked(s.n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if int(s.Access(i)) >= s.maxTagID {
 					bad.Store(true)
@@ -93,21 +92,4 @@ func Read(pr persist.Source) *Sequence {
 		return nil
 	}
 	return s
-}
-
-// Save serializes the sequence to w.
-func (s *Sequence) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	s.Store(pw)
-	return pw.Flush()
-}
-
-// Load reads a sequence written by Save.
-func Load(r io.Reader) (*Sequence, error) {
-	pr := persist.NewReader(r)
-	s := Read(pr)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return s, nil
 }

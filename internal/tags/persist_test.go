@@ -1,12 +1,12 @@
 package tags
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 func TestSequenceSaveLoadRoundTrip(t *testing.T) {
@@ -19,11 +19,7 @@ func TestSequenceSaveLoadRoundTrip(t *testing.T) {
 			ids[i] = int32(rng.Intn(tc.ids))
 		}
 		s := Build(ids, tc.ids)
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Load(&buf)
+		got, err := persisttest.Read(persisttest.Bytes(t, s), Read)
 		if err != nil {
 			t.Fatalf("n=%d ids=%d: %v", tc.n, tc.ids, err)
 		}
@@ -53,18 +49,21 @@ func TestSequenceSaveLoadRoundTrip(t *testing.T) {
 
 func TestSequenceLoadCorrupt(t *testing.T) {
 	s := Build([]int32{0, 1, 2, 1, 0, 3}, 4)
-	var buf bytes.Buffer
-	s.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Bytes(t, s)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Read(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// Width inconsistent with the id space.
-	bad := append([]byte(nil), data...)
+	bad := persisttest.Flip(data, 17)
 	bad[17] = 33 // width field (format byte + n + maxTagID)
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Read(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad width: %v", err)
+	}
+	for i := range data {
+		if _, err := persisttest.Read(persisttest.Flip(data, i), Read); err != nil && !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("byte %d: %v", i, err)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package wavelet
 
 import (
-	"io"
-
 	"repro/internal/bitvec"
 	"repro/internal/persist"
 )
@@ -38,7 +36,7 @@ func (t *Tree) Store(pw *persist.Writer) {
 
 // Read reads a tree written by Store. On corrupt input it returns nil and
 // leaves the error in pr.
-func Read(pr persist.Source) *Tree {
+func Read(pr *persist.MReader) *Tree {
 	if pr.Check(pr.Byte() == treeFormat, "unknown wavelet tree format") != nil {
 		return nil
 	}
@@ -82,21 +80,4 @@ func Read(pr persist.Source) *Tree {
 		return nil
 	}
 	return t
-}
-
-// Save serializes the tree to w.
-func (t *Tree) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	t.Store(pw)
-	return pw.Flush()
-}
-
-// Load reads a tree written by Save.
-func Load(r io.Reader) (*Tree, error) {
-	pr := persist.NewReader(r)
-	t := Read(pr)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return t, nil
 }

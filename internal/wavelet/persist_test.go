@@ -1,22 +1,18 @@
 package wavelet
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 func roundTrip(t *testing.T, s []byte) *Tree {
 	t.Helper()
 	w := New(s)
-	var buf bytes.Buffer
-	if err := w.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := persisttest.Read(persisttest.Bytes(t, w), Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +64,21 @@ func TestTreeSaveLoadRoundTrip(t *testing.T) {
 
 func TestTreeLoadCorrupt(t *testing.T) {
 	w := New([]byte("mississippi river runs"))
-	var buf bytes.Buffer
-	w.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Bytes(t, w)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Read(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// Counts not summing to the length.
-	bad := append([]byte(nil), data...)
+	bad := persisttest.Flip(data, 1)
 	bad[1] = byte(len("mississippi river runs") + 1)
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Read(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad total: %v", err)
+	}
+	for i := range data {
+		if _, err := persisttest.Read(persisttest.Flip(data, i), Read); err != nil && !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("byte %d: %v", i, err)
+		}
 	}
 }

@@ -1,30 +1,21 @@
 package wordindex
 
-import (
-	"io"
-
-	"repro/internal/persist"
-)
+import "repro/internal/persist"
 
 // On-disk layout: the vocabulary (in id order), the id sequence, the
 // word-level suffix array and the per-position text ids. Loading restores
-// the structure directly, skipping the suffix sort of New.
-//
-// Format 2 is the aligned layout: the int32 arrays are padded onto 8-byte
-// offsets so LoadMapped can alias them out of a mapped buffer. Format 1
-// (unaligned) files keep loading through the copying path.
+// the structure directly, skipping the suffix sort of New. The int32
+// arrays sit on 8-byte offsets, so Read aliases them out of the buffer.
 
-const (
-	wordIndexFormat        = 1
-	wordIndexFormatAligned = 2
-)
+// wordIndexFormat is the layout version byte. Format 1 was an unaligned
+// layout that is no longer read.
+const wordIndexFormat = 2
 
-// Store serializes the index into pw in the aligned layout. The writer's
-// first byte must sit on an 8-byte offset (stream start or an aligned
-// container section) for the alignment to carry to disk.
+// Store serializes the index into pw. The writer's first byte must sit on
+// an 8-byte offset (stream start or a container section) for the
+// alignment to carry to disk.
 func (ix *Index) Store(pw *persist.Writer) {
-	pw.Byte(wordIndexFormatAligned)
-	pw.SetAligned(true)
+	pw.Byte(wordIndexFormat)
 	pw.Int(ix.d)
 	words := make([]string, len(ix.vocab))
 	for w, id := range ix.vocab {
@@ -39,15 +30,12 @@ func (ix *Index) Store(pw *persist.Writer) {
 	pw.Int32s(ix.textOf)
 }
 
-// Read reads an index written by Store (either format). On corrupt input
-// it returns nil and leaves the error in pr.
-func Read(pr persist.Source) *Index {
-	format := pr.Byte()
-	if pr.Check(format == wordIndexFormat || format == wordIndexFormatAligned,
-		"unknown word index format") != nil {
+// Read reads an index written by Store. On corrupt input it returns nil
+// and leaves the error in pr.
+func Read(pr *persist.MReader) *Index {
+	if pr.Check(pr.Byte() == wordIndexFormat, "unknown word index format") != nil {
 		return nil
 	}
-	pr.SetAligned(format == wordIndexFormatAligned)
 	ix := &Index{vocab: map[string]int32{}}
 	ix.d = pr.Int()
 	nWords := pr.Int()
@@ -91,33 +79,4 @@ func Read(pr persist.Source) *Index {
 		}
 	}
 	return ix
-}
-
-// Save serializes the index to w.
-func (ix *Index) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	ix.Store(pw)
-	return pw.Flush()
-}
-
-// Load reads an index written by Save.
-func Load(r io.Reader) (*Index, error) {
-	pr := persist.NewReader(r)
-	ix := Read(pr)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return ix, nil
-}
-
-// LoadMapped reads an aligned-format index out of data, aliasing the int32
-// arrays instead of copying them. data — typically an mmap'd file — must
-// stay alive and unchanged for the lifetime of the index.
-func LoadMapped(data []byte) (*Index, error) {
-	mr := persist.NewMReader(data)
-	ix := Read(mr)
-	if mr.Err() != nil {
-		return nil, mr.Err()
-	}
-	return ix, nil
 }

@@ -1,12 +1,12 @@
 package wordindex
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 func TestWordIndexSaveLoadRoundTrip(t *testing.T) {
@@ -17,11 +17,7 @@ func TestWordIndexSaveLoadRoundTrip(t *testing.T) {
 		[]byte("dog eat dog world"),
 	}
 	ix := mustNew(t, texts)
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := persisttest.Read(persisttest.Bytes(t, ix), Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,27 +38,24 @@ func TestWordIndexSaveLoadRoundTrip(t *testing.T) {
 
 func TestWordIndexLoadCorrupt(t *testing.T) {
 	ix := mustNew(t, [][]byte{[]byte("one two three"), []byte("two three four")})
-	var buf bytes.Buffer
-	ix.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Bytes(t, ix)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Read(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
-	// A suffix array that is not a permutation must be rejected.
-	var buf2 bytes.Buffer
-	ix.Save(&buf2)
-	bad := buf2.Bytes()
-	// Find the sa section: it follows seq; corrupt its first entry by making
-	// it equal to the second (duplicate → not a permutation). Rather than
-	// hand-computing offsets, flip bytes until Load fails with a clean error
-	// or succeeds; no input may panic.
-	for i := range bad {
-		mut := append([]byte(nil), bad...)
-		mut[i] ^= 0xFF
-		if _, err := Load(bytes.NewReader(mut)); err != nil && !errors.Is(err, persist.ErrCorrupt) {
+	// A suffix array that is not a permutation must be rejected. Rather
+	// than hand-computing offsets, flip every byte: each mutation must load
+	// or fail with a clean error; no input may panic.
+	for i := range data {
+		if _, err := persisttest.Read(persisttest.Flip(data, i), Read); err != nil && !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("byte %d: unexpected error type %v", i, err)
 		}
+	}
+	// The retired unaligned format 1 is refused by its version byte.
+	old := persisttest.Flip(data, 0)
+	old[0] = 1
+	if _, err := persisttest.Read(old, Read); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("format 1: err=%v", err)
 	}
 }

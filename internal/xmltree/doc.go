@@ -62,9 +62,9 @@ type Doc struct {
 	// useful for planning.
 	minClose, maxOpen []int32
 
-	// mappedBytes is the size of the backing buffer a ReadIndexMapped load
-	// aliases its payloads out of; zero for parsed or copy-loaded documents.
-	mappedBytes int
+	// aliasedBytes is the size of the buffer a ReadIndexMapped load aliases
+	// its payloads out of; zero for parsed documents.
+	aliasedBytes int
 }
 
 // TextStore is the redundant plain-text collection of Section 3.4. It has
@@ -760,10 +760,11 @@ func (d *Doc) serialize(x int, w io.Writer) error {
 	return err
 }
 
-// MappedBytes returns the size of the mapped buffer this document aliases
-// its payloads out of, or zero when it was parsed or copy-loaded into
-// private memory.
-func (d *Doc) MappedBytes() int { return d.mappedBytes }
+// AliasedBytes returns the size of the buffer this document's payloads
+// alias (the file image ReadIndexMapped decoded), or zero when it was
+// parsed. Whether that buffer is an OS mapping or private heap is known
+// only to its owner.
+func (d *Doc) AliasedBytes() int { return d.aliasedBytes }
 
 // SizeInBytes reports the in-memory footprint, split by component.
 func (d *Doc) SizeInBytes() (tree, text, plain int) {

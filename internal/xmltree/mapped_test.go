@@ -2,37 +2,42 @@ package xmltree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/mmap"
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
-// mappedBytesOf saves d and reloads it through the mapped path.
-func mappedBytesOf(t *testing.T, d *Doc) []byte {
-	t.Helper()
-	return persist.EnsureAligned(saveBytes(t, d))
-}
-
-// TestReadIndexMappedRoundTrip: a mapped load must behave identically to
-// the parsed original, across every observable of checkDocsEqual.
+// TestReadIndexMappedRoundTrip: a loaded document must behave identically
+// to the parsed original, across every observable of checkDocsEqual.
 func TestReadIndexMappedRoundTrip(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
-	got, err := ReadIndexMapped(mappedBytesOf(t, d), Options{SampleRate: 4})
+	data := saveBytes(t, d)
+	got, err := ReadIndexMapped(data, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MappedBytes() == 0 {
-		t.Fatal("mapped load reports no mapped bytes")
+	if got.AliasedBytes() != len(data) {
+		t.Fatalf("AliasedBytes=%d, buffer is %d bytes", got.AliasedBytes(), len(data))
+	}
+	if d.AliasedBytes() != 0 {
+		t.Fatal("parsed document reports aliased bytes")
 	}
 	checkDocsEqual(t, d, got)
 }
 
-// TestReadIndexMappedSkipVariants: the option combinations of the copying
-// loader behave the same on the mapped one.
+// TestReadIndexMappedSkipVariants: every option combination serializes
+// the same document.
 func TestReadIndexMappedSkipVariants(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
-	data := mappedBytesOf(t, d)
+	data := saveBytes(t, d)
 	for _, opts := range []Options{
 		{SkipFM: true},
 		{SkipPlain: true, SampleRate: 4},
@@ -61,112 +66,97 @@ func TestReadIndexMappedSkipVariants(t *testing.T) {
 	}
 }
 
-// TestReadIndexMappedCorrupt mirrors TestReadIndexCorrupt on the mapped
-// path: every truncation and every single-byte corruption must either
-// load or fail with the typed error — no panics, no out-of-bounds reads
-// on short maps.
+// TestReadIndexMappedCorrupt repeats TestReadIndexCorrupt's truncation
+// and single-byte corruption sweeps under the skip options, whose decode
+// paths differ (the FM section skipped unread, the plain store dropped
+// after validation): each input must either load or fail with the typed
+// error — no panics, no out-of-bounds reads on short buffers.
 func TestReadIndexMappedCorrupt(t *testing.T) {
-	d := mustParse(t, Options{SampleRate: 4})
-	data := mappedBytesOf(t, d)
-
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := ReadIndexMapped(persist.EnsureAligned(data[:cut]), Options{}); err == nil {
-			t.Fatalf("cut=%d: no error", cut)
-		} else if !errors.Is(err, ErrBadIndexFile) {
-			t.Fatalf("cut=%d: %v", cut, err)
+	data := saveBytes(t, mustParse(t, Options{SampleRate: 4}))
+	for _, opts := range []Options{{SkipFM: true}, {SkipPlain: true}} {
+		for cut := 0; cut < len(data); cut++ {
+			if _, err := ReadIndexMapped(data[:cut], opts); !errors.Is(err, ErrBadIndexFile) {
+				t.Fatalf("%+v cut=%d: %v", opts, cut, err)
+			}
 		}
-	}
-
-	for i := range data {
-		mut := persist.EnsureAligned(append([]byte(nil), data...))
-		mut[i] ^= 0xFF
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("byte %d: panic %v", i, r)
+		for i := range data {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%+v byte %d: panic %v", opts, i, r)
+					}
+				}()
+				_, err := ReadIndexMapped(persisttest.Flip(data, i), opts)
+				if err != nil && !errors.Is(err, ErrBadIndexFile) {
+					t.Fatalf("%+v byte %d: unexpected error %v", opts, i, err)
 				}
 			}()
-			_, err := ReadIndexMapped(mut, Options{})
-			if err != nil && !errors.Is(err, ErrBadIndexFile) && !errors.Is(err, ErrNotMappable) {
-				t.Fatalf("byte %d: unexpected error %v", i, err)
-			}
-		}()
+		}
 	}
 }
 
-// TestOldVersionLoadsViaCopyingPath: a version-2 (pre-alignment) file
-// loads through ReadIndex and is refused, typed, by ReadIndexMapped.
-func TestOldVersionLoadsViaCopyingPath(t *testing.T) {
-	d := mustParse(t, Options{SampleRate: 4})
-	var old bytes.Buffer
-	if _, err := d.WriteToVersion(&old, 2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadIndex(bytes.NewReader(old.Bytes()), Options{SampleRate: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDocsEqual(t, d, got)
+// withVersion returns a copy of a saved index with its format version
+// field replaced: the header of a file written by another format version.
+func withVersion(data []byte, v uint16) []byte {
+	mut := persist.EnsureAligned(append([]byte(nil), data...))
+	binary.LittleEndian.PutUint16(mut[len(IndexMagic):], v)
+	return mut
+}
 
-	if _, err := ReadIndexMapped(persist.EnsureAligned(old.Bytes()), Options{}); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("v2 mapped: want ErrNotMappable, got %v", err)
-	}
-
-	// The v2 stream must be smaller than or equal to v3 minus its padding:
-	// same sections, no alignment. Sanity-check the versions actually differ.
-	if bytes.Equal(old.Bytes(), saveBytes(t, d)) {
-		t.Fatal("v2 and v3 streams are identical; alignment not active")
+// TestOldVersionRejected: a container of any version other than the
+// current one — the retired unaligned version 2, or one from a newer
+// build — fails typed before any section is decoded, and the message
+// names the version and the way out.
+func TestOldVersionRejected(t *testing.T) {
+	data := saveBytes(t, mustParse(t, Options{SampleRate: 4}))
+	for _, v := range []uint16{0, 1, 2, indexVersion + 1} {
+		_, err := ReadIndexMapped(withVersion(data, v), Options{})
+		if !errors.Is(err, ErrBadIndexFile) {
+			t.Fatalf("version %d: want ErrBadIndexFile, got %v", v, err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("version %d,", v)) || !strings.Contains(msg, "sxsi build") {
+			t.Fatalf("version %d: message %q should name the version and say to rebuild", v, msg)
+		}
 	}
 }
 
-// TestResaveByteIdentical: load → save → load → save must be a fixed
-// point, through the copying path, through the mapped path, and starting
-// from a v2 file — proving old files survive the upgrade losslessly.
+// TestResaveByteIdentical: v3 → open → save must be a fixed point, both
+// from an aligned heap buffer and from a real mapping of the file.
 func TestResaveByteIdentical(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
 	first := saveBytes(t, d)
 
-	viaCopy, err := ReadIndex(bytes.NewReader(first), Options{SampleRate: 4})
+	viaHeap, err := ReadIndexMapped(first, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second := saveBytes(t, viaCopy); !bytes.Equal(first, second) {
-		t.Fatal("copy-loaded re-save differs")
+	if second := saveBytes(t, viaHeap); !bytes.Equal(first, second) {
+		t.Fatal("heap-loaded re-save differs")
 	}
 
-	viaMap, err := ReadIndexMapped(persist.EnsureAligned(first), Options{SampleRate: 4})
+	path := filepath.Join(t.TempDir(), "doc.sxsi")
+	if err := os.WriteFile(path, first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := mmap.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	viaMap, err := ReadIndexMapped(m.Data(), Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second := saveBytes(t, viaMap); !bytes.Equal(first, second) {
 		t.Fatal("mapped re-save differs")
 	}
-
-	var old bytes.Buffer
-	if _, err := d.WriteToVersion(&old, 2); err != nil {
-		t.Fatal(err)
-	}
-	fromOld, err := ReadIndex(bytes.NewReader(old.Bytes()), Options{SampleRate: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if upgraded := saveBytes(t, fromOld); !bytes.Equal(first, upgraded) {
-		t.Fatal("v2 → v3 upgrade re-save differs from a direct v3 save")
-	}
-	// And writing v2 again is stable too.
-	var again bytes.Buffer
-	if _, err := fromOld.WriteToVersion(&again, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(old.Bytes(), again.Bytes()) {
-		t.Fatal("v2 re-save differs")
-	}
 }
 
-// FuzzLoadMapped drives arbitrary bytes through the mapped loader: any
-// outcome but a clean load or a typed error is a bug. Loaded documents
-// get a cheap traversal to catch structures that validated but are
-// inconsistent enough to fault.
+// FuzzLoadMapped drives arbitrary bytes through the loader: any outcome
+// but a clean load or a typed error is a bug. Loaded documents get a cheap
+// traversal to catch structures that validated but are inconsistent
+// enough to fault.
 func FuzzLoadMapped(f *testing.F) {
 	d, err := Parse([]byte(serializeDoc), Options{SampleRate: 4})
 	if err != nil {
@@ -180,11 +170,7 @@ func FuzzLoadMapped(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:8])
-	var old bytes.Buffer
-	if _, err := d.WriteToVersion(&old, 2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(old.Bytes())
+	f.Add(withVersion(seed, 2))
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/3] ^= 0x40
 	f.Add(mut)
@@ -192,7 +178,7 @@ func FuzzLoadMapped(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := ReadIndexMapped(persist.EnsureAligned(data), Options{})
 		if err != nil {
-			if !errors.Is(err, ErrBadIndexFile) && !errors.Is(err, ErrNotMappable) {
+			if !errors.Is(err, ErrBadIndexFile) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return

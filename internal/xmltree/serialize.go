@@ -28,25 +28,21 @@ import (
 // and only rebuilds linear-time directories (rank structures, tag rows,
 // the per-tag planner tables), which is why loading a saved index is an
 // order of magnitude faster than indexing (the Figure 8 gap). Unknown
-// sections are skipped by their recorded length, and a version bump is
-// reported as an error before any payload is interpreted, so future layout
-// changes are detected rather than silently misread.
+// sections are skipped by their recorded length, and any version other
+// than the current one is reported as an error before any payload is
+// interpreted, so layout changes are detected rather than silently
+// misread.
 
 // Magic and version of the index container. The magic is shared with the
 // CLI's format sniffing; the version is bumped on any layout change.
 // Version 3 is the aligned layout: section payloads and their word/int32
 // arrays sit on 8-byte file offsets, which is what lets ReadIndexMapped
-// alias them straight out of a mapped file. Version 2 files (unaligned)
-// keep loading through the copying ReadIndex path.
+// alias them straight out of the file image. It is the only version read;
+// older files are rebuilt from their XML.
 const (
-	IndexMagic         = "SXSIGO"
-	indexVersion       = 3
-	alignedFromVersion = 3
+	IndexMagic   = "SXSIGO"
+	indexVersion = 3
 )
-
-// ErrNotMappable reports an index container that predates the aligned
-// layout: it loads fine through ReadIndex, but cannot be aliased in place.
-var ErrNotMappable = persist.ErrNotMappable
 
 // Section identifiers of the container.
 const (
@@ -67,19 +63,7 @@ var ErrBadIndexFile = persist.ErrCorrupt
 
 // WriteTo serializes the index. It returns the number of bytes written.
 func (d *Doc) WriteTo(w io.Writer) (int64, error) {
-	return d.WriteToVersion(w, indexVersion)
-}
-
-// WriteToVersion serializes the index as the given container version (2
-// is the last unaligned layout); WriteTo always writes the newest. The
-// byte stream for a given version is identical to what that version's
-// writer produced, which is what the compatibility tests pin and what lets
-// current builds produce indexes for older readers.
-func (d *Doc) WriteToVersion(w io.Writer, version uint16) (int64, error) {
-	if version < 2 || version > indexVersion {
-		return 0, fmt.Errorf("xmltree: unsupported container version %d", version)
-	}
-	fw := persist.NewFileWriter(w, IndexMagic, version, version >= alignedFromVersion)
+	fw := persist.NewFileWriter(w, IndexMagic, indexVersion)
 	fw.Section(secNames, func(pw *persist.Writer) {
 		pw.Int(len(d.names))
 		for _, s := range d.names {
@@ -116,40 +100,35 @@ func (d *Doc) WriteToVersion(w io.Writer, version uint16) (int64, error) {
 	return fw.Close()
 }
 
-// ReadIndex deserializes an index written by WriteTo. The plain-text store
-// is kept unless opts.SkipPlain is set; opts.Builder overrides the FM rank
-// sequence as in Parse; with opts.SkipFM the FM section is skipped
-// entirely without being decoded.
-func ReadIndex(rd io.Reader, opts Options) (*Doc, error) {
-	fr, err := persist.NewFileReader(rd, IndexMagic, indexVersion, alignedFromVersion)
-	if err != nil {
-		return nil, err
-	}
-	return readSections(func() (uint32, persist.Source, error) { return fr.Next() }, opts)
-}
-
-// ReadIndexMapped deserializes an index out of data — typically an mmap'd
-// file — aliasing the word, int32 and text payloads in place instead of
-// copying them. Only the derived directories (rank/select structures, the
-// BP range-min-max tree, planner tables) are built in private memory, so
-// opening is O(derived structures) and the payload pages stay shared with
-// the OS page cache.
+// ReadIndexMapped deserializes an index written by WriteTo out of data —
+// an mmap'd file or the whole file read into one aligned heap buffer —
+// aliasing the word, int32 and text payloads in place instead of copying
+// them. Only the derived directories (rank/select structures, the BP
+// range-min-max tree, planner tables) are built in private memory, so
+// opening is O(derived structures) and, on a mapping, the payload pages
+// stay shared with the OS page cache. The plain-text store is kept unless
+// opts.SkipPlain is set; opts.Builder overrides the FM rank sequence as in
+// Parse; with opts.SkipFM the FM section is skipped without being decoded.
 //
 // data must be 8-byte aligned at its base (mmap regions and
 // persist.AlignedBuffer both are) and must stay alive and unchanged for
 // the whole lifetime of the returned Doc; the Doc must be treated as
 // read-only even more strictly than usual, since its slices may point into
-// read-only pages. Containers older than the aligned layout return
-// ErrNotMappable — load those through ReadIndex.
+// read-only pages. A container of any version other than the current one
+// fails with ErrBadIndexFile.
 func ReadIndexMapped(data []byte, opts Options) (*Doc, error) {
-	mf, err := persist.OpenMappedContainer(data, IndexMagic, indexVersion, alignedFromVersion)
+	mf, err := persist.OpenMappedContainer(data, IndexMagic)
 	if err != nil {
 		return nil, err
 	}
+	if v := mf.Version(); v != indexVersion {
+		return nil, fmt.Errorf("%w: index format version %d, this build reads only version %d; rebuild the index with 'sxsi build'",
+			ErrBadIndexFile, v, indexVersion)
+	}
 	// Walking the container is just slicing, so collect the sections first
 	// and decode them concurrently: every known section writes disjoint
-	// parts of the document, and on a mapped load the per-section work is
-	// pure derived-directory construction, which is what dominates the open
+	// parts of the document, and the per-section work is pure
+	// derived-directory construction, which is what dominates the open
 	// latency. Duplicate sections are rejected up front — the writer never
 	// produces them, and rejecting is what makes the disjointness hold.
 	type sect struct {
@@ -203,32 +182,12 @@ func ReadIndexMapped(data []byte, opts Options) (*Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.mappedBytes = len(data)
+	d.aliasedBytes = len(data)
 	return d, nil
 }
 
-// readSections decodes the container sections delivered by next,
-// sequentially, and assembles the document: the streaming body of
-// ReadIndex. The mapped path runs the same sectionDecoder concurrently.
-func readSections(next func() (uint32, persist.Source, error), opts Options) (*Doc, error) {
-	sd := &sectionDecoder{d: &Doc{nameID: map[string]int32{}}, opts: opts}
-	for {
-		id, pr, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if id == 0 {
-			break
-		}
-		if err := sd.decode(id, pr); err != nil {
-			return nil, err
-		}
-	}
-	return sd.d.assemble(sd.texts, sd.haveTexts, sd.haveTables, opts)
-}
-
 // sectionDecoder accumulates the decoded sections. Each section id writes
-// its own fields only, which is what lets the mapped path decode sections
+// its own fields only, which is what lets ReadIndexMapped decode sections
 // in parallel without locks.
 type sectionDecoder struct {
 	d          *Doc
@@ -238,7 +197,7 @@ type sectionDecoder struct {
 	haveTables bool
 }
 
-func (sd *sectionDecoder) decode(id uint32, pr persist.Source) error {
+func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
 	d := sd.d
 	switch id {
 	case secNames:
@@ -294,11 +253,11 @@ func (sd *sectionDecoder) decode(id uint32, pr persist.Source) error {
 }
 
 // decodeTexts restores the text collection: one blob plus cumulative end
-// offsets, both aliasing the buffer on a mapped source, wrapped in a lazy
-// TextStore — no per-text headers are materialized. The only per-text
+// offsets, both aliasing the buffer, wrapped in a lazy TextStore — no
+// per-text headers are materialized. The only per-text
 // cost left is the monotonicity validation (Get's slicing depends on it),
 // chunked across the CPUs since millions of texts are normal.
-func (sd *sectionDecoder) decodeTexts(pr persist.Source) error {
+func (sd *sectionDecoder) decodeTexts(pr *persist.MReader) error {
 	n := pr.Int()
 	offs := pr.Words()
 	total := pr.Int()
@@ -320,7 +279,7 @@ func (sd *sectionDecoder) decodeTexts(pr persist.Source) error {
 		return pr.Err()
 	}
 	var bad atomic.Bool
-	persist.Chunked(pr, n, func(lo, hi int) {
+	persist.Chunked(n, func(lo, hi int) {
 		prev := uint64(0)
 		if lo > 0 {
 			prev = offs[lo-1]
@@ -368,7 +327,7 @@ func (d *Doc) storeTagTables(pw *persist.Writer) {
 
 // readTagTables restores the tables written by storeTagTables. Dimension
 // consistency against the other sections is checked in assemble.
-func (d *Doc) readTagTables(pr persist.Source) error {
+func (d *Doc) readTagTables(pr *persist.MReader) error {
 	nTags := pr.Int()
 	d.tagCount = pr.Int32s()
 	pure := pr.Bytes()

@@ -3,7 +3,11 @@ package xmltree
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
+
+	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 const serializeDoc = `<lib genre="mixed"><book id="b1"><title>Gold Ring</title>` +
@@ -19,6 +23,8 @@ func mustParse(t *testing.T, opts Options) *Doc {
 	return d
 }
 
+// saveBytes returns the saved index in an aligned heap buffer, the image
+// every load decodes.
 func saveBytes(t *testing.T, d *Doc) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -29,7 +35,7 @@ func saveBytes(t *testing.T, d *Doc) []byte {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	return buf.Bytes()
+	return persist.EnsureAligned(buf.Bytes())
 }
 
 // checkDocsEqual compares the observable behaviour of two docs.
@@ -80,7 +86,7 @@ func checkDocsEqual(t *testing.T, a, b *Doc) {
 func TestDocSaveLoadRoundTrip(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
 	data := saveBytes(t, d)
-	got, err := ReadIndex(bytes.NewReader(data), Options{SampleRate: 4})
+	got, err := ReadIndexMapped(data, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +107,7 @@ func TestDocSaveLoadSkipVariants(t *testing.T) {
 	data := saveBytes(t, d)
 
 	// SkipFM: the FM section must be skipped, not decoded.
-	noFM, err := ReadIndex(bytes.NewReader(data), Options{SkipFM: true})
+	noFM, err := ReadIndexMapped(data, Options{SkipFM: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ func TestDocSaveLoadSkipVariants(t *testing.T) {
 	checkDocsEqual(t, d, noFM) // Text falls back to the plain store
 
 	// SkipPlain: texts come from the FM-index.
-	noPlain, err := ReadIndex(bytes.NewReader(data), Options{SkipPlain: true})
+	noPlain, err := ReadIndexMapped(data, Options{SkipPlain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +129,7 @@ func TestDocSaveLoadSkipVariants(t *testing.T) {
 	// A file saved without FM, loaded with FM wanted: rebuild.
 	dNoFM := mustParse(t, Options{SkipFM: true, SampleRate: 4})
 	data2 := saveBytes(t, dNoFM)
-	rebuilt, err := ReadIndex(bytes.NewReader(data2), Options{SampleRate: 4})
+	rebuilt, err := ReadIndexMapped(data2, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +145,7 @@ func TestReadIndexCorrupt(t *testing.T) {
 
 	// Every truncation yields a clean error, never a panic.
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := ReadIndex(bytes.NewReader(data[:cut]), Options{}); err == nil {
+		if _, err := ReadIndexMapped(data[:cut], Options{}); err == nil {
 			t.Fatalf("cut=%d: no error", cut)
 		} else if !errors.Is(err, ErrBadIndexFile) {
 			t.Fatalf("cut=%d: %v", cut, err)
@@ -147,16 +153,16 @@ func TestReadIndexCorrupt(t *testing.T) {
 	}
 
 	// Wrong magic.
-	bad := append([]byte(nil), data...)
+	bad := persisttest.Flip(data, 0)
 	bad[0] = 'X'
-	if _, err := ReadIndex(bytes.NewReader(bad), Options{}); !errors.Is(err, ErrBadIndexFile) {
+	if _, err := ReadIndexMapped(bad, Options{}); !errors.Is(err, ErrBadIndexFile) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
 	// Future version.
-	bad = append([]byte(nil), data...)
+	bad = persisttest.Flip(data, len(IndexMagic))
 	bad[len(IndexMagic)] = 0xFF
-	if _, err := ReadIndex(bytes.NewReader(bad), Options{}); !errors.Is(err, ErrBadIndexFile) {
+	if _, err := ReadIndexMapped(bad, Options{}); !errors.Is(err, ErrBadIndexFile) {
 		t.Fatalf("future version: %v", err)
 	}
 
@@ -164,15 +170,14 @@ func TestReadIndexCorrupt(t *testing.T) {
 	// go unnoticed (e.g. inside text content), but any failure must be the
 	// typed error.
 	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0xFF
+		mut := persisttest.Flip(data, i)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("byte %d: panic %v", i, r)
 				}
 			}()
-			_, err := ReadIndex(bytes.NewReader(mut), Options{})
+			_, err := ReadIndexMapped(mut, Options{})
 			if err != nil && !errors.Is(err, ErrBadIndexFile) {
 				t.Fatalf("byte %d: unexpected error %v", i, err)
 			}
@@ -181,12 +186,14 @@ func TestReadIndexCorrupt(t *testing.T) {
 }
 
 func TestReadIndexMissingSection(t *testing.T) {
-	// A header with no sections at all: magic + version + end marker.
+	// A header with no sections at all: magic + version (already on an
+	// 8-byte offset) + end marker.
 	var buf bytes.Buffer
 	buf.WriteString(IndexMagic)
-	buf.Write([]byte{2, 0})       // version 2, little-endian
-	buf.Write([]byte{0, 0, 0, 0}) // end marker
-	if _, err := ReadIndex(bytes.NewReader(buf.Bytes()), Options{}); !errors.Is(err, ErrBadIndexFile) {
+	buf.Write([]byte{indexVersion, 0}) // little-endian
+	buf.Write([]byte{0, 0, 0, 0})      // end marker
+	_, err := ReadIndexMapped(persist.EnsureAligned(buf.Bytes()), Options{})
+	if !errors.Is(err, ErrBadIndexFile) || !strings.Contains(err.Error(), "missing a required section") {
 		t.Fatalf("missing sections: %v", err)
 	}
 }

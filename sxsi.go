@@ -90,8 +90,9 @@ func BuildFile(path string, cfg Config) (*Index, error) {
 	return &Index{e}, nil
 }
 
-// Load reads an index previously written with Save. Loading skips suffix
-// sorting and is much faster than Build.
+// Load reads an index previously written with Save into one heap buffer
+// and decodes it in place. Loading skips suffix sorting and is much faster
+// than Build.
 func Load(r io.Reader, cfg Config) (*Index, error) {
 	e, err := core.Load(r, cfg)
 	if err != nil {
@@ -113,9 +114,10 @@ func LoadFile(path string, cfg Config) (*Index, error) {
 // OpenFile opens an index file memory-mapped: the succinct payloads alias
 // the mapped file, so opening costs only the derived directories and the
 // index pages stay shared with the OS page cache across processes and
-// restarts. Old (pre-alignment) index files and cfg.NoMmap fall back to
-// the copying load. Call Close on the returned index once it is no longer
-// used to release the mapping.
+// restarts. With cfg.NoMmap the file is read into one heap buffer instead
+// and decoded the same way (LoadFile). A file of another format version
+// fails with an error asking to rebuild it with `sxsi build`. Call Close
+// on the returned index once it is no longer used to release the mapping.
 func OpenFile(path string, cfg Config) (*Index, error) {
 	e, err := core.OpenFile(path, cfg)
 	if err != nil {
