@@ -1,6 +1,14 @@
-// Benchmarks regenerating the paper's tables and figures (one bench per
-// table/figure; the cmd/sxsibench harness prints the full paper-style
-// tables). Corpora are built once per process and shared.
+// Benchmarks for the paper's Section 6 experiments, one Benchmark<Fig|Table>
+// per figure or table, plus the layer benchmarks CI pins. This file is the
+// only definition of the experiments: a sub-benchmark is a column of the
+// paper's table and a b.ReportMetric is a count the table prints beside its
+// timings (README maps each table to its -bench regex). Every experiment
+// cross-checks its evaluators once before timing them — engine against DOM
+// and streaming counts, ablation configs against each other, FM-index
+// against a naive scan, PSSM backtracking against a scan — and fails on a
+// mismatch, so `go test -run '^$' -bench . -benchtime 1x .` is also an
+// end-to-end consistency run. Corpora (benchSize each) are built once per
+// process and shared.
 package sxsi
 
 import (
@@ -10,8 +18,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,66 +34,139 @@ import (
 	"repro/internal/core"
 	"repro/internal/dom"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/pssm"
 	"repro/internal/search"
+	"repro/internal/stream"
+	"repro/internal/tags"
 	"repro/internal/wordindex"
+	"repro/internal/xmlparse"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
 const benchSize = 2 << 20 // per-corpus size for go test -bench
 
-var corpora struct {
-	once    sync.Once
-	xmark   []byte
-	medline []byte
-	tbank   []byte
-	bio     []byte
+// corpus is one generated document and its index.
+type corpus struct {
+	name string
+	data []byte
+	eng  *core.Engine
+}
 
-	xmarkIdx   *core.Engine
-	medlineIdx *core.Engine
-	tbankIdx   *core.Engine
-	bioIdx     *core.Engine
-	xmarkDOM   *dom.Tree
+// parseDOM parses the pointer-DOM baseline of c. It is not kept with the
+// corpus: testing collects garbage before every sub-benchmark, and DOM
+// pointers kept alive for the whole run would make each collection cost
+// tens of milliseconds.
+func (c *corpus) parseDOM(b *testing.B) *dom.Tree {
+	b.Helper()
+	tree, err := dom.Parse(c.data)
+	if err != nil {
+		b.Fatal(c.name, err)
+	}
+	return tree
+}
+
+var corpora struct {
+	once                             sync.Once
+	xmark, medline, tbank, bio, wiki corpus
 }
 
 func setup(b *testing.B) {
 	b.Helper()
 	corpora.once.Do(func() {
-		corpora.xmark = gen.XMark(1, benchSize)
-		corpora.medline = gen.Medline(101, benchSize)
-		corpora.tbank = gen.Treebank(4, benchSize)
-		corpora.bio = gen.BioXML(77, benchSize)
-		var err error
-		if corpora.xmarkIdx, err = core.Build(corpora.xmark, core.Config{}); err != nil {
-			panic(err)
+		load := func(c *corpus, name string, data []byte, cfg core.Config) {
+			c.name, c.data = name, data
+			var err error
+			if c.eng, err = core.Build(data, cfg); err != nil {
+				panic(err)
+			}
 		}
-		if corpora.medlineIdx, err = core.Build(corpora.medline, core.Config{}); err != nil {
-			panic(err)
+		load(&corpora.xmark, "xmark", gen.XMark(1, benchSize), core.Config{})
+		load(&corpora.medline, "medline", gen.Medline(101, benchSize), core.Config{})
+		load(&corpora.tbank, "treebank", gen.Treebank(4, benchSize), core.Config{})
+		load(&corpora.bio, "bioxml", gen.BioXML(77, benchSize), core.Config{RunLength: true, SampleRate: 16})
+		load(&corpora.wiki, "wiki", gen.Wiki(202, benchSize), core.Config{})
+	})
+}
+
+// sub runs f as the timed body of sub-benchmark name and reports metrics
+// (unit → value) on its result line.
+func sub(b *testing.B, name string, metrics map[string]float64, f func() error) {
+	b.Run(name, func(b *testing.B) {
+		for b.Loop() {
+			if err := f(); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if corpora.tbankIdx, err = core.Build(corpora.tbank, core.Config{}); err != nil {
-			panic(err)
-		}
-		if corpora.bioIdx, err = core.Build(corpora.bio, core.Config{RunLength: true, SampleRate: 16}); err != nil {
-			panic(err)
-		}
-		if corpora.xmarkDOM, err = dom.Parse(corpora.xmark); err != nil {
-			panic(err)
+		for unit, v := range metrics {
+			b.ReportMetric(v, unit)
 		}
 	})
 }
 
-// BenchmarkBuild measures full index construction (parse, suffix sort,
-// wavelet trees) on the XMark corpus. Compare with BenchmarkLoad: loading
-// a saved index skips the suffix sort and is expected to be at least an
-// order of magnitude faster (Figure 8).
+// counting is sub's body for counting a compiled query.
+func counting(q *xpath.Query) func() error {
+	return func() error { q.Count(); return nil }
+}
+
+func results(n int64) map[string]float64 { return map[string]float64{"results": float64(n)} }
+
+func oneIf(ok bool) float64 {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+// planMetrics is a query's result count plus its plan in Figure 14's
+// notation as 0/1 metrics: bottom-up (else top-down) and fm (else naive).
+func planMetrics(q *xpath.Query, n int64) map[string]float64 {
+	m := results(n)
+	m["bottom-up"] = oneIf(q.UsesBottomUp())
+	m["fm"] = oneIf(strings.HasSuffix(q.Strategy(), ",fm"))
+	return m
+}
+
+// checkedQuery compiles src on eng and fails unless the engine's count, its
+// materialized result and the DOM baseline tree agree. It returns the query,
+// the result count and the DOM's result nodes.
+func checkedQuery(b *testing.B, eng *core.Engine, tree *dom.Tree, id, src string) (*xpath.Query, int64, []*dom.Node) {
+	b.Helper()
+	q, err := eng.Compile(src)
+	if err != nil {
+		b.Fatal(id, err)
+	}
+	dn, err := tree.Eval(src)
+	if err != nil {
+		b.Fatal(id, err)
+	}
+	if n, mat := q.Count(), len(q.Nodes()); n != int64(len(dn)) || mat != len(dn) {
+		b.Fatalf("%s: engine count %d, materialized %d, DOM %d", id, n, mat, len(dn))
+	}
+	return q, int64(len(dn)), dn
+}
+
+// BenchmarkBuild is Figure 8's construction column: full index construction
+// (parse, suffix sort, wavelet trees) of the XMark corpus. Its metrics are
+// the figure's size columns: index bytes (tree + FM), their ratio to the
+// document, and the node count. BenchmarkLoad is the loading column; loading
+// skips the suffix sort and is expected to be at least an order of
+// magnitude faster.
 func BenchmarkBuild(b *testing.B) {
 	setup(b)
-	b.SetBytes(int64(len(corpora.xmark)))
+	st := corpora.xmark.eng.Stats()
+	idx := float64(st.TreeBytes + st.TextBytes)
+	b.SetBytes(int64(len(corpora.xmark.data)))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(corpora.xmark, core.Config{}); err != nil {
+		if _, err := core.Build(corpora.xmark.data, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(idx, "index-bytes")
+	b.ReportMetric(idx/float64(len(corpora.xmark.data)), "index-bytes/src-byte")
+	b.ReportMetric(float64(st.Nodes), "nodes")
 }
 
 // BenchmarkBuildParallel measures the staged parallel build (internal/build)
@@ -101,9 +185,9 @@ func BenchmarkBuildParallel(b *testing.B) {
 	for _, p := range procs {
 		b.Run("p="+strconv.Itoa(p), func(b *testing.B) {
 			cfg := core.Config{BuildProcs: p}
-			b.SetBytes(int64(len(corpora.xmark)))
+			b.SetBytes(int64(len(corpora.xmark.data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildContext(context.Background(), corpora.xmark, cfg); err != nil {
+				if _, err := core.BuildContext(context.Background(), corpora.xmark.data, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,16 +195,16 @@ func BenchmarkBuildParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLoad measures deserializing a saved index of the same corpus:
-// one copy into an aligned heap buffer, then the decoder the mapped open
-// runs.
+// BenchmarkLoad is Figure 8's loading column: deserializing a saved index of
+// the XMark corpus — one copy into an aligned heap buffer, then the decoder
+// the mapped open runs.
 func BenchmarkLoad(b *testing.B) {
 	setup(b)
 	var buf bytes.Buffer
-	if _, err := corpora.xmarkIdx.Save(&buf); err != nil {
+	if _, err := corpora.xmark.eng.Save(&buf); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(corpora.xmark)))
+	b.SetBytes(int64(len(corpora.xmark.data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Load(bytes.NewReader(buf.Bytes()), core.Config{}); err != nil {
@@ -136,10 +220,10 @@ func BenchmarkLoad(b *testing.B) {
 func BenchmarkOpenMapped(b *testing.B) {
 	setup(b)
 	path := filepath.Join(b.TempDir(), "xmark.sxsi")
-	if _, err := corpora.xmarkIdx.SaveFile(path); err != nil {
+	if _, err := corpora.xmark.eng.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(corpora.xmark)))
+	b.SetBytes(int64(len(corpora.xmark.data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng, err := core.OpenFile(path, core.Config{})
@@ -153,11 +237,21 @@ func BenchmarkOpenMapped(b *testing.B) {
 // Large-index pair: the acceptance experiment behind the mapped path.
 // Gated by SXSI_BENCH_MB (e.g. 100) because building a multi-hundred-MB
 // corpus takes minutes; both benchmarks share one saved index, so
-// benchstat can compare open latencies directly.
+// benchstat can compare open latencies directly. TestMain removes its
+// directory when the run ends.
 var largeIdx struct {
 	once sync.Once
+	dir  string
 	path string
 	size int64
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if largeIdx.dir != "" {
+		os.RemoveAll(largeIdx.dir)
+	}
+	os.Exit(code)
 }
 
 func largeIndexPath(b *testing.B) string {
@@ -170,6 +264,7 @@ func largeIndexPath(b *testing.B) string {
 		if err != nil {
 			b.Fatal(err)
 		}
+		largeIdx.dir = dir
 		eng, err := core.Build(gen.XMark(11, mb<<20), core.Config{})
 		if err != nil {
 			b.Fatal(err)
@@ -206,242 +301,375 @@ func BenchmarkLoadLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkFig8_IndexConstruction measures Build (Figure 8, construction).
-func BenchmarkFig8_IndexConstruction(b *testing.B) {
-	setup(b)
-	b.SetBytes(int64(len(corpora.xmark)))
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(corpora.xmark, core.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8_IndexLoad measures Load vs Build (Figure 8, loading).
-func BenchmarkFig8_IndexLoad(b *testing.B) {
-	setup(b)
-	var buf bytes.Buffer
-	if _, err := corpora.xmarkIdx.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Load(bytes.NewReader(buf.Bytes()), core.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2_FMSearch covers the Table II/III FM-index operations at
-// both sampling rates.
+// BenchmarkTable2_FMSearch is Table II (l64: sampling step 64, the default)
+// and Table III (l4) over the Medline corpus. Per pattern: the FM-index
+// global count (metric: occurrences), contains (metric: texts) and locate
+// (the report column), and naive/<pattern>, a bytes.Contains pass over the
+// plain texts. FM contains must find the same number of texts as the scan.
+// A newline pattern is named \n.
 func BenchmarkTable2_FMSearch(b *testing.B) {
 	setup(b)
-	for _, rate := range []int{64, 4} {
-		eng, err := core.Build(corpora.medline, core.Config{SampleRate: rate})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fm := eng.Doc.FM
-		b.Run(map[int]string{64: "l64", 4: "l4"}[rate]+"/GlobalCount", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fm.GlobalCount([]byte("brain"))
-			}
-		})
-		b.Run(map[int]string{64: "l64", 4: "l4"}[rate]+"/Contains", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fm.Contains([]byte("brain"))
-			}
-		})
+	l4, err := core.Build(corpora.medline.data, core.Config{SampleRate: 4})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("naive-scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, t := range corpora.medlineIdx.Doc.Plain.All() {
-				if bytes.Contains(t, []byte("brain")) {
-					n++
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkTable4_Construction compares pointer vs succinct construction.
-func BenchmarkTable4_Construction(b *testing.B) {
-	setup(b)
-	b.Run("pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dom.Parse(corpora.xmark); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("succinct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Build(corpora.xmark, core.Config{SkipFM: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTable5_Traversal compares full traversals (Table V).
-func BenchmarkTable5_Traversal(b *testing.B) {
-	setup(b)
-	b.Run("pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var walk func(*dom.Node) int
-			walk = func(x *dom.Node) int {
-				n := 1
-				for c := x.FirstChild; c != nil; c = c.NextSibling {
-					n += walk(c)
-				}
-				return n
-			}
-			walk(corpora.xmarkDOM.Root)
-		}
-	})
-	b.Run("succinct", func(b *testing.B) {
-		doc := corpora.xmarkIdx.Doc
-		for i := 0; i < b.N; i++ {
-			var walk func(int) int
-			walk = func(x int) int {
-				n := 1
-				for c := doc.FirstChild(x); c != -1; c = doc.NextSibling(c) {
-					n += walk(c)
-				}
-				return n
-			}
-			walk(doc.Root())
-		}
-	})
-}
-
-// BenchmarkTable6_TaggedTraversal measures the jump primitives (Table VI).
-func BenchmarkTable6_TaggedTraversal(b *testing.B) {
-	setup(b)
-	doc := corpora.xmarkIdx.Doc
-	id := doc.TagID("keyword")
-	b.Run("jump", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for p := doc.Tag.NextOccurrence(2*id, 0); p != -1; p = doc.Tag.NextOccurrence(2*id, p+1) {
+	plain := corpora.medline.eng.Doc.Plain.All()
+	naive := func(p []byte) (n int) {
+		for _, t := range plain {
+			if bytes.Contains(t, p) {
 				n++
 			}
 		}
-	})
-	b.Run("automaton-count", func(b *testing.B) {
-		q, _ := corpora.xmarkIdx.Compile("//keyword")
-		for i := 0; i < b.N; i++ {
-			q.Count()
-		}
-	})
-	b.Run("automaton-mat", func(b *testing.B) {
-		q, _ := corpora.xmarkIdx.Compile("//keyword")
-		for i := 0; i < b.N; i++ {
-			q.Nodes()
-		}
-	})
-}
-
-// BenchmarkFig10_XMark runs the X01-X17 suite (Figure 10): SXSI counting and
-// serialization vs the DOM baseline.
-func BenchmarkFig10_XMark(b *testing.B) {
-	setup(b)
-	for _, q := range bench.XMarkQueries {
-		cq, err := corpora.xmarkIdx.Compile(q.Query)
-		if err != nil {
-			b.Fatal(q.ID, err)
-		}
-		b.Run(q.ID+"/count", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cq.Count()
+		return n
+	}
+	for _, p := range bench.Table2Patterns {
+		name, pb := strings.Trim(strconv.Quote(p), `"`), []byte(p)
+		want := naive(pb)
+		texts := map[string]float64{"texts": float64(want)}
+		for _, s := range []struct {
+			name string
+			eng  *core.Engine
+		}{{"l64", corpora.medline.eng}, {"l4", l4}} {
+			fm := s.eng.Doc.FM
+			if n := len(fm.Contains(pb)); n != want {
+				b.Fatalf("%s %q: FM contains %d texts, naive scan %d", s.name, p, n, want)
 			}
-		})
-		b.Run(q.ID+"/serialize", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cq.Serialize(io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(q.ID+"/dom", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := corpora.xmarkDOM.Eval(q.Query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			occ := map[string]float64{"occurrences": float64(fm.GlobalCount(pb))}
+			sub(b, s.name+"/"+name+"/global", occ, func() error { fm.GlobalCount(pb); return nil })
+			sub(b, s.name+"/"+name+"/contains", texts, func() error { fm.Contains(pb); return nil })
+			sub(b, s.name+"/"+name+"/locate", occ, func() error { fm.Locate(pb); return nil })
+		}
+		sub(b, "naive/"+name, texts, func() error { naive(pb); return nil })
 	}
 }
 
-// BenchmarkFig11_Treebank runs T01-T05 (Figure 11).
-func BenchmarkFig11_Treebank(b *testing.B) {
+// treeCorpora are the documents of Tables IV and V.
+func treeCorpora() []*corpus { return []*corpus{&corpora.xmark, &corpora.tbank, &corpora.medline} }
+
+type nopHandler struct{}
+
+func (nopHandler) StartElement(string, []xmlparse.Attr) error { return nil }
+func (nopHandler) EndElement(string) error                    { return nil }
+func (nopHandler) Text([]byte) error                          { return nil }
+
+// BenchmarkTable4_Construction is Table IV, per corpus: the SAX parse alone,
+// the pointer DOM, the succinct tree store (an index without the FM-index),
+// and the succinct components rebuilt from the stored tree's own data —
+// parentheses, tag sequence and tag tables (recomputed in place; identical).
+func BenchmarkTable4_Construction(b *testing.B) {
 	setup(b)
-	for _, q := range bench.TreebankQueries {
-		cq, err := corpora.tbankIdx.Compile(q.Query)
-		if err != nil {
-			b.Fatal(q.ID, err)
+	for _, c := range treeCorpora() {
+		doc := c.eng.Doc
+		parens, ids := make([]bool, doc.Par.Len()), make([]int32, doc.Tag.Len())
+		for i := range parens {
+			parens[i], ids[i] = doc.Par.IsOpen(i), doc.Tag.Access(i)
 		}
-		b.Run(q.ID, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cq.Count()
-			}
+		sub(b, c.name+"/parse", nil, func() error { return xmlparse.Parse(c.data, nopHandler{}) })
+		sub(b, c.name+"/pointer", nil, func() error { _, err := dom.Parse(c.data); return err })
+		sub(b, c.name+"/succinct", nil, func() error {
+			_, err := core.Build(c.data, core.Config{SkipFM: true})
+			return err
 		})
+		sub(b, c.name+"/parentheses", nil, func() error { bp.NewFromBools(parens); return nil })
+		sub(b, c.name+"/tags", nil, func() error { tags.Build(ids, 2*doc.NumTags()); return nil })
+		sub(b, c.name+"/tag-tables", nil, func() error { doc.RebuildTagTables(); return nil })
 	}
 }
 
-// BenchmarkFig12_Ablation toggles the evaluator optimizations (Figure 12).
-func BenchmarkFig12_Ablation(b *testing.B) {
-	setup(b)
-	configs := []struct {
-		name string
-		opts automata.Options
-	}{
-		{"naive", automata.Options{NoJump: true, NoMemo: true, NoEarly: true, NoLazy: true}},
-		{"jump-only", automata.Options{NoMemo: true, NoEarly: true}},
-		{"memo-only", automata.Options{NoJump: true, NoLazy: true}},
-		{"all-opts", automata.Options{}},
+func pointerWalk(x *dom.Node) int {
+	n := 1
+	for c := x.FirstChild; c != nil; c = c.NextSibling {
+		n += pointerWalk(c)
 	}
-	for _, cfg := range configs {
-		eng := corpora.xmarkIdx.WithEval(cfg.opts)
-		q, err := eng.Compile("//listitem[not(.//keyword/emph)]//parlist") // X10
+	return n
+}
+
+// succinctWalk counts the nodes a FirstChild/NextSibling recursion from x
+// visits; with elemsOnly it counts only elements (Table V's element
+// recursion), not text, attribute or root nodes.
+func succinctWalk(doc *xmltree.Doc, x int, elemsOnly bool) int {
+	n := 1
+	if elemsOnly {
+		switch doc.TagOf(x) {
+		case doc.TextTag(), doc.AttrsTag(), doc.AttrValTag(), doc.RootTag():
+			n = 0
+		}
+	}
+	for c := doc.FirstChild(x); c != xmltree.Nil; c = doc.NextSibling(c) {
+		n += succinctWalk(doc, c, elemsOnly)
+	}
+	return n
+}
+
+// BenchmarkTable5_Traversal is Table V, per corpus: a full recursive
+// traversal of the pointer DOM and of the succinct tree (metric: nodes), the
+// element-only recursion and //* in counting mode (metric: elements). The two
+// traversals must visit as many nodes, and //* must count every element.
+func BenchmarkTable5_Traversal(b *testing.B) {
+	setup(b)
+	for _, c := range treeCorpora() {
+		doc, tree := c.eng.Doc, c.parseDOM(b)
+		nodes, elems := succinctWalk(doc, doc.Root(), false), succinctWalk(doc, doc.Root(), true)
+		if p := pointerWalk(tree.Root); p != nodes {
+			b.Fatalf("%s: pointer walk %d nodes, succinct walk %d", c.name, p, nodes)
+		}
+		star, err := c.eng.Compile("//*")
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q.Count()
-			}
-		})
+		if n := star.Count(); n != int64(elems) {
+			b.Fatalf("%s: //* counts %d, element recursion %d", c.name, n, elems)
+		}
+		nm, em := map[string]float64{"nodes": float64(nodes)}, map[string]float64{"elements": float64(elems)}
+		sub(b, c.name+"/pointer", nm, func() error { pointerWalk(tree.Root); return nil })
+		sub(b, c.name+"/succinct", nm, func() error { succinctWalk(doc, doc.Root(), false); return nil })
+		sub(b, c.name+"/elem-rec", em, func() error { succinctWalk(doc, doc.Root(), true); return nil })
+		sub(b, c.name+"/star-count", em, counting(star))
 	}
 }
 
-// BenchmarkFig15_MedlineText runs the M-query suite (Figures 14/15). <ID>
-// counts with a compiled query whose match sets are already built; first/<ID>
-// compiles and counts per iteration, so it pays the match-set construction
-// (locate or plain scan) that a query-cache miss pays.
+// BenchmarkTable6_TaggedTraversal is Table VI over XMark, per tag: a raw
+// preorder loop over the tag's occurrences (the Go analogue of the paper's
+// C++ jump loop), //tag in counting mode and //tag materialized (metric:
+// nodes). All three must find the same number of nodes.
+func BenchmarkTable6_TaggedTraversal(b *testing.B) {
+	setup(b)
+	eng := corpora.xmark.eng
+	for _, tag := range []string{"incategory", "price", "listitem", "keyword"} {
+		open := 2 * eng.Doc.TagID(tag)
+		jump := func() (n int) {
+			for p := eng.Doc.Tag.NextOccurrence(open, 0); p != -1; p = eng.Doc.Tag.NextOccurrence(open, p+1) {
+				n++
+			}
+			return n
+		}
+		q, err := eng.Compile("//" + tag)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := jump()
+		if c, mat := q.Count(), len(q.Nodes()); n == 0 || c != int64(n) || mat != n {
+			b.Fatalf("%s: jump %d, count %d, materialized %d", tag, n, c, mat)
+		}
+		m := map[string]float64{"nodes": float64(n)}
+		sub(b, tag+"/jump", m, func() error { jump(); return nil })
+		sub(b, tag+"/count", m, counting(q))
+		sub(b, tag+"/mat", m, func() error { q.Nodes(); return nil })
+	}
+}
+
+// BenchmarkFig10_XMark is Figure 10 (X01-X17) with Figure 13's counters. Per
+// query: counting (count, whose metrics are the result count and the nodes
+// the materializing run visits and marks, Figure 13), materialization (mat),
+// materialization plus serialization (serialize), the pointer DOM's
+// evaluation and serialization (dom, dom-serialize), and, for the linear
+// paths it accepts, the one-pass streaming baseline (stream). Engine, DOM
+// and streaming counts must agree.
+func BenchmarkFig10_XMark(b *testing.B) {
+	setup(b)
+	c := &corpora.xmark
+	tree := c.parseDOM(b)
+	for _, q := range bench.XMarkQueries {
+		cq, n, dn := checkedQuery(b, c.eng, tree, q.ID, q.Query)
+		st := cq.Stats() // of checkedQuery's Nodes call
+		m := results(n)
+		m["visited/op"], m["marked/op"] = float64(st.Visited), float64(st.Marked)
+		sub(b, q.ID+"/count", m, counting(cq))
+		sub(b, q.ID+"/mat", nil, func() error { cq.Nodes(); return nil })
+		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.Serialize(io.Discard); return err })
+		sub(b, q.ID+"/dom", nil, func() error { _, err := tree.Eval(q.Query); return err })
+		var buf bytes.Buffer
+		sub(b, q.ID+"/dom-serialize", nil, func() error {
+			buf.Reset()
+			for _, x := range dn {
+				x.Serialize(&buf)
+			}
+			return nil
+		})
+		sq, err := stream.Compile(q.Query)
+		if err != nil {
+			continue // not a linear path
+		}
+		if sn, err := sq.Count(c.data); err != nil || sn != n {
+			b.Fatalf("%s: stream count %d (%v), engine %d", q.ID, sn, err, n)
+		}
+		sub(b, q.ID+"/stream", nil, func() error { _, err := sq.Count(c.data); return err })
+	}
+}
+
+// BenchmarkFig11_Treebank is Figure 11 (T01-T05): counting, materialization,
+// materialization plus serialization, and the pointer DOM, which must agree
+// with the engine.
+func BenchmarkFig11_Treebank(b *testing.B) {
+	setup(b)
+	c := &corpora.tbank
+	tree := c.parseDOM(b)
+	for _, q := range bench.TreebankQueries {
+		cq, n, _ := checkedQuery(b, c.eng, tree, q.ID, q.Query)
+		sub(b, q.ID+"/count", results(n), counting(cq))
+		sub(b, q.ID+"/mat", nil, func() error { cq.Nodes(); return nil })
+		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.Serialize(io.Discard); return err })
+		sub(b, q.ID+"/dom", nil, func() error { _, err := tree.Eval(q.Query); return err })
+	}
+}
+
+// ablation are Figure 12's evaluator configurations.
+var ablation = []struct {
+	name string
+	opts automata.Options
+}{
+	{"naive", automata.Options{NoJump: true, NoMemo: true, NoEarly: true, NoLazy: true}},
+	{"jump-only", automata.Options{NoMemo: true, NoEarly: true}},
+	{"memo-only", automata.Options{NoJump: true, NoLazy: true}},
+	{"all-opts", automata.Options{}},
+}
+
+// BenchmarkFig12_Ablation is Figure 12: X01-X17 counted under naive
+// execution, jumping only, memoization only and all optimizations. All four
+// configurations must count the same results.
+func BenchmarkFig12_Ablation(b *testing.B) {
+	setup(b)
+	engs := make([]*core.Engine, len(ablation))
+	for i, cfg := range ablation {
+		engs[i] = corpora.xmark.eng.WithEval(cfg.opts)
+	}
+	for _, q := range bench.XMarkQueries {
+		want := int64(-1)
+		for i, cfg := range ablation {
+			cq, err := engs[i].Compile(q.Query)
+			if err != nil {
+				b.Fatal(q.ID, err)
+			}
+			n := cq.Count()
+			if want >= 0 && n != want {
+				b.Fatalf("%s: %s counts %d, %s %d", q.ID, cfg.name, n, ablation[0].name, want)
+			}
+			want = n
+			sub(b, q.ID+"/"+cfg.name, results(n), counting(cq))
+		}
+	}
+}
+
+// BenchmarkFig15_MedlineText is Figures 14/15 (M01-M11). count uses a
+// compiled query whose match sets are built; first compiles and counts per
+// iteration, paying the match-set construction (locate or plain scan) a
+// query-cache miss pays; serialize and dom as in Figure 10. The count
+// metrics give the plan chosen (bottom-up, fm) next to Figure 14's
+// (paper-bottom-up, paper-fm). The DOM must agree with the engine.
 func BenchmarkFig15_MedlineText(b *testing.B) {
 	setup(b)
+	c := &corpora.medline
+	tree := c.parseDOM(b)
 	for _, q := range bench.MedlineQueries {
-		cq, err := corpora.medlineIdx.Compile(q.Query)
+		cq, n, _ := checkedQuery(b, c.eng, tree, q.ID, q.Query)
+		m := planMetrics(cq, n)
+		m["paper-bottom-up"] = oneIf(strings.HasPrefix(q.PaperStrategy, "up"))
+		m["paper-fm"] = oneIf(strings.HasSuffix(q.PaperStrategy, ",fm"))
+		sub(b, q.ID+"/count", m, counting(cq))
+		sub(b, q.ID+"/first", nil, func() error { _, err := c.eng.Count(q.Query); return err })
+		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.Serialize(io.Discard); return err })
+		sub(b, q.ID+"/dom", nil, func() error { _, err := tree.Eval(q.Query); return err })
+	}
+}
+
+var phraseLiteral = regexp.MustCompile(`"([^"]*)"`)
+
+// BenchmarkTable7_WordIndex is Table VII: W01-W05 over Medline and W06-W10
+// over the wiki corpus, counted with the word index plugged in as the
+// wcontains predicate (word), against a tokenize-and-scan of every text for
+// the query's first phrase (naive, metric: texts). The word index must find
+// the same texts as the scan.
+func BenchmarkTable7_WordIndex(b *testing.B) {
+	setup(b)
+	for _, c := range []*corpus{&corpora.medline, &corpora.wiki} {
+		texts := c.eng.Doc.Plain.All()
+		widx, err := wordindex.New(texts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := c.eng.WithQueryOptions(xpath.Options{
+			CustomMatchSets: map[string]func(string) []int32{"wcontains": widx.ContainsPhrase},
+		})
+		for _, q := range bench.WordQueries {
+			if q.Medline != (c == &corpora.medline) {
+				continue
+			}
+			phrase := phraseLiteral.FindStringSubmatch(q.Query)[1]
+			want := oracle.PhraseTexts(texts, phrase)
+			if got := widx.ContainsPhrase(phrase); !slices.Equal(got, want) {
+				b.Fatalf("%s %q: word index %d texts, scan %d", q.ID, phrase, len(got), len(want))
+			}
+			cq, err := eng.Compile(q.Query)
+			if err != nil {
+				b.Fatal(q.ID, err)
+			}
+			sub(b, q.ID+"/word", results(cq.Count()), counting(cq))
+			sub(b, q.ID+"/naive", map[string]float64{"texts": float64(len(want))}, func() error {
+				oracle.PhraseTexts(texts, phrase)
+				return nil
+			})
+		}
+	}
+}
+
+// BenchmarkFig18_PSSM is Figure 18 over the run-length-indexed BioXML corpus.
+// <matrix>/fm-backtrack is the text search alone (branch-and-bound
+// backtracking over the FM-index; metric: occurrences) and <matrix>/scan the
+// brute-force scan, which must report the same occurrences. P1-P9 are the
+// total time of a query compiled and counted with the pssm predicate backed
+// by the backtracking search, with its result count and plan.
+func BenchmarkFig18_PSSM(b *testing.B) {
+	setup(b)
+	fm, texts := corpora.bio.eng.Doc.FM, corpora.bio.eng.Doc.Plain.All()
+	matrices := map[string]pssm.Matrix{"M1": pssm.M1(), "M2": pssm.M2(), "M3": pssm.M3()}
+	for _, name := range []string{"M1", "M2", "M3"} {
+		m := matrices[name]
+		thr := m.MaxScore() * bench.PSSMThresholds[name]
+		occs := pssm.Search(fm, &m, thr)
+		if scan := pssm.ScanTexts(texts, &m, thr); !slices.Equal(occs, scan) {
+			b.Fatalf("%s: backtracking %d occurrences, scan %d", name, len(occs), len(scan))
+		}
+		occ := map[string]float64{"occurrences": float64(len(occs))}
+		sub(b, name+"/fm-backtrack", occ, func() error { pssm.Search(fm, &m, thr); return nil })
+		sub(b, name+"/scan", occ, func() error { pssm.ScanTexts(texts, &m, thr); return nil })
+	}
+	eng := corpora.bio.eng.WithQueryOptions(xpath.Options{CustomMatchSets: map[string]func(string) []int32{
+		"pssm": func(lit string) []int32 {
+			m := matrices[lit]
+			return pssm.DistinctTexts(pssm.Search(fm, &m, m.MaxScore()*bench.PSSMThresholds[lit]))
+		},
+	}})
+	for _, q := range bench.PSSMQueries {
+		cq, err := eng.Compile(q.Query)
 		if err != nil {
 			b.Fatal(q.ID, err)
 		}
-		b.Run(q.ID, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cq.Count()
-			}
-		})
+		sub(b, q.ID, planMetrics(cq, cq.Count()), func() error { _, err := eng.Count(q.Query); return err })
 	}
-	for _, q := range bench.MedlineQueries {
-		b.Run("first/"+q.ID, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := corpora.medlineIdx.Count(q.Query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+}
+
+// BenchmarkStreaming is the introduction's indexed-versus-streaming
+// comparison over XMark: bench.StreamQueries counted on the index (sxsi)
+// and by one streaming pass over the raw document (stream), whose counts
+// must agree. The speedup is stream ns/op over sxsi ns/op.
+func BenchmarkStreaming(b *testing.B) {
+	setup(b)
+	c := &corpora.xmark
+	for _, q := range bench.StreamQueries {
+		cq, err := c.eng.Compile(q.Query)
+		if err != nil {
+			b.Fatal(q.ID, err)
+		}
+		sq, err := stream.Compile(q.Query)
+		if err != nil {
+			b.Fatal(q.ID, err)
+		}
+		n := cq.Count()
+		if sn, err := sq.Count(c.data); err != nil || sn != n {
+			b.Fatalf("%s: stream count %d (%v), engine %d", q.ID, sn, err, n)
+		}
+		sub(b, q.ID+"/sxsi", results(n), counting(cq))
+		sub(b, q.ID+"/stream", results(n), func() error { _, err := sq.Count(c.data); return err })
 	}
 }
 
@@ -451,7 +679,7 @@ func BenchmarkFig15_MedlineText(b *testing.B) {
 func BenchmarkAncestor(b *testing.B) {
 	setup(b)
 	b.Run("succinct", func(b *testing.B) {
-		q, err := corpora.xmarkIdx.Compile("//keyword/ancestor::listitem")
+		q, err := corpora.xmark.eng.Compile("//keyword/ancestor::listitem")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -460,8 +688,10 @@ func BenchmarkAncestor(b *testing.B) {
 		}
 	})
 	b.Run("dom", func(b *testing.B) {
+		tree := corpora.xmark.parseDOM(b)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := corpora.xmarkDOM.Eval("//keyword/ancestor::listitem"); err != nil {
+			if _, err := tree.Eval("//keyword/ancestor::listitem"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -474,7 +704,7 @@ func BenchmarkAncestor(b *testing.B) {
 func BenchmarkPreceding(b *testing.B) {
 	setup(b)
 	b.Run("sibling", func(b *testing.B) {
-		q, err := corpora.xmarkIdx.Compile("//parlist/preceding-sibling::text")
+		q, err := corpora.xmark.eng.Compile("//parlist/preceding-sibling::text")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -484,7 +714,7 @@ func BenchmarkPreceding(b *testing.B) {
 	})
 	// Existence form: the early-exit scan stops at the first preceding match.
 	b.Run("exists", func(b *testing.B) {
-		q, err := corpora.xmarkIdx.Compile("//parlist[not(preceding::parlist)]")
+		q, err := corpora.xmark.eng.Compile("//parlist[not(preceding::parlist)]")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -504,10 +734,10 @@ func BenchmarkBackwardAxes(b *testing.B) {
 		eng   *core.Engine
 		query string
 	}{
-		{"xmark", corpora.xmarkIdx, "//keyword/parent::*"},
-		{"medline", corpora.medlineIdx, "//LastName/ancestor::MedlineCitation"},
-		{"treebank", corpora.tbankIdx, "//VP/preceding-sibling::NP"},
-		{"bioxml", corpora.bioIdx, "//exon/ancestor-or-self::gene"},
+		{"xmark", corpora.xmark.eng, "//keyword/parent::*"},
+		{"medline", corpora.medline.eng, "//LastName/ancestor::MedlineCitation"},
+		{"treebank", corpora.tbank.eng, "//VP/preceding-sibling::NP"},
+		{"bioxml", corpora.bio.eng, "//exon/ancestor-or-self::gene"},
 	}
 	for _, c := range cases {
 		q, err := c.eng.Compile(c.query)
@@ -586,45 +816,6 @@ func BenchmarkSelectDense(b *testing.B) {
 	}
 }
 
-// BenchmarkTable7_WordIndex runs phrase queries through the word index.
-func BenchmarkTable7_WordIndex(b *testing.B) {
-	setup(b)
-	widx, err := wordindex.New(corpora.medlineIdx.Doc.Plain.All())
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := corpora.medlineIdx.WithQueryOptions(xpath.Options{
-		CustomMatchSets: map[string]func(string) []int32{"wcontains": widx.ContainsPhrase},
-	})
-	q, err := eng.Compile(`//Article[.//AbstractText[wcontains(., "blood sample")]]`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("W01", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q.Count()
-		}
-	})
-}
-
-// BenchmarkFig18_PSSM runs PSSM search over the run-length-indexed BioXML
-// document (Figure 18), fm-backtracking vs plain scan.
-func BenchmarkFig18_PSSM(b *testing.B) {
-	setup(b)
-	m := pssm.M1()
-	thr := m.MaxScore() * 0.85
-	b.Run("fm-backtrack", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pssm.Search(corpora.bioIdx.Doc.FM, &m, thr)
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pssm.ScanTexts(corpora.bioIdx.Doc.Plain.All(), &m, thr)
-		}
-	})
-}
-
 // BenchmarkExistsEarly measures the lazy existence probe on the streaming
 // iterator: Exists pulls one result from the document-order scan and stops,
 // so its cost is the jump to the first verified candidate, independent of
@@ -632,7 +823,7 @@ func BenchmarkFig18_PSSM(b *testing.B) {
 // BenchmarkCountStream on the same query).
 func BenchmarkExistsEarly(b *testing.B) {
 	setup(b)
-	q, err := corpora.xmarkIdx.Compile("//listitem//keyword")
+	q, err := corpora.xmark.eng.Compile("//listitem//keyword")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -652,7 +843,7 @@ func BenchmarkExistsEarly(b *testing.B) {
 // reported allocations must stay flat as the corpus grows.
 func BenchmarkCountStream(b *testing.B) {
 	setup(b)
-	q, err := corpora.xmarkIdx.Compile("//listitem//keyword")
+	q, err := corpora.xmark.eng.Compile("//listitem//keyword")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -686,13 +877,13 @@ func setupSearch(b *testing.B) {
 	setup(b)
 	searchBench.once.Do(func() {
 		c := collection.New(collection.Config{})
-		c.Add("xmark", corpora.xmarkIdx)
-		c.Add("medline", corpora.medlineIdx)
-		c.Add("treebank", corpora.tbankIdx)
-		c.Add("bioxml", corpora.bioIdx)
+		c.Add("xmark", corpora.xmark.eng)
+		c.Add("medline", corpora.medline.eng)
+		c.Add("treebank", corpora.tbank.eng)
+		c.Add("bioxml", corpora.bio.eng)
 		freq := map[string]int{}
-		for id := 0; id < corpora.xmarkIdx.Doc.NumTexts(); id++ {
-			for _, tok := range search.Tokenize(corpora.xmarkIdx.Doc.Text(id)) {
+		for id := 0; id < corpora.xmark.eng.Doc.NumTexts(); id++ {
+			for _, tok := range search.Tokenize(corpora.xmark.eng.Doc.Text(id)) {
 				if len(tok) >= 4 {
 					freq[tok]++
 				}

@@ -1,7 +1,7 @@
-// Package bench defines the paper's benchmark workloads and the experiment
-// runners that regenerate every table and figure of the evaluation
-// (Section 6). The cmd/sxsibench binary and the root bench_test.go are thin
-// wrappers around this package; EXPERIMENTS.md records the outcomes.
+// Package bench defines the query suites of the paper's evaluation (Section
+// 6). The root package's bench_test.go runs the experiments over them, and
+// internal/oracle's suites test checks them against the DOM, streaming and
+// scan baselines.
 package bench
 
 // XMarkQueries are X01-X17 of Figure 9: XPathMark tree-oriented queries
@@ -93,4 +93,17 @@ var PSSMQueries = []struct{ ID, Query string }{
 	{"P7", `//*[pssm(., 'M1')]`},
 	{"P8", `//*[pssm(., 'M2')]`},
 	{"P9", `//*[pssm(., 'M3')]`},
+}
+
+// PSSMThresholds are the Figure 18 score thresholds per matrix, as fractions
+// of the matrix maximum.
+var PSSMThresholds = map[string]float64{"M1": 0.85, "M2": 0.80, "M3": 0.78}
+
+// StreamQueries are the linear paths of the introduction's indexed versus
+// streaming comparison.
+var StreamQueries = []struct{ ID, Query string }{
+	{"S1", "//keyword"},
+	{"S2", "//listitem//keyword"},
+	{"S3", "/site/regions/*/item"},
+	{"S4", "//incategory/@category"},
 }

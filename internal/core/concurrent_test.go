@@ -137,7 +137,7 @@ func TestConcurrentClones(t *testing.T) {
 				case 1:
 					e = eng.WithEval(automata.Options{NoJump: it%2 == 0, NoLazy: true})
 				case 2:
-					e = eng.WithQueryOptions(xpath.Options{DisableBottomUp: true, ForceNaiveText: it%2 == 0})
+					e = eng.WithQueryOptions(xpath.Options{ForceStrategy: xpath.StrategyTopDown, ForceNaiveText: it%2 == 0})
 				}
 				if n, err := e.Count(q); err != nil || n != base {
 					errc <- fmt.Errorf("g%d it%d: count %d, %v; want %d", g, it, n, err, base)

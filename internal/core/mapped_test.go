@@ -51,7 +51,7 @@ func TestMappedIdenticalOutput(t *testing.T) {
 		opts xpath.Options
 	}{
 		{"default", xpath.Options{}},
-		{"no-bottomup", xpath.Options{DisableBottomUp: true}},
+		{"no-bottomup", xpath.Options{ForceStrategy: xpath.StrategyTopDown}},
 		{"naive-text", xpath.Options{ForceNaiveText: true}},
 	}
 	dir := t.TempDir()

@@ -8,10 +8,12 @@
 package oracle
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/dom"
 	"repro/internal/gen"
+	"repro/internal/wordindex"
 )
 
 // Vocab is the query-generation vocabulary extracted from one document.
@@ -222,4 +224,22 @@ func pick(r *gen.RNG, xs []string) string {
 		return "empty"
 	}
 	return xs[r.Intn(len(xs))]
+}
+
+// PhraseTexts is the naive reference for the word index's ContainsPhrase
+// (Table VII): it tokenizes every text and returns, in order, the ids of
+// those in which the phrase's words occur consecutively.
+func PhraseTexts(texts [][]byte, phrase string) []int32 {
+	want := wordindex.Tokenize([]byte(phrase))
+	var out []int32
+	for id, t := range texts {
+		words := wordindex.Tokenize(t)
+		for i := 0; len(want) > 0 && i+len(want) <= len(words); i++ {
+			if slices.Equal(words[i:i+len(want)], want) {
+				out = append(out, int32(id))
+				break
+			}
+		}
+	}
+	return out
 }

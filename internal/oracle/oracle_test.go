@@ -26,7 +26,7 @@ var corpora = []struct {
 
 // TestDifferential is the differential oracle suite: ≥500 random
 // (document, query) pairs, each evaluated by the succinct engine (default
-// planner and, for a rotating third of the pairs, with the bottom-up plan or
+// planner and, for a rotating third of the pairs, forced top-down or with
 // the FM-index disabled) and by the naive dom walker; node sets must agree
 // exactly (by preorder number), and Count must agree with the set size.
 func TestDifferential(t *testing.T) {
@@ -53,7 +53,7 @@ func TestDifferential(t *testing.T) {
 				e := eng
 				switch i % 3 {
 				case 1:
-					e = eng.WithQueryOptions(xpath.Options{DisableBottomUp: true})
+					e = eng.WithQueryOptions(xpath.Options{ForceStrategy: xpath.StrategyTopDown})
 				case 2:
 					e = eng.WithQueryOptions(xpath.Options{ForceNaiveText: true})
 				}

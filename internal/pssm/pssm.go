@@ -130,7 +130,7 @@ func Search(fm *fmindex.Index, m *Matrix, threshold float64) []fmindex.Occurrenc
 		if col < 0 {
 			for i := sp; i < ep; i++ {
 				// One located occurrence per matching BWT row.
-				out = append(out, locate(fm, i))
+				out = append(out, fm.LocateRow(i))
 			}
 			return
 		}
@@ -154,11 +154,6 @@ func Search(fm *fmindex.Index, m *Matrix, threshold float64) []fmindex.Occurrenc
 		return out[a].Offset < out[b].Offset
 	})
 	return out
-}
-
-func locate(fm *fmindex.Index, row int) fmindex.Occurrence {
-	occ := fm.LocateRow(row)
-	return occ
 }
 
 // DistinctTexts reduces occurrences to the sorted set of text identifiers.

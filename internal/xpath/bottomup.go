@@ -60,7 +60,7 @@ type dstep struct {
 // Eligibility is purely structural; whether the plan actually runs is the
 // cost model's decision (chooseStrategy in cost.go).
 func buildBottomUpPlan(doc *xmltree.Doc, path *Path, opts Options) *buPlan {
-	if doc.FM == nil || opts.DisableBottomUp || opts.ForceNaiveText {
+	if doc.FM == nil || opts.ForceNaiveText {
 		return nil
 	}
 	k := len(path.Steps)

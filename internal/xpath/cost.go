@@ -78,8 +78,7 @@ type CostEstimate struct {
 	// BottomUpOK reports whether the query shape supports the bottom-up
 	// plan at all (downward path, one trailing indexable text predicate).
 	BottomUpOK bool
-	// Forced reports that ForceStrategy (or the legacy DisableBottomUp
-	// toggle) overrode the cost comparison.
+	// Forced reports that ForceStrategy overrode the cost comparison.
 	Forced bool
 	// Chosen is the strategy the query will run under.
 	Chosen Strategy
@@ -116,7 +115,7 @@ func chooseStrategy(doc *xmltree.Doc, path *Path, opts Options, plan *buPlan) Co
 		BottomUpOK:    plan != nil,
 		Chosen:        StrategyTopDown,
 	}
-	if opts.DisableBottomUp || opts.ForceStrategy == StrategyTopDown {
+	if opts.ForceStrategy == StrategyTopDown {
 		est.Forced = true
 		return est
 	}

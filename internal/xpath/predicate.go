@@ -157,7 +157,7 @@ func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
 // step of a locate walk, read from the benchmark's fmindex.locate_ns_per_occ
 // (2.3-5.9 us per occurrence at l = 64, i.e. 70-180 ns per step). scanByteNs
 // is one byte of a bytes.Contains pass over the plain store, read from the
-// naive-scan row of BenchmarkTable2_FMSearch (0.99 ms over 2 MB of Medline).
+// naive/<pattern> rows of BenchmarkTable2_FMSearch (~1 ms over 2 MB Medline).
 const (
 	lfStepNs   = 150
 	scanByteNs = 1

@@ -18,10 +18,6 @@ type Options struct {
 	// StrategyBottomUp only takes effect on queries whose shape supports the
 	// bottom-up plan.
 	ForceStrategy Strategy
-	// DisableBottomUp forces TopDownRun even for eligible queries. It
-	// predates ForceStrategy and additionally suppresses the FM statistics
-	// lookup; StrategyTopDown is the preferred spelling.
-	DisableBottomUp bool
 	// ForceNaiveText disables the FM-index for text predicates, using the
 	// naive string-value semantics everywhere.
 	ForceNaiveText bool

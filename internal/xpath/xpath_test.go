@@ -33,9 +33,9 @@ var configs = []struct {
 	{"noearly", Options{Eval: automata.Options{NoEarly: true}}},
 	{"nolazy", Options{Eval: automata.Options{NoLazy: true}}},
 	{"naiveall", Options{Eval: automata.Options{NoJump: true, NoMemo: true, NoEarly: true, NoLazy: true}}},
-	{"nobottomup", Options{DisableBottomUp: true}},
+	{"nobottomup", Options{ForceStrategy: StrategyTopDown}},
 	{"naivetext", Options{ForceNaiveText: true}},
-	{"nofm-nobu", Options{ForceNaiveText: true, DisableBottomUp: true}},
+	{"nofm-nobu", Options{ForceNaiveText: true, ForceStrategy: StrategyTopDown}},
 	{"plainscan", Options{PlainCutoff: 1}},
 	{"fmonly", Options{PlainCutoff: math.MaxInt}},
 }
