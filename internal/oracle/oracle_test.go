@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -28,7 +29,8 @@ var corpora = []struct {
 // (document, query) pairs, each evaluated by the succinct engine (default
 // planner and, for a rotating third of the pairs, forced top-down or with
 // the FM-index disabled) and by the naive dom walker; node sets must agree
-// exactly (by preorder number), and Count must agree with the set size.
+// exactly (by preorder number), Count must agree with the set size, and
+// Serialize must write the DOM's serialization of the set.
 func TestDifferential(t *testing.T) {
 	const queriesPerDoc = 60
 	pairs, mismatches := 0, 0
@@ -105,6 +107,31 @@ func checkOne(t *testing.T, name string, eng *core.Engine, tree *dom.Tree, q str
 	}
 	if n != int64(len(want)) {
 		t.Errorf("%s: %q: engine count %d, oracle %d", name, q, n, len(want))
+		return false
+	}
+	return sameSerialization(t, name+": "+q, eng, q, want)
+}
+
+// sameSerialization checks Serialize against the DOM's serialization of
+// the oracle's result nodes, each followed by a newline, byte for byte.
+func sameSerialization(t *testing.T, id string, eng *core.Engine, q string, want []*dom.Node) bool {
+	t.Helper()
+	var got, exp bytes.Buffer
+	if _, err := eng.Serialize(q, &got); err != nil {
+		t.Errorf("%s: serialize: %v", id, err)
+		return false
+	}
+	for _, n := range want {
+		n.Serialize(&exp)
+		exp.WriteByte('\n')
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		i := 0
+		for i < got.Len() && i < exp.Len() && got.Bytes()[i] == exp.Bytes()[i] {
+			i++
+		}
+		t.Errorf("%s: serialization differs from the DOM's at byte %d of %d/%d: %.80q vs %.80q",
+			id, i, got.Len(), exp.Len(), got.Bytes()[i:], exp.Bytes()[i:])
 		return false
 	}
 	return true

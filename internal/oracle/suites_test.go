@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -87,10 +88,12 @@ func sameResults(t *testing.T, id string, a, b *core.Engine, src string) int {
 // TestPaperSuites checks the query suites of the Section 6 benchmarks
 // (internal/bench) against the baselines those benchmarks compare with, on
 // 64 KB corpora:
-//   - X01-X17, T01-T05 and M01-M11: Count and Nodes equal the DOM's under
-//     auto, top-down and bottom-up, each with the four Figure 12 ablation
-//     configurations, and the streaming count wherever stream.Compile
-//     accepts the query; so do the introduction's streaming paths;
+//   - X01-X17, T01-T05 and M01-M11: Count and Nodes equal the DOM's, and
+//     Serialize writes the DOM's serialization byte for byte, under auto,
+//     top-down and bottom-up, each with the four Figure 12 ablation
+//     configurations; the streaming count equals the DOM's wherever
+//     stream.Compile accepts the query; so do the introduction's streaming
+//     paths;
 //   - Table V: the succinct traversal visits as many nodes as the DOM's;
 //   - Table VI: each tag's raw occurrence loop finds the DOM's //tag count;
 //   - W01-W10 through the word index equal a naive phrase scan;
@@ -140,10 +143,11 @@ func TestPaperSuites(t *testing.T) {
 				if err != nil {
 					t.Fatal(q.ID, err)
 				}
+				id := fmt.Sprintf("%s %s, %s/ablation %d", s.name, q.ID, forcedStrategies[i/len(fig12)], i%len(fig12))
 				if got := toPreorders(eng, nodes); !slices.Equal(got, wantOrders) || n != int64(len(want)) {
-					t.Errorf("%s %s, %s/ablation %d: %d nodes, count %d; DOM %d",
-						s.name, q.ID, forcedStrategies[i/len(fig12)], i%len(fig12), len(got), n, len(want))
+					t.Errorf("%s: %d nodes, count %d; DOM %d", id, len(got), n, len(want))
 				}
+				sameSerialization(t, id, e, q.Query, want)
 			}
 			if sq, err := stream.Compile(q.Query); err == nil {
 				if n, err := sq.Count(s.data); err != nil || n != int64(len(want)) {

@@ -411,37 +411,43 @@ func indexFrom(data []byte, from int, sub string) int {
 	return from + idx
 }
 
-// Escape writes s with the five predefined entities escaped, for
-// serialization (Section 4.3 / experimental protocol in Section 6.1).
-func Escape(s []byte, attr bool) []byte {
-	needs := false
-	for _, c := range s {
-		if c == '&' || c == '<' || c == '>' || (attr && (c == '"' || c == '\'')) {
-			needs = true
-			break
+// AppendEscape appends s to dst with the predefined entities escaped, for
+// serialization (Section 4.3 / experimental protocol in Section 6.1): &, <
+// and > always, and the quotes " and ' too when attr is set, so the result
+// can sit inside a quoted attribute value. Runs of bytes that need no
+// escaping are copied in one append.
+func AppendEscape(dst, s []byte, attr bool) []byte {
+	last := 0
+	for i, c := range s {
+		if c > '>' {
+			continue // every byte that needs escaping is at most '>'
 		}
-	}
-	if !needs {
-		return s
-	}
-	out := make([]byte, 0, len(s)+8)
-	for _, c := range s {
-		switch {
-		case c == '&':
-			out = append(out, "&amp;"...)
-		case c == '<':
-			out = append(out, "&lt;"...)
-		case c == '>':
-			out = append(out, "&gt;"...)
-		case attr && c == '"':
-			out = append(out, "&quot;"...)
-		case attr && c == '\'':
-			out = append(out, "&apos;"...)
+		var ent string
+		switch c {
+		case '&':
+			ent = "&amp;"
+		case '<':
+			ent = "&lt;"
+		case '>':
+			ent = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ent = "&quot;"
+		case '\'':
+			if !attr {
+				continue
+			}
+			ent = "&apos;"
 		default:
-			out = append(out, c)
+			continue
 		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, ent...)
+		last = i + 1
 	}
-	return out
+	return append(dst, s[last:]...)
 }
 
 func min(a, b int) int {

@@ -153,8 +153,8 @@ func TestErrorOffsetReported(t *testing.T) {
 
 func TestEscapeRoundTrip(t *testing.T) {
 	orig := `a<b&c>"d'e`
-	esc := string(Escape([]byte(orig), true))
-	doc := `<x t="` + esc + `">` + string(Escape([]byte(orig), false)) + `</x>`
+	esc := string(AppendEscape(nil, []byte(orig), true))
+	doc := `<x t="` + esc + `">` + string(AppendEscape(nil, []byte(orig), false)) + `</x>`
 	rec := &recorder{}
 	if err := Parse([]byte(doc), rec); err != nil {
 		t.Fatalf("%v (doc=%q)", err, doc)

@@ -9,8 +9,6 @@ package xmltree
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"io"
 
 	"repro/internal/bitvec"
 	"repro/internal/bp"
@@ -26,6 +24,19 @@ const (
 	AttrsLabel   = "@" // attribute container (first child)
 	AttrValLabel = "%" // attribute value leaf
 )
+
+// Tag ids of the reserved labels. ParseRaw interns the reserved labels
+// first, in this order, and ReadIndexMapped rejects a label table that
+// disagrees, so the ids are constants and the hot paths never look them up.
+const (
+	rootTag int32 = iota
+	textTag
+	attrsTag
+	attrValTag
+)
+
+// reservedLabels lists the reserved labels by tag id.
+var reservedLabels = [...]string{rootTag: RootLabel, textTag: TextLabel, attrsTag: AttrsLabel, attrValTag: AttrValLabel}
 
 // Nil is the missing-node sentinel, shared with package bp.
 const Nil = bp.Nil
@@ -219,15 +230,14 @@ func Parse(data []byte, opts Options) (*Doc, error) {
 func ParseRaw(ctx context.Context, data []byte) (*Raw, error) {
 	raw := &Raw{NameID: map[string]int32{}}
 	b := &builder{raw: raw}
-	// Pre-intern the reserved labels so their ids are stable and small.
-	for _, s := range []string{RootLabel, TextLabel, AttrsLabel, AttrValLabel} {
+	for _, s := range reservedLabels {
 		b.intern(s)
 	}
-	b.open(raw.NameID[RootLabel])
+	b.open(rootTag)
 	if err := xmlparse.ParseCtx(ctx, data, b); err != nil {
 		return nil, err
 	}
-	b.close(raw.NameID[RootLabel])
+	b.close(rootTag)
 	return raw, nil
 }
 
@@ -257,15 +267,14 @@ func (b *builder) StartElement(name string, attrs []xmlparse.Attr) error {
 	tag := b.intern(name)
 	b.open(tag)
 	if len(attrs) > 0 {
-		at := b.raw.NameID[AttrsLabel]
-		b.open(at)
+		b.open(attrsTag)
 		for _, a := range attrs {
 			atag := b.intern(a.Name)
 			b.open(atag)
-			b.textLeaf(b.raw.NameID[AttrValLabel], []byte(a.Value))
+			b.textLeaf(attrValTag, []byte(a.Value))
 			b.close(atag)
 		}
-		b.close(at)
+		b.close(attrsTag)
 	}
 	return nil
 }
@@ -282,7 +291,7 @@ func (b *builder) Text(data []byte) error {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	b.textLeaf(b.raw.NameID[TextLabel], cp)
+	b.textLeaf(textTag, cp)
 	return nil
 }
 
@@ -384,9 +393,6 @@ func (d *Doc) buildTagTablesCtx(ctx context.Context) error {
 		d.follSibTags[i] = newTagSet(nTags)
 		d.follTags[i] = newTagSet(nTags)
 	}
-	textTag := d.nameID[TextLabel]
-	attrsTag := d.nameID[AttrsLabel]
-
 	type tframe struct {
 		tag      int32
 		desc     tagSet
@@ -490,10 +496,10 @@ func (d *Doc) TagID(name string) int32 {
 }
 
 // RootTag, TextTag, AttrsTag, AttrValTag return the reserved tag ids.
-func (d *Doc) RootTag() int32    { return d.nameID[RootLabel] }
-func (d *Doc) TextTag() int32    { return d.nameID[TextLabel] }
-func (d *Doc) AttrsTag() int32   { return d.nameID[AttrsLabel] }
-func (d *Doc) AttrValTag() int32 { return d.nameID[AttrValLabel] }
+func (d *Doc) RootTag() int32    { return rootTag }
+func (d *Doc) TextTag() int32    { return textTag }
+func (d *Doc) AttrsTag() int32   { return attrsTag }
+func (d *Doc) AttrValTag() int32 { return attrValTag }
 
 // TagCount returns the number of nodes labeled tag.
 func (d *Doc) TagCount(tag int32) int {
@@ -685,79 +691,6 @@ func (d *Doc) TextValue(x int) []byte {
 		return single
 	}
 	return buf.Bytes()
-}
-
-// --- Serialization (Section 4.3) ---
-
-// GetText writes the text with identifier id to w.
-func (d *Doc) GetText(id int, w io.Writer) error {
-	_, err := w.Write(d.Text(id))
-	return err
-}
-
-// GetSubtree serializes the XML content of the subtree rooted at x to w,
-// reproducing tags, attributes and escaped text.
-func (d *Doc) GetSubtree(x int, w io.Writer) error {
-	return d.serialize(x, w)
-}
-
-func (d *Doc) serialize(x int, w io.Writer) error {
-	tag := d.TagOf(x)
-	switch tag {
-	case d.TextTag(), d.AttrValTag():
-		id := d.NodeToTextID(x)
-		if id >= 0 {
-			if _, err := w.Write(xmlparse.Escape(d.Text(id), false)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case d.RootTag():
-		for c := d.FirstChild(x); c != Nil; c = d.NextSibling(c) {
-			if err := d.serialize(c, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	case d.AttrsTag():
-		return nil // handled by the parent element
-	}
-	name := d.TagName(tag)
-	if _, err := io.WriteString(w, "<"+name); err != nil {
-		return err
-	}
-	first := d.FirstChild(x)
-	content := first
-	if first != Nil && d.TagOf(first) == d.AttrsTag() {
-		for a := d.FirstChild(first); a != Nil; a = d.NextSibling(a) {
-			aname := d.TagName(d.TagOf(a))
-			leaf := d.FirstChild(a)
-			var val []byte
-			if leaf != Nil {
-				if id := d.NodeToTextID(leaf); id >= 0 {
-					val = d.Text(id)
-				}
-			}
-			if _, err := fmt.Fprintf(w, " %s=\"%s\"", aname, xmlparse.Escape(val, true)); err != nil {
-				return err
-			}
-		}
-		content = d.NextSibling(first)
-	}
-	if content == Nil {
-		_, err := io.WriteString(w, "/>")
-		return err
-	}
-	if _, err := io.WriteString(w, ">"); err != nil {
-		return err
-	}
-	for c := content; c != Nil; c = d.NextSibling(c) {
-		if err := d.serialize(c, w); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "</"+name+">")
-	return err
 }
 
 // AliasedBytes returns the size of the buffer this document's payloads

@@ -121,6 +121,17 @@ func TestOldVersionRejected(t *testing.T) {
 	}
 }
 
+// TestReservedLabelsOutOfPlace: the reserved tag ids are constants, so a
+// label table that does not start with &, #, @, % in that order is corrupt.
+func TestReservedLabelsOutOfPlace(t *testing.T) {
+	d := mustParse(t, Options{SampleRate: 4})
+	d.names[textTag], d.names[attrsTag] = d.names[attrsTag], d.names[textTag]
+	_, err := ReadIndexMapped(saveBytes(t, d), Options{})
+	if !errors.Is(err, ErrBadIndexFile) || !strings.Contains(err.Error(), "reserved labels") {
+		t.Fatalf("swapped reserved labels: %v", err)
+	}
+}
+
 // TestResaveByteIdentical: v3 → open → save must be a fixed point, both
 // from an aligned heap buffer and from a real mapping of the file.
 func TestResaveByteIdentical(t *testing.T) {

@@ -217,6 +217,9 @@ func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
 		if err := pr.Check(len(d.nameID) == n, "duplicate label name"); err != nil {
 			return err
 		}
+		if err := pr.Check([4]string(d.names) == reservedLabels, "reserved labels out of place"); err != nil {
+			return err
+		}
 	case secTree:
 		if d.Par = bp.Read(pr); d.Par == nil {
 			return pr.Err()

@@ -351,11 +351,24 @@ func (p *buPlan) matchUp(node, i int, memo map[nodeStep]bool) bool {
 
 // matchesTest checks a node test directly on a document node.
 func matchesTest(d *xmltree.Doc, x int, t NodeTest) bool {
-	tag := d.TagOf(x)
+	return tagMatches(d, d.TagOf(x), t, testTag(d, t))
+}
+
+// testTag resolves a name test to its tag id; it is -1 for the other tests
+// and for a name that does not occur.
+func testTag(d *xmltree.Doc, t NodeTest) int32 {
+	if t.Kind != TestName {
+		return -1
+	}
+	return d.TagID(t.Name)
+}
+
+// tagMatches checks a node test on a node's tag, with the test's name
+// already resolved by testTag.
+func tagMatches(d *xmltree.Doc, tag int32, t NodeTest, name int32) bool {
 	switch t.Kind {
 	case TestName:
-		id := d.TagID(t.Name)
-		return id >= 0 && tag == id
+		return tag == name
 	case TestStar:
 		return tag != d.TextTag() && tag != d.AttrsTag() && tag != d.AttrValTag() && tag != d.RootTag()
 	case TestText:

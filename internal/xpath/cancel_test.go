@@ -8,6 +8,7 @@ package xpath
 // the scanning iterator every 256 candidates).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -279,6 +280,43 @@ func TestMidFlightCancelScanIter(t *testing.T) {
 	}
 	if err := it.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Err = %v, want Canceled", err)
+	}
+}
+
+// cancelWriter counts the bytes it receives and cancels on the first Write.
+type cancelWriter struct {
+	cancel context.CancelFunc
+	n      int
+}
+
+func (w *cancelWriter) Write(p []byte) (int, error) {
+	w.cancel()
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestMidFlightCancelSerialize cancels while one result is being written:
+// the serializer polls at every chunk it hands to the writer, so a single
+// subtree of more than 1 MB stops after its first chunk instead of running
+// to the end.
+func TestMidFlightCancelSerialize(t *testing.T) {
+	d := wideDoc(t, 150000)
+	q, err := Compile("/r", d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all bytes.Buffer
+	if n, err := q.Serialize(&all); n != 1 || err != nil || all.Len() < 1<<20 {
+		t.Fatalf("uncancelled: %d results, %d bytes, %v", n, all.Len(), err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &cancelWriter{cancel: cancel}
+	if _, err := q.SerializeCtx(ctx, w); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if w.n == 0 || w.n >= all.Len()/2 {
+		t.Fatalf("%d of %d bytes written after cancelling at the first chunk", w.n, all.Len())
 	}
 }
 

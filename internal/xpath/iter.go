@@ -83,10 +83,10 @@ func (it *materializedIter) Close() error {
 // scanIter lazily evaluates a pure downward path (child/descendant axes
 // only, no navigational post segment) in document order: candidates for the
 // last step come from a tag-row occurrence scan (named and text() tests) or
-// a preorder sweep (star and node() tests), and each candidate is verified
-// upward with upMatch. Predicates anywhere in the path are evaluated with
-// the naive navigational semantics (navEvalExpr), which the differential
-// suite pins against the DOM oracle.
+// a sweep over the opening parentheses (star and node() tests), and each
+// candidate is verified upward with upMatchEval. Predicates anywhere in the
+// path are evaluated with the naive navigational semantics (navEvalExpr),
+// which the differential suite pins against the DOM oracle.
 type scanIter struct {
 	ctx  context.Context
 	done <-chan struct{}
@@ -94,17 +94,23 @@ type scanIter struct {
 	opts Options
 
 	steps []*Step
+	names []int32 // each step's name test resolved by testTag
 
 	useJump   bool
 	jumpTag   int32
-	pos       int // next BP position to probe (jump mode)
-	k, n      int // next preorder rank and limit (sweep mode)
+	rank      int // next occurrence of jumpTag to yield (jump mode)
+	pos       int // next BP position to probe (sweep mode)
 	exhausted bool
 
-	memo    map[nodeStep]bool
-	checked int
-	err     error
-	closed  bool
+	// memo holds the verdicts of steps memoFrom.. before the last, keyed by
+	// node*len(steps)+step. The steps before memoFrom are child or leading
+	// descendant steps without filters, verified in one parent move each,
+	// which costs less than a map operation and allocates nothing.
+	memo     map[uint64]bool
+	memoFrom int
+	checked  int
+	err      error
+	closed   bool
 }
 
 func newScanIter(ctx context.Context, d *xmltree.Doc, opts Options, steps []*Step) *scanIter {
@@ -114,9 +120,10 @@ func newScanIter(ctx context.Context, d *xmltree.Doc, opts Options, steps []*Ste
 		d:     d,
 		opts:  opts,
 		steps: steps,
-		memo:  map[nodeStep]bool{},
+		names: make([]int32, len(steps)),
 		err:   ctxErr(ctx),
 	}
+	it.resolveSteps()
 	last := steps[len(steps)-1]
 	if tag, ok := navJumpTag(d, last.Test); ok {
 		if tag < 0 {
@@ -125,10 +132,24 @@ func newScanIter(ctx context.Context, d *xmltree.Doc, opts Options, steps []*Ste
 			it.useJump = true
 			it.jumpTag = tag
 		}
-	} else {
-		it.n = d.NumNodes()
 	}
 	return it
+}
+
+// resolveSteps fills names and memoFrom from the steps.
+func (it *scanIter) resolveSteps() {
+	it.memoFrom = len(it.steps)
+	for i, st := range it.steps {
+		it.names[i] = testTag(it.d, st.Test)
+		if it.memoFrom == len(it.steps) && (len(st.Filters) > 0 || i > 0 && st.Axis == AxisDescendant) {
+			it.memoFrom = i
+		}
+	}
+}
+
+// matches checks step i's node test on node x.
+func (it *scanIter) matches(x, i int) bool {
+	return tagMatches(it.d, it.d.TagOf(x), it.steps[i].Test, it.names[i])
 }
 
 // nextCandidate yields the next node matching the last step's test, in
@@ -138,45 +159,54 @@ func (it *scanIter) nextCandidate() (int, bool) {
 		return 0, false
 	}
 	if it.useJump {
-		q := it.d.Tag.NextOccurrence(2*it.jumpTag, it.pos)
+		q := it.d.Tag.Select(2*it.jumpTag, it.rank)
 		if q < 0 {
 			it.exhausted = true
 			return 0, false
 		}
-		it.pos = q + 1
+		it.rank++
 		return q, true
 	}
-	last := it.steps[len(it.steps)-1]
-	for it.k < it.n {
-		x := it.d.NodeAtPreorder(it.k)
-		it.k++
-		if matchesTest(it.d, x, last.Test) {
-			return x, true
+	// Sweep: every opening parenthesis, in position order.
+	last := len(it.steps) - 1
+	for n := it.d.Par.Len(); it.pos < n; {
+		p := it.pos
+		it.pos++
+		if it.d.Par.IsOpen(p) && it.matches(p, last) {
+			return p, true
 		}
 	}
 	it.exhausted = true
 	return 0, false
 }
 
-// upMatch reports whether node x can play the role of step i: it satisfies
-// the step's test and filters, and some ancestor chain above it matches
-// steps[0..i-1], anchored at the synthetic root by step 0's axis. Verdicts
-// are memoized per (node, step), so ancestors shared between candidates are
+// upMatch is upMatchEval for a step before the last, memoized per (node,
+// step) from memoFrom on, so ancestors shared between candidates are
 // verified once — the streaming analogue of the bottom-up verifier's
-// stop-at-LCA memoization.
+// stop-at-LCA memoization. The last step is not memoized: each candidate
+// reaches it exactly once.
 func (it *scanIter) upMatch(x, i int) bool {
-	key := nodeStep{x, i}
+	if i < it.memoFrom {
+		return it.upMatchEval(x, i)
+	}
+	key := uint64(x)*uint64(len(it.steps)) + uint64(i)
 	if v, ok := it.memo[key]; ok {
 		return v
+	}
+	if it.memo == nil {
+		it.memo = map[uint64]bool{}
 	}
 	res := it.upMatchEval(x, i)
 	it.memo[key] = res
 	return res
 }
 
+// upMatchEval reports whether node x can play the role of step i: it
+// satisfies the step's test and filters, and some ancestor chain above it
+// matches steps[0..i-1], anchored at the synthetic root by step 0's axis.
 func (it *scanIter) upMatchEval(x, i int) bool {
 	d, st := it.d, it.steps[i]
-	if !matchesTest(d, x, st.Test) {
+	if !it.matches(x, i) {
 		return false
 	}
 	for _, f := range st.Filters {
@@ -221,7 +251,7 @@ func (it *scanIter) Next() (int, bool) {
 		if !ok {
 			return 0, false
 		}
-		if it.upMatch(x, last) {
+		if it.upMatchEval(x, last) {
 			return x, true
 		}
 	}

@@ -370,34 +370,35 @@ func (q *Query) Serialize(w io.Writer) (int, error) {
 	return q.SerializeCtx(context.Background(), w)
 }
 
-// SerializeCtx streams the XML serialization of the result nodes to w,
-// pulling from the lazy iterator so streamable queries hold at most one
-// result at a time, and returns the number of results written.
+// SerializeCtx streams the XML serialization of the result nodes to w, each
+// followed by a newline, and returns the number of results. It pulls from
+// the lazy iterator, so streamable queries hold at most one result at a
+// time, and writes through one xmltree.Serializer: w receives one Write per
+// 32 KB chunk, and cancellation is observed between results and at every
+// chunk, also inside one large subtree. On error, the count includes
+// results that were buffered but never reached w.
 func (q *Query) SerializeCtx(ctx context.Context, w io.Writer) (int, error) {
 	it := q.Iter(ctx)
 	defer it.Close()
+	s := q.doc.NewSerializer(ctx, w)
 	n := 0
 	for {
 		x, ok := it.Next()
 		if !ok {
 			break
 		}
-		tag := q.doc.TagOf(x)
-		var err error
-		if tag == q.doc.TextTag() || tag == q.doc.AttrValTag() {
-			err = q.doc.GetText(q.doc.NodeToTextID(x), w)
-		} else {
-			err = q.doc.GetSubtree(x, w)
-		}
-		if err != nil {
+		if err := s.Subtree(x); err != nil {
 			return n, err
 		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		if err := s.WriteByte('\n'); err != nil {
 			return n, err
 		}
 		n++
 	}
-	return n, it.Err()
+	if err := it.Err(); err != nil {
+		return n, err
+	}
+	return n, s.Flush()
 }
 
 func (q *Query) setStats(s automata.Stats) {

@@ -277,6 +277,27 @@ func TestSerialize(t *testing.T) {
 	if strings.TrimSpace(buf.String()) != "<color>blue</color>" {
 		t.Fatalf("serialized %q", buf.String())
 	}
+
+	// Text and attribute results are escaped like any text leaf, so every
+	// result is well-formed XML content.
+	d, err = xmltree.Parse([]byte(`<r><a k="1 &lt; &quot;2&quot;">x &amp; y &lt; z</a></r>`), xmltree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src, want := range map[string]string{
+		"//a/text()": "x &amp; y &lt; z\n",
+		"//a/@k":     "<k>1 &lt; \"2\"</k>\n",
+		"//a":        "<a k=\"1 &lt; &quot;2&quot;\">x &amp; y &lt; z</a>\n",
+	} {
+		q, err := Compile(src, d, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if _, err := q.Serialize(&buf); err != nil || buf.String() != want {
+			t.Errorf("%s: serialized %q (%v), want %q", src, buf.String(), err, want)
+		}
+	}
 }
 
 func TestParseErrors(t *testing.T) {
