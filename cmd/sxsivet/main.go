@@ -1,38 +1,23 @@
-// Command sxsivet is the repo-specific static analysis suite: five
-// analyzers that mechanize the engine's safety contracts (mapped memory
-// is read-only, document-scale loops poll their context, on-disk
-// lengths are capped before allocation, load paths wrap
-// persist.ErrCorrupt, guarded-by annotations hold).
+// Command sxsivet is the repo-specific static analysis suite: three
+// analyzers for contracts that tests cannot observe or that have already
+// produced real bugs (mapped memory is read-only, document-scale loops
+// poll their context, guarded-by annotations hold). It runs under the
+// go vet harness, which supplies export data per package and caches the
+// results:
 //
-// Two ways to run it:
+//	go build -o /tmp/sxsivet repro/cmd/sxsivet
+//	go vet -vettool=/tmp/sxsivet ./...
 //
-//	go vet -vettool=$(go env GOPATH)/bin/sxsivet ./...   # vet harness
-//	go run ./cmd/sxsivet ./...                           # standalone
-//
-// Under `go vet -vettool` the tool speaks cmd/go's unit-checker
-// protocol (per-package JSON configs, export data supplied, results
-// cached by the build system). Standalone mode loads packages itself
-// through `go list -export` — same analyzers, same output, no vet
-// caching. Suppress a finding with an in-source comment:
+// Suppress a finding with an in-source comment:
 //
 //	//sxsivet:ignore <analyzer> <reason>
 package main
 
 import (
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 	"repro/internal/lint/checker"
 )
 
-func main() {
-	args := os.Args[1:]
-	if len(args) == 1 && (strings.HasPrefix(args[0], "-V") || args[0] == "-flags" || strings.HasSuffix(args[0], ".cfg")) {
-		os.Exit(checker.Vet(args, lint.Analyzers()))
-	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(checker.Standalone(args, lint.Analyzers()))
-}
+func main() { os.Exit(checker.Vet(os.Args[1:], lint.Analyzers())) }

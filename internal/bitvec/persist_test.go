@@ -113,12 +113,10 @@ func TestVectorLoadRebuildsSelectSamples(t *testing.T) {
 func TestVectorLoadCorrupt(t *testing.T) {
 	v := FromBools([]bool{true, false, true, true})
 	data := persisttest.Bytes(t, v)
-	// Truncations.
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := persisttest.Read(data[:cut], ReadVector); !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("cut=%d err=%v", cut, err)
-		}
-	}
+	persisttest.Sweep(t, data, func(b []byte) error {
+		_, err := persisttest.Read(b, ReadVector)
+		return err
+	})
 	// Wrong format byte.
 	if _, err := persisttest.Read(persisttest.Flip(data, 0), ReadVector); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad format: %v", err)
@@ -129,28 +127,16 @@ func TestVectorLoadCorrupt(t *testing.T) {
 	if _, err := persisttest.Read(bad, ReadVector); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad word count: %v", err)
 	}
-	// Any single-byte flip loads or fails typed, never panics.
-	for i := range data {
-		if _, err := persisttest.Read(persisttest.Flip(data, i), ReadVector); err != nil && !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("byte %d: %v", i, err)
-		}
-	}
 }
 
 func TestSparseLoadCorrupt(t *testing.T) {
 	s := NewSparse(1000, []int{3, 77, 500, 999})
 	data := persisttest.Bytes(t, s)
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := persisttest.Read(data[:cut], ReadSparse); !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("cut=%d err=%v", cut, err)
-		}
-	}
+	persisttest.Sweep(t, data, func(b []byte) error {
+		_, err := persisttest.Read(b, ReadSparse)
+		return err
+	})
 	if _, err := persisttest.Read(persisttest.Flip(data, 0), ReadSparse); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad format: %v", err)
-	}
-	for i := range data {
-		if _, err := persisttest.Read(persisttest.Flip(data, i), ReadSparse); err != nil && !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("byte %d: %v", i, err)
-		}
 	}
 }

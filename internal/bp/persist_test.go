@@ -58,20 +58,14 @@ func TestParensSaveLoadRoundTrip(t *testing.T) {
 func TestParensLoadCorrupt(t *testing.T) {
 	p := NewFromBools([]bool{true, true, false, true, false, false})
 	data := persisttest.Bytes(t, p)
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := persisttest.Read(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("cut=%d err=%v", cut, err)
-		}
-	}
+	persisttest.Sweep(t, data, func(b []byte) error {
+		_, err := persisttest.Read(b, Read)
+		return err
+	})
 	// An odd parenthesis count cannot be a tree.
 	bad := persisttest.Flip(data, 2)
 	bad[2] = 7 // vector length field (offset: parens format byte + vector format byte)
 	if _, err := persisttest.Read(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("odd count: %v", err)
-	}
-	for i := range data {
-		if _, err := persisttest.Read(persisttest.Flip(data, i), Read); err != nil && !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("byte %d: %v", i, err)
-		}
 	}
 }

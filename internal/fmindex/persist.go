@@ -1,6 +1,8 @@
 package fmindex
 
 import (
+	"math"
+
 	"repro/internal/bitvec"
 	"repro/internal/persist"
 	"repro/internal/wavelet"
@@ -63,7 +65,7 @@ func Read(pr *persist.MReader, builder SequenceBuilder) *Index {
 	}
 	x := &Index{}
 	x.n = pr.Int()
-	x.d = pr.Int()
+	x.d = pr.Len(4, math.MaxInt32) // one int32 length per text
 	x.l = pr.Int()
 	x.lens = pr.Int32s()
 	x.doc = pr.Int32s()

@@ -5,8 +5,7 @@
 // is out; this package keeps just the parts the sxsivet analyzers need —
 // a named analyzer with a Run function, a per-package Pass bundling the
 // syntax trees and type information, and positioned diagnostics — while
-// the drivers (go vet -vettool protocol and the standalone go-list mode)
-// live in internal/lint/checker.
+// the go vet -vettool entry point lives in internal/lint/checker.
 //
 // Analyzers here are purely intraprocedural and fact-free: each Run sees
 // one package at a time. That is enough for the engine's contracts, which

@@ -1,12 +1,11 @@
 // Package checker drives the sxsivet analyzers over type-checked
-// packages. It has two entry points sharing one analysis core: Vet
-// implements the `go vet -vettool` unit-checker protocol (cmd/go hands
-// the tool a JSON config per package, with export data for every import
-// already built), and Standalone loads packages itself via
-// `go list -export -json -deps` so `sxsivet ./...` works without the vet
-// harness. Both modes typecheck from export data with the standard
-// library's gc importer, so a run costs parsing plus type-checking of
-// the target package only.
+// packages. Vet implements the `go vet -vettool` unit-checker protocol:
+// cmd/go hands the tool a JSON config per package, with export data for
+// every import already built, and the package is type-checked from that
+// export data with the standard library's gc importer, so a run costs
+// parsing plus type-checking of the target package only. ExportData
+// resolves export data through `go list -export` for the analysistest
+// harness, which type-checks fixture packages the same way.
 package checker
 
 import (
@@ -79,7 +78,7 @@ func Analyze(t Target, analyzers []*analysis.Analyzer) ([]Finding, error) {
 // RunAnalyzers runs the matching analyzers over an already-typechecked
 // package and returns the suppression-filtered, sorted diagnostics.
 // Exported separately so the analysistest harness can feed fixture
-// packages through the exact pipeline the drivers use.
+// packages through the exact pipeline Vet uses.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, importPath string, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {

@@ -5,74 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"os/exec"
-
-	"repro/internal/lint/analysis"
 )
 
-// listPackage is the subset of `go list -json` output the loader needs.
+// listPackage is the subset of `go list -json` output ExportData needs.
 type listPackage struct {
 	ImportPath string
-	Dir        string
-	GoFiles    []string
 	Export     string
-	DepOnly    bool
-	Standard   bool
-	Module     *struct{ GoVersion string }
 	Error      *struct{ Err string }
-}
-
-// Standalone analyzes the packages matching the given go-list patterns
-// (`sxsivet ./...`), without the vet harness: one `go list -export
-// -deps -json` run yields export data for every dependency and the file
-// lists of the targets, and each target is then type-checked and
-// analyzed exactly as in vet mode. Returns a process exit code (0
-// clean, 1 operational failure, 2 diagnostics).
-func Standalone(patterns []string, analyzers []*analysis.Analyzer) int {
-	pkgs, err := goList(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sxsivet: %v\n", err)
-		return 1
-	}
-	exports := map[string]string{}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	exit := 0
-	for _, p := range pkgs {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		if p.Error != nil {
-			fmt.Fprintf(os.Stderr, "sxsivet: %s: %s\n", p.ImportPath, p.Error.Err)
-			exit = max(exit, 1)
-			continue
-		}
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = p.Dir + string(os.PathSeparator) + f
-		}
-		goVersion := ""
-		if p.Module != nil {
-			goVersion = p.Module.GoVersion
-		}
-		findings, err := Analyze(Target{
-			ImportPath: p.ImportPath,
-			GoFiles:    files,
-			Exports:    exports,
-			GoVersion:  goVersion,
-		}, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sxsivet: %s: %v\n", p.ImportPath, err)
-			exit = max(exit, 1)
-			continue
-		}
-		exit = max(exit, printFindings(findings))
-	}
-	return exit
 }
 
 // ExportData resolves export-data files for the given import paths and
@@ -97,7 +37,7 @@ func ExportData(paths ...string) (map[string]string, error) {
 }
 
 func goList(patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Module,Error"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

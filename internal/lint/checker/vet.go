@@ -48,7 +48,7 @@ func Vet(args []string, analyzers []*analysis.Analyzer) int {
 		return 0
 	}
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
-		fmt.Fprintf(os.Stderr, "sxsivet: expected a vet config file, got %q (run via go vet -vettool=sxsivet, or with package patterns)\n", args)
+		fmt.Fprintf(os.Stderr, "sxsivet: expected a vet config file, got %q (run it via go vet -vettool)\n", args)
 		return 1
 	}
 	data, err := os.ReadFile(args[0])

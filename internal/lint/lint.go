@@ -1,17 +1,18 @@
-// Package lint assembles the sxsivet analyzer suite: five repo-specific
-// static checks that mechanize the engine's safety contracts. Each
-// contract exists because violating it has already produced a real bug;
-// the analyzers make the next violation a CI failure instead of a
-// debugging session. See docs/ARCHITECTURE.md, "Invariants & static
-// analysis", for the contract-by-contract story and the suppression
-// syntax (//sxsivet:ignore <analyzer> <reason>).
+// Package lint assembles the sxsivet analyzer suite: three repo-specific
+// static checks for safety contracts that tests cannot observe or that
+// have already produced real bugs. Mapped memory stays read-only
+// (mmapalias: a write through an aliased image corrupts silently),
+// document-scale loops poll their context (ctxpoll), and guarded-by
+// annotations hold (guardedby). The loader contracts (bounded
+// allocations, typed corruption errors) are built into persist.MReader and
+// checked by persisttest.Sweep instead. See docs/ARCHITECTURE.md,
+// "Invariants & static analysis", for the contract-by-contract story and
+// the suppression syntax (//sxsivet:ignore <analyzer> <reason>).
 package lint
 
 import (
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/boundedalloc"
 	"repro/internal/lint/ctxpoll"
-	"repro/internal/lint/errcorrupt"
 	"repro/internal/lint/guardedby"
 	"repro/internal/lint/mmapalias"
 )
@@ -21,8 +22,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		mmapalias.Analyzer,
 		ctxpoll.Analyzer,
-		boundedalloc.Analyzer,
-		errcorrupt.Analyzer,
 		guardedby.Analyzer,
 	}
 }

@@ -41,7 +41,7 @@ var unsafeOK = []string{"internal/persist", "internal/mmap"}
 // lifetime is managed by Engine.Close via the mapping finalizer.
 var loaderOK = []string{
 	"internal/persist", "internal/mmap", "internal/bitvec", "internal/bp",
-	"internal/wavelet", "internal/fmindex", "internal/wordindex", "internal/tags",
+	"internal/wavelet", "internal/fmindex", "internal/tags",
 	"internal/xmltree", "internal/rlfm", "internal/pssm", "internal/core",
 }
 

@@ -123,27 +123,25 @@ func (mr *MReader) Int() int {
 // Int32 reads an int32.
 func (mr *MReader) Int32() int32 { return int32(mr.Uint32()) }
 
-// sliceLen reads a length-prefixed element count and bounds it against the
-// bytes remaining in the buffer before the caller slices or allocates: a
-// count only escapes this helper once esize*n payload bytes are known to be
-// present, so a corrupt length field can never size an allocation larger
-// than the section that claims to hold it.
-func (mr *MReader) sliceLen(esize int) (n int, ok bool) {
-	n = mr.Int()
-	if mr.err != nil || !mr.need(esize*n) {
-		return 0, false
+// Len reads an element count that sizes an allocation or a loop over the
+// records that follow. The count is bounded before it escapes: it must be
+// at most max, and n records of at least esize bytes each must fit in the
+// unread rest of the payload. So a corrupt count can never size an
+// allocation larger than the section that claims to hold it. A count that
+// breaks either bound sets the sticky corruption error and reads as 0.
+func (mr *MReader) Len(esize, max int) int {
+	n := mr.Int()
+	if mr.err == nil && (n > max || n > (len(mr.data)-mr.off)/esize) {
+		mr.fail(fmt.Sprintf("implausible count %d", n))
 	}
-	return n, true
+	if mr.err != nil {
+		return 0
+	}
+	return n
 }
 
 // Bytes reads a length-prefixed byte slice aliasing the buffer.
-func (mr *MReader) Bytes() []byte {
-	n, ok := mr.sliceLen(1)
-	if !ok {
-		return nil
-	}
-	return mr.Raw(n)
-}
+func (mr *MReader) Bytes() []byte { return mr.Raw(mr.Len(1, maxLen)) }
 
 // String reads a length-prefixed string. Strings are copied — string
 // immutability must not depend on the mapping.
@@ -167,8 +165,8 @@ func (mr *MReader) Raw(n int) []byte {
 // aligned little-endian buffers, copied otherwise).
 func (mr *MReader) Words() []uint64 {
 	mr.align8()
-	n, ok := mr.sliceLen(8)
-	if !ok {
+	n := mr.Len(8, maxLen)
+	if mr.err != nil {
 		return nil
 	}
 	if n == 0 {
@@ -190,8 +188,8 @@ func (mr *MReader) Words() []uint64 {
 // Int32s reads a length-prefixed []int32 aliasing the buffer.
 func (mr *MReader) Int32s() []int32 {
 	mr.align8()
-	n, ok := mr.sliceLen(4)
-	if !ok {
+	n := mr.Len(4, maxLen)
+	if mr.err != nil {
 		return nil
 	}
 	if n == 0 {

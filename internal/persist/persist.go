@@ -5,8 +5,8 @@
 // magic number, a format version and an explicit byte length per section,
 // so that layout changes are detected (version mismatch) or skipped
 // (unknown section) rather than silently misread. Every structure in the
-// index stack (bitvec, bp, wavelet, tags, fmindex, wordindex, xmltree)
-// builds its Store/Read pair on these primitives.
+// index stack (bitvec, bp, wavelet, tags, fmindex, xmltree) builds its
+// Store/Read pair on these primitives.
 //
 // There is one layout and one read path. The layout is aligned: Words and
 // Int32s pad the stream to an 8-byte boundary before their length prefix,
@@ -18,6 +18,10 @@
 //
 // All corruption and truncation conditions surface as errors wrapping
 // ErrCorrupt; no input may cause a panic or an unbounded allocation.
+// Loaders keep that contract by construction: every count that sizes an
+// allocation or a loop comes from MReader.Len, and every failure from
+// MReader.Check or MReader.Err. persisttest.Sweep checks it for each
+// loader at every byte offset.
 package persist
 
 import (

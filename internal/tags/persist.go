@@ -35,18 +35,14 @@ func Read(pr *persist.MReader) *Sequence {
 	}
 	s := &Sequence{}
 	s.n = pr.Int()
-	s.maxTagID = pr.Int()
+	s.maxTagID = pr.Len(8, 1<<32) // one row per id, each at least a word
 	w := pr.Int()
 	s.packed = pr.Words()
 	if pr.Err() != nil {
 		return nil
 	}
-	// The id-space bound (2*n+8) reflects the only persisted use: xmltree
-	// interns at most four reserved labels plus one label per node, and
-	// stores open/close variants. It keeps a corrupt count from driving the
-	// per-tag row allocation below.
 	ok := w >= 1 && w <= 32 &&
-		s.maxTagID >= 1 && s.maxTagID <= 1<<w && s.maxTagID <= 2*s.n+8 &&
+		s.maxTagID >= 1 && s.maxTagID <= 1<<w &&
 		len(s.packed) == (s.n*w+63)/64
 	if pr.Check(ok, "tag sequence dimensions mismatch") != nil {
 		return nil

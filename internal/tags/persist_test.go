@@ -50,20 +50,14 @@ func TestSequenceSaveLoadRoundTrip(t *testing.T) {
 func TestSequenceLoadCorrupt(t *testing.T) {
 	s := Build([]int32{0, 1, 2, 1, 0, 3}, 4)
 	data := persisttest.Bytes(t, s)
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := persisttest.Read(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("cut=%d err=%v", cut, err)
-		}
-	}
+	persisttest.Sweep(t, data, func(b []byte) error {
+		_, err := persisttest.Read(b, Read)
+		return err
+	})
 	// Width inconsistent with the id space.
 	bad := persisttest.Flip(data, 17)
 	bad[17] = 33 // width field (format byte + n + maxTagID)
 	if _, err := persisttest.Read(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad width: %v", err)
-	}
-	for i := range data {
-		if _, err := persisttest.Read(persisttest.Flip(data, i), Read); err != nil && !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("byte %d: %v", i, err)
-		}
 	}
 }

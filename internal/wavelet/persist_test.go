@@ -65,20 +65,14 @@ func TestTreeSaveLoadRoundTrip(t *testing.T) {
 func TestTreeLoadCorrupt(t *testing.T) {
 	w := New([]byte("mississippi river runs"))
 	data := persisttest.Bytes(t, w)
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := persisttest.Read(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("cut=%d err=%v", cut, err)
-		}
-	}
+	persisttest.Sweep(t, data, func(b []byte) error {
+		_, err := persisttest.Read(b, Read)
+		return err
+	})
 	// Counts not summing to the length.
 	bad := persisttest.Flip(data, 1)
 	bad[1] = byte(len("mississippi river runs") + 1)
 	if _, err := persisttest.Read(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad total: %v", err)
-	}
-	for i := range data {
-		if _, err := persisttest.Read(persisttest.Flip(data, i), Read); err != nil && !errors.Is(err, persist.ErrCorrupt) {
-			t.Fatalf("byte %d: %v", i, err)
-		}
 	}
 }

@@ -165,7 +165,8 @@ func (s tagSet) or(o tagSet) {
 
 // Options configure document indexing.
 type Options struct {
-	// BuildFM builds the FM-index over the text collection. Default true.
+	// SkipFM leaves out the FM-index over the text collection: it is not
+	// built, and a stored one is skipped on load without being decoded.
 	SkipFM bool
 	// SampleRate is the FM locate sampling step l (default 64).
 	SampleRate int

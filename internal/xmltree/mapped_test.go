@@ -66,32 +66,16 @@ func TestReadIndexMappedSkipVariants(t *testing.T) {
 	}
 }
 
-// TestReadIndexMappedCorrupt repeats TestReadIndexCorrupt's truncation
-// and single-byte corruption sweeps under the skip options, whose decode
-// paths differ (the FM section skipped unread, the plain store dropped
-// after validation): each input must either load or fail with the typed
-// error — no panics, no out-of-bounds reads on short buffers.
+// TestReadIndexMappedCorrupt repeats TestReadIndexCorrupt's sweep under
+// the skip options, whose decode paths differ (the FM section skipped
+// unread, the plain store dropped after validation).
 func TestReadIndexMappedCorrupt(t *testing.T) {
 	data := saveBytes(t, mustParse(t, Options{SampleRate: 4}))
 	for _, opts := range []Options{{SkipFM: true}, {SkipPlain: true}} {
-		for cut := 0; cut < len(data); cut++ {
-			if _, err := ReadIndexMapped(data[:cut], opts); !errors.Is(err, ErrBadIndexFile) {
-				t.Fatalf("%+v cut=%d: %v", opts, cut, err)
-			}
-		}
-		for i := range data {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%+v byte %d: panic %v", opts, i, r)
-					}
-				}()
-				_, err := ReadIndexMapped(persisttest.Flip(data, i), opts)
-				if err != nil && !errors.Is(err, ErrBadIndexFile) {
-					t.Fatalf("%+v byte %d: unexpected error %v", opts, i, err)
-				}
-			}()
-		}
+		persisttest.Sweep(t, data, func(b []byte) error {
+			_, err := ReadIndexMapped(b, opts)
+			return err
+		})
 	}
 }
 
@@ -165,7 +149,9 @@ func TestResaveByteIdentical(t *testing.T) {
 }
 
 // FuzzLoadMapped drives arbitrary bytes through the loader: any outcome
-// but a clean load or a typed error is a bug. Loaded documents get a cheap
+// but a clean load or a typed error is a bug, and so is a load that
+// allocates more than persisttest.MaxAlloc of a clean load of the same
+// size, the bound persisttest.Sweep holds. Loaded documents get a cheap
 // traversal to catch structures that validated but are inconsistent
 // enough to fault.
 func FuzzLoadMapped(f *testing.F) {
@@ -185,9 +171,26 @@ func FuzzLoadMapped(f *testing.F) {
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/3] ^= 0x40
 	f.Add(mut)
+	aligned := persist.EnsureAligned(seed)
+	clean, err := persisttest.Alloc(func() error {
+		_, err := ReadIndexMapped(aligned, Options{})
+		return err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		doc, err := ReadIndexMapped(persist.EnsureAligned(data), Options{})
+		data = persist.EnsureAligned(data)
+		var doc *Doc
+		alloc, err := persisttest.Alloc(func() (err error) {
+			doc, err = ReadIndexMapped(data, Options{})
+			return err
+		})
+		// A clean load allocates in proportion to the index size.
+		if limit := persisttest.MaxAlloc(clean * uint64(max(len(data), len(seed))) / uint64(len(seed))); alloc > limit {
+			t.Fatalf("load of %d bytes allocated %d bytes, limit %d", len(data), alloc, limit)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadIndexFile) {
 				t.Fatalf("untyped error: %v", err)

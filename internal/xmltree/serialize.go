@@ -1,8 +1,10 @@
 package xmltree
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +45,9 @@ const (
 	IndexMagic   = "SXSIGO"
 	indexVersion = 3
 )
+
+// maxLabels caps the label count of a loaded index.
+const maxLabels = 1 << 26
 
 // Section identifiers of the container.
 const (
@@ -201,11 +206,12 @@ func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
 	d := sd.d
 	switch id {
 	case secNames:
-		n := pr.Int()
-		if err := pr.Check(n >= 4 && n <= 1<<26, "implausible name count"); err != nil {
+		// Each name carries at least its 8-byte length prefix.
+		n := pr.Len(8, maxLabels)
+		if err := pr.Check(n >= len(reservedLabels), "implausible name count"); err != nil {
 			return err
 		}
-		d.names = make([]string, 0, min(n, 1<<16))
+		d.names = make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			s := pr.String()
 			if pr.Err() != nil {
@@ -261,7 +267,7 @@ func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
 // cost left is the monotonicity validation (Get's slicing depends on it),
 // chunked across the CPUs since millions of texts are normal.
 func (sd *sectionDecoder) decodeTexts(pr *persist.MReader) error {
-	n := pr.Int()
+	n := pr.Len(8, math.MaxInt) // one end offset per text
 	offs := pr.Words()
 	total := pr.Int()
 	if pr.Err() != nil {
@@ -331,7 +337,7 @@ func (d *Doc) storeTagTables(pw *persist.Writer) {
 // readTagTables restores the tables written by storeTagTables. Dimension
 // consistency against the other sections is checked in assemble.
 func (d *Doc) readTagTables(pr *persist.MReader) error {
-	nTags := pr.Int()
+	nTags := pr.Len(4, maxLabels) // each tag has at least its int32 count
 	d.tagCount = pr.Int32s()
 	pure := pr.Bytes()
 	d.minClose = pr.Int32s()
@@ -402,6 +408,10 @@ func (d *Doc) assemble(texts *TextStore, haveTexts, haveTables bool, opts Option
 	case !opts.SkipFM:
 		// The file carries no FM-index but the caller wants one: rebuild it.
 		fm, err := fmindex.New(texts.All(), fmindex.Options{SampleRate: opts.SampleRate, Builder: opts.Builder})
+		if errors.Is(err, fmindex.ErrNulByte) {
+			// Parsing replaces every NUL in a text: the file is damaged.
+			return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
+		}
 		if err != nil {
 			return nil, err
 		}
