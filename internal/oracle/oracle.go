@@ -21,10 +21,11 @@ type Vocab struct {
 	Tags  []string // element tag names (reserved labels excluded)
 	Attrs []string // attribute names
 	Words []string // words sampled from text content
+	Spans []string // literals across text boundaries (SpanLiterals)
 }
 
-// ExtractVocab walks a dom tree collecting element tags, attribute names
-// and up to maxWords distinct text words.
+// ExtractVocab walks a dom tree collecting element tags, attribute names,
+// up to maxWords distinct text words and the span literals.
 func ExtractVocab(t *dom.Tree, maxWords int) Vocab {
 	var v Vocab
 	tagSeen := map[string]bool{}
@@ -61,6 +62,7 @@ func ExtractVocab(t *dom.Tree, maxWords int) Vocab {
 		}
 	}
 	walk(t.Root, false)
+	v.Spans = SpanLiterals(t, 16)
 	return v
 }
 
@@ -219,7 +221,7 @@ func literal(r *gen.RNG, v Vocab) string {
 	return w
 }
 
-func pick(r *gen.RNG, xs []string) string {
+func pick(r Chooser, xs []string) string {
 	if len(xs) == 0 {
 		return "empty"
 	}

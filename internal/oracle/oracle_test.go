@@ -3,6 +3,7 @@ package oracle
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -25,16 +26,35 @@ var corpora = []struct {
 	{"bioxml", func(s uint64) []byte { return gen.BioXML(s, 12<<10) }},
 }
 
+// withSpanDoc is corpora plus a SpanDoc corpus, whose string values cross
+// a text boundary every few bytes, for the suites that run span queries.
+var withSpanDoc = append(corpora[:len(corpora):len(corpora)], struct {
+	name string
+	data func(seed uint64) []byte
+}{"spandoc", func(s uint64) []byte { return SpanDoc(gen.NewRNG(s), 60) }})
+
+// spanArms are the configurations every span pair runs under: the cost
+// model's choice, both strategies forced, and the naive string values.
+var spanArms = []xpath.Options{
+	{},
+	{ForceStrategy: xpath.StrategyTopDown},
+	{ForceStrategy: xpath.StrategyBottomUp},
+	{ForceNaiveText: true},
+}
+
 // TestDifferential is the differential oracle suite: ≥500 random
 // (document, query) pairs, each evaluated by the succinct engine (default
 // planner and, for a rotating third of the pairs, forced top-down or with
 // the FM-index disabled) and by the naive dom walker; node sets must agree
 // exactly (by preorder number), Count must agree with the set size, and
-// Serialize must write the DOM's serialization of the set.
+// Serialize must write the DOM's serialization of the set. Each document
+// also gets span pairs (SpanQuery: text predicates on multi-text targets
+// with literals across text boundaries), each run under every spanArms
+// configuration.
 func TestDifferential(t *testing.T) {
-	const queriesPerDoc = 60
+	const queriesPerDoc, spanQueriesPerDoc = 60, 12
 	pairs, mismatches := 0, 0
-	for _, c := range corpora {
+	for _, c := range withSpanDoc {
 		for seed := uint64(1); seed <= 2; seed++ {
 			data := c.data(seed)
 			eng, err := core.Build(data, core.Config{SampleRate: 4})
@@ -64,6 +84,19 @@ func TestDifferential(t *testing.T) {
 					mismatches++
 					if mismatches > 10 {
 						t.Fatal("too many mismatches, stopping")
+					}
+				}
+			}
+			for i := 0; i < spanQueriesPerDoc; i++ {
+				q := SpanQuery(r, v)
+				pairs++
+				for _, opts := range spanArms {
+					if !checkOne(t, fmt.Sprintf("%s %+v", c.name, opts), eng.WithQueryOptions(opts), tree, q) {
+						mismatches++
+						if mismatches > 10 {
+							t.Fatal("too many mismatches, stopping")
+						}
+						break
 					}
 				}
 			}

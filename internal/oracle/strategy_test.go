@@ -76,7 +76,7 @@ func sameInts(a, b []int) bool {
 // query; the suite fails if it never picks one of the two strategies,
 // because then that evaluation path was not actually differentially tested.
 func TestStrategyEquivalence(t *testing.T) {
-	const queriesPerDoc = 40
+	const queriesPerDoc, spanQueriesPerDoc = 40, 10
 	tally := &StrategyTally{}
 	pairs, mismatches := 0, 0
 	fail := func(format string, args ...any) {
@@ -87,7 +87,7 @@ func TestStrategyEquivalence(t *testing.T) {
 			t.Fatal("too many mismatches, stopping")
 		}
 	}
-	for _, c := range corpora {
+	for _, c := range withSpanDoc {
 		for seed := uint64(1); seed <= 2; seed++ {
 			data := c.data(seed)
 			eng, err := core.Build(data, core.Config{SampleRate: 4})
@@ -114,6 +114,12 @@ func TestStrategyEquivalence(t *testing.T) {
 					break
 				}
 				queries = append(queries, "//text()[. = '"+w+"']")
+			}
+			// Span queries (text predicates on multi-text targets, literals
+			// across text boundaries) after the rest, so the rotation above
+			// is unchanged.
+			for i := 0; i < spanQueriesPerDoc; i++ {
+				queries = append(queries, SpanQuery(r, v))
 			}
 			for i, qsrc := range queries {
 				base := strategyConfigs[i%len(strategyConfigs)]
@@ -233,13 +239,37 @@ func countOccurrences(texts []string, pat string) int {
 	return n
 }
 
+// domSpanCount is the DOM-derived count of occurrence spans of pat: its
+// (overlapping) occurrences in the concatenation of the element texts in
+// document order, plus those inside each attribute value.
+func domSpanCount(tree *dom.Tree, pat string) int {
+	var elems strings.Builder
+	var attrs []string
+	var walk func(n *dom.Node)
+	walk = func(n *dom.Node) {
+		for c := n.FirstChild; c != nil; c = c.NextSibling {
+			switch c.Tag {
+			case "#":
+				elems.Write(c.Text)
+			case "%":
+				attrs = append(attrs, string(c.Text))
+			default:
+				walk(c)
+			}
+		}
+	}
+	walk(tree.Root)
+	return countOccurrences(append(attrs, elems.String()), pat)
+}
+
 // TestCostEstimatorExact pins the cost model's contract: its statistics are
 // exact, not estimates. Per-tag candidate counts (from the tag rank
-// directories) must equal true node counts from the DOM oracle, and
+// directories) must equal true node counts from the DOM oracle,
 // text-predicate match counts (from one FM backward search per pattern)
-// must equal true match counts computed naively over the DOM's texts.
+// must equal true match counts computed naively over the DOM's texts, and
+// a contains on a multi-text target reports the DOM-derived span count.
 func TestCostEstimatorExact(t *testing.T) {
-	for _, c := range corpora {
+	for _, c := range withSpanDoc {
 		t.Run(c.name, func(t *testing.T) {
 			data := c.data(1)
 			eng, err := core.Build(data, core.Config{SampleRate: 4})
@@ -302,6 +332,25 @@ func TestCostEstimatorExact(t *testing.T) {
 						t.Errorf("%s: TextMatches %d, dom %d", ck.src, est.TextMatches, ck.want)
 					}
 				}
+			}
+			spans := 0
+			for _, lit := range v.Spans {
+				if lit == "" {
+					continue
+				}
+				for _, src := range []string{"//*[contains(., '" + lit + "')]", "//*/node()[contains(., '" + lit + "')]"} {
+					est := cost(src)
+					if !est.BottomUpOK {
+						t.Fatalf("%s: expected bottom-up-eligible shape", src)
+					}
+					if want := domSpanCount(tree, lit); est.TextMatches != want {
+						t.Errorf("%s: TextMatches %d, dom span count %d", src, est.TextMatches, want)
+					}
+				}
+				spans++
+			}
+			if spans < 5 {
+				t.Errorf("only %d span literals", spans)
 			}
 		})
 	}

@@ -29,6 +29,12 @@ type buPlan struct {
 
 	estMatches int
 
+	// spans is set when the predicate is contains(., lit) on a target whose
+	// string value is not a single text: the candidates are then the
+	// ancestors of the occurrence spans' LCAs (spans.go), and leafTag and
+	// downChain are unused.
+	spans *spanTable
+
 	// The text match set is deterministic over the immutable document, so
 	// it is computed once per compiled query and shared by all evaluations
 	// (a cached query served concurrently must not repeat the FM locate,
@@ -55,12 +61,18 @@ type dstep struct {
 // builds a bottom-up plan if the path has the supported shape and the text
 // predicate can use the text index; it returns nil otherwise. Backward axes
 // inside the path or the predicate target leave the plan ineligible: the
-// climb of run() only walks child and descendant hops.
+// climb of run() only walks child and descendant hops. An empty literal
+// leaves it ineligible too: contains, starts-with and ends-with are then
+// constant, and = "" holds at nodes that have no text to climb from.
+// A contains(., lit) whose target is not a single text runs on the
+// compiler's occurrence-span table for lit, which a top-down evaluation of
+// the same query shares.
 //
 // Eligibility is purely structural; whether the plan actually runs is the
 // cost model's decision (chooseStrategy in cost.go).
-func buildBottomUpPlan(doc *xmltree.Doc, path *Path, opts Options) *buPlan {
-	if doc.FM == nil || opts.ForceNaiveText {
+func buildBottomUpPlan(c *compiler, path *Path) *buPlan {
+	doc, opts := c.doc, c.opts
+	if opts.ForceNaiveText {
 		return nil
 	}
 	k := len(path.Steps)
@@ -77,11 +89,10 @@ func buildBottomUpPlan(doc *xmltree.Doc, path *Path, opts Options) *buPlan {
 		return nil
 	}
 	te, ok := last.Filters[0].(*TextExpr)
-	if !ok {
+	if !ok || (te.Literal == "" && te.Op != OpCustom) {
 		return nil
 	}
 	plan := &buPlan{doc: doc, mainSteps: path.Steps, op: te.Op, fn: te.Func, lit: te.Literal, opts: opts}
-	c := &compiler{doc: doc, opts: opts}
 	var tgt predTarget
 	if te.Target == nil {
 		tgt = predTarget{test: last.Test, underAttr: last.underAttr}
@@ -97,6 +108,13 @@ func buildBottomUpPlan(doc *xmltree.Doc, path *Path, opts Options) *buPlan {
 	}
 	leafTag, single := c.singleText(tgt)
 	if !single {
+		if te.Target != nil || !spansUsable(doc, opts, te.Op, te.Literal) {
+			return nil
+		}
+		plan.spans = c.spanTable(te.Literal)
+		return plan
+	}
+	if doc.FM == nil {
 		return nil
 	}
 	plan.leafTag = leafTag
@@ -111,6 +129,15 @@ func buildBottomUpPlan(doc *xmltree.Doc, path *Path, opts Options) *buPlan {
 		}
 	}
 	return plan
+}
+
+// textMatches is the plan's work bound for the cost model: the exact number
+// of text matches, or of occurrence spans for a span plan.
+func (p *buPlan) textMatches() int {
+	if p.spans != nil {
+		return p.spans.get().count
+	}
+	return estimateMatches(p.doc, p.opts, p.op, p.fn, p.lit)
 }
 
 func estimateMatches(doc *xmltree.Doc, opts Options, op TextOp, fn, lit string) int {
@@ -140,6 +167,9 @@ type nodeStep struct{ node, j int }
 // makes bottom-up existence checks output-sensitive. Cancellation is
 // checked between leaves (a single climb is bounded by the tree depth).
 func (p *buPlan) forEachCandidate(ctx context.Context, emit func(int) bool) error {
+	if p.spans != nil {
+		return p.spans.get().forEachSpanCandidate(ctx, emit)
+	}
 	d := p.doc
 	set := p.matchedSet()
 	climbed := map[nodeStep]bool{}

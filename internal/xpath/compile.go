@@ -131,6 +131,11 @@ type compiler struct {
 
 	states []stateDef
 
+	// spans holds the occurrence-span table of each contains literal on a
+	// multi-text target, shared by every predicate of the query with that
+	// literal and by its bottom-up plan.
+	spans map[string]*spanTable
+
 	// mayOvercount is set when the construction cannot guarantee disjoint
 	// result values (descendant step followed by following-sibling step);
 	// counting then falls back to materialization.

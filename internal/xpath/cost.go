@@ -16,9 +16,12 @@ import (
 //     jumping top-down run visits at most the occurrences of the relevant
 //     tags, so this bounds the candidate set the automaton must touch.
 //
-//   - the text-predicate match count, computed with one FM-index backward
-//     search in O(|pattern|) (GlobalCount and friends). The bottom-up run
-//     climbs from exactly these matches, so this bounds its work.
+//   - the text-predicate match count. For a single-text target it is one
+//     FM-index backward search in O(|pattern|) (GlobalCount and friends);
+//     for contains(., p) on a multi-text target it is the exact number of
+//     occurrence spans, from the one plain-store pass that also serves the
+//     evaluation (spans.go). The bottom-up run climbs from exactly these
+//     matches, so this bounds its work.
 //
 // Both numbers are exact for the document at hand — the cost model never
 // guesses. The decision rule is the paper's selectivity rule: run bottom-up
@@ -72,8 +75,10 @@ type CostEstimate struct {
 	// LastStepCount is the number of document nodes matching the last
 	// step's node test: the top-down run's candidate bound.
 	LastStepCount int
-	// TextMatches is the text-predicate match count from one FM backward
-	// search: the bottom-up run's work bound. -1 when not applicable.
+	// TextMatches is the text-predicate match count, either from one FM
+	// backward search or the exact occurrence-span count of a contains on
+	// a multi-text target: the bottom-up run's work bound. -1 when not
+	// applicable.
 	TextMatches int
 	// BottomUpOK reports whether the query shape supports the bottom-up
 	// plan at all (downward path, one trailing indexable text predicate).
@@ -125,7 +130,7 @@ func chooseStrategy(doc *xmltree.Doc, path *Path, opts Options, plan *buPlan) Co
 		est.Forced = opts.ForceStrategy == StrategyBottomUp
 		return est
 	}
-	est.TextMatches = estimateMatches(doc, opts, plan.op, plan.fn, plan.lit)
+	est.TextMatches = plan.textMatches()
 	plan.estMatches = est.TextMatches
 	if opts.ForceStrategy == StrategyBottomUp {
 		est.Forced = true

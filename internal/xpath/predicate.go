@@ -37,14 +37,25 @@ func (c *compiler) singleText(t predTarget) (int32, bool) {
 	return 0, false
 }
 
-// makePred builds the predicate function for op(value, literal). When the
-// FM-index is available and the target is a single text node, the matching
-// text identifiers are computed once (by FM-index search or a plain scan,
-// whichever costs less, Section 3.4) and the predicate becomes a range
-// check against the node's text identifier interval. Otherwise the naive
-// string-value semantics is used (Section 6.6).
+// makePred builds the predicate function for op(value, literal), choosing
+// the cheapest exact evaluation the target allows:
+//   - An empty literal is a prefix, suffix and substring of every string, so
+//     contains, starts-with and ends-with with "" are constant true.
+//   - When the FM-index is available and the target is a single text node,
+//     the matching text identifiers are computed once (by FM-index search or
+//     a plain scan, whichever costs less, Section 3.4) and the predicate
+//     becomes a range check against the node's text identifier interval.
+//     = "" also holds at a node whose range has no text of the target kind
+//     (an empty element has no text for the match set to hit).
+//   - contains(., p) on any other target reads the occurrence spans of p
+//     (spans.go): one plain-store pass per compiled query, then one binary
+//     search per node.
+//   - Otherwise the naive string-value semantics is used (Section 6.6).
 func (c *compiler) makePred(op TextOp, fn, lit string, tgt predTarget) automata.PredFunc {
 	d := c.doc
+	if lit == "" && op != OpCustom && op != OpEquals {
+		return func(int) bool { return true }
+	}
 	leafTag, single := c.singleText(tgt)
 	if op == OpCustom || (d.FM != nil && single && !c.opts.ForceNaiveText) {
 		// Custom predicates (e.g. PSSM) are always set-based; when the
@@ -53,6 +64,7 @@ func (c *compiler) makePred(op TextOp, fn, lit string, tgt predTarget) automata.
 		// Figure 18). The set is computed once per compiled query, guarded
 		// for concurrent evaluations of a shared Query.
 		anyLeaf := !single
+		emptyEq := op == OpEquals && lit == ""
 		var once sync.Once
 		var set []int32
 		opts := c.opts
@@ -65,13 +77,28 @@ func (c *compiler) makePred(op TextOp, fn, lit string, tgt predTarget) automata.
 					return true
 				}
 			}
-			return false
+			return emptyEq && !hasLeaf(d, lo, hi, leafTag)
 		}
+	}
+	if !single && spansUsable(d, c.opts, op, lit) {
+		t := c.spanTable(lit)
+		return func(node int) bool { return t.get().contains(node) }
 	}
 	pb := []byte(lit)
 	return func(node int) bool {
 		return evalTextOp(op, nodeValue(d, node), pb)
 	}
+}
+
+// hasLeaf reports whether a leaf labelled tag holds one of the text ids
+// [lo, hi).
+func hasLeaf(d *xmltree.Doc, lo, hi int, tag int32) bool {
+	for id := lo; id < hi; id++ {
+		if d.TagOf(d.TextIDToNode(id)) == tag {
+			return true
+		}
+	}
+	return false
 }
 
 func evalTextOp(op TextOp, val, lit []byte) bool {

@@ -2,11 +2,15 @@ package xpath_test
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/dom"
 	"repro/internal/gen"
 	"repro/internal/xmltree"
 	. "repro/internal/xpath"
@@ -135,4 +139,182 @@ func textExprs(p *Path) []*TextExpr {
 		}
 	}
 	return out
+}
+
+// predConfigs are the evaluator configurations the predicate rows run
+// under: both strategies forced and the cost model's choice, each with and
+// without the plain store, plus the naive string-value axis.
+func predConfigs() []struct {
+	name      string
+	skipPlain bool
+	opts      Options
+} {
+	var out []struct {
+		name      string
+		skipPlain bool
+		opts      Options
+	}
+	for _, skip := range []bool{false, true} {
+		for _, s := range []Strategy{StrategyAuto, StrategyTopDown, StrategyBottomUp} {
+			out = append(out, struct {
+				name      string
+				skipPlain bool
+				opts      Options
+			}{fmt.Sprintf("%s/skipPlain=%v", s, skip), skip, Options{ForceStrategy: s}})
+		}
+		out = append(out, struct {
+			name      string
+			skipPlain bool
+			opts      Options
+		}{fmt.Sprintf("naive/skipPlain=%v", skip), skip, Options{ForceNaiveText: true}})
+	}
+	return out
+}
+
+// checkPredRows counts each query under every predConfigs configuration
+// and requires the DOM's count, and the count given in the row.
+func checkPredRows(t *testing.T, doc string, rows []struct {
+	q    string
+	want int
+}) {
+	t.Helper()
+	tree, err := dom.Parse([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range predConfigs() {
+		d, err := xmltree.Parse([]byte(doc), xmltree.Options{SampleRate: 4, SkipPlain: cfg.skipPlain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			want, err := tree.Count(r.q)
+			if err != nil {
+				t.Fatal(r.q, err)
+			}
+			if want != r.want {
+				t.Fatalf("%s: DOM counts %d, row says %d", r.q, want, r.want)
+			}
+			q, err := Compile(r.q, d, cfg.opts)
+			if err != nil {
+				t.Fatal(r.q, err)
+			}
+			if n, nodes := q.Count(), q.Nodes(); n != int64(want) || len(nodes) != want {
+				t.Errorf("%s %s: count %d, %d nodes, DOM %d (plan %s)", cfg.name, r.q, n, len(nodes), want, q.Strategy())
+			}
+			if ok, err := q.Exists(context.Background()); err != nil || ok != (want > 0) {
+				t.Errorf("%s %s: exists %v (%v), DOM count %d", cfg.name, r.q, ok, err, want)
+			}
+		}
+	}
+}
+
+// TestEmptyLiteral pins the empty literal on every path: "" is a prefix,
+// suffix and substring of every string value, also of an empty element's,
+// which has no text for a match set to hit, and = "" holds exactly at the
+// nodes whose string value is empty.
+func TestEmptyLiteral(t *testing.T) {
+	checkPredRows(t, `<r><c>abc</c><c/></r>`, []struct {
+		q    string
+		want int
+	}{
+		{`//c[contains(., "")]`, 2},
+		{`//c[starts-with(., "")]`, 2},
+		{`//c[ends-with(., "")]`, 2},
+		{`//c[. = ""]`, 1},
+		{`//c[. = "abc"]`, 1},
+		{`//r[c = ""]`, 1},
+		{`//*[contains(., "")]`, 3},
+		{`//*[. = ""]`, 1},
+		{`//text()[. = ""]`, 0},
+	})
+	checkPredRows(t, `<r><c a="">x</c><c a="y"/><d/></r>`, []struct {
+		q    string
+		want int
+	}{
+		{`//c/@a[. = ""]`, 1},
+		{`//c[@a = ""]`, 1},
+		{`//c/@a[starts-with(., "")]`, 2},
+		{`//d[. = ""]`, 1},
+		{`//c[. = ""]`, 1},
+	})
+}
+
+// TestContainsSpans pins contains(., p) on multi-text targets, which runs
+// on occurrence spans: a pattern inside one text, across two and three
+// texts and across one text per byte; the join of the texts on either side
+// of an attribute value (which the string value skips) matches, and a text
+// joined with an attribute value does not; patterns at the first and last
+// text; and attribute nodes, whose value is their own text.
+func TestContainsSpans(t *testing.T) {
+	checkPredRows(t, `<r>ab<p>cd<b k="zz">ef</b>gh</p><p>x<i>y</i>z<u/>w</p><q k="kv">k</q>end</r>`, []struct {
+		q    string
+		want int
+	}{
+		{`//p[contains(., "cd")]`, 1},
+		{`//p[contains(., "dxfg")]`, 0},
+		{`//p[contains(., "def")]`, 1},
+		{`//*[contains(., "cdefgh")]`, 2},
+		{`//*[contains(., "xyzw")]`, 2},
+		{`//node()[contains(., "yz")]`, 2},
+		{`//*[contains(., "dzz")]`, 0},
+		{`//*[contains(., "zze")]`, 0},
+		{`//*[contains(., "abc")]`, 1},
+		{`//*[contains(., "kend")]`, 1},
+		{`//node()[contains(., "en")]`, 2},
+		{`//*/*[contains(., "hx")]`, 0},
+		{`//*[contains(., "hx")]`, 1},
+		{`//q/@k[contains(., "kv")]`, 1},
+		{`//q/@*[contains(., "v")]`, 1},
+		{`//r[contains(p, "gh")]`, 1},
+		{`//*[contains(., "qq")]`, 0},
+	})
+	// Attribute names are nodes below @ that //*, //node() and name tests
+	// reach; an attribute's string value is its own value.
+	checkPredRows(t, `<r k="abc" j="k"><k>x</k><j k="ab"><k j="ab"/>ab</j></r>`, []struct {
+		q    string
+		want int
+	}{
+		{`//k[contains(., "ab")]`, 2},
+		{`//j[contains(., "ab")]`, 2},
+		{`//node()[contains(., "ab")]`, 6},
+		{`//*[contains(., "ab")]`, 5},
+		{`//*/node()[contains(., "ab")]`, 2},
+		{`//*[contains(., "bc")]`, 1},
+		{`//*[contains(., "kx")]`, 0},
+	})
+}
+
+// TestSpanTableConcurrent evaluates one compiled span query from several
+// goroutines before its table exists, under both strategies: the first
+// evaluations race to build the shared table, and every one must count the
+// sequential result. Run with -race.
+func TestSpanTableConcurrent(t *testing.T) {
+	d := medlineDoc(t, 100_000, 16, false)
+	for _, s := range []Strategy{StrategyTopDown, StrategyBottomUp} {
+		src := `//*[contains(., "\n199")]`
+		want, err := Compile(src, d, Options{ForceStrategy: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := want.Count()
+		if n == 0 {
+			t.Fatalf("%s matches nothing", src)
+		}
+		q, err := Compile(src, d, Options{ForceStrategy: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := q.Count(); got != n {
+					t.Errorf("%s: concurrent count %d, sequential %d", s, got, n)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -62,10 +62,13 @@ type Query struct {
 }
 
 // Strategy describes the chosen evaluation plan, in the notation of
-// Figure 14: "top-down" or "bottom-up", plus "fm" or "naive" when the query
-// has text predicates. "fm" means the text index is usable for the match
-// sets, not that they are located: a frequent contains or ends-with literal
-// is still answered by a plain-store scan (see matchSet).
+// Figure 14: "top-down" or "bottom-up", plus "fm", "spans" or "naive" when
+// the query has text predicates. "fm" means the text index is usable for the
+// match sets, not that they are located: a frequent contains or ends-with
+// literal is still answered by a plain-store scan (see matchSet). "spans"
+// means some contains on a multi-text target reads occurrence spans
+// (spans.go) and none falls to the naive string values; "naive" means at
+// least one does.
 func (q *Query) Strategy() string {
 	s := "top-down"
 	if q.plan != nil {
@@ -78,16 +81,15 @@ func (q *Query) Strategy() string {
 			s += "+nav"
 		}
 	}
-	if hasText, fm := q.textInfo(); hasText {
-		if fm && !q.opts.ForceNaiveText && q.doc.FM != nil {
-			return s + ",fm"
-		}
-		return s + ",naive"
+	if text := q.textPath(); text != "" {
+		return s + "," + text
 	}
 	return s
 }
 
-func (q *Query) textInfo() (hasText, fmUsable bool) {
+// textPath returns "" when the query has no text predicate, otherwise the
+// slowest path one of them takes: "naive" over "spans" over "fm".
+func (q *Query) textPath() string {
 	c := &compiler{doc: q.doc, opts: q.opts}
 	// Steps evaluated navigationally (the post segment) apply their text
 	// predicates with the naive string-value semantics, as does anything
@@ -96,9 +98,9 @@ func (q *Query) textInfo() (hasText, fmUsable bool) {
 	for _, st := range q.post {
 		postSet[st] = true
 	}
+	var hasText, spans, naive bool
 	var walkExpr func(e Expr, carrier *Step, nav bool)
 	var walkPath func(p *Path, nav bool)
-	fmUsable = true
 	walkExpr = func(e Expr, carrier *Step, nav bool) {
 		switch x := e.(type) {
 		case *AndExpr:
@@ -113,8 +115,8 @@ func (q *Query) textInfo() (hasText, fmUsable bool) {
 			walkPath(x.Path, nav || pathNeedsNav(x.Path))
 		case *TextExpr:
 			hasText = true
-			if nav {
-				fmUsable = false
+			if nav || x.Target != nil && pathNeedsNav(x.Target) {
+				naive = true
 				if x.Target != nil {
 					walkPath(x.Target, true)
 				}
@@ -122,17 +124,16 @@ func (q *Query) textInfo() (hasText, fmUsable bool) {
 			}
 			tgt := predTarget{test: carrier.Test, underAttr: carrier.underAttr}
 			if x.Target != nil {
-				if pathNeedsNav(x.Target) {
-					fmUsable = false
-					walkPath(x.Target, true)
-					return
-				}
 				walkPath(x.Target, false)
 				tl := x.Target.Steps[len(x.Target.Steps)-1]
 				tgt = predTarget{test: tl.Test, underAttr: tl.underAttr}
 			}
-			if _, ok := c.singleText(tgt); !ok {
-				fmUsable = false
+			_, single := c.singleText(tgt)
+			switch {
+			case !single && spansUsable(q.doc, q.opts, x.Op, x.Literal):
+				spans = true
+			case !single || q.doc.FM == nil || q.opts.ForceNaiveText:
+				naive = true
 			}
 		}
 	}
@@ -145,7 +146,15 @@ func (q *Query) textInfo() (hasText, fmUsable bool) {
 		}
 	}
 	walkPath(q.AST, false)
-	return hasText, fmUsable
+	switch {
+	case !hasText:
+		return ""
+	case naive:
+		return "naive"
+	case spans:
+		return "spans"
+	}
+	return "fm"
 }
 
 // Compile parses, normalizes, plans and compiles a query against a document.
@@ -189,12 +198,12 @@ func Compile(src string, doc *xmltree.Doc, opts Options) (*Query, error) {
 		}
 		norm = &Path{Steps: norm.Steps[:split]}
 	}
-	plan := buildBottomUpPlan(doc, norm, opts)
+	c := &compiler{doc: doc, f: automata.NewFactory(), opts: opts}
+	plan := buildBottomUpPlan(c, norm)
 	q.cost = chooseStrategy(doc, norm, opts, plan)
 	if plan != nil && q.cost.Chosen == StrategyBottomUp {
 		q.plan = plan
 	} else {
-		c := &compiler{doc: doc, f: automata.NewFactory(), opts: opts}
 		auto, err := c.compile(norm)
 		if err != nil {
 			return nil, err

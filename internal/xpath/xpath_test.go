@@ -242,13 +242,21 @@ func TestStrategySelection(t *testing.T) {
 	if q2.UsesBottomUp() {
 		t.Error("boolean filter should not be bottom-up")
 	}
-	// Mixed content target: naive text.
+	// Mixed content target: occurrence spans for contains, naive text for
+	// the other functions.
 	q3, err := Compile("//listitem[contains(., 'beta')]", d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !strings.HasSuffix(q3.Strategy(), ",spans") {
+		t.Errorf("contains on mixed content should use spans, got %s", q3.Strategy())
+	}
+	q3, err = Compile("//listitem[starts-with(., 'beta')]", d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(q3.Strategy(), "naive") {
-		t.Errorf("mixed content should use naive text, got %s", q3.Strategy())
+		t.Errorf("starts-with on mixed content should use naive text, got %s", q3.Strategy())
 	}
 	// Pure-text element target: fm.
 	q4, err := Compile("//emph[contains(., 'nest')]", d, Options{})
