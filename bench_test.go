@@ -862,6 +862,44 @@ func BenchmarkCountStream(b *testing.B) {
 	}
 }
 
+// BenchmarkTopDownCount is CI's pinned gate on the marking automaton:
+// cached counts of X04, X11 (XMark) and T02, T03 (Treebank) on the 2 MB
+// corpora, each checked against the DOM first. Every call is a top-down run
+// (TopDownRun with jumps, Section 5.4.1) on an evaluator from the query's
+// pool. visited/op is the run's Stats().Visited. The JIT tables, the vals
+// free list and the jump cursors outlive the run, so allocs/op is only the
+// evaluator rebuilt after the collections testing runs between rounds,
+// spread over b.N: near 0 at the default -benchtime.
+func BenchmarkTopDownCount(b *testing.B) {
+	setup(b)
+	type query = struct{ ID, Query string }
+	for _, set := range []struct {
+		c       *corpus
+		queries []query
+	}{
+		{&corpora.xmark, []query{bench.XMarkQueries[3], bench.XMarkQueries[10]}},
+		{&corpora.tbank, bench.TreebankQueries[1:3]},
+	} {
+		tree := set.c.parseDOM(b)
+		for _, q := range set.queries {
+			cq, n, _ := checkedQuery(b, set.c.eng, tree, q.ID, q.Query)
+			if cq.Automaton() == nil {
+				b.Fatalf("%s: strategy %s, want the automaton", q.ID, cq.Strategy())
+			}
+			cq.Count()
+			visited := float64(cq.Stats().Visited)
+			b.Run(q.ID, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					cq.Count()
+				}
+				b.ReportMetric(float64(n), "results")
+				b.ReportMetric(visited, "visited/op")
+			})
+		}
+	}
+}
+
 // searchBench shares a four-document collection (one per corpus) across the
 // search benchmarks, plus a query term chosen deterministically as the most
 // frequent long-ish token in the XMark text store — the posting tier indexes

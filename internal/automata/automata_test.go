@@ -151,3 +151,63 @@ func TestEmptyDocRun(t *testing.T) {
 		t.Fatalf("count=%d", n)
 	}
 }
+
+// TestNextInSet checks the cursor-cached multi-tag jump against the least
+// NextOccurrence of the set's tags below end, from every start position:
+// forward, then backward (every query then lies before the cached cursors),
+// then forward again, on one evaluator and with two sets sharing a tag.
+func TestNextInSet(t *testing.T) {
+	doc, err := xmltree.Parse([]byte(listDoc), xmltree.Options{SkipFM: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(buildFig3(t, doc), doc, Count, Options{})
+	kw, em, li := doc.TagID("keyword"), doc.TagID("emph"), doc.TagID("listitem")
+	sets := [][]int32{{kw, em}, {li, kw}, {em}}
+	last := doc.Close(doc.Root())
+	check := func(from int) {
+		for _, set := range sets {
+			for _, end := range []int{last + 1, last / 2, from + 3} {
+				want := xmltree.Nil
+				for _, tag := range set {
+					if p := doc.Tag.NextOccurrence(2*tag, from); p >= 0 && p < end && (want == xmltree.Nil || p < want) {
+						want = p
+					}
+				}
+				if got := ev.nextInSet(set, from, end); got != want {
+					t.Fatalf("nextInSet(%v, %d, %d) = %d, want %d", set, from, end, got, want)
+				}
+			}
+		}
+	}
+	for from := 0; from <= last+1; from++ {
+		check(from)
+	}
+	for from := last + 1; from >= 0; from-- {
+		check(from)
+	}
+	for from := 0; from <= last+1; from += 3 {
+		check(from)
+	}
+}
+
+// TestEvaluatorReuse runs one evaluator per mode three times: every run
+// returns the same answer and the same Stats, which start from zero.
+func TestEvaluatorReuse(t *testing.T) {
+	doc, err := xmltree.Parse([]byte(listDoc), xmltree.Options{SkipFM: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := buildFig3(t, doc)
+	for _, mode := range []Mode{Count, Materialize} {
+		ev := NewEvaluator(a, doc, mode, Options{})
+		n0, nodes0 := ev.Run()
+		stats0 := ev.Stats
+		for i := 0; i < 2; i++ {
+			n, nodes := ev.Run()
+			if n != n0 || len(nodes) != len(nodes0) || ev.Stats != stats0 {
+				t.Fatalf("mode %d run %d: %d %v %+v, first run %d %v %+v", mode, i+2, n, nodes, ev.Stats, n0, nodes0, stats0)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package automata
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -105,7 +106,10 @@ type runRes struct {
 	vals []Res // indexed by state; only entries of sat are meaningful
 }
 
-// Evaluator runs an automaton over a document.
+// Evaluator runs an automaton over a document. After a run that returned,
+// it may run again: each run starts from zero Stats, and keeps what earlier
+// runs built, which depends only on the automaton and the document — the JIT
+// tables, the vals free list and the jump cursors.
 type Evaluator struct {
 	A    *Automaton
 	Doc  *xmltree.Doc
@@ -120,8 +124,13 @@ type Evaluator struct {
 	jumpCache  map[uint64]*jumpInfo
 
 	// freelist of vals slices: child results are copied by value into the
-	// parent's result, so their slices can be recycled immediately.
+	// parent's result, so their slices can be recycled immediately. A slice
+	// is cleared when it is freed, so the list holds no results.
 	valsPool [][]Res
+
+	// cursors caches one jump answer per tag id (see nextInSet); nil until
+	// the first jump.
+	cursors []cursor
 
 	// Cancellation state for RunContext: the recursive run polls ctxDone
 	// every few visited nodes and unwinds with a runCancelled panic, since
@@ -130,6 +139,11 @@ type Evaluator struct {
 	ctx     context.Context
 	ctxDone <-chan struct{}
 }
+
+// cursor is a tag's last jump answer: next is the tag's first opening
+// position at or after at (math.MaxInt for none), so it is also the answer
+// for every position in [at, next].
+type cursor struct{ at, next int }
 
 // runCancelled is the panic sentinel RunContext recovers.
 type runCancelled struct{ err error }
@@ -171,8 +185,10 @@ func NewEvaluator(a *Automaton, doc *xmltree.Doc, mode Mode, opts Options) *Eval
 
 // RunContext is Run with cancellation: when ctx is cancelled the run stops
 // at the next visit poll (every 64 visited nodes) and the context's error
-// is returned. An evaluator whose run was cancelled must not be reused —
-// its Stats are partial and its pools may hold live slices.
+// is returned. An evaluator whose run was cancelled, or panicked, must not
+// be reused: the run stopped between two updates of its state, and the
+// unwound frames never returned their vals slices. One whose run returned
+// may run again.
 func (ev *Evaluator) RunContext(ctx context.Context) (n int64, nodes []int, err error) {
 	if ctx != nil && ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
@@ -198,6 +214,7 @@ func (ev *Evaluator) RunContext(ctx context.Context) (n int64, nodes []int, err 
 // of the start state. In Count mode the returned slice is nil and the count
 // is the first return value.
 func (ev *Evaluator) Run() (int64, []int) {
+	ev.Stats = Stats{}
 	root := ev.Doc.Root()
 	if root == xmltree.Nil {
 		return 0, nil
@@ -205,14 +222,29 @@ func (ev *Evaluator) Run() (int64, []int) {
 	end := ev.Doc.Close(root) + 1
 	r := ev.run(1<<uint(ev.A.Start), root, end)
 	q := ev.A.Start
-	if r.sat>>uint(q)&1 == 0 {
-		return 0, nil
+	var n int64
+	var nodes []int
+	switch {
+	case r.sat>>uint(q)&1 == 0:
+	case ev.Mode == Count:
+		n = r.vals[q].count
+	default:
+		nodes = r.vals[q].seq.Expand(ev.Doc)
 	}
-	if ev.Mode == Count {
-		return r.vals[q].count, nil
+	ev.freeVals(&r)
+	if keep := maxFreeBytes / (resBytes * max(1, ev.A.NumStates)); len(ev.valsPool) > keep {
+		ev.valsPool = append([][]Res(nil), ev.valsPool[:keep]...)
 	}
-	return 0, r.vals[q].seq.Expand(ev.Doc)
+	return n, nodes
 }
+
+// maxFreeBytes bounds the vals free list an evaluator keeps between runs.
+// The list grows to the deepest chain of live frames in a run — one per
+// sibling the run recursed over — which on a flat document is one per node.
+const maxFreeBytes = 4 << 20
+
+// resBytes is the size of a Res on a 64-bit platform.
+const resBytes = 16
 
 func (ev *Evaluator) base(q uint64) runRes {
 	return runRes{sat: q & ev.A.Bottom, vals: ev.allocVals()}
@@ -222,9 +254,6 @@ func (ev *Evaluator) allocVals() []Res {
 	if n := len(ev.valsPool); n > 0 {
 		v := ev.valsPool[n-1]
 		ev.valsPool = ev.valsPool[:n-1]
-		for i := range v {
-			v[i] = Res{}
-		}
 		return v
 	}
 	return make([]Res, ev.A.NumStates)
@@ -232,6 +261,7 @@ func (ev *Evaluator) allocVals() []Res {
 
 func (ev *Evaluator) freeVals(r *runRes) {
 	if r.vals != nil {
+		clear(r.vals)
 		ev.valsPool = append(ev.valsPool, r.vals)
 		r.vals = nil
 	}
@@ -267,7 +297,7 @@ func (ev *Evaluator) run(q uint64, pos, end int) runRes {
 			if ji.collector && !ev.Opts.NoLazy {
 				return ev.collect(q, ji, pos, end)
 			}
-			pos = doc.NextInSet(ji.triggers, pos, end)
+			pos = ev.nextInSet(ji.triggers, pos, end)
 			if pos == xmltree.Nil {
 				return ev.base(q)
 			}
@@ -321,6 +351,35 @@ func (ev *Evaluator) collect(q uint64, ji *jumpInfo, pos, end int) runRes {
 		}
 	}
 	return r
+}
+
+// nextInSet returns the smallest paren position q with from <= q < end whose
+// entry is the opening tag of one of set's tags, or Nil. This is the
+// multi-tag jump of Section 5.4.1. A run visits nodes in document order, so
+// from only grows within a run; each tag's row is queried again only
+// once from has passed that tag's cached answer.
+func (ev *Evaluator) nextInSet(set []int32, from, end int) int {
+	if ev.cursors == nil {
+		ev.cursors = make([]cursor, ev.Doc.NumTags())
+		for i := range ev.cursors {
+			ev.cursors[i] = cursor{at: 1, next: 0} // answers no position
+		}
+	}
+	best := end
+	for _, t := range set {
+		c := &ev.cursors[t]
+		if from < c.at || from > c.next {
+			c.at, c.next = from, ev.Doc.Tag.NextOccurrence(2*t, from)
+			if c.next < 0 {
+				c.next = math.MaxInt
+			}
+		}
+		best = min(best, c.next)
+	}
+	if best == end {
+		return xmltree.Nil
+	}
+	return best
 }
 
 func trailing(x uint64) int {
@@ -438,9 +497,10 @@ const (
 // no mark accounting), then value construction for committed transitions,
 // so marks are counted exactly once (Figure 4 semantics).
 func (ev *Evaluator) evalInstr(in *instr, q uint64, pos int, r1, r2 *runRes) (runRes, bool) {
-	tvs := make([]tv, len(in.pairs))
-	for i, p := range in.pairs {
-		tvs[i] = ev.truth(p.phi, pos, r1, r2)
+	var buf [16]tv
+	tvs := buf[:0]
+	for _, p := range in.pairs {
+		tvs = append(tvs, ev.truth(p.phi, pos, r1, r2))
 	}
 	// Per state: true if any transition is true; unresolved if any
 	// transition is unknown and either carries marks or the state is not

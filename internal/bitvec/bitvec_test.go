@@ -297,19 +297,3 @@ func BenchmarkVectorSelect(b *testing.B) {
 		v.Select1(i % ones)
 	}
 }
-
-func BenchmarkSparseRank(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	n := 1 << 22
-	var pos []int
-	for i := 0; i < n; i++ {
-		if r.Intn(100) == 0 {
-			pos = append(pos, i)
-		}
-	}
-	s := NewSparse(n, pos)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Rank1(i & (n - 1))
-	}
-}

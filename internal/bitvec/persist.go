@@ -81,16 +81,21 @@ func ReadSparse(pr *persist.MReader) *Sparse {
 	s.lowBits = uint(lb)
 	s.high = high
 	if s.m == 0 {
-		if pr.Check(len(s.low) == 0, "sparse low bits without ones") != nil {
+		if pr.Check(len(s.low) == 0 && s.maxValue == 0, "sparse low bits without ones") != nil {
 			return nil
 		}
 		return s
 	}
 	ok := len(s.low) == (s.m*lb+63)/64 &&
 		high.Ones() == s.m &&
-		high.Len() == (s.n>>s.lowBits)+s.m+1 &&
-		s.maxValue < s.n
+		high.Len() == (s.n>>s.lowBits)+s.m+1
 	if pr.Check(ok, "sparse vector component mismatch") != nil {
+		return nil
+	}
+	// successor trusts maxValue as its early exit: a larger one would send
+	// it past the last one, a smaller one would hide ones.
+	last := s.Select1(s.m - 1)
+	if pr.Check(s.maxValue == last && last < s.n, "sparse maximum mismatch") != nil {
 		return nil
 	}
 	return s

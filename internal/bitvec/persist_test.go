@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -138,5 +139,29 @@ func TestSparseLoadCorrupt(t *testing.T) {
 	})
 	if _, err := persisttest.Read(persisttest.Flip(data, 0), ReadSparse); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad format: %v", err)
+	}
+}
+
+// TestSparseLoadMaxValue patches the stored maximum (bytes 25-32: after the
+// format byte and the n, m and lowBits words) to values that are still
+// below n. successor exits early on the maximum, so every one of them must
+// be rejected, not loaded.
+func TestSparseLoadMaxValue(t *testing.T) {
+	s := NewSparse(1000, []int{3, 77, 500, 900})
+	data := persisttest.Bytes(t, s)
+	if got := binary.LittleEndian.Uint64(data[25:]); got != 900 {
+		t.Fatalf("stored maximum %d at offset 25, want 900", got)
+	}
+	for _, v := range []uint64{0, 500, 899, 901, 999} {
+		bad := bytes.Clone(data)
+		binary.LittleEndian.PutUint64(bad[25:], v)
+		if _, err := persisttest.Read(bad, ReadSparse); !errors.Is(err, persist.ErrCorrupt) {
+			t.Errorf("maximum %d: %v, want ErrCorrupt", v, err)
+		}
+	}
+	empty := persisttest.Bytes(t, NewSparse(1000, nil))
+	binary.LittleEndian.PutUint64(empty[25:], 7)
+	if _, err := persisttest.Read(empty, ReadSparse); !errors.Is(err, persist.ErrCorrupt) {
+		t.Errorf("maximum 7 without ones: %v, want ErrCorrupt", err)
 	}
 }

@@ -1,15 +1,14 @@
 package bitvec
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Sparse is an Elias–Fano encoded bit vector: it stores m sorted positions
 // out of a universe [0, n) in m*ceil(log2(n/m)) + 2m + o(m) bits. This is the
 // "sarray" structure of Okanohara and Sadakane that the paper uses for each
-// row of the tag matrix R (Section 4.1.2). Select1 is O(1) amortized; Rank1
-// is O(log) via the upper-bits directory.
+// row of the tag matrix R (Section 4.1.2). Select1 is one select on the
+// high stream. Rank1, NextOne and Get are one Select0 plus a scan of one
+// bucket (see successor): O(1) expected, and logarithmic in the worst case,
+// because a long bucket is binary searched and a long gap is selected over.
 type Sparse struct {
 	n        int // universe size
 	m        int // number of ones
@@ -99,66 +98,107 @@ func (s *Sparse) Select1(j int) int {
 
 // Rank1 returns the number of ones in [0, i).
 func (s *Sparse) Rank1(i int) int {
-	if i <= 0 || s.m == 0 {
+	if i <= 0 {
 		return 0
 	}
-	if i > s.n {
-		i = s.n
-	}
-	// Number of ones with value < i. Find by binary search on Select1
-	// within the candidate range given by the high directory.
-	hi := (i - 1) >> s.lowBits // high part of i-1
-	// Ones with high part < hi are surely < i; ones with high part > hi are >= i.
-	// Candidates: ones with high part == hi.
-	// Position in s.high where high part hi's run of ones ends:
-	// zeros encode increments of the high part; after hi+1 zeros all ones
-	// have high part > hi.
-	zeroPos := s.high.Select0(hi)
-	var lowerCount int
-	if zeroPos < 0 {
-		lowerCount = s.m
-	} else {
-		lowerCount = s.high.Rank1(zeroPos) // ones with high part < hi... see below
-	}
-	// lowerCount counts ones with high part <= hi-1? Careful: the k-th zero
-	// (0-based k) appears after all ones with high part <= k... Actually in
-	// Elias-Fano high stream, ones for value v appear before the (v+1)-th
-	// zero and after the v-th zero. Ones before Select0(hi) have high part
-	// < hi... no: before the (hi+1)-th zero (0-based index hi) all ones have
-	// high part <= hi. We need ones with high part < hi first:
-	start := 0
-	if hi > 0 {
-		z := s.high.Select0(hi - 1)
-		if z >= 0 {
-			start = s.high.Rank1(z) // ones with high part < hi
-		} else {
-			start = s.m
-		}
-	}
-	end := lowerCount // ones with high part <= hi
-	if zeroPos < 0 {
-		end = s.m
-	}
-	// Binary search ones in [start, end) for value < i. A candidate has
-	// high part hi, so its value is < i iff its low part <= low(i-1),
-	// i.e. low < lowTarget with lowTarget = ((i-1) & mask) + 1.
-	mask := uint64(1)<<s.lowBits - 1
-	lowTarget := (uint64(i-1) & mask) + 1
-	cnt := sort.Search(end-start, func(k int) bool {
-		return s.getLow(start+k) >= lowTarget
-	})
-	return start + cnt
+	k, _ := s.successor(i)
+	return k
 }
 
 // Get returns whether position p is set.
 func (s *Sparse) Get(p int) bool {
-	return s.Rank1(p+1)-s.Rank1(p) == 1
+	_, v := s.successor(p)
+	return p >= 0 && v == p
 }
 
 // NextOne returns the smallest set position >= p, or -1 if none.
 func (s *Sparse) NextOne(p int) int {
-	r := s.Rank1(p)
-	return s.Select1(r)
+	_, v := s.successor(p)
+	return v
+}
+
+// longBucket is the number of ones successor compares one by one in a
+// bucket before it binary searches the rest, and gapWords the number of
+// high-stream words it scans past a bucket before it selects instead.
+const (
+	longBucket = 16
+	gapWords   = 8
+)
+
+// successor returns the index k of the first one whose value is >= p, and
+// that value, or (m, -1) when there is none. The ones with high part
+// hi = p>>lowBits are the run of ones after the hi-th zero of the high
+// stream: one Select0 finds the run, a scan compares their low parts with
+// p's, and once the run is over the next set bit of the high stream is the
+// first one with a larger high part. Since lowBits = floor(log2(n/m)) makes
+// at least m buckets, a run holds one value on average. The high stream
+// ends in a zero (no high part exceeds n>>lowBits), so no scan leaves it;
+// the k >= m test of valueFrom covers low parts that a damaged file left
+// unsorted.
+func (s *Sparse) successor(p int) (int, int) {
+	if s.m == 0 || p > s.maxValue {
+		return s.m, -1
+	}
+	p = max(p, 0)
+	hi := p >> s.lowBits
+	lowP := uint64(p) & (1<<s.lowBits - 1)
+	pos := 0 // high-stream position of the first one with high part >= hi
+	if hi > 0 {
+		pos = s.high.Select0(hi-1) + 1
+	}
+	k := pos - hi
+	words := s.high.words
+	for seen := 0; words[pos>>6]>>uint(pos&63)&1 == 1; seen++ {
+		if seen == longBucket {
+			return s.searchBucket(hi, k, lowP)
+		}
+		if low := s.getLow(k); low >= lowP {
+			return k, hi<<s.lowBits | int(low)
+		}
+		k++
+		pos++
+	}
+	return k, s.valueFrom(k, pos)
+}
+
+// searchBucket finishes successor in a long bucket: the first one at index
+// >= k with high part hi and low part >= lowP, by binary search up to the
+// bucket's end, else the first one after it.
+func (s *Sparse) searchBucket(hi, k int, lowP uint64) (int, int) {
+	end := s.high.Select0(hi)
+	lo, up := k, end-hi
+	for lo < up {
+		mid := int(uint(lo+up) >> 1)
+		if s.getLow(mid) >= lowP {
+			up = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < end-hi {
+		return lo, hi<<s.lowBits | int(s.getLow(lo))
+	}
+	return lo, s.valueFrom(lo, end+1)
+}
+
+// valueFrom returns the value of the k-th one (0-based), whose high-stream
+// position is known to be >= pos: the next set bit from pos, or Select1
+// when that is more than gapWords words away.
+func (s *Sparse) valueFrom(k, pos int) int {
+	if k >= s.m {
+		return -1
+	}
+	words := s.high.words
+	w := pos >> 6
+	x := words[w] &^ (uint64(1)<<uint(pos&63) - 1)
+	for i := 0; x == 0; i++ {
+		if i == gapWords {
+			return s.Select1(k)
+		}
+		w++
+		x = words[w]
+	}
+	return (w<<6+bits.TrailingZeros64(x)-k)<<s.lowBits | int(s.getLow(k))
 }
 
 // SizeInBytes reports the memory footprint of the structure.

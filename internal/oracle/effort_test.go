@@ -3,9 +3,11 @@ package oracle
 import (
 	"context"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dom"
@@ -117,4 +119,105 @@ func TestSpanPlanEffort(t *testing.T) {
 		t.Errorf("cached span count: %.0f allocations at 64 KB, %.0f at 256 KB", allocs[64<<10], allocs[256<<10])
 	}
 	t.Logf("allocations per cached span count: %v", allocs)
+}
+
+// suite is a corpus with the queries run on it.
+type suite struct {
+	data    []byte
+	queries []struct{ ID, Query string }
+}
+
+// topDownSuites are TestPaperSuites' XMark and Treebank corpora at size
+// with X01-X12 and T01-T05, the queries of the effort pins.
+func topDownSuites(size int) []suite {
+	return []suite{
+		{gen.XMark(1, size), bench.XMarkQueries[:12]},
+		{gen.Treebank(4, size), bench.TreebankQueries},
+	}
+}
+
+// TestTopDownCountAllocs pins the warm evaluator: a cached top-down Count
+// of X03, X04, X10, T02 and T03 allocates as often on 512 KB documents as
+// on 64 KB ones, and at most twice per call. The JIT tables, the vals free
+// list and the jump cursors live in the query's evaluator pool, so a run
+// allocates nothing that grows with the document. A garbage collection
+// between two calls empties the pool, so each figure is the least of three
+// measurements.
+func TestTopDownCountAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops evaluators at random")
+	}
+	pinned := map[string]bool{"X03": true, "X04": true, "X10": true, "T02": true, "T03": true}
+	allocs := func(size int) map[string]float64 {
+		out := map[string]float64{}
+		for _, c := range topDownSuites(size) {
+			eng, err := core.Build(c.data, core.Config{SampleRate: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range c.queries {
+				if !pinned[q.ID] {
+					continue
+				}
+				cq, err := eng.Compile(q.Query)
+				if err != nil {
+					t.Fatal(q.ID, err)
+				}
+				if cq.Strategy() != "top-down" {
+					t.Fatalf("%s: strategy %s, want top-down", q.ID, cq.Strategy())
+				}
+				out[q.ID] = math.Inf(1)
+				for i := 0; i < 3; i++ {
+					out[q.ID] = min(out[q.ID], testing.AllocsPerRun(20, func() { cq.Count() }))
+				}
+			}
+		}
+		return out
+	}
+	small, large := allocs(64<<10), allocs(512<<10)
+	for id, n := range small {
+		if large[id] != n || n > 2 {
+			t.Errorf("%s: %.0f allocations at 64 KB, %.0f at 512 KB; want equal and at most 2", id, n, large[id])
+		}
+	}
+	t.Logf("allocations per cached count: %v", small)
+}
+
+// jumpEffort is Stats() after a Count of X01-X12 and T01-T05 on the 64 KB
+// corpora of TestPaperSuites, recorded with the evaluator that answered
+// every jump with fresh rank/select calls and built its state per run.
+var jumpEffort = map[string]automata.Stats{
+	"X01": {Visited: 18, Marked: 4}, "X02": {Visited: 119, Marked: 77},
+	"X03": {Visited: 276, Marked: 2}, "X04": {Visited: 81, Marked: 38},
+	"X05": {Visited: 268, Marked: 17}, "X06": {Visited: 175, Marked: 17},
+	"X07": {Visited: 271, Marked: 27}, "X08": {Visited: 199, Marked: 27},
+	"X09": {Visited: 199, Marked: 27}, "X10": {Visited: 290, Marked: 43},
+	"X11": {Visited: 447, Marked: 43}, "X12": {Visited: 186, Marked: 8},
+	"T01": {Visited: 1, Marked: 607}, "T02": {Visited: 1161, Marked: 2},
+	"T03": {Visited: 941, Marked: 313}, "T04": {Visited: 145, Marked: 144},
+	"T05": {Visited: 637, Marked: 0},
+}
+
+// TestJumpEffort pins where the jumps land: the cursors and the one-select
+// successor visit and mark exactly the nodes the rank/select jumps did, on
+// a query's first run and on its pooled second one.
+func TestJumpEffort(t *testing.T) {
+	for _, c := range topDownSuites(suiteSize) {
+		eng, err := core.Build(c.data, core.Config{SampleRate: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range c.queries {
+			cq, err := eng.Compile(q.Query)
+			if err != nil {
+				t.Fatal(q.ID, err)
+			}
+			for run := 1; run <= 2; run++ {
+				cq.Count()
+				if got, want := cq.Stats(), jumpEffort[q.ID]; got != want {
+					t.Errorf("%s run %d: %+v, want %+v", q.ID, run, got, want)
+				}
+			}
+		}
+	}
 }

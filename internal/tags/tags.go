@@ -13,7 +13,10 @@ import (
 
 // Sequence stores 2n tag identifiers (one per parenthesis). Identifiers are
 // in [0, 2t): even for any value; the caller decides the open/close
-// convention. Access is O(1); Rank is O(log n); Select is O(1) amortized.
+// convention. Access is O(1). Select is one select on a row's high stream;
+// Rank and NextOccurrence are one select plus a scan of one Elias–Fano
+// bucket, O(1) expected and logarithmic at worst (see bitvec.Sparse), and
+// PrevOccurrence is a Rank and a Select.
 type Sequence struct {
 	packed   []uint64
 	width    uint // bits per entry

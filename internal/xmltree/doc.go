@@ -600,20 +600,6 @@ func (d *Doc) TaggedPrec(x int, tag int32) int {
 	return Nil
 }
 
-// NextInSet returns the smallest paren position q with from <= q < end whose
-// entry is the opening tag of one of set's tags, or Nil. This is the
-// multi-tag jump used by the automaton (Section 5.4.1).
-func (d *Doc) NextInSet(set []int32, from, end int) int {
-	best := Nil
-	for _, t := range set {
-		p := d.Tag.NextOccurrence(2*t, from)
-		if p >= 0 && p < end && (best == Nil || p < best) {
-			best = p
-		}
-	}
-	return best
-}
-
 // --- Connecting text and tree (Section 4.2.3) ---
 
 // NumTexts returns d, the number of texts.

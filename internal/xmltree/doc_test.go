@@ -269,18 +269,3 @@ func TestBigDocumentNavigation(t *testing.T) {
 		t.Fatalf("jump walk count=%d", count)
 	}
 }
-
-func TestNextInSet(t *testing.T) {
-	d := parse(t, paperDoc, Options{SkipFM: true})
-	color, stock := d.TagID("color"), d.TagID("stock")
-	root := d.Root()
-	end := d.Close(root)
-	p := d.NextInSet([]int32{color, stock}, root+1, end)
-	if p == Nil || d.TagOf(p) != color {
-		t.Fatal("first of {color,stock} should be color")
-	}
-	p2 := d.NextInSet([]int32{color, stock}, p+1, end)
-	if p2 == Nil || d.TagOf(p2) != stock {
-		t.Fatal("second should be stock")
-	}
-}

@@ -131,6 +131,45 @@ func (c *pollCtx) Err() error {
 	return context.Canceled
 }
 
+// TestCancelledEvaluatorDropped pins the pool rule of Query: a run
+// cancelled by the automaton's own poll drops its evaluator, so after a
+// finished run (which pools one) and a cancelled one (which takes it), the
+// query's pool is empty for both modes.
+func TestCancelledEvaluatorDropped(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < 1000; i++ {
+		sb.WriteString("<b><c/></b>")
+	}
+	sb.WriteString("</r>")
+	q, err := Compile("//b[c]", buildTestDoc(t, sb.String()), Options{ForceStrategy: StrategyTopDown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []automata.Mode{automata.Count, automata.Materialize} {
+		run := func(ctx context.Context) error {
+			if mode == automata.Count {
+				_, err := q.CountCtx(ctx)
+				return err
+			}
+			_, err := q.NodesCtx(ctx)
+			return err
+		}
+		if err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Two Err calls pass: the entry point's and RunContext's.
+		ctx := newPollCtx()
+		ctx.errCalls = -1
+		if err := run(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("mode %v: err = %v, want Canceled", mode, err)
+		}
+		if ev := q.evals[mode].Get(); ev != nil {
+			t.Fatalf("mode %v: the cancelled evaluator went back to the pool", mode)
+		}
+	}
+}
+
 // TestMidFlightCancelTopDown covers the top-down evaluator's two
 // cancellation points. The automaton's own 64-visit poll is exercised with
 // pollCtx (the run must abort within one polling interval of the 10k-visit

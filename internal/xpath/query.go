@@ -33,9 +33,10 @@ type Options struct {
 }
 
 // Query is a compiled Core+ query bound to a document. A Query is safe for
-// concurrent use by multiple goroutines: every evaluation builds its own
-// evaluator state, and the statistics of the most recently finished
-// evaluation are kept behind a mutex (see Stats).
+// concurrent use by multiple goroutines: every automaton run has an
+// evaluator to itself, taken from the query's pool for its mode, and the
+// statistics of the most recently finished evaluation are kept behind a
+// mutex (see Stats).
 type Query struct {
 	Src string
 	AST *Path
@@ -56,6 +57,12 @@ type Query struct {
 	// mayOvercount: counters are not guaranteed disjoint (see compileSteps);
 	// Count falls back to materialized set semantics.
 	mayOvercount bool
+
+	// evals holds finished evaluators, indexed by automata.Mode, so the
+	// runs of a cached query share their JIT tables, vals free lists and
+	// jump cursors (see runAuto). The pool empties itself under GC and goes
+	// with the Query when a cache evicts it.
+	evals [2]sync.Pool
 
 	statsMu   sync.Mutex
 	lastStats automata.Stats // guarded by statsMu
@@ -250,12 +257,11 @@ func (q *Query) CountCtx(ctx context.Context) (int64, error) {
 		q.setStats(automata.Stats{Visited: n, Marked: n})
 		return n, nil
 	}
-	ev := automata.NewEvaluator(q.auto, q.doc, automata.Count, q.opts.Eval)
-	n, _, err := ev.RunContext(ctx)
+	n, _, stats, err := q.runAuto(ctx, automata.Count)
 	if err != nil {
 		return 0, err
 	}
-	q.setStats(ev.Stats)
+	q.setStats(stats)
 	return n, nil
 }
 
@@ -294,13 +300,29 @@ func (q *Query) NodesCtx(ctx context.Context) ([]int, error) {
 		q.setStats(automata.Stats{Visited: int64(len(nodes)), Marked: int64(len(nodes))})
 		return nodes, nil
 	}
-	ev := automata.NewEvaluator(q.auto, q.doc, automata.Materialize, q.opts.Eval)
-	_, nodes, err := ev.RunContext(ctx)
+	_, nodes, stats, err := q.runAuto(ctx, automata.Materialize)
 	if err != nil {
 		return nil, err
 	}
-	q.setStats(ev.Stats)
+	q.setStats(stats)
 	return nodes, nil
+}
+
+// runAuto runs the automaton in mode on an evaluator from the query's pool,
+// or a new one. The evaluator goes back to the pool only after a run that
+// returned: one that was cancelled or panicked is dropped.
+func (q *Query) runAuto(ctx context.Context, mode automata.Mode) (int64, []int, automata.Stats, error) {
+	ev, _ := q.evals[mode].Get().(*automata.Evaluator)
+	if ev == nil {
+		ev = automata.NewEvaluator(q.auto, q.doc, mode, q.opts.Eval)
+	}
+	n, nodes, err := ev.RunContext(ctx)
+	if err != nil {
+		return 0, nil, automata.Stats{}, err
+	}
+	stats := ev.Stats
+	q.evals[mode].Put(ev)
+	return n, nodes, stats, nil
 }
 
 // Exists reports whether the query selects at least one node, without
@@ -362,12 +384,8 @@ func (q *Query) prefixNodes(ctx context.Context) ([]int, automata.Stats, error) 
 		}
 		return nodes, automata.Stats{Visited: int64(len(nodes))}, nil
 	case q.auto != nil:
-		ev := automata.NewEvaluator(q.auto, q.doc, automata.Materialize, q.opts.Eval)
-		_, nodes, err := ev.RunContext(ctx)
-		if err != nil {
-			return nil, automata.Stats{}, err
-		}
-		return nodes, ev.Stats, nil
+		_, nodes, stats, err := q.runAuto(ctx, automata.Materialize)
+		return nodes, stats, err
 	default:
 		return []int{q.doc.Root()}, automata.Stats{}, nil
 	}
