@@ -85,7 +85,7 @@ func setup(b *testing.B) {
 		load(&corpora.xmark, "xmark", gen.XMark(1, benchSize), core.Config{})
 		load(&corpora.medline, "medline", gen.Medline(101, benchSize), core.Config{})
 		load(&corpora.tbank, "treebank", gen.Treebank(4, benchSize), core.Config{})
-		load(&corpora.bio, "bioxml", gen.BioXML(77, benchSize), core.Config{RunLength: true, SampleRate: 16})
+		load(&corpora.bio, "bioxml", gen.BioXML(77, benchSize), core.Config{SampleRate: 16})
 		load(&corpora.wiki, "wiki", gen.Wiki(202, benchSize), core.Config{})
 	})
 }
@@ -612,7 +612,9 @@ func BenchmarkTable7_WordIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkFig18_PSSM is Figure 18 over the run-length-indexed BioXML corpus.
+// BenchmarkFig18_PSSM is Figure 18 over the BioXML corpus, indexed with the
+// default wavelet-tree FM-index at sampling step 16 (the paper swaps in a
+// run-length index here; ours measures larger and slower on this corpus).
 // <matrix>/fm-backtrack is the text search alone (branch-and-bound
 // backtracking over the FM-index; metric: occurrences) and <matrix>/scan the
 // brute-force scan, which must report the same occurrences. P1-P9 are the

@@ -49,7 +49,6 @@ func main() {
 	sample := fs.Int("sample", 64, "FM-index sampling rate l")
 	procs := fs.Int("p", 0, "parallel build workers (0 = all CPUs; for 'build')")
 	mem := fs.String("mem", "", "build memory budget, e.g. 512M or 2G (empty = unbounded; for 'build')")
-	rl := fs.Bool("rl", false, "use the run-length text index (repetitive data)")
 	noMmap := fs.Bool("no-mmap", false, "load saved indexes by copying instead of memory-mapping")
 	addr := fs.String("addr", ":8080", "listen address (for 'serve')")
 	dir := fs.String("dir", "", "document directory (for 'serve')")
@@ -76,7 +75,7 @@ func main() {
 		}
 	}
 
-	cfg := core.Config{SampleRate: *sample, RunLength: *rl, NoMmap: *noMmap, BuildProcs: *procs}
+	cfg := core.Config{SampleRate: *sample, NoMmap: *noMmap, BuildProcs: *procs}
 	if *mem != "" {
 		budget, err := parseMem(*mem)
 		if err != nil {
@@ -276,7 +275,7 @@ commands:
   search -dir DIR 'TERMS'           BM25-ranked full-text search over a directory
   serve  -dir DIR [-addr :8080]     serve a directory of documents over HTTP
 
-flags: -sample N (FM sampling rate), -rl (run-length text index),
+flags: -sample N (FM sampling rate),
        -p N (build: parallel workers, 0 = all CPUs),
        -mem BUDGET (build: transient memory budget, e.g. 512M or 2G),
        -no-mmap (read saved indexes into memory instead of mapping them),

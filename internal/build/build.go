@@ -2,7 +2,7 @@
 //
 //	parse (xmltree.ParseRaw)
 //	  ├── structure assembly (BP, tag sequence, leaf bitmap, planner tables)
-//	  └── text self-index (fmindex.NewParallel: chunked SA-IS + merge)
+//	  └── text self-index (fmindex.NewCtx: chunked SA-IS + merge)
 //	attach (Doc.SetFM)
 //
 // Stage 1 flattens the document into plain arrays; the two sides of stage 2
@@ -16,10 +16,9 @@
 // cancelled build returns an error with no partially built state reachable:
 // the stage products are local until the final attach.
 //
-// xmltree.Parse remains the serial reference implementation; Document
-// produces an identical *xmltree.Doc (the equivalence suite pins the
-// serialized index byte for byte), which is what lets `sxsi build` default
-// to this pipeline.
+// xmltree.Parse runs the same stages one after another and produces an
+// identical *xmltree.Doc; the equivalence suite pins the serialized index
+// byte for byte across worker counts and budgets.
 package build
 
 import (
@@ -32,14 +31,14 @@ import (
 // Options configure a pipeline run.
 type Options struct {
 	// Tree carries the document-model options (sampling rate, SkipFM,
-	// SkipPlain, sequence builder), exactly as xmltree.Parse takes them.
+	// SkipPlain), exactly as xmltree.Parse takes them.
 	Tree xmltree.Options
 	// Procs is the worker count for the parallel text-index construction
 	// (0 = GOMAXPROCS). Any value produces the same index.
 	Procs int
 	// MemoryBudget bounds the transient construction memory of the text
 	// side in bytes and serializes the two assembly sides (0 = unbounded,
-	// concurrent). See fmindex.BuildOptions.MemoryBudget for the floor.
+	// concurrent). See fmindex.Options.MemoryBudget for the floor.
 	MemoryBudget int64
 	// TempDir receives suffix-array spill files of bounded builds
 	// ("" = os.TempDir()).
@@ -59,8 +58,8 @@ func Document(ctx context.Context, xml []byte, o Options) (*xmltree.Doc, error) 
 	if o.Tree.SkipFM {
 		return xmltree.AssembleStructure(ctx, raw, o.Tree)
 	}
-	fmOpts := fmindex.Options{SampleRate: o.Tree.SampleRate, Builder: o.Tree.Builder}
-	fmBuild := fmindex.BuildOptions{
+	fmOpts := fmindex.Options{
+		SampleRate:   o.Tree.SampleRate,
 		Procs:        o.Procs,
 		MemoryBudget: o.MemoryBudget,
 		TempDir:      o.TempDir,
@@ -72,7 +71,7 @@ func Document(ctx context.Context, xml []byte, o Options) (*xmltree.Doc, error) 
 		if err != nil {
 			return nil, err
 		}
-		fm, err := fmindex.NewParallel(ctx, raw.Texts, fmOpts, fmBuild)
+		fm, err := fmindex.NewCtx(ctx, raw.Texts, fmOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +86,7 @@ func Document(ctx context.Context, xml []byte, o Options) (*xmltree.Doc, error) 
 	)
 	go func() {
 		defer close(fmDone)
-		fm, fmErr = fmindex.NewParallel(ctx, raw.Texts, fmOpts, fmBuild)
+		fm, fmErr = fmindex.NewCtx(ctx, raw.Texts, fmOpts)
 	}()
 	doc, err := xmltree.AssembleStructure(ctx, raw, o.Tree)
 	<-fmDone

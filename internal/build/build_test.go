@@ -37,7 +37,8 @@ func docBytes(t *testing.T, d *xmltree.Doc) []byte {
 // TestByteIdenticalAcrossCorpora is the pipeline equivalence suite: for
 // every oracle corpus, worker count in {1, 2, 8} and memory budget in
 // {unbounded, tight}, the staged parallel build serializes to exactly the
-// bytes of the serial xmltree.Parse reference. The tight budget (1 MiB
+// bytes of xmltree.Parse, which runs the stages one after another with the
+// default build options. The tight budget (1 MiB
 // against ~256 KiB documents) forces multi-chunk sorting with spilled
 // suffix arrays, so the chunk/merge/spill machinery is in the loop.
 func TestByteIdenticalAcrossCorpora(t *testing.T) {
@@ -60,7 +61,7 @@ func TestByteIdenticalAcrossCorpora(t *testing.T) {
 					t.Fatalf("%s p=%d mem=%d: %v", c.name, procs, budget, err)
 				}
 				if !bytes.Equal(want, docBytes(t, doc)) {
-					t.Fatalf("%s p=%d mem=%d: serialized index differs from serial build",
+					t.Fatalf("%s p=%d mem=%d: serialized index differs from xmltree.Parse",
 						c.name, procs, budget)
 				}
 				if budget > 0 && c.name == "xmark" && !st.Spilled {

@@ -2,8 +2,8 @@
 // engine: a registry of named indexed documents, parallel bulk loading of
 // saved indexes (with build-on-miss for raw XML), a bounded worker-pool
 // batch query API, and an LRU cache of compiled queries. It is the
-// in-process core of the sxsid server (package service); everything here is
-// safe for concurrent use.
+// in-process core of the `sxsi serve` server (package service); everything
+// here is safe for concurrent use.
 package collection
 
 import (

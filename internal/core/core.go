@@ -18,10 +18,8 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/build"
-	"repro/internal/fmindex"
 	"repro/internal/mmap"
 	"repro/internal/persist"
-	"repro/internal/rlfm"
 	"repro/internal/search"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -77,10 +75,6 @@ type Config struct {
 	// section's bytes stay resident all the same; only a mapping leaves
 	// them to the page cache.
 	SkipPlain bool
-	// RunLength uses the run-length FM sequence (package rlfm) instead of
-	// the wavelet tree — the RLCSA swap of Section 6.7 for repetitive
-	// collections.
-	RunLength bool
 	// NoMmap makes OpenFile read the whole index file into one aligned
 	// heap buffer, as LoadFile does, instead of mapping it; the decoder is
 	// the same. The buffer is private memory, reported in Stats.HeapBytes,
@@ -101,15 +95,11 @@ type Config struct {
 }
 
 func (c Config) treeOptions() xmltree.Options {
-	o := xmltree.Options{
+	return xmltree.Options{
 		SkipFM:     c.SkipFM,
 		SkipPlain:  c.SkipPlain,
 		SampleRate: c.SampleRate,
 	}
-	if c.RunLength {
-		o.Builder = func(bwt []byte) fmindex.RankSequence { return rlfm.New(bwt) }
-	}
-	return o
 }
 
 // Build parses and indexes an XML document held in memory.
@@ -121,7 +111,8 @@ func Build(xml []byte, cfg Config) (*Engine, error) {
 // staged pipeline of package build — parse, then structure assembly and the
 // chunk-parallel text-index construction (cfg.BuildProcs workers, transient
 // memory bounded by cfg.MemoryBudget) — polling ctx at bounded intervals in
-// every stage. The produced index is byte-identical to a serial build.
+// every stage. The produced index does not depend on BuildProcs or
+// MemoryBudget.
 func BuildContext(ctx context.Context, xml []byte, cfg Config) (*Engine, error) {
 	doc, err := build.Document(ctx, xml, build.Options{
 		Tree:         cfg.treeOptions(),

@@ -11,8 +11,11 @@ import (
 	"unsafe"
 
 	"repro/internal/automata"
+	"repro/internal/bitvec"
 	"repro/internal/gen"
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
+	"repro/internal/wavelet"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -104,31 +107,75 @@ func TestMappedIdenticalOutput(t *testing.T) {
 	}
 }
 
-// TestMappedRunLength: the run-length sequence cannot alias (it is
-// rebuilt from the BWT), but a mapped open with RunLength must still give
-// identical results.
-func TestMappedRunLength(t *testing.T) {
-	data := gen.BioXML(2, 40_000)
-	built, err := Build(data, Config{RunLength: true, SampleRate: 8})
+// TestOpenFileRawBWTRejected pins the retired raw-BWT sequence kind: an
+// index whose FM section stores the BWT as a plain byte string (kind 0, the
+// form the run-length configuration used to save) is refused as corrupt on
+// every open path instead of being rebuilt into a wavelet tree.
+func TestOpenFileRawBWTRejected(t *testing.T) {
+	e, err := Build([]byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "rl.sxsi")
-	if _, err := built.SaveFile(path); err != nil {
+	var saved bytes.Buffer
+	if _, err := e.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := OpenFile(path, Config{RunLength: true, SampleRate: 8})
-	if err != nil {
+	data, fm := saved.Bytes(), persisttest.Bytes(t, e.Doc.FM)
+	at := bytes.Index(data, fm)
+	if at < 0 {
+		t.Fatal("FM section payload not found in the saved file")
+	}
+	// Swap the payload, rewrite its length header and keep the following
+	// sections on their 8-byte offsets.
+	raw := rawBWTPayload(t, fm)
+	padded := func(n int) int { return n + -n&7 }
+	out := append([]byte(nil), data[:at]...)
+	binary.LittleEndian.PutUint64(out[at-8:], uint64(len(raw)))
+	out = append(out, raw...)
+	out = append(out, make([]byte, padded(len(raw))-len(raw))...)
+	out = append(out, data[at+padded(len(fm)):]...)
+	path := filepath.Join(t.TempDir(), "raw.sxsi")
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
-	for _, q := range []string{"//gene//exon", "//sequence[contains(., 'ACG')]"} {
-		a, err1 := built.Count(q)
-		b, err2 := mapped.Count(q)
-		if err1 != nil || err2 != nil || a != b {
-			t.Fatalf("%s: %d/%v vs %d/%v", q, a, err1, b, err2)
+	for name, open := range openPaths {
+		if _, err := open(path); !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("%s: want ErrCorrupt for a raw-BWT FM section, got %v", name, err)
 		}
 	}
+}
+
+// rawBWTPayload rewrites a stored FM-index payload into the retired
+// sequence kind 0: the same sampling metadata, then the BWT as a
+// length-prefixed byte string.
+func rawBWTPayload(t *testing.T, fm []byte) []byte {
+	t.Helper()
+	mr := persist.NewMReader(fm)
+	var buf bytes.Buffer
+	pw := persist.NewWriter(&buf)
+	pw.Byte(mr.Byte()) // format
+	for range 3 {
+		pw.Int(mr.Int()) // n, d, l
+	}
+	for range 3 {
+		pw.Int32s(mr.Int32s()) // lens, doc, ps
+	}
+	bitvec.ReadVector(mr).Store(pw)
+	mr.Byte() // sequence kind 1: the wavelet tree
+	wt := wavelet.Read(mr)
+	if mr.Err() != nil {
+		t.Fatal(mr.Err())
+	}
+	bwt := make([]byte, wt.Len())
+	for i := range bwt {
+		bwt[i] = wt.Access(i)
+	}
+	pw.Byte(0)
+	pw.Bytes(bwt)
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestOpenFileFallbacks: NoMmap, LoadFile and Load decode a heap buffer

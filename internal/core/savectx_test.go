@@ -65,7 +65,7 @@ func TestSaveFileCtxSuccess(t *testing.T) {
 }
 
 // The parallel build configuration on Config must produce an engine whose
-// saved bytes match the default serial-equivalent build.
+// saved bytes match the default build.
 func TestBuildContextConfigEquivalence(t *testing.T) {
 	serial, err := Build([]byte(doc), Config{})
 	if err != nil {
@@ -80,7 +80,7 @@ func TestBuildContextConfigEquivalence(t *testing.T) {
 	a := saveToBytes(t, serial)
 	b := saveToBytes(t, par)
 	if string(a) != string(b) {
-		t.Fatal("parallel-configured build differs from serial build")
+		t.Fatal("parallel-configured build differs from the default build")
 	}
 }
 

@@ -10,7 +10,6 @@
 package fmindex
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -21,37 +20,9 @@ import (
 	"repro/internal/wavelet"
 )
 
-// RankSequence is the symbol-sequence abstraction the index needs for the
-// BWT: access, partial rank and global count. The default implementation is
-// the Huffman-shaped wavelet tree; the run-length sequence of package rlfm
-// can be plugged in for highly repetitive collections (Section 6.7).
-type RankSequence interface {
-	Access(i int) byte
-	// Rank returns the number of occurrences of c in the prefix [0, i).
-	Rank(c byte, i int) int
-	Count(c byte) int
-	Len() int
-	SizeInBytes() int
-}
-
-// SequenceBuilder turns the raw BWT byte string into a RankSequence.
-type SequenceBuilder func(bwt []byte) RankSequence
-
-// WaveletBuilder is the default SequenceBuilder.
-func WaveletBuilder(bwt []byte) RankSequence { return wavelet.New(bwt) }
-
-// Options configure index construction.
-type Options struct {
-	// SampleRate is the text-position sampling step l (Section 3.1). Every
-	// l-th position of T is sampled for locating. Default 64.
-	SampleRate int
-	// Builder constructs the BWT rank structure. Default WaveletBuilder.
-	Builder SequenceBuilder
-}
-
 // Index is the FM-index over a text collection.
 type Index struct {
-	bwt  RankSequence
+	bwt  *wavelet.Tree
 	c    [257]int // c[x] = number of symbols < x in T (terminators are symbol 0)
 	doc  []int32  // doc[r] = id of the text *starting* at the r-th $ of the BWT
 	d    int      // number of texts
@@ -74,9 +45,8 @@ var ErrTooLarge = sais.ErrTooLarge
 
 // collectionSize returns |T| — the total length including one terminator
 // per text — and validates it against the suffix sorter's int32 position
-// limit. This is the shared entry-point guard: New, NewCtx and NewParallel
-// all reject oversized collections here instead of silently corrupting the
-// suffix array downstream.
+// limit, so NewCtx rejects an oversized collection before any sorting
+// instead of silently corrupting the suffix array downstream.
 func collectionSize(texts [][]byte) (int, error) {
 	n := 0
 	for _, t := range texts {
@@ -86,114 +56,6 @@ func collectionSize(texts [][]byte) (int, error) {
 		return 0, fmt.Errorf("fmindex: %w", err)
 	}
 	return n, nil
-}
-
-// New builds the index over the given texts. Texts must not contain byte 0.
-func New(texts [][]byte, opts Options) (*Index, error) {
-	return NewCtx(context.Background(), texts, opts)
-}
-
-// NewCtx is New with cancellation: the suffix sort — the dominant
-// construction cost — polls ctx at bounded intervals, and the surrounding
-// passes check it between stages.
-func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
-	if opts.SampleRate <= 0 {
-		opts.SampleRate = 64
-	}
-	if opts.Builder == nil {
-		opts.Builder = WaveletBuilder
-	}
-	d := len(texts)
-	n, err := collectionSize(texts)
-	if err != nil {
-		return nil, err
-	}
-	idx := &Index{d: d, n: n, l: opts.SampleRate}
-	if d == 0 {
-		idx.bwt = opts.Builder(nil)
-		idx.bs = bitvec.FromBools(nil)
-		idx.strt = bitvec.NewSparse(1, nil)
-		return idx, nil
-	}
-
-	// Build the integer string: terminator of text i gets value i (so that
-	// terminators sort below all characters and by text identifier), and
-	// character c gets value d + c.
-	s := make([]int32, 0, n)
-	starts := make([]int, d)
-	idx.lens = make([]int32, d)
-	for i, t := range texts {
-		if i&0xfff == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		starts[i] = len(s)
-		idx.lens[i] = int32(len(t))
-		for _, ch := range t {
-			if ch == 0 {
-				return nil, ErrNulByte
-			}
-			s = append(s, int32(d)+int32(ch))
-		}
-		s = append(s, int32(i))
-	}
-	idx.strt = bitvec.NewSparse(n+1, starts)
-
-	sa, err := sais.ComputeCtx(ctx, s, d+256)
-	if err != nil {
-		return nil, err
-	}
-
-	// BWT with terminators collapsed to byte 0; build doc and samples.
-	bwt := make([]byte, n)
-	sampled := bitvec.New(n)
-	var psTmp []int32
-	for i, p := range sa {
-		if i&(mergePollStride-1) == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		var prev int32
-		if p == 0 {
-			prev = s[n-1]
-		} else {
-			prev = s[p-1]
-		}
-		if prev < int32(d) {
-			bwt[i] = 0
-			// The terminator of text `prev` precedes suffix position p, so
-			// text (prev+1) mod d starts here; per the paper's Doc
-			// convention we record the id of the text starting at p.
-			idx.doc = append(idx.doc, (prev+1)%int32(d))
-		} else {
-			bwt[i] = byte(prev - int32(d))
-		}
-		if int(p)%idx.l == 0 {
-			sampled.Set(i)
-			psTmp = append(psTmp, p)
-		}
-	}
-	sampled.Build()
-	idx.bs = sampled
-	// ps must be in bwt-position order of the sampled rows; we appended in
-	// increasing row order already.
-	idx.ps = psTmp
-
-	for i, b := range bwt {
-		if i&(mergePollStride-1) == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		idx.c[int(b)+1]++
-	}
-	for i := 1; i <= 256; i++ {
-		idx.c[i] += idx.c[i-1]
-	}
-	idx.bwt = opts.Builder(bwt)
-	return idx, nil
 }
 
 // NumTexts returns the number of texts d in the collection.

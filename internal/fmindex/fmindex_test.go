@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -18,7 +19,7 @@ func mkTexts(ss ...string) [][]byte {
 
 func build(t *testing.T, texts [][]byte, rate int) *Index {
 	t.Helper()
-	idx, err := New(texts, Options{SampleRate: rate})
+	idx, err := NewCtx(context.Background(), texts, Options{SampleRate: rate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestEmptyTextInCollection(t *testing.T) {
 }
 
 func TestNulByteRejected(t *testing.T) {
-	_, err := New([][]byte{{1, 0, 2}}, Options{})
+	_, err := NewCtx(context.Background(), [][]byte{{1, 0, 2}}, Options{})
 	if err != ErrNulByte {
 		t.Fatalf("want ErrNulByte, got %v", err)
 	}
@@ -296,7 +297,7 @@ func BenchmarkBackwardSearch(b *testing.B) {
 		}
 		texts = append(texts, tx)
 	}
-	idx, _ := New(texts, Options{SampleRate: 64})
+	idx, _ := NewCtx(context.Background(), texts, Options{SampleRate: 64})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.GlobalCount([]byte("abcde"))

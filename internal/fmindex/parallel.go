@@ -1,12 +1,12 @@
 package fmindex
 
-// Parallel, memory-bounded FM-index construction (the write-side
-// counterpart of the mmap read path). The serial builder suffix-sorts the
-// whole collection at once; this file chunks the text collection at text
-// boundaries, runs SA-IS over the chunks concurrently, and merges the
-// per-chunk suffix orders back into the one global order the serial builder
-// produces — the resulting Index is byte-for-byte identical to New's, which
-// the equivalence suite pins across corpora, worker counts and budgets.
+// FM-index construction: parallel and memory-bounded (the write-side
+// counterpart of the mmap read path). NewCtx chunks the text collection at
+// text boundaries, runs SA-IS over the chunks concurrently, and merges the
+// per-chunk suffix orders into the one global suffix order of the whole
+// collection. The result depends on neither the worker count nor the
+// memory budget; the equivalence suite pins it against a naive suffix sort
+// across corpora, worker counts and budgets.
 //
 // Why per-chunk sorting is exact: every text carries a distinct terminator
 // that sorts below all characters and by text identifier (Section 3.2's
@@ -44,11 +44,16 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/sais"
+	"repro/internal/wavelet"
 )
 
-// BuildOptions tune the parallel builder. The zero value builds with all
-// CPUs, unbounded memory and the system temp directory.
-type BuildOptions struct {
+// Options configure index construction. The zero value samples every 64th
+// position and builds with all CPUs, unbounded memory and the system temp
+// directory.
+type Options struct {
+	// SampleRate is the text-position sampling step l (Section 3.1). Every
+	// l-th position of T is sampled for locating. Default 64.
+	SampleRate int
 	// Procs is the number of concurrent workers for the sort and merge
 	// stages (0 = GOMAXPROCS). Any value produces the same index.
 	Procs int
@@ -100,17 +105,14 @@ const (
 	spillBufBytes = 64 << 10
 )
 
-// NewParallel builds the same index as New over the given texts, using up
-// to bo.Procs workers and at most bo.MemoryBudget bytes of transient
-// construction memory. Cancellation is polled in every stage; on error or
-// cancellation all temporary state (including spill files) is released and
-// nothing partially built escapes.
-func NewParallel(ctx context.Context, texts [][]byte, opts Options, bo BuildOptions) (*Index, error) {
+// NewCtx builds the index over the given texts, which must not contain
+// byte 0, using up to opts.Procs workers and at most opts.MemoryBudget
+// bytes of transient construction memory. Cancellation is polled in every
+// stage; on error or cancellation all temporary state (including spill
+// files) is released and nothing partially built escapes.
+func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
 	if opts.SampleRate <= 0 {
 		opts.SampleRate = 64
-	}
-	if opts.Builder == nil {
-		opts.Builder = WaveletBuilder
 	}
 	d := len(texts)
 	n, err := collectionSize(texts)
@@ -119,7 +121,7 @@ func NewParallel(ctx context.Context, texts [][]byte, opts Options, bo BuildOpti
 	}
 	idx := &Index{d: d, n: n, l: opts.SampleRate}
 	if d == 0 {
-		idx.bwt = opts.Builder(nil)
+		idx.bwt = wavelet.New(nil)
 		idx.bs = bitvec.FromBools(nil)
 		idx.strt = bitvec.NewSparse(1, nil)
 		return idx, nil
@@ -140,9 +142,9 @@ func NewParallel(ctx context.Context, texts [][]byte, opts Options, bo BuildOpti
 	}
 	idx.strt = bitvec.NewSparse(n+1, starts)
 
-	plan := planBuild(n, bo)
-	if bo.Stats != nil {
-		defer func() { *bo.Stats = plan.stats() }()
+	plan := planBuild(n, opts)
+	if opts.Stats != nil {
+		defer func() { *opts.Stats = plan.stats() }()
 	}
 	chunks, cleanup, err := sortChunks(ctx, texts, starts, plan)
 	defer cleanup()
@@ -193,7 +195,7 @@ func NewParallel(ctx context.Context, texts [][]byte, opts Options, bo BuildOpti
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	idx.bwt = opts.Builder(bwt)
+	idx.bwt = wavelet.New(bwt)
 	return idx, nil
 }
 
@@ -228,8 +230,8 @@ func (p *buildPlan) stats() BuildStats {
 // and retained suffix arrays), workers shed if even minimal chunks would
 // not fit, and suffix arrays spill to disk when holding them all in RAM
 // (4 bytes/symbol) plus the BWT buffer would overflow.
-func planBuild(n int, bo BuildOptions) *buildPlan {
-	p := &buildPlan{procs: bo.Procs, tempDir: bo.TempDir}
+func planBuild(n int, opts Options) *buildPlan {
+	p := &buildPlan{procs: opts.Procs, tempDir: opts.TempDir}
 	if p.procs <= 0 {
 		p.procs = runtime.GOMAXPROCS(0)
 	}
@@ -237,12 +239,12 @@ func planBuild(n int, bo BuildOptions) *buildPlan {
 	if n/maxChunks > minChunk {
 		minChunk = n / maxChunks
 	}
-	if bo.MemoryBudget <= 0 {
+	if opts.MemoryBudget <= 0 {
 		p.chunkSyms = maxInt((n+p.procs-1)/p.procs, minChunk)
 		p.transient = int64(5*n) + int64(p.procs)*saisBytesPerSym*int64(p.chunkSyms)
 		return p
 	}
-	budget := bo.MemoryBudget
+	budget := opts.MemoryBudget
 	for p.procs > 1 && int64(p.procs)*saisBytesPerSym*int64(minChunk) > budget/2 {
 		p.procs--
 	}
@@ -749,7 +751,7 @@ func mergeOneSeg(ctx context.Context, sg *mergeSeg, texts [][]byte, starts []int
 		if cu.off == 0 {
 			// The previous symbol is the terminator of the preceding text:
 			// byte 0 in the BWT plus the doc entry of the text starting
-			// here (the paper's Doc convention, as in the serial builder).
+			// here (the paper's Doc convention).
 			bwt[row] = 0
 			out.doc = append(out.doc, cu.t)
 		} else {

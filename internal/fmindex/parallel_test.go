@@ -8,31 +8,86 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/persist/persisttest"
+	"repro/internal/wavelet"
 )
 
-// assertIdentical pins the parallel build against the serial one: identical
+// naiveIndex is the test-only reference builder. It lays the collection
+// out as one integer string in the terminator order of Section 3.2 — text
+// i's terminator is i, so it sorts below text j's for i < j, and byte c is
+// d+c, above every terminator — sorts the suffix starts with sort.Slice,
+// and reads every stored field off that order.
+func naiveIndex(texts [][]byte, rate int) *Index {
+	d := len(texts)
+	var s []int32
+	var starts []int
+	x := &Index{d: d, l: rate}
+	for i, t := range texts {
+		starts = append(starts, len(s))
+		x.lens = append(x.lens, int32(len(t)))
+		for _, c := range t {
+			s = append(s, int32(d)+int32(c))
+		}
+		s = append(s, int32(i))
+	}
+	x.n = len(s)
+	sa := make([]int, x.n)
+	for i := range sa {
+		sa[i] = i
+	}
+	// Two distinct suffixes differ at or before the first terminator either
+	// one reaches, since every terminator occurs once.
+	sort.Slice(sa, func(i, j int) bool {
+		a, b := sa[i], sa[j]
+		for s[a] == s[b] {
+			a, b = a+1, b+1
+		}
+		return s[a] < s[b]
+	})
+	bwt := make([]byte, x.n)
+	x.bs = bitvec.New(x.n)
+	for r, p := range sa {
+		prev := s[(p+x.n-1)%x.n]
+		if prev < int32(d) {
+			// p starts text prev+1 (mod d): the Doc array records it.
+			x.doc = append(x.doc, (prev+1)%int32(d))
+		} else {
+			bwt[r] = byte(prev - int32(d))
+		}
+		if p%rate == 0 {
+			x.bs.Set(r)
+			x.ps = append(x.ps, int32(p))
+		}
+		x.c[int(bwt[r])+1]++
+	}
+	x.bs.Build()
+	for c := 1; c <= 256; c++ {
+		x.c[c] += x.c[c-1]
+	}
+	x.bwt = wavelet.New(bwt)
+	x.strt = bitvec.NewSparse(x.n+1, starts)
+	return x
+}
+
+// assertIdentical pins NewCtx against the naive reference: identical
 // serialized bytes and identical in-memory tables (c and strt are not part
 // of the serialized payload, so they are compared directly).
-func assertIdentical(t *testing.T, texts [][]byte, opts Options, bo BuildOptions) {
+func assertIdentical(t *testing.T, texts [][]byte, opts Options) {
 	t.Helper()
-	want, err := New(texts, opts)
+	want := naiveIndex(texts, opts.SampleRate)
+	got, err := NewCtx(context.Background(), texts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewParallel(context.Background(), texts, opts, bo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Byte equality of the stored form is what makes parallel and serial
-	// builds produce identical .sxsi files.
 	if !bytes.Equal(persisttest.Bytes(t, want), persisttest.Bytes(t, got)) {
-		t.Fatalf("serialized bytes differ (procs=%d budget=%d)", bo.Procs, bo.MemoryBudget)
+		t.Fatalf("serialized bytes differ (procs=%d budget=%d)", opts.Procs, opts.MemoryBudget)
 	}
 	if want.c != got.c {
-		t.Fatalf("c tables differ (procs=%d budget=%d)", bo.Procs, bo.MemoryBudget)
+		t.Fatalf("c tables differ (procs=%d budget=%d)", opts.Procs, opts.MemoryBudget)
 	}
 	if !reflect.DeepEqual(want.doc, got.doc) || !reflect.DeepEqual(want.ps, got.ps) {
 		t.Fatal("doc/ps differ")
@@ -74,13 +129,11 @@ func TestParallelEquivalenceRandom(t *testing.T) {
 	}
 	budgets := []int64{0, 1 << 20}
 	procs := []int{1, 2, 8}
-	for si, sh := range shapes {
+	for _, sh := range shapes {
 		texts := randomTexts(rng, sh.d, sh.maxLen, sh.sigma)
 		for _, p := range procs {
 			for _, b := range budgets {
-				bo := BuildOptions{Procs: p, MemoryBudget: b, TempDir: t.TempDir()}
-				assertIdentical(t, texts, Options{SampleRate: 4}, bo)
-				_ = si
+				assertIdentical(t, texts, Options{SampleRate: 4, Procs: p, MemoryBudget: b, TempDir: t.TempDir()})
 			}
 		}
 	}
@@ -98,8 +151,7 @@ func TestParallelEdgeCases(t *testing.T) {
 	for name, texts := range cases {
 		t.Run(name, func(t *testing.T) {
 			for _, p := range []int{1, 3} {
-				assertIdentical(t, texts, Options{SampleRate: 4},
-					BuildOptions{Procs: p, TempDir: t.TempDir()})
+				assertIdentical(t, texts, Options{SampleRate: 4, Procs: p, TempDir: t.TempDir()})
 			}
 		})
 	}
@@ -113,8 +165,7 @@ func TestParallelTightBudgetSpills(t *testing.T) {
 	texts := randomTexts(rng, 64, 8<<10, 2)
 	dir := t.TempDir()
 	var st BuildStats
-	bo := BuildOptions{Procs: 8, MemoryBudget: 1 << 20, TempDir: dir, Stats: &st}
-	assertIdentical(t, texts, Options{SampleRate: 16}, bo)
+	assertIdentical(t, texts, Options{SampleRate: 16, Procs: 8, MemoryBudget: 1 << 20, TempDir: dir, Stats: &st})
 	if st.Chunks < 2 {
 		t.Fatalf("expected multiple chunks, got %d", st.Chunks)
 	}
@@ -131,8 +182,8 @@ func TestParallelTightBudgetSpills(t *testing.T) {
 }
 
 func TestParallelNulByte(t *testing.T) {
-	_, err := NewParallel(context.Background(), [][]byte{[]byte("ok"), {1, 0, 2}},
-		Options{}, BuildOptions{Procs: 2, TempDir: t.TempDir()})
+	_, err := NewCtx(context.Background(), [][]byte{[]byte("ok"), {1, 0, 2}},
+		Options{Procs: 2, TempDir: t.TempDir()})
 	if !errors.Is(err, ErrNulByte) {
 		t.Fatalf("want ErrNulByte, got %v", err)
 	}
@@ -146,8 +197,7 @@ func TestParallelCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dir := t.TempDir()
-	_, err := NewParallel(ctx, texts, Options{},
-		BuildOptions{Procs: 4, MemoryBudget: 1 << 20, TempDir: dir})
+	_, err := NewCtx(ctx, texts, Options{Procs: 4, MemoryBudget: 1 << 20, TempDir: dir})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

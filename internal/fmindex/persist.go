@@ -9,20 +9,15 @@ import (
 )
 
 // On-disk layout: the sampling metadata (Doc array, text lengths, sampled
-// positions and the sampled-row bitmap) plus the BWT sequence itself. When
-// the sequence is the default wavelet tree it is stored structurally, so
-// loading attaches the node bitmaps without re-running the symbol
-// distribution pass; any other RankSequence falls back to the raw BWT
-// string and is rebuilt by the caller's SequenceBuilder. Either way the
-// suffix sort — the dominant construction cost — never runs on load.
+// positions and the sampled-row bitmap) plus the wavelet tree over the BWT,
+// stored structurally so that loading attaches the node bitmaps without
+// re-running the symbol distribution pass, let alone the suffix sort.
 
 const indexFormat = 1
 
-// Sequence payload kinds.
-const (
-	seqRawBWT  = 0 // raw BWT byte string, rebuilt via the SequenceBuilder
-	seqWavelet = 1 // structured wavelet tree
-)
+// seqWavelet is the sequence payload kind byte. It is the only kind; the
+// raw BWT string that kind 0 once held is rejected as corrupt.
+const seqWavelet = 1
 
 // Store serializes the index into pw.
 func (x *Index) Store(pw *persist.Writer) {
@@ -34,32 +29,13 @@ func (x *Index) Store(pw *persist.Writer) {
 	pw.Int32s(x.doc)
 	pw.Int32s(x.ps)
 	x.bs.Store(pw)
-	if wt, ok := x.bwt.(storedTree); ok {
-		pw.Byte(seqWavelet)
-		wt.Store(pw)
-	} else {
-		pw.Byte(seqRawBWT)
-		bwt := make([]byte, x.n)
-		for i := range bwt {
-			bwt[i] = x.bwt.Access(i)
-		}
-		pw.Bytes(bwt)
-	}
+	pw.Byte(seqWavelet)
+	x.bwt.Store(pw)
 }
 
-// storedTree is the structural-serialization hook: the wavelet tree
-// satisfies it; other rank sequences take the raw-BWT path.
-type storedTree interface {
-	RankSequence
-	Store(pw *persist.Writer)
-}
-
-// Read reads an index written by Store. builder rebuilds the rank sequence
-// when the stored payload is a raw BWT (or when a non-nil builder must
-// override a structurally stored wavelet tree). A nil builder keeps the
-// stored wavelet tree as is. On corrupt input Read returns nil and leaves
-// the error in pr.
-func Read(pr *persist.MReader, builder SequenceBuilder) *Index {
+// Read reads an index written by Store. On corrupt input Read returns nil
+// and leaves the error in pr.
+func Read(pr *persist.MReader) *Index {
 	if pr.Check(pr.Byte() == indexFormat, "unknown fm-index format") != nil {
 		return nil
 	}
@@ -74,9 +50,9 @@ func Read(pr *persist.MReader, builder SequenceBuilder) *Index {
 	if pr.Err() != nil {
 		return nil
 	}
-	// Anchor n to the sampled-row bitmap before decoding the sequence: the
-	// bitmap's length is backed by actually-read words, so a corrupt n
-	// cannot drive the BWT materialization below (size or index-wise).
+	// Anchor n to the sampled-row bitmap before the sequence decode: the
+	// bitmap's length is backed by actually-read words, so a corrupt n is
+	// rejected here.
 	if pr.Check(x.bs.Len() == x.n, "fm-index length mismatch") != nil {
 		return nil
 	}
@@ -101,38 +77,10 @@ func Read(pr *persist.MReader, builder SequenceBuilder) *Index {
 		}()
 		done <- x.validateSamples()
 	}()
-	kind := pr.Byte()
-	switch kind {
-	case seqWavelet:
-		wt := wavelet.Read(pr)
-		if wt == nil {
-			return nil
-		}
-		if pr.Check(wt.Len() == x.n, "bwt length mismatch") != nil {
-			return nil
-		}
-		if builder != nil {
-			// The caller wants a different sequence type: re-materialize the
-			// BWT and hand it over.
-			bwt := make([]byte, x.n)
-			for i := range bwt {
-				bwt[i] = wt.Access(i)
-			}
-			x.bwt = builder(bwt)
-		} else {
-			x.bwt = wt
-		}
-	case seqRawBWT:
-		bwt := pr.Bytes()
-		if pr.Check(len(bwt) == x.n, "bwt length mismatch") != nil {
-			return nil
-		}
-		if builder == nil {
-			builder = WaveletBuilder
-		}
-		x.bwt = builder(bwt)
-	default:
-		pr.Check(false, "unknown bwt sequence kind")
+	if pr.Check(pr.Byte() == seqWavelet, "unknown bwt sequence kind") != nil {
+		return nil
+	}
+	if x.bwt = wavelet.Read(pr); x.bwt == nil {
 		return nil
 	}
 	sc := <-done

@@ -2,19 +2,19 @@ package fmindex
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/persist"
 	"repro/internal/persist/persisttest"
-	"repro/internal/rlfm"
 )
 
-// load decodes a stored index with the given sequence builder, the way the
-// index container's FM section is read.
-func load(data []byte, builder SequenceBuilder) (*Index, error) {
-	return persisttest.Read(data, func(mr *persist.MReader) *Index { return Read(mr, builder) })
+// load decodes a stored index the way the index container's FM section is
+// read.
+func load(data []byte) (*Index, error) {
+	return persisttest.Read(data, Read)
 }
 
 var persistTexts = [][]byte{
@@ -62,11 +62,11 @@ func checkSameIndex(t *testing.T, a, b *Index) {
 }
 
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
-	x, err := New(persistTexts, Options{SampleRate: 4})
+	x, err := NewCtx(context.Background(), persistTexts, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := load(persisttest.Bytes(t, x), nil)
+	got, err := load(persisttest.Bytes(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestIndexSaveLoadEmpty(t *testing.T) {
-	x, err := New(nil, Options{})
+	x, err := NewCtx(context.Background(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := load(persisttest.Bytes(t, x), nil)
+	got, err := load(persisttest.Bytes(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,47 +87,58 @@ func TestIndexSaveLoadEmpty(t *testing.T) {
 	}
 }
 
-// A wavelet-stored file loaded with a run-length builder must re-materialize
-// the BWT and answer identically; and vice versa a run-length index saves as
-// a raw BWT and loads into a wavelet tree.
-func TestIndexSaveLoadCrossSequence(t *testing.T) {
-	rlBuilder := func(bwt []byte) RankSequence { return rlfm.New(bwt) }
+// rawBWTPayload writes x in the retired sequence kind 0: the same sampling
+// metadata as Store, then the BWT as a plain length-prefixed byte string.
+func rawBWTPayload(t *testing.T, x *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	pw := persist.NewWriter(&buf)
+	pw.Byte(indexFormat)
+	pw.Int(x.n)
+	pw.Int(x.d)
+	pw.Int(x.l)
+	pw.Int32s(x.lens)
+	pw.Int32s(x.doc)
+	pw.Int32s(x.ps)
+	x.bs.Store(pw)
+	pw.Byte(0)
+	bwt := make([]byte, x.n)
+	for i := range bwt {
+		bwt[i] = x.bwt.Access(i)
+	}
+	pw.Bytes(bwt)
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
-	x, err := New(persistTexts, Options{SampleRate: 4})
+// The raw-BWT payload (sequence kind 0) is no longer a stored form: the
+// loader rejects it as corrupt instead of rebuilding a wavelet tree.
+func TestIndexLoadRawBWTRejected(t *testing.T) {
+	x, err := NewCtx(context.Background(), persistTexts, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRL, err := load(persisttest.Bytes(t, x), rlBuilder)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := load(rawBWTPayload(t, x)); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("raw BWT payload: want ErrCorrupt, got %v", err)
 	}
-	checkSameIndex(t, x, gotRL)
-
-	xRL, err := New(persistTexts, Options{SampleRate: 4, Builder: rlBuilder})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotWT, err := load(persisttest.Bytes(t, xRL), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameIndex(t, x, gotWT)
 }
 
 func TestIndexLoadCorrupt(t *testing.T) {
-	x, err := New(persistTexts, Options{SampleRate: 4})
+	x, err := NewCtx(context.Background(), persistTexts, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := persisttest.Bytes(t, x)
 	persisttest.Sweep(t, data, func(b []byte) error {
-		_, err := load(b, nil)
+		_, err := load(b)
 		return err
 	})
 	// Text count inconsistent with the terminator count.
 	bad := persisttest.Flip(data, 9)
 	bad[9] = data[9] + 1 // d field (format byte + n)
-	if _, err := load(bad, nil); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := load(bad); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad d: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,7 +45,7 @@ var quickCfg = &quick.Config{MaxCount: 120}
 // Invariant: extraction reproduces every text (the self-index property).
 func TestQuickExtractRoundTrip(t *testing.T) {
 	f := func(texts collection) bool {
-		idx, err := New(texts, Options{SampleRate: 3})
+		idx, err := NewCtx(context.Background(), texts, Options{SampleRate: 3})
 		if err != nil {
 			return false
 		}
@@ -64,7 +65,7 @@ func TestQuickExtractRoundTrip(t *testing.T) {
 // Locate, and every located occurrence is real.
 func TestQuickCountLocateAgree(t *testing.T) {
 	f := func(texts collection, p pattern) bool {
-		idx, err := New(texts, Options{SampleRate: 2})
+		idx, err := NewCtx(context.Background(), texts, Options{SampleRate: 2})
 		if err != nil {
 			return false
 		}
@@ -89,7 +90,7 @@ func TestQuickCountLocateAgree(t *testing.T) {
 // collection exactly.
 func TestQuickLexPartition(t *testing.T) {
 	f := func(texts collection, p pattern) bool {
-		idx, err := New(texts, Options{SampleRate: 4})
+		idx, err := NewCtx(context.Background(), texts, Options{SampleRate: 4})
 		if err != nil {
 			return false
 		}
@@ -114,7 +115,7 @@ func TestQuickPredicateContainment(t *testing.T) {
 		return false
 	}
 	f := func(texts collection, p pattern) bool {
-		idx, err := New(texts, Options{SampleRate: 2})
+		idx, err := NewCtx(context.Background(), texts, Options{SampleRate: 2})
 		if err != nil {
 			return false
 		}
@@ -142,7 +143,7 @@ func TestQuickPredicateContainment(t *testing.T) {
 // over text boundaries).
 func TestQuickLFIsPermutation(t *testing.T) {
 	f := func(texts collection) bool {
-		idx, err := New(texts, Options{SampleRate: 2})
+		idx, err := NewCtx(context.Background(), texts, Options{SampleRate: 2})
 		if err != nil {
 			return false
 		}

@@ -12,8 +12,8 @@ import (
 //
 // As in the paper's Ensembl-derived data, the textual content is *highly
 // repetitive*: each transcript's sequence is the concatenation of its
-// exons' sequences, so the same DNA appears in many texts — the case where
-// the run-length index (rlfm) shines (Section 6.7).
+// exons' sequences, so the same DNA appears in many texts — the case the
+// paper's run-length index (RLCSA) targets (Section 6.7).
 func BioXML(seed uint64, targetBytes int) []byte {
 	r := NewRNG(seed)
 	var sb strings.Builder

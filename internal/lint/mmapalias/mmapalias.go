@@ -42,7 +42,7 @@ var unsafeOK = []string{"internal/persist", "internal/mmap"}
 var loaderOK = []string{
 	"internal/persist", "internal/mmap", "internal/bitvec", "internal/bp",
 	"internal/wavelet", "internal/fmindex", "internal/tags",
-	"internal/xmltree", "internal/rlfm", "internal/pssm", "internal/core",
+	"internal/xmltree", "internal/pssm", "internal/core",
 }
 
 func pathIn(path string, list []string) bool {

@@ -198,9 +198,9 @@ func TestPaperSuites(t *testing.T) {
 		t.Error("every word query is empty: the word index check is vacuous")
 	}
 
-	// PSSM (Figure 18): branch-and-bound backtracking over the run-length
-	// FM-index against the brute-force scan.
-	bio, _ := buildSuite(t, gen.BioXML(77, suiteSize), core.Config{RunLength: true, SampleRate: 16})
+	// PSSM (Figure 18): branch-and-bound backtracking over the FM-index
+	// against the brute-force scan.
+	bio, _ := buildSuite(t, gen.BioXML(77, suiteSize), core.Config{SampleRate: 16})
 	fm, texts := bio.Doc.FM, bio.Doc.Plain.All()
 	matrices := map[string]pssm.Matrix{"M1": pssm.M1(), "M2": pssm.M2(), "M3": pssm.M3()}
 	backed := func(find func(m *pssm.Matrix, thr float64) []fmindex.Occurrence) *core.Engine {

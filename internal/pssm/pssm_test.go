@@ -1,6 +1,7 @@
 package pssm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -53,7 +54,7 @@ func TestSearchMatchesScan(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			texts = append(texts, randDNA(r, 100+r.Intn(200)))
 		}
-		fm, err := fmindex.New(texts, fmindex.Options{SampleRate: 8})
+		fm, err := fmindex.NewCtx(context.Background(), texts, fmindex.Options{SampleRate: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestSearchPrunes(t *testing.T) {
 	// return quickly with no results.
 	r := rand.New(rand.NewSource(9))
 	texts := [][]byte{randDNA(r, 5000)}
-	fm, _ := fmindex.New(texts, fmindex.Options{})
+	fm, _ := fmindex.NewCtx(context.Background(), texts, fmindex.Options{})
 	m := M2()
 	if got := Search(fm, &m, m.MaxScore()+1); len(got) != 0 {
 		t.Fatalf("impossible threshold matched %d", len(got))
@@ -104,7 +105,7 @@ func TestEmbeddedMatrixLengths(t *testing.T) {
 }
 
 func TestSearchOnEmptyIndex(t *testing.T) {
-	fm, _ := fmindex.New(nil, fmindex.Options{})
+	fm, _ := fmindex.NewCtx(context.Background(), nil, fmindex.Options{})
 	m := M1()
 	if got := Search(fm, &m, 0); got != nil {
 		t.Fatal("empty index")
@@ -117,7 +118,7 @@ func BenchmarkPSSMSearchVsScan(b *testing.B) {
 	for i := 0; i < 50; i++ {
 		texts = append(texts, randDNA(r, 2000))
 	}
-	fm, _ := fmindex.New(texts, fmindex.Options{SampleRate: 16})
+	fm, _ := fmindex.NewCtx(context.Background(), texts, fmindex.Options{SampleRate: 16})
 	m := M3()
 	thr := m.MaxScore() * 0.8
 	b.Run("fm-backtrack", func(b *testing.B) {

@@ -4,9 +4,10 @@
 // proportional to the number of runs of the BWT rather than its length, so
 // collections whose exons repeat across many transcripts compress well.
 //
-// It implements fmindex.RankSequence, so swapping it in requires only a
-// different SequenceBuilder — exactly the modularity claim of the paper
-// ("only the text index was modified in isolation").
+// The FM-index does not use it: on this repository's BioXML corpus the
+// run-length sequence measured larger and slower than the wavelet tree, so
+// it is kept only as a benchmark artefact whose rank cost the layer
+// benchmark reports beside the wavelet tree's.
 package rlfm
 
 import (

@@ -1,10 +1,11 @@
 package rlfm
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
-	"repro/internal/fmindex"
+	"repro/internal/wavelet"
 )
 
 func naiveRank(s []byte, c byte, i int) int {
@@ -84,47 +85,82 @@ func TestRunsCount(t *testing.T) {
 	}
 }
 
-func TestAsFMIndexSequence(t *testing.T) {
-	// Swap the RLFM sequence into the FM-index and verify all operations on
-	// a repetitive collection, against the default wavelet-backed index.
-	motif := "ACGTACGTTGCA"
-	var texts [][]byte
-	for i := 0; i < 20; i++ {
-		texts = append(texts, []byte(motif+motif))
-	}
-	texts = append(texts, []byte("AAAATTTT"))
-	builder := func(bwt []byte) fmindex.RankSequence { return New(bwt) }
-	rl, err := fmindex.New(texts, fmindex.Options{SampleRate: 4, Builder: builder})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wt, err := fmindex.New(texts, fmindex.Options{SampleRate: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{"ACGT", "TT", "GCAACGT", "AAAATTTT", "X", "A"} {
-		if a, b := rl.GlobalCount([]byte(p)), wt.GlobalCount([]byte(p)); a != b {
-			t.Fatalf("GlobalCount(%q): rlfm=%d wavelet=%d", p, a, b)
+// rankSeqInput turns fuzz bytes into a sequence of runs: each byte pair
+// (c, k) contributes k%32+1 copies of c, and a trailing odd byte one copy.
+// Pairs make the long runs the run-length sequence is built for as likely
+// as single symbols.
+func rankSeqInput(data []byte) []byte {
+	var s []byte
+	for i := 0; i < len(data) && len(s) < 1<<14; i += 2 {
+		k := 1
+		if i+1 < len(data) {
+			k = int(data[i+1])%32 + 1
 		}
-		ra, rb := rl.Contains([]byte(p)), wt.Contains([]byte(p))
-		if len(ra) != len(rb) {
-			t.Fatalf("Contains(%q): %v vs %v", p, ra, rb)
+		s = append(s, bytes.Repeat(data[i:i+1], k)...)
+	}
+	return s
+}
+
+// FuzzRankSequence checks both rank sequences over one byte alphabet — the
+// wavelet tree every FM-index stores, and the run-length sequence the
+// benchmark measures beside it — against naive prefix counts.
+func FuzzRankSequence(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{'A'})
+	all := make([]byte, 0, 512)
+	for c := 0; c < 256; c++ {
+		all = append(all, byte(c), 0)
+	}
+	f.Add(all)
+	f.Add([]byte{'A', 31, 'C', 31, 'A', 31, 'G', 7, 'T', 31, 'T', 31, 0, 0, 'A', 31})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := rankSeqInput(data)
+		n := len(s)
+		wt, rl := wavelet.New(s), New(s)
+		if wt.Len() != n || rl.Len() != n {
+			t.Fatalf("Len: wavelet %d, rlfm %d, want %d", wt.Len(), rl.Len(), n)
 		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("Contains(%q) mismatch", p)
+		// cnt[c] is the naive Rank(c, i) at the top of iteration i.
+		var cnt [256]int
+		for i, c := range s {
+			if wt.Access(i) != c || rl.Access(i) != c {
+				t.Fatalf("Access(%d): wavelet %d, rlfm %d, want %d", i, wt.Access(i), rl.Access(i), c)
+			}
+			o := s[(i*7+3)%n] // a second symbol, usually not c
+			for _, x := range []byte{c, o} {
+				if wt.Rank(x, i) != cnt[x] || rl.Rank(x, i) != cnt[x] {
+					t.Fatalf("Rank(%d, %d): wavelet %d, rlfm %d, want %d", x, i, wt.Rank(x, i), rl.Rank(x, i), cnt[x])
+				}
+			}
+			if got := wt.Select(c, cnt[c]); got != i {
+				t.Fatalf("Select(%d, %d) = %d, want %d", c, cnt[c], got, i)
+			}
+			cnt[c]++
+		}
+		runs := 0
+		for i := range s {
+			if i == 0 || s[i] != s[i-1] {
+				runs++
 			}
 		}
-	}
-	for i := range texts {
-		if string(rl.Extract(i)) != string(texts[i]) {
-			t.Fatalf("extract %d", i)
+		if rl.Runs() != runs {
+			t.Fatalf("Runs = %d, want %d", rl.Runs(), runs)
 		}
-	}
-	// Repetitive collection: run-length structure must be much smaller than
-	// the text.
-	seq := New(nil)
-	_ = seq
+		for c := 0; c < 256; c++ {
+			x := byte(c)
+			if wt.Count(x) != cnt[x] || rl.Count(x) != cnt[x] {
+				t.Fatalf("Count(%d): wavelet %d, rlfm %d, want %d", x, wt.Count(x), rl.Count(x), cnt[x])
+			}
+			for _, e := range []struct{ i, want int }{{-1, 0}, {0, 0}, {n, cnt[x]}, {n + 1, cnt[x]}} {
+				if wt.Rank(x, e.i) != e.want || rl.Rank(x, e.i) != e.want {
+					t.Fatalf("Rank(%d, %d): wavelet %d, rlfm %d, want %d", x, e.i, wt.Rank(x, e.i), rl.Rank(x, e.i), e.want)
+				}
+			}
+			if wt.Select(x, cnt[x]) != -1 || wt.Select(x, -1) != -1 {
+				t.Fatalf("Select(%d) out of range did not return -1", x)
+			}
+		}
+	})
 }
 
 func BenchmarkRLFMRank(b *testing.B) {

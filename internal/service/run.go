@@ -12,8 +12,7 @@ import (
 	"repro/internal/collection"
 )
 
-// Options configures Run, the shared body of the sxsid daemon and
-// `sxsi serve`.
+// Options configures Run, the body of `sxsi serve`.
 type Options struct {
 	// Addr is the main listen address (required).
 	Addr string

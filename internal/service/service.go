@@ -1,6 +1,5 @@
 // Package service exposes a collection of indexed documents over HTTP: the
-// sxsid daemon and the `sxsi serve` subcommand are thin wrappers around this
-// handler. The API is JSON except for GET /query, which streams the same
+// `sxsi serve` subcommand is a thin wrapper around this handler. The API is JSON except for GET /query, which streams the same
 // bytes the `sxsi query` CLI prints, so the two can be diffed directly:
 //
 //	GET  /healthz           liveness probe

@@ -173,9 +173,6 @@ type Options struct {
 	// SkipPlain disables the redundant plain-text store of Section 3.4; text
 	// extraction then walks the BWT.
 	SkipPlain bool
-	// Builder optionally overrides the FM-index rank sequence (e.g. the
-	// run-length sequence for repetitive collections, Section 6.7).
-	Builder fmindex.SequenceBuilder
 }
 
 // Raw is the stage-1 parse product of the staged build pipeline (package
@@ -198,10 +195,10 @@ type builder struct {
 	opts Options
 }
 
-// Parse indexes an XML document held in memory. It is the serial
-// convenience path: ParseRaw, AssembleStructure and the FM-index build run
-// back to back on the calling goroutine. Package build runs the same stages
-// concurrently and memory-bounded; both produce identical documents.
+// Parse indexes an XML document held in memory. It is the convenience
+// path: ParseRaw, AssembleStructure and the FM-index build run one after
+// another. Package build overlaps the structure and text sides, bounds
+// their memory and takes a context; both produce identical documents.
 func Parse(data []byte, opts Options) (*Doc, error) {
 	raw, err := ParseRaw(context.Background(), data)
 	if err != nil {
@@ -212,10 +209,7 @@ func Parse(data []byte, opts Options) (*Doc, error) {
 		return nil, err
 	}
 	if !opts.SkipFM {
-		fm, err := fmindex.New(raw.Texts, fmindex.Options{
-			SampleRate: opts.SampleRate,
-			Builder:    opts.Builder,
-		})
+		fm, err := fmindex.NewCtx(context.Background(), raw.Texts, fmindex.Options{SampleRate: opts.SampleRate})
 		if err != nil {
 			return nil, err
 		}

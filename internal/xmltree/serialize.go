@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -112,8 +113,8 @@ func (d *Doc) WriteTo(w io.Writer) (int64, error) {
 // range-min-max tree, planner tables) are built in private memory, so
 // opening is O(derived structures) and, on a mapping, the payload pages
 // stay shared with the OS page cache. The plain-text store is kept unless
-// opts.SkipPlain is set; opts.Builder overrides the FM rank sequence as in
-// Parse; with opts.SkipFM the FM section is skipped without being decoded.
+// opts.SkipPlain is set; with opts.SkipFM the FM section is skipped without
+// being decoded.
 //
 // data must be 8-byte aligned at its base (mmap regions and
 // persist.AlignedBuffer both are) and must stay alive and unchanged for
@@ -245,7 +246,7 @@ func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
 		if sd.opts.SkipFM {
 			return nil // skipped by section length, never decoded
 		}
-		fm := fmindex.Read(pr, sd.opts.Builder)
+		fm := fmindex.Read(pr)
 		if fm == nil {
 			return pr.Err()
 		}
@@ -407,7 +408,7 @@ func (d *Doc) assemble(texts *TextStore, haveTexts, haveTables bool, opts Option
 		}
 	case !opts.SkipFM:
 		// The file carries no FM-index but the caller wants one: rebuild it.
-		fm, err := fmindex.New(texts.All(), fmindex.Options{SampleRate: opts.SampleRate, Builder: opts.Builder})
+		fm, err := fmindex.NewCtx(context.Background(), texts.All(), fmindex.Options{SampleRate: opts.SampleRate})
 		if errors.Is(err, fmindex.ErrNulByte) {
 			// Parsing replaces every NUL in a text: the file is damaged.
 			return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)

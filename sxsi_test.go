@@ -213,25 +213,6 @@ func TestLoadedIndexIdenticalOutput(t *testing.T) {
 	}
 }
 
-func TestRunLengthConfig(t *testing.T) {
-	data := gen.BioXML(3, 150_000)
-	idx, err := Build(data, Config{RunLength: true, SampleRate: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Build(data, Config{SampleRate: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"//gene", "//transcript/sequence", "//gene[biotype = 'pseudogene']"} {
-		a, _ := idx.Count(q)
-		b, _ := plain.Count(q)
-		if a != b {
-			t.Fatalf("%s: rl=%d plain=%d", q, a, b)
-		}
-	}
-}
-
 func TestStats(t *testing.T) {
 	idx, err := Build([]byte(sampleDoc), Config{})
 	if err != nil {
