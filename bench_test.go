@@ -865,8 +865,8 @@ func BenchmarkCountStream(b *testing.B) {
 }
 
 // BenchmarkTopDownCount is CI's pinned gate on the marking automaton:
-// cached counts of X04, X11 (XMark) and T02, T03 (Treebank) on the 2 MB
-// corpora, each checked against the DOM first. Every call is a top-down run
+// cached counts of X04, X09, X11 (XMark) and T02, T03, T05 (Treebank) on
+// the 2 MB corpora, each checked against the DOM first. Every call is a top-down run
 // (TopDownRun with jumps, Section 5.4.1) on an evaluator from the query's
 // pool. visited/op is the run's Stats().Visited. The JIT tables, the vals
 // free list and the jump cursors outlive the run, so allocs/op is only the
@@ -879,8 +879,8 @@ func BenchmarkTopDownCount(b *testing.B) {
 		c       *corpus
 		queries []query
 	}{
-		{&corpora.xmark, []query{bench.XMarkQueries[3], bench.XMarkQueries[10]}},
-		{&corpora.tbank, bench.TreebankQueries[1:3]},
+		{&corpora.xmark, []query{bench.XMarkQueries[3], bench.XMarkQueries[8], bench.XMarkQueries[10]}},
+		{&corpora.tbank, []query{bench.TreebankQueries[1], bench.TreebankQueries[2], bench.TreebankQueries[4]}},
 	} {
 		tree := set.c.parseDOM(b)
 		for _, q := range set.queries {

@@ -73,9 +73,6 @@ type Automaton struct {
 	transparent uint64
 }
 
-// Transparent returns the bitset of level-agnostic (transparent) states.
-func (a *Automaton) Transparent() uint64 { return a.transparent }
-
 // MaxStates bounds the state space so state sets fit one machine word.
 const MaxStates = 64
 

@@ -3,6 +3,8 @@ package automata
 import (
 	"context"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -57,20 +59,23 @@ const (
 	seqLazy
 )
 
-// Expand materializes the sequence as sorted, distinct node positions.
+// Expand materializes the sequence as sorted, distinct node positions. It
+// walks the cat tree with an explicit stack: a run that marks a chain of n
+// siblings builds a cat chain n deep.
 func (s *Seq) Expand(doc *xmltree.Doc) []int {
 	var out []int
-	var walk func(*Seq)
-	walk = func(n *Seq) {
+	stack := []*Seq{s}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		if n == nil {
-			return
+			continue
 		}
 		switch n.kind {
 		case seqLeaf:
 			out = append(out, n.node)
 		case seqCat:
-			walk(n.l)
-			walk(n.r)
+			stack = append(stack, n.r, n.l)
 		case seqLazy:
 			for _, t := range n.tags {
 				for p := doc.Tag.NextOccurrence(2*t, n.from); p >= 0 && p < n.end; p = doc.Tag.NextOccurrence(2*t, p+1) {
@@ -79,11 +84,9 @@ func (s *Seq) Expand(doc *xmltree.Doc) []int {
 			}
 		}
 	}
-	walk(s)
 	sort.Ints(out)
 	// adjacent duplicates can only arise from overlapping transitions
-	out = dedupSorted(out)
-	return out
+	return dedupSorted(out)
 }
 
 func dedupSorted(a []int) []int {
@@ -118,10 +121,17 @@ type Evaluator struct {
 
 	Stats Stats
 
-	// JIT tables (Section 5.5.2): instruction cache keyed by
-	// (state set, label), and jump info keyed by state set.
-	instrCache map[instrKey]*instr
-	jumpCache  map[uint64]*jumpInfo
+	// JIT tables (Section 5.5.2): every state set the run meets has a dense
+	// id indexing sets; sets[0] is the empty set. A set holds its jump
+	// analysis and its instructions by tag, and each instruction its
+	// outcome tables. setIDs interns the sets; it is read only when the
+	// evaluator or an instruction is built.
+	sets   []*stateSet
+	setIDs map[uint64]int32
+	start  int32 // id of {A.Start}
+
+	// scratch receives the outcomes that are not stored (see instr.table).
+	scratch outcome
 
 	// freelist of vals slices: child results are copied by value into the
 	// parent's result, so their slices can be recycled immediately. A slice
@@ -148,24 +158,73 @@ type cursor struct{ at, next int }
 // runCancelled is the panic sentinel RunContext recovers.
 type runCancelled struct{ err error }
 
-type instrKey struct {
-	q   uint64
-	tag int32
+// stateSet is an interned state set.
+type stateSet struct {
+	mask uint64
+	jump jumpInfo
+	// pop is the id of mask & A.transparent: the set a run continues
+	// with past a level pop.
+	pop int32
+	// instrs holds the set's instructions by tag; nil until the set's
+	// first visit.
+	instrs []*instr
 }
 
-// instr is the memoized "compiled" behaviour for a (state set, label) pair.
+// maxOutcomeBits bounds the down-states an instruction's outcome key reads,
+// so an instruction stores at most 1 + 2·2^maxOutcomeBits outcomes.
+const maxOutcomeBits = 12
+
+// instr is the compiled behaviour of a (state set, label) pair: the
+// transitions it selects and the outcomes of their formulas.
 type instr struct {
-	pairs  []statePhi
-	q1, q2 uint64
+	pairs  []statePhi // grouped by state
+	q1, q2 int32      // ids of the states read by ↓1 and ↓2
 	// markFree{1,2}: no state requested downward in that direction can
 	// produce marks, enabling early formula evaluation (Section 5.5.5).
 	markFree1, markFree2 bool
+
+	// table stores the outcomes, which are a function of their key. It is
+	// nil under NoMemo, when a formula has a predicate atom (its truth
+	// depends on the node), and when the key would read more than
+	// maxOutcomeBits states; such outcomes are built on every visit.
+	table *outcomeTable
+}
+
+// outcomeTable holds an instruction's outcomes by key.
+type outcomeTable struct {
+	// down lists the states of q1, then of q2 (n1 and n2 of them), whose
+	// satisfaction bits form the key.
+	down   [maxOutcomeBits]uint8
+	n1, n2 uint8
+	// byPhase[phase] is indexed by the key's bits; phase 0 knows neither
+	// child result, 1 the first-child one, 2 both. nil until first used.
+	byPhase [3][]*outcome
 }
 
 type statePhi struct {
 	q   int
 	phi *Formula
 }
+
+// outcome is the result of an instruction's formulas for one key: the
+// satisfied states and the ops that build their values. An unresolved
+// outcome needs more information (Section 5.5.5): the caller retries once
+// more child results are known.
+type outcome struct {
+	resolved bool
+	sat      uint64
+	ops      []valueOp
+}
+
+// valueOp adds a value to state dst's result: a mark of the visited node,
+// or state q's result from the first-child (↓1) or next-sibling (↓2) run.
+type valueOp struct{ dst, src, q uint8 }
+
+const (
+	opMark uint8 = iota
+	opDown1
+	opDown2
+)
 
 // jumpInfo is the per-state-set jumpability analysis (Section 5.4.1).
 type jumpInfo struct {
@@ -176,11 +235,23 @@ type jumpInfo struct {
 
 // NewEvaluator binds an automaton to a document.
 func NewEvaluator(a *Automaton, doc *xmltree.Doc, mode Mode, opts Options) *Evaluator {
-	return &Evaluator{
-		A: a, Doc: doc, Mode: mode, Opts: opts,
-		instrCache: map[instrKey]*instr{},
-		jumpCache:  map[uint64]*jumpInfo{},
+	ev := &Evaluator{A: a, Doc: doc, Mode: mode, Opts: opts, setIDs: map[uint64]int32{}}
+	ev.intern(0)
+	ev.start = ev.intern(1 << uint(a.Start))
+	return ev
+}
+
+// intern returns q's id, adding the set on its first use.
+func (ev *Evaluator) intern(q uint64) int32 {
+	if id, ok := ev.setIDs[q]; ok {
+		return id
 	}
+	id := int32(len(ev.sets))
+	s := &stateSet{mask: q, jump: ev.computeJumpInfo(q)}
+	ev.sets = append(ev.sets, s)
+	ev.setIDs[q] = id
+	s.pop = ev.intern(q & ev.A.transparent)
+	return id
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled the run stops
@@ -220,7 +291,7 @@ func (ev *Evaluator) Run() (int64, []int) {
 		return 0, nil
 	}
 	end := ev.Doc.Close(root) + 1
-	r := ev.run(1<<uint(ev.A.Start), root, end)
+	r := ev.run(ev.start, root, end)
 	q := ev.A.Start
 	var n int64
 	var nodes []int
@@ -268,39 +339,37 @@ func (ev *Evaluator) freeVals(r *runRes) {
 }
 
 // run evaluates the region [pos, end): the sequence of sibling subtrees
-// starting at node pos, bounded by end.
-func (ev *Evaluator) run(q uint64, pos, end int) runRes {
-	if q == 0 {
+// starting at node pos, bounded by end, from the state set with id id.
+func (ev *Evaluator) run(id int32, pos, end int) runRes {
+	if id == 0 {
 		return runRes{vals: ev.allocVals()}
 	}
+	s := ev.sets[id]
 	if pos == xmltree.Nil || pos >= end {
-		return ev.base(q)
+		return ev.base(s.mask)
 	}
 	doc := ev.Doc
 	// A jumped (flattened) region can resume at a closing parenthesis — a
 	// "level pop". Chain-scanning states (LoopRight/LoopNone) end their run
 	// there as if at Nil; transparent loop states continue past it.
 	for !doc.Par.IsOpen(pos) {
-		if dead := q &^ ev.A.Transparent(); dead != 0 {
-			r := ev.run(q&^dead, pos+1, end)
+		if dead := s.mask &^ ev.A.transparent; dead != 0 {
+			r := ev.run(s.pop, pos+1, end)
 			r.sat |= dead & ev.A.Bottom
 			return r
 		}
 		pos++
 		if pos >= end {
-			return ev.base(q)
+			return ev.base(s.mask)
 		}
 	}
-	if !ev.Opts.NoJump {
-		ji := ev.jumpInfo(q)
-		if ji.jumpable {
-			if ji.collector && !ev.Opts.NoLazy {
-				return ev.collect(q, ji, pos, end)
-			}
-			pos = ev.nextInSet(ji.triggers, pos, end)
-			if pos == xmltree.Nil {
-				return ev.base(q)
-			}
+	if !ev.Opts.NoJump && s.jump.jumpable {
+		if s.jump.collector && !ev.Opts.NoLazy {
+			return ev.collect(s.mask, &s.jump, pos, end)
+		}
+		pos = ev.nextInSet(s.jump.triggers, pos, end)
+		if pos == xmltree.Nil {
+			return ev.base(s.mask)
 		}
 	}
 	ev.Stats.Visited++
@@ -311,23 +380,24 @@ func (ev *Evaluator) run(q uint64, pos, end int) runRes {
 		default:
 		}
 	}
-	inst := ev.instruction(q, doc.TagOf(pos))
+	in := ev.instruction(s, doc.TagOf(pos))
 	cl := doc.Close(pos)
 
-	if !ev.Opts.NoEarly && inst.markFree1 && inst.markFree2 {
-		if r, ok := ev.evalInstr(inst, q, pos, nil, nil); ok {
-			return r
+	if !ev.Opts.NoEarly && in.markFree1 && in.markFree2 {
+		if oc := ev.outcome(in, pos, nil, nil); oc.resolved {
+			return ev.apply(oc, pos, nil, nil)
 		}
 	}
-	r1 := ev.run(inst.q1, pos+1, cl)
-	if !ev.Opts.NoEarly && inst.markFree2 {
-		if r, ok := ev.evalInstr(inst, q, pos, &r1, nil); ok {
+	r1 := ev.run(in.q1, pos+1, cl)
+	if !ev.Opts.NoEarly && in.markFree2 {
+		if oc := ev.outcome(in, pos, &r1, nil); oc.resolved {
+			r := ev.apply(oc, pos, &r1, nil)
 			ev.freeVals(&r1)
 			return r
 		}
 	}
-	r2 := ev.run(inst.q2, cl+1, end)
-	r, _ := ev.evalInstr(inst, q, pos, &r1, &r2)
+	r2 := ev.run(in.q2, cl+1, end)
+	r := ev.apply(ev.outcome(in, pos, &r1, &r2), pos, &r1, &r2)
 	ev.freeVals(&r1)
 	ev.freeVals(&r2)
 	return r
@@ -343,7 +413,7 @@ func (ev *Evaluator) collect(q uint64, ji *jumpInfo, pos, end int) runRes {
 	}
 	ev.Stats.Marked += total
 	for s := q; s != 0; s &= s - 1 {
-		qi := trailing(s)
+		qi := bits.TrailingZeros64(s)
 		if ev.Mode == Count {
 			r.vals[qi].count = total
 		} else if total > 0 {
@@ -382,50 +452,23 @@ func (ev *Evaluator) nextInSet(set []int32, from, end int) int {
 	return best
 }
 
-func trailing(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
-}
-
-// jumpInfo memoizes the jumpability analysis for a state set.
-func (ev *Evaluator) jumpInfo(q uint64) *jumpInfo {
-	if !ev.Opts.NoMemo {
-		if ji, ok := ev.jumpCache[q]; ok {
-			return ji
-		}
-	}
-	ji := ev.computeJumpInfo(q)
-	if !ev.Opts.NoMemo {
-		ev.jumpCache[q] = ji
-	}
-	return ji
-}
-
-func (ev *Evaluator) computeJumpInfo(q uint64) *jumpInfo {
+// computeJumpInfo is the jumpability analysis of a state set. It runs once
+// per set, when the set is interned, whatever the Options.
+func (ev *Evaluator) computeJumpInfo(q uint64) jumpInfo {
 	a := ev.A
-	ji := &jumpInfo{jumpable: true, collector: true}
-	seen := map[int32]bool{}
+	ji := jumpInfo{jumpable: true, collector: true}
 	for s := q; s != 0; s &= s - 1 {
-		qi := trailing(s)
+		qi := bits.TrailingZeros64(s)
 		switch a.loop[qi] {
 		case LoopConj, LoopDisj:
 		default:
-			ji.jumpable = false
-			ji.collector = false
-			return ji
+			return jumpInfo{}
 		}
 		if a.trigCofin[qi] {
-			ji.jumpable = false
-			ji.collector = false
-			return ji
+			return jumpInfo{}
 		}
 		for _, t := range a.trigTags[qi] {
-			if !seen[t] {
-				seen[t] = true
+			if !slices.Contains(ji.triggers, t) {
 				ji.triggers = append(ji.triggers, t)
 			}
 		}
@@ -435,49 +478,115 @@ func (ev *Evaluator) computeJumpInfo(q uint64) *jumpInfo {
 	}
 	// A collector set must also be a single state: several collectors with
 	// different triggers would need per-state counts.
-	if ji.collector && popcount(q) != 1 {
+	if ji.collector && bits.OnesCount64(q) != 1 {
 		ji.collector = false
 	}
 	return ji
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-// instruction memoizes the transition selection of TopDownRun lines 4-5.
-func (ev *Evaluator) instruction(q uint64, tag int32) *instr {
+// instruction returns the instruction of state set s at a node labelled
+// tag (TopDownRun lines 4-5), built on first use unless NoMemo is set.
+func (ev *Evaluator) instruction(s *stateSet, tag int32) *instr {
 	if ev.Opts.NoMemo {
-		return ev.computeInstr(q, tag)
+		return ev.computeInstr(s.mask, tag)
 	}
-	k := instrKey{q: q, tag: tag}
-	if in, ok := ev.instrCache[k]; ok {
-		return in
+	if s.instrs == nil {
+		s.instrs = make([]*instr, ev.Doc.NumTags())
 	}
-	in := ev.computeInstr(q, tag)
-	ev.instrCache[k] = in
+	in := s.instrs[tag]
+	if in == nil {
+		in = ev.computeInstr(s.mask, tag)
+		s.instrs[tag] = in
+	}
 	return in
 }
 
 func (ev *Evaluator) computeInstr(q uint64, tag int32) *instr {
 	a := ev.A
 	in := &instr{}
+	var q1, q2 uint64
+	pred := false
 	for s := q; s != 0; s &= s - 1 {
-		qi := trailing(s)
+		qi := bits.TrailingZeros64(s)
 		for _, t := range a.Trans[qi] {
 			if t.Guard.Contains(tag) {
 				in.pairs = append(in.pairs, statePhi{q: qi, phi: t.Phi})
-				t.Phi.downStates(&in.q1, &in.q2)
+				pred = t.Phi.downStates(&q1, &q2) || pred
 			}
 		}
 	}
-	in.markFree1 = in.q1&a.canMark == 0
-	in.markFree2 = in.q2&a.canMark == 0
+	in.q1, in.q2 = ev.intern(q1), ev.intern(q2)
+	in.markFree1 = q1&a.canMark == 0
+	in.markFree2 = q2&a.canMark == 0
+	n1, n2 := bits.OnesCount64(q1), bits.OnesCount64(q2)
+	if ev.Opts.NoMemo || pred || n1+n2 > maxOutcomeBits {
+		return in
+	}
+	t := &outcomeTable{n1: uint8(n1), n2: uint8(n2)}
+	i := 0
+	for _, m := range [2]uint64{q1, q2} {
+		for s := m; s != 0; s &= s - 1 {
+			t.down[i] = uint8(bits.TrailingZeros64(s))
+			i++
+		}
+	}
+	in.table = t
 	return in
+}
+
+// outcome returns the instruction's outcome at node pos given the child
+// results known so far: r1 and r2 are nil while unknown, r2 only with r1.
+// A stored outcome is looked up by its key — the phase and the bits of
+// r1.sat and r2.sat under the down-states — and built on a miss; any other
+// is built into the evaluator's scratch outcome, valid until the next call.
+func (ev *Evaluator) outcome(in *instr, pos int, r1, r2 *runRes) *outcome {
+	t := in.table
+	if t == nil {
+		ev.buildOutcome(in, pos, r1, r2, &ev.scratch)
+		return &ev.scratch
+	}
+	phase, k, width := 0, 0, 0
+	if r1 != nil {
+		phase, width = 1, int(t.n1)
+		for i, q := range t.down[:t.n1] {
+			k |= int(r1.sat>>q&1) << i
+		}
+	}
+	if r2 != nil {
+		phase, width = 2, int(t.n1+t.n2)
+		for i, q := range t.down[t.n1:width] {
+			k |= int(r2.sat>>q&1) << (int(t.n1) + i)
+		}
+	}
+	tab := t.byPhase[phase]
+	if tab == nil {
+		tab = make([]*outcome, 1<<width)
+		t.byPhase[phase] = tab
+	}
+	if tab[k] == nil {
+		ev.buildOutcome(in, pos, r1, r2, &ev.scratch)
+		tab[k] = &outcome{resolved: ev.scratch.resolved, sat: ev.scratch.sat, ops: slices.Clone(ev.scratch.ops)}
+	}
+	return tab[k]
+}
+
+// apply runs a resolved outcome's value ops at node pos. In Count mode a
+// mark counts one; in Materialize mode it is a leaf of the result sequence.
+func (ev *Evaluator) apply(oc *outcome, pos int, r1, r2 *runRes) runRes {
+	res := runRes{sat: oc.sat, vals: ev.allocVals()}
+	for _, op := range oc.ops {
+		var v Res
+		switch op.src {
+		case opMark:
+			v = ev.one(pos)
+		case opDown1:
+			v = r1.vals[op.q]
+		default:
+			v = r2.vals[op.q]
+		}
+		res.vals[op.dst] = ev.plus(res.vals[op.dst], v)
+	}
+	return res
 }
 
 // three-valued truth
@@ -489,57 +598,49 @@ const (
 	tvUnknown
 )
 
-// evalInstr evaluates all selected formulas at node pos. r1/r2 may be nil
-// (unknown) only when the corresponding direction is guaranteed mark-free
-// by the caller; ok is false when some state's truth or marks could not be
-// resolved without the missing direction, in which case the caller must
-// retry with more information. Evaluation is two-phase: truth first (pure,
-// no mark accounting), then value construction for committed transitions,
-// so marks are counted exactly once (Figure 4 semantics).
-func (ev *Evaluator) evalInstr(in *instr, q uint64, pos int, r1, r2 *runRes) (runRes, bool) {
+// buildOutcome evaluates all selected formulas at node pos into oc. r1/r2
+// may be nil (unknown) only when the corresponding direction is guaranteed
+// mark-free by the caller; oc is unresolved when some state's truth or
+// marks could not be resolved without the missing direction. Evaluation is
+// two-phase: truth first (pure, no mark accounting), then the value ops of
+// committed transitions, so marks are counted exactly once, when the ops
+// are applied (Figure 4 semantics).
+func (ev *Evaluator) buildOutcome(in *instr, pos int, r1, r2 *runRes, oc *outcome) {
+	oc.resolved, oc.sat, oc.ops = false, 0, oc.ops[:0]
 	var buf [16]tv
 	tvs := buf[:0]
 	for _, p := range in.pairs {
 		tvs = append(tvs, ev.truth(p.phi, pos, r1, r2))
 	}
-	// Per state: true if any transition is true; unresolved if any
-	// transition is unknown and either carries marks or the state is not
-	// yet known true.
-	for s := q; s != 0; s &= s - 1 {
-		qi := trailing(s)
-		anyTrue, anyUnknown, unknownMark := false, false, false
-		for i, p := range in.pairs {
-			if p.q != qi {
-				continue
-			}
-			switch tvs[i] {
+	// Per state (the pairs are grouped by state): true if any transition
+	// is true; unresolved if any transition is unknown and either carries
+	// marks or the state is not yet known true.
+	for i := 0; i < len(in.pairs); {
+		anyTrue, anyUnknown := false, false
+		j := i
+		for ; j < len(in.pairs) && in.pairs[j].q == in.pairs[i].q; j++ {
+			switch tvs[j] {
 			case tvTrue:
 				anyTrue = true
 			case tvUnknown:
-				anyUnknown = true
-				if p.phi.hasMark {
-					unknownMark = true
+				if in.pairs[j].phi.hasMark {
+					return
 				}
+				anyUnknown = true
 			}
 		}
-		if unknownMark || (anyUnknown && !anyTrue) {
-			return runRes{}, false
+		if anyUnknown && !anyTrue {
+			return
 		}
+		i = j
 	}
-	res := runRes{vals: ev.allocVals()}
+	oc.resolved = true
 	for i, p := range in.pairs {
-		if tvs[i] != tvTrue {
-			continue
-		}
-		v := ev.value(p.phi, pos, r1, r2)
-		if res.sat>>uint(p.q)&1 == 1 {
-			res.vals[p.q] = ev.plus(res.vals[p.q], v)
-		} else {
-			res.sat |= 1 << uint(p.q)
-			res.vals[p.q] = v
+		if tvs[i] == tvTrue {
+			oc.sat |= 1 << uint(p.q)
+			oc.ops = ev.valueOps(oc.ops, uint8(p.q), p.phi, pos, r1, r2)
 		}
 	}
-	return res, true
 }
 
 func (ev *Evaluator) plus(a, b Res) Res {
@@ -641,34 +742,31 @@ func (ev *Evaluator) truth(phi *Formula, pos int, r1, r2 *runRes) tv {
 	return tvFalse
 }
 
-// value constructs the result of a formula known to be true (Figure 4,
-// marking part). Unknown subvalues are guaranteed mark-free.
-func (ev *Evaluator) value(phi *Formula, pos int, r1, r2 *runRes) Res {
+// valueOps appends the ops that construct the value of a formula known to
+// be true, into state dst (Figure 4, marking part). Unknown subvalues are
+// guaranteed mark-free.
+func (ev *Evaluator) valueOps(ops []valueOp, dst uint8, phi *Formula, pos int, r1, r2 *runRes) []valueOp {
 	switch phi.Kind {
 	case FMark:
-		return ev.one(pos)
+		return append(ops, valueOp{dst: dst, src: opMark})
 	case FDown1:
 		if r1 != nil && r1.sat>>uint(phi.Q)&1 == 1 {
-			return r1.vals[phi.Q]
+			return append(ops, valueOp{dst: dst, src: opDown1, q: uint8(phi.Q)})
 		}
-		return Res{}
 	case FDown2:
 		if r2 != nil && r2.sat>>uint(phi.Q)&1 == 1 {
-			return r2.vals[phi.Q]
+			return append(ops, valueOp{dst: dst, src: opDown2, q: uint8(phi.Q)})
 		}
-		return Res{}
 	case FAnd:
 		// Both sides are true.
-		return ev.plus(ev.value(phi.L, pos, r1, r2), ev.value(phi.R, pos, r1, r2))
+		return ev.valueOps(ev.valueOps(ops, dst, phi.L, pos, r1, r2), dst, phi.R, pos, r1, r2)
 	case FOr:
-		var v Res
 		if ev.truth(phi.L, pos, r1, r2) == tvTrue {
-			v = ev.plus(v, ev.value(phi.L, pos, r1, r2))
+			ops = ev.valueOps(ops, dst, phi.L, pos, r1, r2)
 		}
 		if ev.truth(phi.R, pos, r1, r2) == tvTrue {
-			v = ev.plus(v, ev.value(phi.R, pos, r1, r2))
+			ops = ev.valueOps(ops, dst, phi.R, pos, r1, r2)
 		}
-		return v
 	}
-	return Res{}
+	return ops
 }

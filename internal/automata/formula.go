@@ -146,19 +146,23 @@ func (f *Factory) Pred(name string, fn PredFunc) *Formula {
 func (phi *Formula) HasMark() bool { return phi.hasMark }
 
 // downStates accumulates the states referenced by ↓1 (into q1) and ↓2
-// (into q2) anywhere in the formula, including under negation.
-func (phi *Formula) downStates(q1, q2 *uint64) {
+// (into q2) anywhere in the formula, including under negation. It reports
+// whether the formula contains a predicate atom.
+func (phi *Formula) downStates(q1, q2 *uint64) (pred bool) {
 	switch phi.Kind {
 	case FDown1:
 		*q1 |= 1 << uint(phi.Q)
 	case FDown2:
 		*q2 |= 1 << uint(phi.Q)
 	case FAnd, FOr:
-		phi.L.downStates(q1, q2)
-		phi.R.downStates(q1, q2)
+		l := phi.L.downStates(q1, q2)
+		return phi.R.downStates(q1, q2) || l
 	case FNot:
-		phi.L.downStates(q1, q2)
+		return phi.L.downStates(q1, q2)
+	case FPred:
+		return true
 	}
+	return false
 }
 
 func (phi *Formula) String() string {
