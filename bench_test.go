@@ -78,7 +78,7 @@ func setup(b *testing.B) {
 		load := func(c *corpus, name string, data []byte, cfg core.Config) {
 			c.name, c.data = name, data
 			var err error
-			if c.eng, err = core.Build(data, cfg); err != nil {
+			if c.eng, err = core.BuildContext(context.Background(), data, cfg); err != nil {
 				panic(err)
 			}
 		}
@@ -107,7 +107,18 @@ func sub(b *testing.B, name string, metrics map[string]float64, f func() error) 
 
 // counting is sub's body for counting a compiled query.
 func counting(q *xpath.Query) func() error {
-	return func() error { q.Count(); return nil }
+	return func() error { _, err := q.CountCtx(context.Background()); return err }
+}
+
+// countOf and nodesOf evaluate q with no deadline, for the cross-checks.
+func countOf(q *xpath.Query) int64 {
+	n, _ := q.CountCtx(context.Background())
+	return n
+}
+
+func nodesOf(q *xpath.Query) []int {
+	nodes, _ := q.NodesCtx(context.Background())
+	return nodes
 }
 
 func results(n int64) map[string]float64 { return map[string]float64{"results": float64(n)} }
@@ -141,7 +152,7 @@ func checkedQuery(b *testing.B, eng *core.Engine, tree *dom.Tree, id, src string
 	if err != nil {
 		b.Fatal(id, err)
 	}
-	if n, mat := q.Count(), len(q.Nodes()); n != int64(len(dn)) || mat != len(dn) {
+	if n, mat := countOf(q), len(nodesOf(q)); n != int64(len(dn)) || mat != len(dn) {
 		b.Fatalf("%s: engine count %d, materialized %d, DOM %d", id, n, mat, len(dn))
 	}
 	return q, int64(len(dn)), dn
@@ -160,7 +171,7 @@ func BenchmarkBuild(b *testing.B) {
 	b.SetBytes(int64(len(corpora.xmark.data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(corpora.xmark.data, core.Config{}); err != nil {
+		if _, err := core.BuildContext(context.Background(), corpora.xmark.data, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +276,7 @@ func largeIndexPath(b *testing.B) string {
 			b.Fatal(err)
 		}
 		largeIdx.dir = dir
-		eng, err := core.Build(gen.XMark(11, mb<<20), core.Config{})
+		eng, err := core.BuildContext(context.Background(), gen.XMark(11, mb<<20), core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,7 +306,7 @@ func BenchmarkLoadLarge(b *testing.B) {
 	b.SetBytes(largeIdx.size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LoadFile(path, core.Config{}); err != nil {
+		if _, err := core.OpenFile(path, core.Config{NoMmap: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,7 +320,7 @@ func BenchmarkLoadLarge(b *testing.B) {
 // A newline pattern is named \n.
 func BenchmarkTable2_FMSearch(b *testing.B) {
 	setup(b)
-	l4, err := core.Build(corpora.medline.data, core.Config{SampleRate: 4})
+	l4, err := core.BuildContext(context.Background(), corpora.medline.data, core.Config{SampleRate: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,7 +378,7 @@ func BenchmarkTable4_Construction(b *testing.B) {
 		sub(b, c.name+"/parse", nil, func() error { return xmlparse.Parse(c.data, nopHandler{}) })
 		sub(b, c.name+"/pointer", nil, func() error { _, err := dom.Parse(c.data); return err })
 		sub(b, c.name+"/succinct", nil, func() error {
-			_, err := core.Build(c.data, core.Config{SkipFM: true})
+			_, err := core.BuildContext(context.Background(), c.data, core.Config{SkipFM: true})
 			return err
 		})
 		sub(b, c.name+"/parentheses", nil, func() error { bp.NewFromBools(parens); return nil })
@@ -417,7 +428,7 @@ func BenchmarkTable5_Traversal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n := star.Count(); n != int64(elems) {
+		if n := countOf(star); n != int64(elems) {
 			b.Fatalf("%s: //* counts %d, element recursion %d", c.name, n, elems)
 		}
 		nm, em := map[string]float64{"nodes": float64(nodes)}, map[string]float64{"elements": float64(elems)}
@@ -448,13 +459,13 @@ func BenchmarkTable6_TaggedTraversal(b *testing.B) {
 			b.Fatal(err)
 		}
 		n := jump()
-		if c, mat := q.Count(), len(q.Nodes()); n == 0 || c != int64(n) || mat != n {
+		if c, mat := countOf(q), len(nodesOf(q)); n == 0 || c != int64(n) || mat != n {
 			b.Fatalf("%s: jump %d, count %d, materialized %d", tag, n, c, mat)
 		}
 		m := map[string]float64{"nodes": float64(n)}
 		sub(b, tag+"/jump", m, func() error { jump(); return nil })
 		sub(b, tag+"/count", m, counting(q))
-		sub(b, tag+"/mat", m, func() error { q.Nodes(); return nil })
+		sub(b, tag+"/mat", m, func() error { _, err := q.NodesCtx(context.Background()); return err })
 	}
 }
 
@@ -475,8 +486,8 @@ func BenchmarkFig10_XMark(b *testing.B) {
 		m := results(n)
 		m["visited/op"], m["marked/op"] = float64(st.Visited), float64(st.Marked)
 		sub(b, q.ID+"/count", m, counting(cq))
-		sub(b, q.ID+"/mat", nil, func() error { cq.Nodes(); return nil })
-		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.Serialize(io.Discard); return err })
+		sub(b, q.ID+"/mat", nil, func() error { _, err := cq.NodesCtx(context.Background()); return err })
+		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.SerializeCtx(context.Background(), io.Discard); return err })
 		sub(b, q.ID+"/dom", nil, func() error { _, err := tree.Eval(q.Query); return err })
 		var buf bytes.Buffer
 		sub(b, q.ID+"/dom-serialize", nil, func() error {
@@ -507,8 +518,8 @@ func BenchmarkFig11_Treebank(b *testing.B) {
 	for _, q := range bench.TreebankQueries {
 		cq, n, _ := checkedQuery(b, c.eng, tree, q.ID, q.Query)
 		sub(b, q.ID+"/count", results(n), counting(cq))
-		sub(b, q.ID+"/mat", nil, func() error { cq.Nodes(); return nil })
-		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.Serialize(io.Discard); return err })
+		sub(b, q.ID+"/mat", nil, func() error { _, err := cq.NodesCtx(context.Background()); return err })
+		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.SerializeCtx(context.Background(), io.Discard); return err })
 		sub(b, q.ID+"/dom", nil, func() error { _, err := tree.Eval(q.Query); return err })
 	}
 }
@@ -531,7 +542,7 @@ func BenchmarkFig12_Ablation(b *testing.B) {
 	setup(b)
 	engs := make([]*core.Engine, len(ablation))
 	for i, cfg := range ablation {
-		engs[i] = corpora.xmark.eng.WithEval(cfg.opts)
+		engs[i] = corpora.xmark.eng.WithQueryOptions(xpath.Options{Eval: cfg.opts})
 	}
 	for _, q := range bench.XMarkQueries {
 		want := int64(-1)
@@ -540,7 +551,7 @@ func BenchmarkFig12_Ablation(b *testing.B) {
 			if err != nil {
 				b.Fatal(q.ID, err)
 			}
-			n := cq.Count()
+			n := countOf(cq)
 			if want >= 0 && n != want {
 				b.Fatalf("%s: %s counts %d, %s %d", q.ID, cfg.name, n, ablation[0].name, want)
 			}
@@ -566,8 +577,8 @@ func BenchmarkFig15_MedlineText(b *testing.B) {
 		m["paper-bottom-up"] = oneIf(strings.HasPrefix(q.PaperStrategy, "up"))
 		m["paper-fm"] = oneIf(strings.HasSuffix(q.PaperStrategy, ",fm"))
 		sub(b, q.ID+"/count", m, counting(cq))
-		sub(b, q.ID+"/first", nil, func() error { _, err := c.eng.Count(q.Query); return err })
-		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.Serialize(io.Discard); return err })
+		sub(b, q.ID+"/first", nil, func() error { _, err := c.eng.Count(context.Background(), q.Query); return err })
+		sub(b, q.ID+"/serialize", nil, func() error { _, err := cq.SerializeCtx(context.Background(), io.Discard); return err })
 		sub(b, q.ID+"/dom", nil, func() error { _, err := tree.Eval(q.Query); return err })
 	}
 }
@@ -603,7 +614,7 @@ func BenchmarkTable7_WordIndex(b *testing.B) {
 			if err != nil {
 				b.Fatal(q.ID, err)
 			}
-			sub(b, q.ID+"/word", results(cq.Count()), counting(cq))
+			sub(b, q.ID+"/word", results(countOf(cq)), counting(cq))
 			sub(b, q.ID+"/naive", map[string]float64{"texts": float64(len(want))}, func() error {
 				oracle.PhraseTexts(texts, phrase)
 				return nil
@@ -646,7 +657,7 @@ func BenchmarkFig18_PSSM(b *testing.B) {
 		if err != nil {
 			b.Fatal(q.ID, err)
 		}
-		sub(b, q.ID, planMetrics(cq, cq.Count()), func() error { _, err := eng.Count(q.Query); return err })
+		sub(b, q.ID, planMetrics(cq, countOf(cq)), func() error { _, err := eng.Count(context.Background(), q.Query); return err })
 	}
 }
 
@@ -666,7 +677,7 @@ func BenchmarkStreaming(b *testing.B) {
 		if err != nil {
 			b.Fatal(q.ID, err)
 		}
-		n := cq.Count()
+		n := countOf(cq)
 		if sn, err := sq.Count(c.data); err != nil || sn != n {
 			b.Fatalf("%s: stream count %d (%v), engine %d", q.ID, sn, err, n)
 		}
@@ -686,7 +697,7 @@ func BenchmarkAncestor(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			q.Count()
+			q.CountCtx(context.Background())
 		}
 	})
 	b.Run("dom", func(b *testing.B) {
@@ -711,7 +722,7 @@ func BenchmarkPreceding(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			q.Count()
+			q.CountCtx(context.Background())
 		}
 	})
 	// Existence form: the early-exit scan stops at the first preceding match.
@@ -721,7 +732,7 @@ func BenchmarkPreceding(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			q.Count()
+			q.CountCtx(context.Background())
 		}
 	})
 }
@@ -748,7 +759,7 @@ func BenchmarkBackwardAxes(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				q.Count()
+				q.CountCtx(context.Background())
 			}
 		})
 	}
@@ -849,7 +860,7 @@ func BenchmarkCountStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	want := q.Count()
+	want := countOf(q)
 	if want == 0 {
 		b.Fatal("empty result set")
 	}
@@ -888,12 +899,12 @@ func BenchmarkTopDownCount(b *testing.B) {
 			if cq.Automaton() == nil {
 				b.Fatalf("%s: strategy %s, want the automaton", q.ID, cq.Strategy())
 			}
-			cq.Count()
+			cq.CountCtx(context.Background())
 			visited := float64(cq.Stats().Visited)
 			b.Run(q.ID, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					cq.Count()
+					cq.CountCtx(context.Background())
 				}
 				b.ReportMetric(float64(n), "results")
 				b.ReportMetric(visited, "visited/op")

@@ -65,7 +65,7 @@ func TestBuildPeakRSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := eng.Count("//item"); err != nil || n == 0 {
+	if n, err := eng.Count(context.Background(), "//item"); err != nil || n == 0 {
 		t.Fatalf("sanity query on bounded build: n=%d err=%v", n, err)
 	}
 

@@ -119,17 +119,18 @@ func main() {
 		fatal("missing -i input file")
 	}
 
+	// A build or a query may run for a long time on large corpora: make
+	// SIGINT and SIGTERM cancel it cleanly. Every build stage and both
+	// evaluation strategies poll the context, and an interrupted save
+	// removes its temporary file, so no partial .sxsi or orphaned .sxsi.tmp
+	// is left behind.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	switch cmd {
 	case "build", "index":
 		if *out == "" {
 			fatal("missing -o output index file")
 		}
-		// A build may run for a long time on large corpora: make SIGINT and
-		// SIGTERM cancel it cleanly. Every pipeline stage polls the context,
-		// and an interrupted save removes its temporary file, so no partial
-		// .sxsi or orphaned .sxsi.tmp is left behind.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
 		data, err := os.ReadFile(*in)
 		check(err)
 		var eng *core.Engine
@@ -146,7 +147,7 @@ func main() {
 		if *q == "" {
 			fatal("missing query")
 		}
-		n, err := open(*in, cfg).Count(*q)
+		n, err := open(ctx, *in, cfg).Count(ctx, *q)
 		check(err)
 		fmt.Println(n)
 	case "query":
@@ -154,11 +155,11 @@ func main() {
 			fatal("missing query")
 		}
 		w := bufio.NewWriter(os.Stdout)
-		_, err := open(*in, cfg).Serialize(*q, w)
+		_, err := open(ctx, *in, cfg).Serialize(ctx, *q, w)
 		check(err)
 		check(w.Flush())
 	case "stats":
-		st := open(*in, cfg).Stats()
+		st := open(ctx, *in, cfg).Stats()
 		fmt.Printf("nodes:        %d\n", st.Nodes)
 		fmt.Printf("texts:        %d\n", st.Texts)
 		fmt.Printf("distinct tags:%d\n", st.Tags)
@@ -219,7 +220,7 @@ func sortedKeys(m map[string]string) []string {
 
 // open loads a saved index (memory-mapped unless -no-mmap) or builds one
 // from raw XML, sniffing the magic.
-func open(path string, cfg core.Config) *core.Engine {
+func open(ctx context.Context, path string, cfg core.Config) *core.Engine {
 	f, err := os.Open(path)
 	check(err)
 	head := make([]byte, 16)
@@ -232,7 +233,7 @@ func open(path string, cfg core.Config) *core.Engine {
 	}
 	data, err := os.ReadFile(path)
 	check(err)
-	eng, err := core.Build(data, cfg)
+	eng, err := core.BuildContext(ctx, data, cfg)
 	check(err)
 	return eng
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,8 @@ func main() {
 	data := gen.Medline(2024, 4<<20)
 	fmt.Printf("corpus: %.1f MB of bibliographic XML\n", float64(len(data))/(1<<20))
 
-	idx, err := sxsi.Build(data, sxsi.Config{})
+	ctx := context.Background()
+	idx, err := sxsi.Build(ctx, data, sxsi.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,13 +42,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", src, err)
 		}
-		n := q.Count()
+		n, _ := q.CountCtx(ctx)
 		fmt.Printf("%-80s  %6d results  [%s]\n", src, n, q.Strategy())
 	}
 
 	// Show one hit with its content.
 	q, _ := idx.Compile(`//Author[starts-with(LastName, "Bar")]/LastName`)
-	nodes := q.Nodes()
+	nodes, _ := q.NodesCtx(ctx)
 	if len(nodes) > 0 {
 		fmt.Printf("first matching author: %s\n", idx.Doc.TextValue(nodes[0]))
 	}

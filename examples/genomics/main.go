@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -22,7 +23,8 @@ func main() {
 
 	// A denser locate sampling step than the default 64: every PSSM match
 	// is located to find its text.
-	idx, err := sxsi.Build(data, sxsi.Config{SampleRate: 16})
+	ctx := context.Background()
+	idx, err := sxsi.Build(ctx, data, sxsi.Config{SampleRate: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,11 +56,11 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		n := q.Count()
+		n, _ := q.CountCtx(ctx)
 		fmt.Printf("%-45s %6d results in %8v  [%s]\n", src, n, time.Since(start).Round(time.Microsecond), q.Strategy())
 	}
 
 	// Plain substring search over DNA also works through the FM-index.
-	n, _ := idx.Count(`//promoter[contains(., 'TATAAA')]`)
+	n, _ := idx.Count(ctx, `//promoter[contains(., 'TATAAA')]`)
 	fmt.Printf("promoters containing a TATA box: %d\n", n)
 }

@@ -4,6 +4,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,7 +21,8 @@ const doc = `<parts>
 func main() {
 	// Build the self-index: after this, the original document could be
 	// discarded — every query and serialization below runs on the index.
-	idx, err := sxsi.Build([]byte(doc), sxsi.Config{})
+	ctx := context.Background()
+	idx, err := sxsi.Build(ctx, []byte(doc), sxsi.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,19 +30,19 @@ func main() {
 	fmt.Printf("indexed: %d nodes, %d texts, %d distinct labels\n", st.Nodes, st.Texts, st.Tags)
 
 	// Counting mode (Section 5.5.3 of the paper): no results materialized.
-	n, err := idx.Count("//part[color]/stock")
+	n, err := idx.Count(ctx, "//part[color]/stock")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("parts with a color have %d stock entries\n", n)
 
 	// Text predicates run on the FM-index.
-	n, _ = idx.Count("//part[contains(., 'discontinued')]")
+	n, _ = idx.Count(ctx, "//part[contains(., 'discontinued')]")
 	fmt.Printf("%d part(s) mention 'discontinued'\n", n)
 
 	// Attribute tests and serialization.
 	fmt.Println("serialize //part[@name = 'pen']/color:")
-	if _, err := idx.Serialize("//part[@name = 'pen']/color", os.Stdout); err != nil {
+	if _, err := idx.Serialize(ctx, "//part[@name = 'pen']/color", os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
@@ -54,6 +56,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, _ = idx2.Count("//stock")
+	n, _ = idx2.Count(ctx, "//stock")
 	fmt.Printf("after reload: %d stock elements\n", n)
 }

@@ -23,7 +23,8 @@ func main() {
 	data := gen.Wiki(99, 16<<20)
 	fmt.Printf("corpus: %.1f MB of wiki pages\n", float64(len(data))/(1<<20))
 
-	idx, err := sxsi.Build(data, sxsi.Config{})
+	ctx := context.Background()
+	idx, err := sxsi.Build(ctx, data, sxsi.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		n := q.Count()
+		n, _ := q.CountCtx(ctx)
 		fmt.Printf("%-55s %5d results in %8v  [%s]\n", src, n, time.Since(start).Round(time.Microsecond), q.Strategy())
 	}
 
 	// Word-boundary semantics differ from substring semantics: compare.
-	a, _ := eng.Count(`//text[wcontains(., "horse")]`)
-	b, _ := idx.Count(`//text[contains(., "horse")]`)
+	a, _ := eng.Count(ctx, `//text[wcontains(., "horse")]`)
+	b, _ := idx.Count(ctx, `//text[contains(., "horse")]`)
 	fmt.Printf("word match 'horse': %d pages; substring match: %d pages\n", a, b)
 
 	// Part two: the collection search tier. Register several wiki dumps as
@@ -70,7 +71,7 @@ func main() {
 	c := collection.New(collection.Config{})
 	start = time.Now()
 	for seed := uint64(1); seed <= 6; seed++ {
-		doc, err := sxsi.Build(gen.Wiki(seed, 2<<20), sxsi.Config{})
+		doc, err := sxsi.Build(ctx, gen.Wiki(seed, 2<<20), sxsi.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func main() {
 		`"crude oil" board`,
 	} {
 		start := time.Now()
-		rep, err := c.Search(context.Background(), q, `//page/title`, 3)
+		rep, err := c.Search(ctx, q, `//page/title`, 3)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -48,12 +49,12 @@ func TestHandBuiltFig3(t *testing.T) {
 	a := buildFig3(t, doc)
 	for _, opts := range []Options{{}, {NoJump: true}, {NoMemo: true}, {NoEarly: true}} {
 		ev := NewEvaluator(a, doc, Count, opts)
-		n, _ := ev.Run()
+		n, _, _ := ev.Run(context.Background())
 		if n != 1 {
 			t.Fatalf("opts %+v: count=%d want 1 (only the first keyword has an emph child under a listitem)", opts, n)
 		}
 		ev2 := NewEvaluator(a, doc, Materialize, opts)
-		_, nodes := ev2.Run()
+		_, nodes, _ := ev2.Run(context.Background())
 		if len(nodes) != 1 || doc.TagName(doc.TagOf(nodes[0])) != "keyword" {
 			t.Fatalf("opts %+v: nodes=%v", opts, nodes)
 		}
@@ -126,7 +127,7 @@ func TestStatsCounting(t *testing.T) {
 	doc, _ := xmltree.Parse([]byte(listDoc), xmltree.Options{SkipFM: true})
 	a := buildFig3(t, doc)
 	ev := NewEvaluator(a, doc, Count, Options{})
-	ev.Run()
+	ev.Run(context.Background())
 	if ev.Stats.Visited <= 0 {
 		t.Fatal("visited not tracked")
 	}
@@ -146,7 +147,7 @@ func TestEmptyDocRun(t *testing.T) {
 	a.SetBottom(1)
 	a.Finish()
 	ev := NewEvaluator(a, doc, Count, Options{})
-	n, _ := ev.Run()
+	n, _, _ := ev.Run(context.Background())
 	if n != 0 {
 		t.Fatalf("count=%d", n)
 	}
@@ -201,10 +202,10 @@ func TestEvaluatorReuse(t *testing.T) {
 	a := buildFig3(t, doc)
 	for _, mode := range []Mode{Count, Materialize} {
 		ev := NewEvaluator(a, doc, mode, Options{})
-		n0, nodes0 := ev.Run()
+		n0, nodes0, _ := ev.Run(context.Background())
 		stats0 := ev.Stats
 		for i := 0; i < 2; i++ {
-			n, nodes := ev.Run()
+			n, nodes, _ := ev.Run(context.Background())
 			if n != n0 || len(nodes) != len(nodes0) || ev.Stats != stats0 {
 				t.Fatalf("mode %d run %d: %d %v %+v, first run %d %v %+v", mode, i+2, n, nodes, ev.Stats, n0, nodes0, stats0)
 			}

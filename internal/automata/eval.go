@@ -142,7 +142,7 @@ type Evaluator struct {
 	// the first jump.
 	cursors []cursor
 
-	// Cancellation state for RunContext: the recursive run polls ctxDone
+	// Cancellation state for Run: the recursive run polls ctxDone
 	// every few visited nodes and unwinds with a runCancelled panic, since
 	// threading an error through the deep recursion would cost on every
 	// frame of the hot path.
@@ -155,7 +155,7 @@ type Evaluator struct {
 // for every position in [at, next].
 type cursor struct{ at, next int }
 
-// runCancelled is the panic sentinel RunContext recovers.
+// runCancelled is the panic sentinel Run recovers.
 type runCancelled struct{ err error }
 
 // stateSet is an interned state set.
@@ -254,13 +254,15 @@ func (ev *Evaluator) intern(q uint64) int32 {
 	return id
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled the run stops
-// at the next visit poll (every 64 visited nodes) and the context's error
-// is returned. An evaluator whose run was cancelled, or panicked, must not
-// be reused: the run stopped between two updates of its state, and the
+// Run evaluates the automaton from the document root and returns the marks
+// of the start state. In Count mode the returned slice is nil and the count
+// is the first return value. When ctx is cancelled the run stops at the
+// next visit poll (every 64 visited nodes) and the context's error is
+// returned. An evaluator whose run was cancelled, or panicked, must not be
+// reused: the run stopped between two updates of its state, and the
 // unwound frames never returned their vals slices. One whose run returned
 // may run again.
-func (ev *Evaluator) RunContext(ctx context.Context) (n int64, nodes []int, err error) {
+func (ev *Evaluator) Run(ctx context.Context) (n int64, nodes []int, err error) {
 	if ctx != nil && ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
@@ -277,24 +279,14 @@ func (ev *Evaluator) RunContext(ctx context.Context) (n int64, nodes []int, err 
 			}
 		}()
 	}
-	n, nodes = ev.Run()
-	return n, nodes, nil
-}
-
-// Run evaluates the automaton from the document root and returns the marks
-// of the start state. In Count mode the returned slice is nil and the count
-// is the first return value.
-func (ev *Evaluator) Run() (int64, []int) {
 	ev.Stats = Stats{}
 	root := ev.Doc.Root()
 	if root == xmltree.Nil {
-		return 0, nil
+		return 0, nil, nil
 	}
 	end := ev.Doc.Close(root) + 1
 	r := ev.run(ev.start, root, end)
 	q := ev.A.Start
-	var n int64
-	var nodes []int
 	switch {
 	case r.sat>>uint(q)&1 == 0:
 	case ev.Mode == Count:
@@ -306,7 +298,7 @@ func (ev *Evaluator) Run() (int64, []int) {
 	if keep := maxFreeBytes / (resBytes * max(1, ev.A.NumStates)); len(ev.valsPool) > keep {
 		ev.valsPool = append([][]Res(nil), ev.valsPool[:keep]...)
 	}
-	return n, nodes
+	return n, nodes, nil
 }
 
 // maxFreeBytes bounds the vals free list an evaluator keeps between runs.

@@ -1,6 +1,7 @@
 package automata_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -52,7 +53,7 @@ func TestOutcomeTable(t *testing.T) {
 			return nil
 		}},
 	} {
-		eng, err := core.Build(c.data, core.Config{SampleRate: 4})
+		eng, err := core.BuildContext(context.Background(), c.data, core.Config{SampleRate: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +70,15 @@ func TestOutcomeTable(t *testing.T) {
 			if cq.Automaton() == nil {
 				t.Fatalf("%s: strategy %s, want the automaton", q.ID, cq.Strategy())
 			}
-			if want, err := tree.Eval(q.Query); err != nil || int(cq.Count()) != len(want) {
-				t.Fatalf("%s: count %d, DOM %d (%v)", q.ID, cq.Count(), len(want), err)
+			n, _ := cq.CountCtx(context.Background())
+			if want, err := tree.Eval(q.Query); err != nil || int(n) != len(want) {
+				t.Fatalf("%s: count %d, DOM %d (%v)", q.ID, n, len(want), err)
 			}
 			for _, mode := range []automata.Mode{automata.Count, automata.Materialize} {
 				ev := automata.NewEvaluator(cq.Automaton(), eng.Doc, mode, automata.Options{})
 				ref := automata.NewEvaluator(cq.Automaton(), eng.Doc, mode, automata.Options{NoMemo: true})
-				n, nodes := ev.Run()
-				refN, refNodes := ref.Run()
+				n, nodes, _ := ev.Run(context.Background())
+				refN, refNodes, _ := ref.Run(context.Background())
 				if n != refN || !slices.Equal(nodes, refNodes) || ev.Stats != ref.Stats {
 					t.Fatalf("%s mode %d: %d %d nodes %+v, NoMemo %d %d nodes %+v", q.ID, mode, n, len(nodes), ev.Stats, refN, len(refNodes), ref.Stats)
 				}

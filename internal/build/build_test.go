@@ -164,13 +164,14 @@ func TestBuildCancellation(t *testing.T) {
 
 // A failed build must leave no reachable partial state: repeated failing
 // builds of a ~1 MiB document may not grow the live heap. The failure is
-// injected through an attribute value carrying an encoded NUL byte — the
-// parser passes it through (only PCDATA text is NUL-sanitized), so the
-// pipeline fails deep inside the FM stage, after the parse product and the
-// structural side already exist.
+// injected through an attribute value carrying a literal NUL byte — the
+// parser passes it through (only PCDATA text is NUL-sanitized, and the
+// character reference &#0; is a syntax error), so the pipeline fails deep
+// inside the FM stage, after the parse product and the structural side
+// already exist.
 func TestFailedBuildLeaksNothing(t *testing.T) {
 	var doc bytes.Buffer
-	doc.WriteString(`<root bad="x&#0;y">`)
+	doc.WriteString("<root bad=\"x\x00y\">")
 	filler := gen.XMark(4, 1<<20)
 	// Embed the filler inside our root by stripping nothing: just append
 	// it as a sibling subtree via a wrapper element.

@@ -209,7 +209,7 @@ func (c *Collection) Open(name, path string) error {
 	} else {
 		var data []byte
 		if data, err = io.ReadAll(br); err == nil {
-			eng, err = core.Build(data, c.cfg.Index)
+			eng, err = core.BuildContext(context.Background(), data, c.cfg.Index)
 		}
 		f.Close()
 	}
@@ -507,22 +507,17 @@ func (c *Collection) reqCtx(ctx context.Context) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-// Do evaluates a single request. Every request counts toward
-// Stats.Queries; failed ones (compile errors, unknown documents,
-// evaluation failures, deadline expiry) also toward Stats.Errors, except
-// cancellations (context.Canceled — the client went away), which count in
-// Stats.Canceled so client behavior does not pollute the error rate. An
-// evaluator panic is recovered into the Result's Err: batch workers run
-// outside net/http's per-request recover, and one poisoned query must not
-// take down the daemon and every loaded document with it.
-func (c *Collection) Do(req Request) Result {
-	return c.DoContext(context.Background(), req)
-}
-
-// DoContext is Do bounded by a context (further bounded by the collection's
-// RequestTimeout): both evaluation strategies poll the context, so a
-// cancelled or expired request stops mid-evaluation and reports the
-// context's error.
+// DoContext evaluates a single request, bounded by ctx and further by the
+// collection's RequestTimeout: both evaluation strategies poll the
+// context, so a cancelled or expired request stops mid-evaluation and
+// reports the context's error. Every request counts toward Stats.Queries;
+// failed ones (compile errors, unknown documents, evaluation failures,
+// deadline expiry) also toward Stats.Errors, except cancellations
+// (context.Canceled — the client went away), which count in Stats.Canceled
+// so client behavior does not pollute the error rate. An evaluator panic
+// is recovered into the Result's Err: batch workers run outside net/http's
+// per-request recover, and one poisoned query must not take down the
+// daemon and every loaded document with it.
 func (c *Collection) DoContext(ctx context.Context, req Request) (res Result) {
 	res = Result{Doc: req.Doc, Query: req.Query, Mode: req.Mode}
 	c.met.queries.Add(1)
@@ -564,20 +559,17 @@ func (c *Collection) DoContext(ctx context.Context, req Request) (res Result) {
 	return res
 }
 
-// Serialize evaluates the query on the named document and streams the XML
-// serialization of the result subtrees to w, returning the number of
-// results. Unlike ModeSerialize requests, nothing is buffered — this is
+// SerializeContext evaluates the query on the named document and streams
+// the XML serialization of the result subtrees to w, returning the number
+// of results. Unlike ModeSerialize requests, nothing is buffered — this is
 // the GET /query path, which must handle result sets of any size without
 // materializing them. Nothing is written to w before compilation succeeds,
-// so a returned error with zero results means no bytes were produced.
-func (c *Collection) Serialize(doc, query string, w io.Writer) (int64, error) {
-	return c.SerializeContext(context.Background(), doc, query, w)
-}
-
-// SerializeContext is Serialize bounded by a context (and the collection's
-// RequestTimeout). Cancellation mid-stream returns the context's error
-// after a prefix of the results has been written; the HTTP layer turns
-// that into an aborted connection rather than a silently truncated body.
+// so a returned error with zero results means no bytes were produced. The
+// call is bounded by ctx and the collection's RequestTimeout: cancellation
+// mid-stream returns the context's error after a prefix of the results has
+// been written; the HTTP layer turns that into an aborted connection
+// rather than a silently truncated body. Stats accounting and panic
+// recovery are those of DoContext.
 func (c *Collection) SerializeContext(ctx context.Context, doc, query string, w io.Writer) (n int64, err error) {
 	c.met.queries.Add(1)
 	start := time.Now()

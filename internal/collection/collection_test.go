@@ -18,7 +18,7 @@ const testXML = `<lib><book id="1"><title>gold rush</title><author>Kim</author><
 
 func buildEngine(t *testing.T, xml string) *core.Engine {
 	t.Helper()
-	eng, err := core.Build([]byte(xml), core.Config{})
+	eng, err := core.BuildContext(context.Background(), []byte(xml), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestOpenSniffsIndexAndXML(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"raw", "saved"} {
-		res := c.Do(Request{Doc: name, Query: "//book/title", Mode: ModeCount})
+		res := c.DoContext(context.Background(), Request{Doc: name, Query: "//book/title", Mode: ModeCount})
 		if res.Err != nil || res.Count != 2 {
 			t.Fatalf("%s: count = %d, err = %v", name, res.Count, res.Err)
 		}
@@ -108,10 +108,10 @@ func TestLoadDir(t *testing.T) {
 	if want := []string{"a", "b", "c"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("LoadDir names = %v, want %v", names, want)
 	}
-	if res := c.Do(Request{Doc: "a", Query: "//book", Mode: ModeCount}); res.Err != nil || res.Count != 2 {
+	if res := c.DoContext(context.Background(), Request{Doc: "a", Query: "//book", Mode: ModeCount}); res.Err != nil || res.Count != 2 {
 		t.Fatalf("a//book = %d, err %v (index did not shadow a.xml?)", res.Count, res.Err)
 	}
-	if res := c.Do(Request{Doc: "b", Query: "//item", Mode: ModeCount}); res.Err != nil || res.Count == 0 {
+	if res := c.DoContext(context.Background(), Request{Doc: "b", Query: "//item", Mode: ModeCount}); res.Err != nil || res.Count == 0 {
 		t.Fatalf("b//item = %d, err %v", res.Count, res.Err)
 	}
 }
@@ -196,7 +196,7 @@ func TestQueryCache(t *testing.T) {
 	c.Add("lib", buildEngine(t, testXML))
 
 	for i := 0; i < 3; i++ {
-		if res := c.Do(Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Err != nil {
+		if res := c.DoContext(context.Background(), Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}
@@ -206,8 +206,8 @@ func TestQueryCache(t *testing.T) {
 	}
 
 	// Capacity 2: a third distinct query evicts the LRU entry.
-	c.Do(Request{Doc: "lib", Query: "//title", Mode: ModeCount})
-	c.Do(Request{Doc: "lib", Query: "//note", Mode: ModeCount})
+	c.DoContext(context.Background(), Request{Doc: "lib", Query: "//title", Mode: ModeCount})
+	c.DoContext(context.Background(), Request{Doc: "lib", Query: "//note", Mode: ModeCount})
 	if got := c.Stats().CacheLen; got != 2 {
 		t.Fatalf("cache len = %d, want 2", got)
 	}
@@ -215,7 +215,7 @@ func TestQueryCache(t *testing.T) {
 	// Replacing the document must drop its cached queries: the new content
 	// has three books, and a stale compiled query would still answer 2.
 	c.Add("lib", buildEngine(t, `<lib><book/><book/><book/></lib>`))
-	if res := c.Do(Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Count != 3 {
+	if res := c.DoContext(context.Background(), Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Count != 3 {
 		t.Fatalf("stale cache: count = %d after replacing document", res.Count)
 	}
 	if got := c.Stats().CacheLen; got != 1 {
@@ -241,7 +241,7 @@ func TestCacheRejectsStaleInsert(t *testing.T) {
 	c.cacheMu.Lock()
 	c.cache.add(qkey{doc: "lib", query: "//book"}, cachedQuery{q: staleQ, eng: oldEng})
 	c.cacheMu.Unlock()
-	if res := c.Do(Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Err != nil || res.Count != 3 {
+	if res := c.DoContext(context.Background(), Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Err != nil || res.Count != 3 {
 		t.Fatalf("served stale cached query: count = %d, err = %v", res.Count, res.Err)
 	}
 }
@@ -250,7 +250,7 @@ func TestCacheDisabled(t *testing.T) {
 	c := New(Config{CacheSize: -1})
 	c.Add("lib", buildEngine(t, testXML))
 	for i := 0; i < 2; i++ {
-		if res := c.Do(Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Err != nil || res.Count != 2 {
+		if res := c.DoContext(context.Background(), Request{Doc: "lib", Query: "//book", Mode: ModeCount}); res.Err != nil || res.Count != 2 {
 			t.Fatalf("%+v", res)
 		}
 	}
@@ -307,8 +307,8 @@ func TestOpenMapsByDefault(t *testing.T) {
 	}
 
 	// Mapped and copied engines answer identically.
-	a := c.Do(Request{Doc: "doc", Query: "//book/title", Mode: ModeSerialize})
-	b := nc.Do(Request{Doc: "doc", Query: "//book/title", Mode: ModeSerialize})
+	a := c.DoContext(context.Background(), Request{Doc: "doc", Query: "//book/title", Mode: ModeSerialize})
+	b := nc.DoContext(context.Background(), Request{Doc: "doc", Query: "//book/title", Mode: ModeSerialize})
 	if a.Err != nil || b.Err != nil || string(a.Output) != string(b.Output) {
 		t.Fatalf("outputs differ: %q/%v vs %q/%v", a.Output, a.Err, b.Output, b.Err)
 	}

@@ -26,7 +26,7 @@ func libXML(n int) []byte {
 // path (atomically, via SaveFile's temp-file + rename).
 func saveIndex(t *testing.T, path string, n int) {
 	t.Helper()
-	eng, err := core.Build(libXML(n), core.Config{})
+	eng, err := core.BuildContext(context.Background(), libXML(n), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func saveIndex(t *testing.T, path string, n int) {
 
 func countBooks(t *testing.T, c *Collection, doc string) int64 {
 	t.Helper()
-	res := c.Do(Request{Doc: doc, Query: "//book", Mode: ModeCount})
+	res := c.DoContext(context.Background(), Request{Doc: doc, Query: "//book", Mode: ModeCount})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -155,7 +155,7 @@ func TestReloadRemovesVanishedDocs(t *testing.T) {
 }
 
 func TestReloadIgnoresManuallyAddedDocs(t *testing.T) {
-	eng, err := core.Build(libXML(1), core.Config{})
+	eng, err := core.BuildContext(context.Background(), libXML(1), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestReloadIgnoresManuallyAddedDocs(t *testing.T) {
 // TestCanceledCounter pins the accounting split: a canceled evaluation
 // lands in Stats.Canceled, a deadline expiry in Stats.Errors.
 func TestCanceledCounter(t *testing.T) {
-	eng, err := core.Build(libXML(2), core.Config{})
+	eng, err := core.BuildContext(context.Background(), libXML(2), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

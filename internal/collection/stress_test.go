@@ -24,7 +24,7 @@ func TestConcurrentCollection(t *testing.T) {
 		"wiki":    gen.Wiki(3, 32<<10),
 	}
 	for name, data := range corpora {
-		eng, err := core.Build(data, core.Config{SampleRate: 8})
+		eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,14 +39,14 @@ func TestConcurrentCollection(t *testing.T) {
 	want := map[string]int64{}
 	for doc, qs := range queries {
 		for _, q := range qs {
-			res := c.Do(Request{Doc: doc, Query: q, Mode: ModeCount})
+			res := c.DoContext(context.Background(), Request{Doc: doc, Query: q, Mode: ModeCount})
 			if res.Err != nil {
 				t.Fatalf("%s %s: %v", doc, q, res.Err)
 			}
 			want[doc+"\x00"+q] = res.Count
 		}
 	}
-	scratch, err := core.Build([]byte(`<s><x/><x/></s>`), core.Config{})
+	scratch, err := core.BuildContext(context.Background(), []byte(`<s><x/><x/></s>`), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestConcurrentCollection(t *testing.T) {
 						}
 					}
 				case 1: // single serialize + nodes requests
-					res := c.Do(Request{Doc: "xmark", Query: "//listitem//keyword", Mode: ModeSerialize})
+					res := c.DoContext(context.Background(), Request{Doc: "xmark", Query: "//listitem//keyword", Mode: ModeSerialize})
 					if res.Err != nil || res.Count != want["xmark\x00//listitem//keyword"] {
 						errc <- fmt.Errorf("g%d serialize: %d, %v", g, res.Count, res.Err)
 						return
 					}
 				case 2: // document churn on a name the queries never touch
 					c.Add("scratch", scratch)
-					if res := c.Do(Request{Doc: "scratch", Query: "//x", Mode: ModeCount}); res.Err == nil && res.Count != 2 {
+					if res := c.DoContext(context.Background(), Request{Doc: "scratch", Query: "//x", Mode: ModeCount}); res.Err == nil && res.Count != 2 {
 						errc <- fmt.Errorf("g%d scratch count %d", g, res.Count)
 						return
 					}
@@ -90,7 +90,7 @@ func TestConcurrentCollection(t *testing.T) {
 				case 3: // stats polling and misses
 					_ = c.Stats()
 					_ = c.Names()
-					res := c.Do(Request{Doc: "absent", Query: "//x", Mode: ModeCount})
+					res := c.DoContext(context.Background(), Request{Doc: "absent", Query: "//x", Mode: ModeCount})
 					if !errors.Is(res.Err, ErrUnknownDoc) {
 						errc <- fmt.Errorf("g%d: want ErrUnknownDoc, got %v", g, res.Err)
 						return

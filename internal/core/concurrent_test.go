@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // against serially computed expectations. Run under -race this is the
 // engine-level concurrency contract test.
 func TestConcurrentEngine(t *testing.T) {
-	eng, err := Build(gen.XMark(11, 64<<10), Config{SampleRate: 8})
+	eng, err := BuildContext(context.Background(), gen.XMark(11, 64<<10), Config{SampleRate: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,16 +43,16 @@ func TestConcurrentEngine(t *testing.T) {
 	}
 	want := make([]expect, len(queries))
 	for i, q := range queries {
-		n, err := eng.Count(q)
+		n, err := eng.Count(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		nodes, err := eng.Nodes(q)
+		nodes, err := eng.Nodes(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := eng.Serialize(q, &buf); err != nil {
+		if _, err := eng.Serialize(context.Background(), q, &buf); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = expect{count: n, nodes: nodes, xml: buf.Bytes()}
@@ -78,25 +79,25 @@ func TestConcurrentEngine(t *testing.T) {
 				q := queries[i]
 				switch it % 4 {
 				case 0:
-					if n, err := eng.Count(q); err != nil || n != want[i].count {
+					if n, err := eng.Count(context.Background(), q); err != nil || n != want[i].count {
 						errc <- fmt.Errorf("g%d Count(%s) = %d, %v; want %d", g, q, n, err, want[i].count)
 						return
 					}
 				case 1:
-					nodes, err := eng.Nodes(q)
+					nodes, err := eng.Nodes(context.Background(), q)
 					if err != nil || len(nodes) != len(want[i].nodes) {
 						errc <- fmt.Errorf("g%d Nodes(%s) len %d, %v; want %d", g, q, len(nodes), err, len(want[i].nodes))
 						return
 					}
 				case 2:
 					var buf bytes.Buffer
-					if _, err := eng.Serialize(q, &buf); err != nil || !bytes.Equal(buf.Bytes(), want[i].xml) {
+					if _, err := eng.Serialize(context.Background(), q, &buf); err != nil || !bytes.Equal(buf.Bytes(), want[i].xml) {
 						errc <- fmt.Errorf("g%d Serialize(%s) diverged (%v)", g, q, err)
 						return
 					}
 				case 3:
 					// Shared compiled query evaluated concurrently.
-					if n := shared[i].Count(); n != want[i].count {
+					if n, _ := shared[i].CountCtx(context.Background()); n != want[i].count {
 						errc <- fmt.Errorf("g%d shared Count(%s) = %d, want %d", g, q, n, want[i].count)
 						return
 					}
@@ -112,16 +113,16 @@ func TestConcurrentEngine(t *testing.T) {
 	}
 }
 
-// TestConcurrentClones runs WithEval/WithQueryOptions clones concurrently
+// TestConcurrentClones runs WithQueryOptions clones concurrently
 // with their parent on the same index: results must agree and no state may
 // be shared (the -race run enforces the latter).
 func TestConcurrentClones(t *testing.T) {
-	eng, err := Build(gen.Medline(5, 32<<10), Config{SampleRate: 8})
+	eng, err := BuildContext(context.Background(), gen.Medline(5, 32<<10), Config{SampleRate: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const q = "//MedlineCitation//Author/LastName"
-	base, err := eng.Count(q)
+	base, err := eng.Count(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +136,11 @@ func TestConcurrentClones(t *testing.T) {
 				e := eng
 				switch g % 3 {
 				case 1:
-					e = eng.WithEval(automata.Options{NoJump: it%2 == 0, NoLazy: true})
+					e = eng.WithQueryOptions(xpath.Options{Eval: automata.Options{NoJump: it%2 == 0, NoLazy: true}})
 				case 2:
 					e = eng.WithQueryOptions(xpath.Options{ForceStrategy: xpath.StrategyTopDown, ForceNaiveText: it%2 == 0})
 				}
-				if n, err := e.Count(q); err != nil || n != base {
+				if n, err := e.Count(context.Background(), q); err != nil || n != base {
 					errc <- fmt.Errorf("g%d it%d: count %d, %v; want %d", g, it, n, err, base)
 					return
 				}
@@ -153,11 +154,11 @@ func TestConcurrentClones(t *testing.T) {
 	}
 }
 
-// TestCloneDoesNotAliasCustomMatchSets pins the WithQueryOptions/WithEval
+// TestCloneDoesNotAliasCustomMatchSets pins the WithQueryOptions
 // bugfix: mutating the options map passed in (or the parent's registry)
 // after cloning must not leak into the clone.
 func TestCloneDoesNotAliasCustomMatchSets(t *testing.T) {
-	e, err := Build([]byte(doc), Config{})
+	e, err := BuildContext(context.Background(), []byte(doc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +169,17 @@ func TestCloneDoesNotAliasCustomMatchSets(t *testing.T) {
 	// Caller mutates its map after the clone was taken.
 	opts.CustomMatchSets["evil"] = func(string) []int32 { return []int32{0} }
 	delete(opts.CustomMatchSets, "only")
-	if n, err := clone.Count("//b[only(., 'x')]"); err != nil || n != 1 {
+	if n, err := clone.Count(context.Background(), "//b[only(., 'x')]"); err != nil || n != 1 {
 		t.Fatalf("clone lost its predicate: n=%d err=%v", n, err)
 	}
-	if _, err := clone.Count("//b[evil(., 'x')]"); err == nil {
+	if _, err := clone.Count(context.Background(), "//b[evil(., 'x')]"); err == nil {
 		t.Fatal("clone picked up a predicate registered after cloning")
 	}
 	// A second-generation clone must not alias the first one's map either.
-	c2 := clone.WithEval(automata.Options{NoJump: true})
-	if n, err := c2.Count("//b[only(., 'x')]"); err != nil || n != 1 {
-		t.Fatalf("WithEval clone lost the predicate: n=%d err=%v", n, err)
+	o := clone.opts.Query
+	o.Eval = automata.Options{NoJump: true}
+	c2 := clone.WithQueryOptions(o)
+	if n, err := c2.Count(context.Background(), "//b[only(., 'x')]"); err != nil || n != 1 {
+		t.Fatalf("second-generation clone lost the predicate: n=%d err=%v", n, err)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/automata"
 	"repro/internal/build"
 	"repro/internal/mmap"
 	"repro/internal/persist"
@@ -33,9 +32,9 @@ import (
 // Every evaluation allocates its own scratch state (evaluator memo tables,
 // result buffers), and compiled Queries are themselves safe for concurrent
 // evaluation, so they may be cached and shared across goroutines (package
-// collection does exactly that). Clones made with WithEval or
-// WithQueryOptions share only the immutable index and are safe to use
-// concurrently with their parent.
+// collection does exactly that). Clones made with WithQueryOptions share
+// only the immutable index and are safe to use concurrently with their
+// parent.
 //
 // A loaded engine's succinct payloads alias the file image it was decoded
 // from and only the derived directories are built beside it. Through
@@ -47,14 +46,14 @@ type Engine struct {
 	opts Config
 
 	// backing keeps the file image alive for engines opened through
-	// OpenFile; nil for built or Load/LoadFile engines.
+	// OpenFile; nil for built or heap-loaded engines.
 	backing *mmap.File
 	// mapped records that the image the Doc aliases is an OS mapping
 	// (shared with the page cache) rather than a private heap buffer.
 	mapped bool
 
 	// postings caches the word-level postings of Postings(), built on
-	// first use. Clones (WithEval/WithQueryOptions) start with a fresh
+	// first use. Clones (WithQueryOptions) start with a fresh
 	// cache; they share the immutable Doc, so a rebuild is identical.
 	// postOnce is the single flight of the build; the pointer is atomic so
 	// PostingsIfBuilt can look without joining it.
@@ -71,12 +70,12 @@ type Config struct {
 	SkipFM bool
 	// SkipPlain drops the redundant plain-text store of Section 3.4; text
 	// extraction then walks the BWT. A loaded index keeps its whole file
-	// image, so on a heap-buffer load (NoMmap, Load, LoadFile) the skipped
+	// image, so on a heap-buffer load (NoMmap, Load) the skipped
 	// section's bytes stay resident all the same; only a mapping leaves
 	// them to the page cache.
 	SkipPlain bool
 	// NoMmap makes OpenFile read the whole index file into one aligned
-	// heap buffer, as LoadFile does, instead of mapping it; the decoder is
+	// heap buffer, as Load does, instead of mapping it; the decoder is
 	// the same. The buffer is private memory, reported in Stats.HeapBytes,
 	// and it holds every section, SkipFM/SkipPlain ones included.
 	NoMmap bool
@@ -102,17 +101,12 @@ func (c Config) treeOptions() xmltree.Options {
 	}
 }
 
-// Build parses and indexes an XML document held in memory.
-func Build(xml []byte, cfg Config) (*Engine, error) {
-	return BuildContext(context.Background(), xml, cfg)
-}
-
-// BuildContext is Build with cancellation and resource control: it runs the
-// staged pipeline of package build — parse, then structure assembly and the
-// chunk-parallel text-index construction (cfg.BuildProcs workers, transient
-// memory bounded by cfg.MemoryBudget) — polling ctx at bounded intervals in
-// every stage. The produced index does not depend on BuildProcs or
-// MemoryBudget.
+// BuildContext parses and indexes an XML document held in memory. It runs
+// the staged pipeline of package build — parse, then structure assembly
+// and the chunk-parallel text-index construction (cfg.BuildProcs workers,
+// transient memory bounded by cfg.MemoryBudget) — polling ctx at bounded
+// intervals in every stage. The produced index does not depend on
+// BuildProcs or MemoryBudget.
 func BuildContext(ctx context.Context, xml []byte, cfg Config) (*Engine, error) {
 	doc, err := build.Document(ctx, xml, build.Options{
 		Tree:         cfg.treeOptions(),
@@ -126,18 +120,9 @@ func BuildContext(ctx context.Context, xml []byte, cfg Config) (*Engine, error) 
 	return &Engine{Doc: doc, opts: cfg}, nil
 }
 
-// BuildFile indexes an XML file.
-func BuildFile(path string, cfg Config) (*Engine, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Build(data, cfg)
-}
-
 // Save writes the index to w in the versioned container format of package
 // persist; Load reads it back. Loading skips suffix sorting and is much
-// faster than Build (Figure 8).
+// faster than BuildContext (Figure 8).
 func (e *Engine) Save(w io.Writer) (int64, error) { return e.Doc.WriteTo(w) }
 
 // SaveFile writes the index to path, returning the number of bytes
@@ -244,16 +229,6 @@ func readAligned(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// LoadFile reads an index file previously written by SaveFile into one
-// aligned heap buffer and decodes it in place, like Load.
-func LoadFile(path string, cfg Config) (*Engine, error) {
-	f, err := mmap.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return load(f.Data(), false, cfg)
-}
-
 // load decodes the index image data, which must stay alive and unchanged
 // for the engine's whole lifetime; mapped says whether it is an OS mapping
 // or private heap, which only the caller that produced it knows.
@@ -270,11 +245,16 @@ func load(data []byte, mapped bool, cfg Config) (*Engine, error) {
 // into one aligned buffer) and decoded in place, so opening a
 // multi-gigabyte index costs only its derived directories and restarts hit
 // the OS page cache instead of re-reading the index. cfg.NoMmap reads the
-// file into a heap buffer instead (LoadFile). The engine owns the mapping;
-// release it with Close once the engine is no longer in use.
+// file into one aligned heap buffer instead and decodes it in place, like
+// Load. The engine owns the mapping; release it with Close once the engine
+// is no longer in use.
 func OpenFile(path string, cfg Config) (*Engine, error) {
 	if cfg.NoMmap {
-		return LoadFile(path, cfg)
+		f, err := mmap.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return load(f.Data(), false, cfg)
 	}
 	m, err := mmap.Open(path)
 	if err != nil {
@@ -344,14 +324,9 @@ func (e *Engine) Compile(query string) (*xpath.Query, error) {
 	return xpath.Compile(query, e.Doc, e.opts.Query)
 }
 
-// Count runs the query in counting mode.
-func (e *Engine) Count(query string) (int64, error) {
-	return e.CountContext(context.Background(), query)
-}
-
-// CountContext is Count with cancellation: both evaluation strategies poll
-// the context and return its error once it is done.
-func (e *Engine) CountContext(ctx context.Context, query string) (int64, error) {
+// Count runs the query in counting mode. Both evaluation strategies poll
+// ctx and return its error once it is done.
+func (e *Engine) Count(ctx context.Context, query string) (int64, error) {
 	q, err := e.Compile(query)
 	if err != nil {
 		return 0, err
@@ -361,12 +336,7 @@ func (e *Engine) CountContext(ctx context.Context, query string) (int64, error) 
 
 // Nodes materializes the result nodes (positions in the parentheses
 // sequence; use Doc methods or Serialize for content).
-func (e *Engine) Nodes(query string) ([]int, error) {
-	return e.NodesContext(context.Background(), query)
-}
-
-// NodesContext is Nodes with cancellation.
-func (e *Engine) NodesContext(ctx context.Context, query string) ([]int, error) {
+func (e *Engine) Nodes(ctx context.Context, query string) ([]int, error) {
 	q, err := e.Compile(query)
 	if err != nil {
 		return nil, err
@@ -397,14 +367,10 @@ func (e *Engine) Iter(ctx context.Context, query string) (xpath.ResultIter, erro
 }
 
 // Serialize evaluates the query and writes the XML serialization of each
-// result node to w, returning the number of results.
-func (e *Engine) Serialize(query string, w io.Writer) (int, error) {
-	return e.SerializeContext(context.Background(), query, w)
-}
-
-// SerializeContext is Serialize with cancellation; results stream through
-// the lazy iterator, so a cancelled call has written a prefix of them.
-func (e *Engine) SerializeContext(ctx context.Context, query string, w io.Writer) (int, error) {
+// result node to w, returning the number of results. Results stream
+// through the lazy iterator, so a cancelled call has written a prefix of
+// them.
+func (e *Engine) Serialize(ctx context.Context, query string, w io.Writer) (int, error) {
 	q, err := e.Compile(query)
 	if err != nil {
 		return 0, err
@@ -418,7 +384,7 @@ func (e *Engine) SerializeContext(ctx context.Context, query string, w io.Writer
 // estimates the private memory left over (the derived directories): the
 // component byte counts include the aliased payloads, so heap usage is
 // their total minus the mapping. An engine decoded from a heap buffer
-// (Load, LoadFile, NoMmap, or a platform without mmap) owns that whole
+// (Load, NoMmap, or a platform without mmap) owns that whole
 // buffer privately: MappedBytes is zero and HeapBytes counts the buffer
 // plus the derived directories.
 type Stats struct {
@@ -469,18 +435,9 @@ func cloneQueryOptions(o xpath.Options) xpath.Options {
 	return o
 }
 
-// WithEval returns a copy of the engine with the given evaluator option
-// overrides applied (used by the ablation benchmarks). The clone shares the
-// immutable index only and is safe to use concurrently with the parent.
-func (e *Engine) WithEval(opts automata.Options) *Engine {
-	cfg := e.opts
-	cfg.Query = cloneQueryOptions(cfg.Query)
-	cfg.Query.Eval = opts
-	return &Engine{Doc: e.Doc, opts: cfg, mapped: e.mapped}
-}
-
 // WithQueryOptions returns a copy of the engine using the given query
-// options (planner toggles, custom predicates). The clone shares the
+// options (planner toggles, evaluator ablations, custom predicates). The
+// clone shares the
 // immutable index only and is safe to use concurrently with the parent.
 func (e *Engine) WithQueryOptions(opts xpath.Options) *Engine {
 	cfg := e.opts

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -21,7 +22,7 @@ func TestSaveGoldenDigest(t *testing.T) {
 		{"xmark", gen.XMark(7, 120_000), "52036103d0768906e09b4e81f3b46dbc2cef9de2ca3230a7b4b8ef0bf951f6a7"},
 		{"medline", gen.Medline(7, 120_000), "d6e7604f6e7c5ed54d191024e7d7b5b47377c769cd818250beef50ce1b9fcd93"},
 	} {
-		e, err := Build(c.xml, Config{})
+		e, err := BuildContext(context.Background(), c.xml, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

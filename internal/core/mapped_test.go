@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -59,7 +60,7 @@ func TestMappedIdenticalOutput(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, c := range corpora {
-		built, err := Build(c.data, Config{SampleRate: 8})
+		built, err := BuildContext(context.Background(), c.data, Config{SampleRate: 8})
 		if err != nil {
 			t.Fatalf("%s: build: %v", c.name, err)
 		}
@@ -67,7 +68,7 @@ func TestMappedIdenticalOutput(t *testing.T) {
 		if _, err := built.SaveFile(path); err != nil {
 			t.Fatalf("%s: save: %v", c.name, err)
 		}
-		copied, err := LoadFile(path, Config{SampleRate: 8})
+		copied, err := OpenFile(path, Config{SampleRate: 8, NoMmap: true})
 		if err != nil {
 			t.Fatalf("%s: copy load: %v", c.name, err)
 		}
@@ -79,20 +80,20 @@ func TestMappedIdenticalOutput(t *testing.T) {
 			t.Fatalf("%s: OpenFile did not map", c.name)
 		}
 		if copied.Mapped() {
-			t.Fatalf("%s: LoadFile claims to be mapped", c.name)
+			t.Fatalf("%s: NoMmap open claims to be mapped", c.name)
 		}
 		for _, cfg := range configs {
 			em := mapped.WithQueryOptions(cfg.opts)
 			ec := copied.WithQueryOptions(cfg.opts)
 			for _, q := range c.qs {
-				nm, err1 := em.Count(q)
-				nc, err2 := ec.Count(q)
+				nm, err1 := em.Count(context.Background(), q)
+				nc, err2 := ec.Count(context.Background(), q)
 				if err1 != nil || err2 != nil || nm != nc {
 					t.Fatalf("%s/%s/%s: count %d/%v vs %d/%v", c.name, cfg.name, q, nm, err1, nc, err2)
 				}
 				var sm, sc bytes.Buffer
-				km, err1 := em.Serialize(q, &sm)
-				kc, err2 := ec.Serialize(q, &sc)
+				km, err1 := em.Serialize(context.Background(), q, &sm)
+				kc, err2 := ec.Serialize(context.Background(), q, &sc)
 				if err1 != nil || err2 != nil || km != kc {
 					t.Fatalf("%s/%s/%s: serialize %d/%v vs %d/%v", c.name, cfg.name, q, km, err1, kc, err2)
 				}
@@ -112,7 +113,7 @@ func TestMappedIdenticalOutput(t *testing.T) {
 // form the run-length configuration used to save) is refused as corrupt on
 // every open path instead of being rebuilt into a wavelet tree.
 func TestOpenFileRawBWTRejected(t *testing.T) {
-	e, err := Build([]byte(persistDoc), Config{})
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,11 @@ func rawBWTPayload(t *testing.T, fm []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestOpenFileFallbacks: NoMmap, LoadFile and Load decode a heap buffer
+// TestOpenFileFallbacks: NoMmap and Load decode a heap buffer
 // and still answer queries; a file of a retired format version (2, the
 // unaligned layout) is refused typed on every path, naming the rebuild.
 func TestOpenFileFallbacks(t *testing.T) {
-	e, err := Build([]byte(persistDoc), Config{})
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestOpenFileFallbacks(t *testing.T) {
 		if name != "OpenFile" && eng.Mapped() {
 			t.Fatalf("%s: heap-buffer engine claims to be mapped", name)
 		}
-		if n, err := eng.Count("//item"); err != nil || n != 2 {
+		if n, err := eng.Count(context.Background(), "//item"); err != nil || n != 2 {
 			t.Fatalf("%s: count=%d err=%v", name, n, err)
 		}
 		eng.Close()
@@ -227,7 +228,6 @@ func TestOpenFileFallbacks(t *testing.T) {
 var openPaths = map[string]func(string) (*Engine, error){
 	"OpenFile":        func(p string) (*Engine, error) { return OpenFile(p, Config{}) },
 	"OpenFile/NoMmap": func(p string) (*Engine, error) { return OpenFile(p, Config{NoMmap: true}) },
-	"LoadFile":        func(p string) (*Engine, error) { return LoadFile(p, Config{}) },
 	"Load": func(p string) (*Engine, error) {
 		f, err := os.Open(p)
 		if err != nil {
@@ -245,7 +245,7 @@ var openPaths = map[string]func(string) (*Engine, error){
 // pages. Every outcome must be a clean load or a typed error; any crash
 // here is a loader goroutine outliving its mapping.
 func TestOpenFileCorruptMapped(t *testing.T) {
-	eng, err := Build(gen.Medline(13, 30_000), Config{SampleRate: 8})
+	eng, err := BuildContext(context.Background(), gen.Medline(13, 30_000), Config{SampleRate: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestOpenFileCorruptMapped(t *testing.T) {
 // split; built engines and engines decoded from a heap buffer report zero
 // mapped bytes, and the latter count the whole buffer as heap.
 func TestMappedStats(t *testing.T) {
-	e, err := Build([]byte(persistDoc), Config{})
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestMappedStats(t *testing.T) {
 			t.Fatalf("%s: clone stats %+v differ from %+v", name, c.Stats(), hs)
 		}
 	}
-	if c := mapped.WithEval(automata.Options{}); !c.Mapped() || c.Stats() != st {
+	if c := mapped.WithQueryOptions(xpath.Options{Eval: automata.Options{}}); !c.Mapped() || c.Stats() != st {
 		t.Fatalf("mapped clone stats %+v differ from %+v", c.Stats(), st)
 	}
 }
@@ -324,7 +324,7 @@ func TestMappedStats(t *testing.T) {
 // temporaries — both for fresh writes and overwrites, and the result
 // loads. A failed save (unwritable directory) must not leave debris.
 func TestSaveFileAtomic(t *testing.T) {
-	e, err := Build([]byte(persistDoc), Config{})
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestSaveFileAtomic(t *testing.T) {
 // TestEngineCloseIdempotent: Close twice, and Close on a heap engine, are
 // both fine.
 func TestEngineCloseIdempotent(t *testing.T) {
-	e, err := Build([]byte(persistDoc), Config{})
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 // level: the mapped document's parenthesis words must point into the
 // mapped region, not at a private copy.
 func TestMappedEngineIsZeroCopy(t *testing.T) {
-	e, err := Build([]byte(persistDoc), Config{})
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,8 +410,8 @@ func TestMappedEngineIsZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	a, _ := m.Count("//item")
-	b, _ := m2.Count("//item")
+	a, _ := m.Count(context.Background(), "//item")
+	b, _ := m2.Count(context.Background(), "//item")
 	if a != b || a != 2 {
 		t.Fatalf("counts %d/%d", a, b)
 	}

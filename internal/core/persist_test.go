@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ const persistDoc = `<inventory><item sku="a1"><name>bolt</name><qty>12</qty></it
 	`<item sku="b2"><name>nut</name><qty>7</qty></item></inventory>`
 
 func TestEngineSaveLoadFile(t *testing.T) {
-	e, err := Build([]byte(persistDoc), Config{})
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,22 +28,22 @@ func TestEngineSaveLoadFile(t *testing.T) {
 	if err != nil || st.Size() != n {
 		t.Fatalf("size=%v n=%d err=%v", st, n, err)
 	}
-	got, err := LoadFile(path, Config{})
+	got, err := OpenFile(path, Config{NoMmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"//item", "//item[@sku = 'a1']/name", "//qty"} {
-		a, err1 := e.Count(q)
-		b, err2 := got.Count(q)
+		a, err1 := e.Count(context.Background(), q)
+		b, err2 := got.Count(context.Background(), q)
 		if err1 != nil || err2 != nil || a != b {
 			t.Fatalf("%s: %d/%v vs %d/%v", q, a, err1, b, err2)
 		}
 	}
 	var s1, s2 bytes.Buffer
-	if _, err := e.Serialize("//item", &s1); err != nil {
+	if _, err := e.Serialize(context.Background(), "//item", &s1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := got.Serialize("//item", &s2); err != nil {
+	if _, err := got.Serialize(context.Background(), "//item", &s2); err != nil {
 		t.Fatal(err)
 	}
 	if s1.String() != s2.String() {
@@ -51,7 +52,7 @@ func TestEngineSaveLoadFile(t *testing.T) {
 }
 
 func TestIsIndexData(t *testing.T) {
-	e, _ := Build([]byte(persistDoc), Config{})
+	e, _ := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	var buf bytes.Buffer
 	if _, err := e.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestIsIndexData(t *testing.T) {
 }
 
 func TestLoadTruncated(t *testing.T) {
-	e, _ := Build([]byte(persistDoc), Config{})
+	e, _ := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	var buf bytes.Buffer
 	if _, err := e.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestLoadTruncated(t *testing.T) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.sxsi"), Config{}); err == nil {
+	if _, err := OpenFile(filepath.Join(t.TempDir(), "absent.sxsi"), Config{NoMmap: true}); err == nil {
 		t.Fatal("missing file: expected error")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // output file is never created and no .sxsi.tmp is orphaned in the
 // directory — the exact failure mode of interrupting `sxsi build`.
 func TestSaveFileCtxCancelledLeavesNoTemp(t *testing.T) {
-	e, err := Build([]byte(doc), Config{})
+	e, err := BuildContext(context.Background(), []byte(doc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSaveFileCtxCancelledLeavesNoTemp(t *testing.T) {
 // An uncancelled context must not change the write path: the saved file
 // round-trips and the temp file is gone.
 func TestSaveFileCtxSuccess(t *testing.T) {
-	e, err := Build([]byte(doc), Config{})
+	e, err := BuildContext(context.Background(), []byte(doc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSaveFileCtxSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if n, err := got.Count("//b"); err != nil || n != 3 {
+	if n, err := got.Count(context.Background(), "//b"); err != nil || n != 3 {
 		t.Fatalf("reloaded count: n=%d err=%v", n, err)
 	}
 	ents, _ := os.ReadDir(dir)
@@ -67,7 +67,7 @@ func TestSaveFileCtxSuccess(t *testing.T) {
 // The parallel build configuration on Config must produce an engine whose
 // saved bytes match the default build.
 func TestBuildContextConfigEquivalence(t *testing.T) {
-	serial, err := Build([]byte(doc), Config{})
+	serial, err := BuildContext(context.Background(), []byte(doc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

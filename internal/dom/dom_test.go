@@ -2,7 +2,10 @@ package dom
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"repro/internal/xmlparse"
 )
 
 const doc = `<parts><part name="pen"><color>blue</color><stock>40</stock>End.</part><part><stock>30</stock></part></parts>`
@@ -93,5 +96,27 @@ func TestSerialize(t *testing.T) {
 	}
 	if tr2.NumNodes != tr.NumNodes {
 		t.Fatalf("nodes %d != %d", tr2.NumNodes, tr.NumNodes)
+	}
+}
+
+// TestXMLLineEndsAndCharRefs is core's test of the same name on the DOM.
+func TestXMLLineEndsAndCharRefs(t *testing.T) {
+	tr, err := Parse([]byte("<r><a>x\r\ny</a></r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"//a[. = 'x\ny']", "//a[contains(., 'x\ny')]"} {
+		if n, err := tr.Count(q); err != nil || n != 1 {
+			t.Errorf("%q: count %d, err %v; want 1", q, n, err)
+		}
+	}
+	var buf bytes.Buffer
+	tr.Root.Serialize(&buf)
+	if buf.String() != "<r><a>x\ny</a></r>" {
+		t.Errorf("serialized %q", buf.String())
+	}
+	var se *xmlparse.SyntaxError
+	if _, err := Parse([]byte("<a>x&#0;y</a>")); !errors.As(err, &se) {
+		t.Errorf("&#0;: err = %v, want a SyntaxError", err)
 	}
 }

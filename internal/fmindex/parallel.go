@@ -376,7 +376,7 @@ func sortOneChunk(ctx context.Context, texts [][]byte, c *chunkSA, plan *buildPl
 		}
 		s = append(s, int32(i))
 	}
-	sa, err := sais.ComputeCtx(ctx, s, m+256)
+	sa, err := sais.Compute(ctx, s, m+256)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ import (
 // of their subtrees.
 func TestSerializeAllocsIndependentOfOutput(t *testing.T) {
 	allocs := func(size int) map[string]float64 {
-		eng, err := core.Build(gen.XMark(1, size), core.Config{SampleRate: 4})
+		eng, err := core.BuildContext(context.Background(), gen.XMark(1, size), core.Config{SampleRate: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestSpanPlanEffort(t *testing.T) {
 	allocs := map[int]float64{}
 	for _, size := range []int{64 << 10, 256 << 10} {
 		data := gen.Medline(5, size)
-		eng, err := core.Build(data, core.Config{SampleRate: 4})
+		eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,10 +110,10 @@ func TestSpanPlanEffort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := q.Count(); !q.UsesBottomUp() || n != 1 {
+		if n, _ := q.CountCtx(context.Background()); !q.UsesBottomUp() || n != 1 {
 			t.Fatalf("%d KB %s: count %d, bottom-up %v; want the first MedlineCitation", size>>10, shapes[3], n, q.UsesBottomUp())
 		}
-		allocs[size] = testing.AllocsPerRun(20, func() { q.Count() })
+		allocs[size] = testing.AllocsPerRun(20, func() { q.CountCtx(context.Background()) })
 	}
 	if allocs[64<<10] != allocs[256<<10] {
 		t.Errorf("cached span count: %.0f allocations at 64 KB, %.0f at 256 KB", allocs[64<<10], allocs[256<<10])
@@ -151,7 +151,7 @@ func TestTopDownCountAllocs(t *testing.T) {
 	allocs := func(size int) map[string]float64 {
 		out := map[string]float64{}
 		for _, c := range topDownSuites(size) {
-			eng, err := core.Build(c.data, core.Config{SampleRate: 4})
+			eng, err := core.BuildContext(context.Background(), c.data, core.Config{SampleRate: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestTopDownCountAllocs(t *testing.T) {
 				}
 				out[q.ID] = math.Inf(1)
 				for i := 0; i < 3; i++ {
-					out[q.ID] = min(out[q.ID], testing.AllocsPerRun(20, func() { cq.Count() }))
+					out[q.ID] = min(out[q.ID], testing.AllocsPerRun(20, func() { cq.CountCtx(context.Background()) }))
 				}
 			}
 		}
@@ -203,7 +203,7 @@ var jumpEffort = map[string]automata.Stats{
 // a query's first run and on its pooled second one.
 func TestJumpEffort(t *testing.T) {
 	for _, c := range topDownSuites(suiteSize) {
-		eng, err := core.Build(c.data, core.Config{SampleRate: 4})
+		eng, err := core.BuildContext(context.Background(), c.data, core.Config{SampleRate: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestJumpEffort(t *testing.T) {
 				t.Fatal(q.ID, err)
 			}
 			for run := 1; run <= 2; run++ {
-				cq.Count()
+				cq.CountCtx(context.Background())
 				if got, want := cq.Stats(), jumpEffort[q.ID]; got != want {
 					t.Errorf("%s run %d: %+v, want %+v", q.ID, run, got, want)
 				}

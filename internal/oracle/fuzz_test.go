@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +49,7 @@ func FuzzStringValueContains(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated document does not parse: %v\n%s", err, data)
 		}
-		eng, err := core.Build(data, core.Config{SampleRate: 4})
+		eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +60,11 @@ func FuzzStringValueContains(f *testing.F) {
 		}
 		for _, opts := range spanArms {
 			e := eng.WithQueryOptions(opts)
-			nodes, err := e.Nodes(q)
+			nodes, err := e.Nodes(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%q %+v: %v", q, opts, err)
 			}
-			n, err := e.Count(q)
+			n, err := e.Count(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%q %+v: %v", q, opts, err)
 			}

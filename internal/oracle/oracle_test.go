@@ -57,7 +57,7 @@ func TestDifferential(t *testing.T) {
 	for _, c := range withSpanDoc {
 		for seed := uint64(1); seed <= 2; seed++ {
 			data := c.data(seed)
-			eng, err := core.Build(data, core.Config{SampleRate: 4})
+			eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
 			if err != nil {
 				t.Fatalf("%s/%d: build: %v", c.name, seed, err)
 			}
@@ -118,7 +118,7 @@ func checkOne(t *testing.T, name string, eng *core.Engine, tree *dom.Tree, q str
 		t.Errorf("%s: oracle eval %q: %v", name, q, err)
 		return false
 	}
-	got, err := eng.Nodes(q)
+	got, err := eng.Nodes(context.Background(), q)
 	if err != nil {
 		t.Errorf("%s: engine compile %q: %v", name, q, err)
 		return false
@@ -133,7 +133,7 @@ func checkOne(t *testing.T, name string, eng *core.Engine, tree *dom.Tree, q str
 			return false
 		}
 	}
-	n, err := eng.Count(q)
+	n, err := eng.Count(context.Background(), q)
 	if err != nil {
 		t.Errorf("%s: engine count %q: %v", name, q, err)
 		return false
@@ -150,7 +150,7 @@ func checkOne(t *testing.T, name string, eng *core.Engine, tree *dom.Tree, q str
 func sameSerialization(t *testing.T, id string, eng *core.Engine, q string, want []*dom.Node) bool {
 	t.Helper()
 	var got, exp bytes.Buffer
-	if _, err := eng.Serialize(q, &got); err != nil {
+	if _, err := eng.Serialize(context.Background(), q, &got); err != nil {
 		t.Errorf("%s: serialize: %v", id, err)
 		return false
 	}
@@ -219,7 +219,7 @@ func TestDifferentialParallelBuild(t *testing.T) {
 // generator bug, which would silently shrink the differential suite).
 func TestGeneratedQueriesAlwaysCompile(t *testing.T) {
 	data := gen.XMark(3, 8<<10)
-	eng, err := core.Build(data, core.Config{SampleRate: 4})
+	eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

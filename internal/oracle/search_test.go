@@ -183,7 +183,7 @@ func TestDifferentialRanking(t *testing.T) {
 			if seed == 1 {
 				vocabData = data
 			}
-			eng, err := core.Build(data, core.Config{SampleRate: 4})
+			eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
 			if err != nil {
 				t.Fatalf("%s/%d: build: %v", corp.name, seed, err)
 			}

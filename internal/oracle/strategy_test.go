@@ -90,7 +90,7 @@ func TestStrategyEquivalence(t *testing.T) {
 	for _, c := range withSpanDoc {
 		for seed := uint64(1); seed <= 2; seed++ {
 			data := c.data(seed)
-			eng, err := core.Build(data, core.Config{SampleRate: 4})
+			eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
 			if err != nil {
 				t.Fatalf("%s/%d: build: %v", c.name, seed, err)
 			}
@@ -272,7 +272,7 @@ func TestCostEstimatorExact(t *testing.T) {
 	for _, c := range withSpanDoc {
 		t.Run(c.name, func(t *testing.T) {
 			data := c.data(1)
-			eng, err := core.Build(data, core.Config{SampleRate: 4})
+			eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

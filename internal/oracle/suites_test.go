@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -32,7 +33,7 @@ var fig12 = []automata.Options{
 
 func buildSuite(t *testing.T, data []byte, cfg core.Config) (*core.Engine, *dom.Tree) {
 	t.Helper()
-	eng, err := core.Build(data, cfg)
+	eng, err := core.BuildContext(context.Background(), data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +67,16 @@ func domNodes(x *dom.Node) int {
 // It returns the result count.
 func sameResults(t *testing.T, id string, a, b *core.Engine, src string) int {
 	t.Helper()
-	na, err := a.Nodes(src)
+	na, err := a.Nodes(context.Background(), src)
 	if err != nil {
 		t.Fatal(id, err)
 	}
-	nb, err := b.Nodes(src)
+	nb, err := b.Nodes(context.Background(), src)
 	if err != nil {
 		t.Fatal(id, err)
 	}
-	ca, errA := a.Count(src)
-	cb, errB := b.Count(src)
+	ca, errA := a.Count(context.Background(), src)
+	cb, errB := b.Count(context.Background(), src)
 	if errA != nil || errB != nil {
 		t.Fatal(id, errA, errB)
 	}
@@ -135,11 +136,11 @@ func TestPaperSuites(t *testing.T) {
 				wantOrders[i] = n.Order
 			}
 			for i, e := range engs {
-				nodes, err := e.Nodes(q.Query)
+				nodes, err := e.Nodes(context.Background(), q.Query)
 				if err != nil {
 					t.Fatal(q.ID, err)
 				}
-				n, err := e.Count(q.Query)
+				n, err := e.Count(context.Background(), q.Query)
 				if err != nil {
 					t.Fatal(q.ID, err)
 				}

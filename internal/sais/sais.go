@@ -41,15 +41,10 @@ const pollStride = 1 << 17
 
 // Compute returns the suffix array of s, whose values must lie in [0, k).
 // Suffixes are compared as usual; no sentinel is required (one is appended
-// internally). Inputs of 2^31-1 symbols or more return ErrTooLarge.
-func Compute(s []int32, k int) ([]int32, error) {
-	return ComputeCtx(context.Background(), s, k)
-}
-
-// ComputeCtx is Compute with cancellation: the induced-sorting loops poll
-// ctx at bounded intervals (every pollStride positions, across recursion
-// levels) and return its error once it is done.
-func ComputeCtx(ctx context.Context, s []int32, k int) ([]int32, error) {
+// internally). Inputs of 2^31-1 symbols or more return ErrTooLarge. The
+// induced-sorting loops poll ctx at bounded intervals (every pollStride
+// positions, across recursion levels) and return its error once it is done.
+func Compute(ctx context.Context, s []int32, k int) ([]int32, error) {
 	n := len(s)
 	if err := CheckSize(n); err != nil {
 		return nil, err
@@ -298,5 +293,5 @@ func ComputeBytes(s []byte) ([]int32, error) {
 	for i, c := range s {
 		t[i] = int32(c)
 	}
-	return Compute(t, 256)
+	return Compute(context.Background(), t, 256)
 }

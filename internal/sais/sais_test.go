@@ -44,7 +44,7 @@ func equalSA(a, b []int32) bool {
 
 func check(t *testing.T, s []int32, k int) {
 	t.Helper()
-	got, err := Compute(s, k)
+	got, err := Compute(context.Background(), s, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestKnownStrings(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	got, err := Compute(nil, 10)
+	got, err := Compute(context.Background(), nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMultiTerminator(t *testing.T) {
 	s := []int32{a, b, 0, a, b, 1, b, 2}
 	check(t, s, int(d)+256)
 	// First d entries of the SA must be the terminator positions in text order.
-	sa, err := Compute(s, int(d)+256)
+	sa, err := Compute(context.Background(), s, int(d)+256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestLargeRandomConsistency(t *testing.T) {
 	for i := range s {
 		s[i] = int32(r.Intn(8))
 	}
-	sa, err := Compute(s, 8)
+	sa, err := Compute(context.Background(), s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func BenchmarkSAIS1MB(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(s, 60); err != nil {
+		if _, err := Compute(context.Background(), s, 60); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestErrTooLarge(t *testing.T) {
 		t.Fatalf("n = 2^31 must return ErrTooLarge, got %v", err)
 	}
 	// A normal-size input through the real entry points stays error-free.
-	if _, err := Compute([]int32{1, 0, 1}, 2); err != nil {
+	if _, err := Compute(context.Background(), []int32{1, 0, 1}, 2); err != nil {
 		t.Fatalf("small Compute: %v", err)
 	}
 	if _, err := ComputeBytes([]byte("ok")); err != nil {
@@ -260,14 +260,14 @@ func TestComputeCtxCancel(t *testing.T) {
 		s[i] = int32(r.Intn(4))
 	}
 	ctx := &cancelAfterFirstPoll{Context: context.Background()}
-	if _, err := ComputeCtx(ctx, s, 4); !errors.Is(err, context.Canceled) {
+	if _, err := Compute(ctx, s, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-flight cancel: got %v, want context.Canceled", err)
 	}
 	if !ctx.polled {
 		t.Fatal("the sort never polled the context")
 	}
 	// An uncancelled run over the same input still succeeds.
-	if _, err := ComputeCtx(context.Background(), s, 4); err != nil {
+	if _, err := Compute(context.Background(), s, 4); err != nil {
 		t.Fatal(err)
 	}
 }

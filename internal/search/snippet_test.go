@@ -18,7 +18,7 @@ import (
 
 func buildEngine(t *testing.T, xml string) *core.Engine {
 	t.Helper()
-	eng, err := core.Build([]byte(xml), core.Config{})
+	eng, err := core.BuildContext(context.Background(), []byte(xml), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestSnippetEffortIndependentOfFrequency(t *testing.T) {
 // parallel), a copying load and a mapped open all cut the same window.
 func TestSnippetSameOnEveryLoadPath(t *testing.T) {
 	xml := gen.Medline(5, 64<<10)
-	built, err := core.Build(xml, core.Config{BuildProcs: 1})
+	built, err := core.BuildContext(context.Background(), xml, core.Config{BuildProcs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.Build(xml, core.Config{BuildProcs: 2})
+	parallel, err := core.BuildContext(context.Background(), xml, core.Config{BuildProcs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

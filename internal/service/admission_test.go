@@ -7,6 +7,7 @@ package service
 // channel — so nothing here races a timer.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -37,7 +38,7 @@ func TestAdmissionControl(t *testing.T) {
 		},
 	}
 	c := collection.New(collection.Config{Workers: 4, CacheSize: -1})
-	eng, err := core.Build([]byte(testXML), core.Config{})
+	eng, err := core.BuildContext(context.Background(), []byte(testXML), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

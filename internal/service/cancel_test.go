@@ -55,7 +55,7 @@ func TestExistsEndpoint(t *testing.T) {
 // fails with context.DeadlineExceeded, and the handler maps it to 504.
 func TestRequestTimeout(t *testing.T) {
 	c := collection.New(collection.Config{Workers: 2, RequestTimeout: time.Nanosecond})
-	eng, err := core.Build([]byte(testXML), core.Config{})
+	eng, err := core.BuildContext(context.Background(), []byte(testXML), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestBatchCancellation(t *testing.T) {
 			},
 		},
 	}
-	eng, err := core.Build([]byte(testXML), core.Config{})
+	eng, err := core.BuildContext(context.Background(), []byte(testXML), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -25,7 +26,7 @@ func saveLibIndex(t *testing.T, path string, books int) {
 		fmt.Fprintf(&sb, "<book>v%d</book>", i)
 	}
 	sb.WriteString("</lib>")
-	eng, err := core.Build([]byte(sb.String()), core.Config{})
+	eng, err := core.BuildContext(context.Background(), []byte(sb.String()), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

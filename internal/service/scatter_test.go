@@ -5,6 +5,7 @@ package service
 // and per-document error isolation.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -31,7 +32,7 @@ func newMultiServer(t *testing.T) (*httptest.Server, *collection.Collection) {
 			fmt.Fprintf(&sb, "<book>%s%d</book>", d.name, i)
 		}
 		sb.WriteString("</lib>")
-		eng, err := core.Build([]byte(sb.String()), core.Config{})
+		eng, err := core.BuildContext(context.Background(), []byte(sb.String()), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

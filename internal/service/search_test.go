@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -23,7 +24,7 @@ func newSearchServer(t *testing.T) (*httptest.Server, *collection.Collection) {
 			i,
 			strings.Repeat("gold ", i),
 			strings.Repeat("filler word padding ", 6-i))
-		eng, err := core.Build([]byte(xml), core.Config{})
+		eng, err := core.BuildContext(context.Background(), []byte(xml), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,8 +73,8 @@ func NewWithConfig(c *collection.Collection, cfg Config) *Server {
 	s := &Server{c: c, mux: http.NewServeMux(), started: time.Now(), adm: newAdmission(cfg)}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /docs", s.handleDocs)
-	s.mux.HandleFunc("GET /count", s.handleCount)
-	s.mux.HandleFunc("GET /exists", s.handleExists)
+	s.mux.HandleFunc("GET /count", s.handleProbe(collection.ModeCount))
+	s.mux.HandleFunc("GET /exists", s.handleProbe(collection.ModeExists))
 	s.mux.HandleFunc("GET /query", s.handleQueryGet)
 	s.mux.HandleFunc("POST /query", s.handleQueryPost)
 	s.mux.HandleFunc("GET /search", s.handleSearch)
@@ -209,16 +209,6 @@ func (s *Server) expandDocs(spec string) (docs []string, multi bool) {
 	return docs, true
 }
 
-// scatter fans one query out over docs in the requested mode on the
-// collection's worker pool and returns the per-doc results in docs order.
-func (s *Server) scatter(ctx context.Context, docs []string, q string, mode collection.Mode) []collection.Result {
-	reqs := make([]collection.Request, len(docs))
-	for i, d := range docs {
-		reqs[i] = collection.Request{Doc: d, Query: q, Mode: mode}
-	}
-	return s.c.Query(ctx, reqs)
-}
-
 type countBody struct {
 	Doc   string `json:"doc"`
 	Query string `json:"query"`
@@ -238,39 +228,6 @@ type multiCountBody struct {
 	Query string     `json:"query"`
 	Total int64      `json:"total"`
 	Docs  []docCount `json:"docs"`
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	doc, q, err := reqParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	docs, multi := s.expandDocs(doc)
-	if !multi {
-		res := s.c.DoContext(r.Context(), collection.Request{Doc: doc, Query: q, Mode: collection.ModeCount})
-		if res.Err != nil {
-			writeError(w, statusFor(res.Err), res.Err)
-			return
-		}
-		writeJSON(w, http.StatusOK, countBody{Doc: doc, Query: q, Count: res.Count})
-		return
-	}
-	out := multiCountBody{Query: q, Docs: make([]docCount, len(docs))}
-	for i, res := range s.scatter(r.Context(), docs, q, collection.ModeCount) {
-		out.Docs[i] = docCount{Doc: res.Doc, Count: res.Count}
-		if res.Err != nil {
-			out.Docs[i].Error = res.Err.Error()
-			continue
-		}
-		out.Total += res.Count
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 type existsBody struct {
@@ -294,40 +251,70 @@ type multiExistsBody struct {
 	Docs  []docExists `json:"docs"`
 }
 
-// handleExists answers "does this query select anything" lazily: evaluation
-// stops at the first verified result, so it is the cheap way to probe
-// selective queries on large documents.
-func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
-	doc, q, err := reqParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	docs, multi := s.expandDocs(doc)
-	if !multi {
-		res := s.c.DoContext(r.Context(), collection.Request{Doc: doc, Query: q, Mode: collection.ModeExists})
-		if res.Err != nil {
-			writeError(w, statusFor(res.Err), res.Err)
+// handleProbe serves GET /count (ModeCount) and GET /exists (ModeExists),
+// which share parameters, admission and the doc=* / comma-list fan-out and
+// differ only in the body shapes. /exists answers "does this query select
+// anything" lazily: evaluation stops at the first verified result, so it is
+// the cheap way to probe selective queries on large documents.
+func (s *Server) handleProbe(mode collection.Mode) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		doc, q, err := reqParams(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, existsBody{Doc: doc, Query: q, Exists: res.Exists})
-		return
-	}
-	out := multiExistsBody{Query: q, Docs: make([]docExists, len(docs))}
-	for i, res := range s.scatter(r.Context(), docs, q, collection.ModeExists) {
-		out.Docs[i] = docExists{Doc: res.Doc, Exists: res.Exists}
-		if res.Err != nil {
-			out.Docs[i].Error = res.Err.Error()
-			continue
+		release, ok := s.admit(w, r)
+		if !ok {
+			return
 		}
-		out.Any = out.Any || res.Exists
+		defer release()
+		docs, multi := s.expandDocs(doc)
+		if !multi {
+			res := s.c.DoContext(r.Context(), collection.Request{Doc: doc, Query: q, Mode: mode})
+			if res.Err != nil {
+				writeError(w, statusFor(res.Err), res.Err)
+				return
+			}
+			if mode == collection.ModeExists {
+				writeJSON(w, http.StatusOK, existsBody{Doc: doc, Query: q, Exists: res.Exists})
+			} else {
+				writeJSON(w, http.StatusOK, countBody{Doc: doc, Query: q, Count: res.Count})
+			}
+			return
+		}
+		// Fan out on the collection's worker pool; results come back in
+		// docs order.
+		reqs := make([]collection.Request, len(docs))
+		for i, d := range docs {
+			reqs[i] = collection.Request{Doc: d, Query: q, Mode: mode}
+		}
+		results := s.c.Query(r.Context(), reqs)
+		if mode == collection.ModeExists {
+			out := multiExistsBody{Query: q, Docs: make([]docExists, len(results))}
+			for i, res := range results {
+				out.Docs[i] = docExists{Doc: res.Doc, Exists: res.Exists, Error: errText(res.Err)}
+				out.Any = out.Any || (res.Err == nil && res.Exists)
+			}
+			writeJSON(w, http.StatusOK, out)
+			return
+		}
+		out := multiCountBody{Query: q, Docs: make([]docCount, len(results))}
+		for i, res := range results {
+			out.Docs[i] = docCount{Doc: res.Doc, Count: res.Count, Error: errText(res.Err)}
+			if res.Err == nil {
+				out.Total += res.Count
+			}
+		}
+		writeJSON(w, http.StatusOK, out)
 	}
-	writeJSON(w, http.StatusOK, out)
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // handleQueryGet streams the serialized result subtrees — for a single
@@ -336,7 +323,7 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 // writer, so arbitrarily large result sets never buffer in memory (the
 // transfer as a whole is bounded by the server's WriteTimeout), and the
 // stream is flushed periodically so long-running queries make visible
-// progress. Collection.Serialize writes nothing before compilation
+// progress. Collection.SerializeContext writes nothing before compilation
 // succeeds, so errors raised before the first byte still map to a proper
 // status.
 //
@@ -524,9 +511,7 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 			Nodes:  res.Nodes,
 			Output: string(res.Output),
 			Exists: res.Exists,
-		}
-		if res.Err != nil {
-			out[i].Error = res.Err.Error()
+			Error:  errText(res.Err),
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": out})

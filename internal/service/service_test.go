@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,7 +24,7 @@ const testXML = `<lib><book id="1"><title>gold rush</title></book>` +
 func newTestServer(t *testing.T) (*httptest.Server, *collection.Collection) {
 	t.Helper()
 	c := collection.New(collection.Config{Workers: 4})
-	eng, err := core.Build([]byte(testXML), core.Config{})
+	eng, err := core.BuildContext(context.Background(), []byte(testXML), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestStats(t *testing.T) {
 func TestCLIByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	xml := gen.XMark(7, 64<<10)
-	eng, err := core.Build(xml, core.Config{})
+	eng, err := core.BuildContext(context.Background(), xml, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestCLIByteIdentical(t *testing.T) {
 	ts := httptest.NewServer(New(c))
 	defer ts.Close()
 
-	loaded, err := core.LoadFile(idxPath, core.Config{})
+	loaded, err := core.OpenFile(idxPath, core.Config{NoMmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestCLIByteIdentical(t *testing.T) {
 	}
 	for _, q := range queries {
 		var cli bytes.Buffer
-		if _, err := loaded.Serialize(q, &cli); err != nil {
+		if _, err := loaded.Serialize(context.Background(), q, &cli); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		code, body := get(t, ts.URL+"/query?doc=xmark&q="+escape(q))
@@ -227,7 +228,7 @@ func TestCLIByteIdentical(t *testing.T) {
 			t.Fatalf("%s: server output differs from CLI (%d vs %d bytes)", q, len(body), cli.Len())
 		}
 
-		n, err := loaded.Count(q)
+		n, err := loaded.Count(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

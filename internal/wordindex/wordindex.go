@@ -7,6 +7,7 @@
 package wordindex
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -89,7 +90,7 @@ func New(texts [][]byte) (*Index, error) {
 		ix.textOf = append(ix.textOf, int32(id))
 	}
 	var err error
-	if ix.sa, err = sais.Compute(ix.seq, ix.d+len(ix.vocab)); err != nil {
+	if ix.sa, err = sais.Compute(context.Background(), ix.seq, ix.d+len(ix.vocab)); err != nil {
 		return nil, fmt.Errorf("wordindex: %w", err)
 	}
 	return ix, nil

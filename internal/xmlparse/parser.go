@@ -4,14 +4,17 @@
 // streaming baseline evaluator consumes the same events. It supports
 // attributes, comments, CDATA sections, processing instructions, DOCTYPE
 // declarations (skipped), and the predefined plus numeric character
-// entities. It is deliberately not a full validating parser.
+// entities. Line ends in text and attribute values are normalized to "\n"
+// (XML 1.0 §2.11). It is deliberately not a full validating parser.
 package xmlparse
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Attr is a parsed attribute.
@@ -166,7 +169,11 @@ func (p *parser) skipDecl() error {
 			return p.errf("CDATA outside root element")
 		}
 		if end > p.pos+9 {
-			if err := p.h.Text(p.data[p.pos+9 : end]); err != nil {
+			data, err := p.decode(p.data[p.pos+9:end], false)
+			if err != nil {
+				return err
+			}
+			if err := p.h.Text(data); err != nil {
 				return err
 			}
 		}
@@ -245,7 +252,7 @@ func (p *parser) startTag() error {
 		if p.pos >= len(p.data) {
 			return p.errf("unterminated attribute value for %q", aname)
 		}
-		val, err := p.unescape(p.data[vstart:p.pos])
+		val, err := p.decode(p.data[vstart:p.pos], true)
 		if err != nil {
 			return err
 		}
@@ -290,7 +297,7 @@ func (p *parser) text() error {
 		}
 		return nil
 	}
-	data, err := p.unescape(raw)
+	data, err := p.decode(raw, true)
 	if err != nil {
 		return err
 	}
@@ -317,38 +324,41 @@ func (p *parser) skipSpace() {
 	}
 }
 
-// unescape resolves entity references in raw.
-func (p *parser) unescape(raw []byte) ([]byte, error) {
-	amp := -1
-	for i, c := range raw {
-		if c == '&' {
-			amp = i
-			break
+// decode normalizes the line ends of raw — "\r\n" and a lone "\r" become
+// "\n" (XML 1.0 §2.11) — and, when entities is set, resolves its entity
+// and character references. Normalization comes first, so "&#13;" still
+// yields "\r". Input with neither byte to rewrite is returned as is.
+func (p *parser) decode(raw []byte, entities bool) ([]byte, error) {
+	i := bytes.IndexByte(raw, '\r')
+	if entities {
+		if amp := bytes.IndexByte(raw, '&'); amp >= 0 && (i < 0 || amp < i) {
+			i = amp
 		}
 	}
-	if amp < 0 {
+	if i < 0 {
 		return raw, nil
 	}
-	out := p.textBuf[:0]
-	out = append(out, raw[:amp]...)
-	i := amp
+	out := append(p.textBuf[:0], raw[:i]...)
 	for i < len(raw) {
 		c := raw[i]
-		if c != '&' {
+		if c == '\r' {
+			out = append(out, '\n')
+			i++
+			if i < len(raw) && raw[i] == '\n' {
+				i++
+			}
+			continue
+		}
+		if c != '&' || !entities {
 			out = append(out, c)
 			i++
 			continue
 		}
-		semi := -1
-		for j := i + 1; j < len(raw) && j < i+12; j++ {
-			if raw[j] == ';' {
-				semi = j
-				break
-			}
-		}
+		semi := bytes.IndexByte(raw[i+1:min(i+12, len(raw))], ';')
 		if semi < 0 {
 			return nil, p.errf("unterminated entity reference")
 		}
+		semi += i + 1
 		ent := string(raw[i+1 : semi])
 		switch ent {
 		case "amp":
@@ -370,10 +380,10 @@ func (p *parser) unescape(raw []byte) ([]byte, error) {
 				} else {
 					code, err = strconv.ParseInt(ent[1:], 10, 32)
 				}
-				if err != nil || code < 0 || code > 0x10FFFF {
+				if err != nil || !isChar(code) {
 					return nil, p.errf("bad character reference &%s;", ent)
 				}
-				out = appendRune(out, rune(code))
+				out = utf8.AppendRune(out, rune(code))
 			} else {
 				return nil, p.errf("unknown entity &%s;", ent)
 			}
@@ -384,8 +394,16 @@ func (p *parser) unescape(raw []byte) ([]byte, error) {
 	return out, nil
 }
 
-func appendRune(b []byte, r rune) []byte {
-	return append(b, string(r)...)
+// isChar reports whether code is an XML 1.0 Char: tab, LF, CR, or a code
+// point from U+0020 up that is neither a surrogate nor U+FFFE/U+FFFF.
+func isChar(code int64) bool {
+	switch {
+	case code == '\t' || code == '\n' || code == '\r':
+		return true
+	case code < 0x20, code >= 0xD800 && code <= 0xDFFF, code == 0xFFFE, code == 0xFFFF:
+		return false
+	}
+	return code <= 0x10FFFF
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
@@ -414,7 +432,8 @@ func indexFrom(data []byte, from int, sub string) int {
 // AppendEscape appends s to dst with the predefined entities escaped, for
 // serialization (Section 4.3 / experimental protocol in Section 6.1): &, <
 // and > always, and the quotes " and ' too when attr is set, so the result
-// can sit inside a quoted attribute value. Runs of bytes that need no
+// can sit inside a quoted attribute value. CR is written as "&#13;", which
+// survives the parser's line-end normalization. Runs of bytes that need no
 // escaping are copied in one append.
 func AppendEscape(dst, s []byte, attr bool) []byte {
 	last := 0
@@ -430,6 +449,8 @@ func AppendEscape(dst, s []byte, attr bool) []byte {
 			ent = "&lt;"
 		case '>':
 			ent = "&gt;"
+		case '\r':
+			ent = "&#13;"
 		case '"':
 			if !attr {
 				continue

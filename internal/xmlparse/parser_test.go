@@ -1,6 +1,7 @@
 package xmlparse
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -181,4 +182,35 @@ func TestDeepNesting(t *testing.T) {
 
 func TestUTF8Names(t *testing.T) {
 	expectEvents(t, "<日本語>x</日本語>", "<日本語>", "T:x", "</日本語>")
+}
+
+// TestLineEnds pins XML 1.0 §2.11: "\r\n" and a lone "\r" reach the handler
+// as "\n" in text, attribute values and CDATA, while a "&#13;" reference
+// still yields "\r".
+func TestLineEnds(t *testing.T) {
+	expectEvents(t, "<a t=\"1\r\n2\r3\">x\r\ny\rz&#13;\r\n<![CDATA[p\r\nq\r]]></a>",
+		"<a t=\"1\\n2\\n3\">", "T:x\ny\nz\r\n", "T:p\nq\n", "</a>")
+}
+
+// TestCharReferenceNotChar: a character reference must name an XML Char
+// (tab, LF, CR, U+0020–U+D7FF, U+E000–U+FFFD, U+10000–U+10FFFF).
+func TestCharReferenceNotChar(t *testing.T) {
+	for _, ref := range []string{"&#0;", "&#x1;", "&#8;", "&#x1F;", "&#xD800;", "&#xDFFF;", "&#xFFFE;", "&#xFFFF;", "&#x110000;", "&#-9;"} {
+		for _, doc := range []string{"<a>x" + ref + "y</a>", `<a t="` + ref + `"/>`} {
+			var se *SyntaxError
+			if err := Parse([]byte(doc), &recorder{}); !errors.As(err, &se) {
+				t.Errorf("%q: err = %v, want a SyntaxError", doc, err)
+			}
+		}
+	}
+	expectEvents(t, "<a>&#9;&#10;&#13;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;</a>",
+		"<a>", "T:\t\n\r \uD7FF\uE000\uFFFD\U00010000\U0010FFFF", "</a>")
+}
+
+func TestEscapeCR(t *testing.T) {
+	for _, attr := range []bool{false, true} {
+		if got := string(AppendEscape(nil, []byte("a\r\nb"), attr)); got != "a&#13;\nb" {
+			t.Errorf("attr=%v: %q", attr, got)
+		}
+	}
 }

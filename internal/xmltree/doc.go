@@ -358,9 +358,7 @@ const tablePollStride = 1 << 16
 
 // RebuildTagTables recomputes the derived per-tag tables; exposed so the
 // benchmark harness can time this construction component (Table IV).
-func (d *Doc) RebuildTagTables() { d.buildTagTables() }
-
-func (d *Doc) buildTagTables() { d.buildTagTablesCtx(context.Background()) }
+func (d *Doc) RebuildTagTables() { d.buildTagTablesCtx(context.Background()) }
 
 // buildTagTablesCtx computes pureText, tag counts, and the four relative tag
 // position tables by one traversal of the built structure, polling ctx

@@ -314,7 +314,7 @@ func (sd *sectionDecoder) decodeTexts(pr *persist.MReader) error {
 }
 
 // storeTagTables serializes the derived per-tag planner tables, so loading
-// can skip the whole-document traversal of buildTagTables.
+// can skip the whole-document traversal of buildTagTablesCtx.
 func (d *Doc) storeTagTables(pw *persist.Writer) {
 	nTags := len(d.names)
 	pw.Int(nTags)
@@ -421,6 +421,6 @@ func (d *Doc) assemble(texts *TextStore, haveTexts, haveTables bool, opts Option
 	if haveTables && len(d.tagCount) == len(d.names) {
 		return d, nil // the stored tables match this document's tag space
 	}
-	d.buildTagTables()
+	d.buildTagTablesCtx(context.Background())
 	return d, nil
 }

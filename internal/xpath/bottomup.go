@@ -280,13 +280,8 @@ func (v *verifier) ok(x int) bool {
 	return res
 }
 
-// run executes the plan and returns the sorted result node positions.
-func (p *buPlan) run() []int {
-	out, _ := p.runCtx(context.Background())
-	return out
-}
-
-// runCtx is run with cancellation: a nil error means out is complete.
+// runCtx executes the plan and returns the sorted result node positions: a
+// nil error means out is complete.
 func (p *buPlan) runCtx(ctx context.Context) ([]int, error) {
 	v := p.newVerifier()
 	var out []int

@@ -158,7 +158,7 @@ func TestCancelledEvaluatorDropped(t *testing.T) {
 		if err := run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		// Two Err calls pass: the entry point's and RunContext's.
+		// Two Err calls pass: the entry point's and Run's.
 		ctx := newPollCtx()
 		ctx.errCalls = -1
 		if err := run(ctx); !errors.Is(err, context.Canceled) {
@@ -198,7 +198,7 @@ func TestMidFlightCancelTopDown(t *testing.T) {
 		for _, mode := range []automata.Mode{automata.Count, automata.Materialize} {
 			ctx := newPollCtx()
 			ev := automata.NewEvaluator(q.auto, pd, mode, Options{}.Eval)
-			_, _, evalErr := ev.RunContext(ctx)
+			_, _, evalErr := ev.Run(ctx)
 			if !errors.Is(evalErr, context.Canceled) {
 				t.Fatalf("mode %v: err = %v, want Canceled", mode, evalErr)
 			}
@@ -345,7 +345,7 @@ func TestMidFlightCancelSerialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	var all bytes.Buffer
-	if n, err := q.Serialize(&all); n != 1 || err != nil || all.Len() < 1<<20 {
+	if n, err := q.SerializeCtx(context.Background(), &all); n != 1 || err != nil || all.Len() < 1<<20 {
 		t.Fatalf("uncancelled: %d results, %d bytes, %v", n, all.Len(), err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -374,7 +374,8 @@ func TestCancellationStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		queries[i] = q
-		wants[i] = len(q.Nodes())
+		nodes, _ := q.NodesCtx(context.Background())
+		wants[i] = len(nodes)
 	}
 	const goroutines = 8
 	const rounds = 25

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -35,8 +36,8 @@ func TestCountNestedDescendantChains(t *testing.T) {
 		if q.auto != nil && q.mayOvercount != tc.flag {
 			t.Errorf("%s: mayOvercount = %v, want %v", tc.query, q.mayOvercount, tc.flag)
 		}
-		nodes := q.Nodes()
-		if n := q.Count(); n != int64(len(nodes)) {
+		nodes, _ := q.NodesCtx(context.Background())
+		if n, _ := q.CountCtx(context.Background()); n != int64(len(nodes)) {
 			t.Errorf("%s: Count = %d, Nodes = %d", tc.query, n, len(nodes))
 		}
 	}

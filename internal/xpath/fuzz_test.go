@@ -1,6 +1,7 @@
 package xpath_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,8 +85,8 @@ func FuzzParseQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		nodes := q.Nodes()
-		if n := q.Count(); n != int64(len(nodes)) {
+		nodes, _ := q.NodesCtx(context.Background())
+		if n, _ := q.CountCtx(context.Background()); n != int64(len(nodes)) {
 			t.Fatalf("Compile(%q): Count=%d but Nodes has %d entries", src, n, len(nodes))
 		}
 	})

@@ -93,12 +93,12 @@ func TestCountAllocsBounded(t *testing.T) {
 	if q.UsesBottomUp() || q.post != nil || q.mayOvercount {
 		t.Fatal("expected a pure top-down counting query")
 	}
-	want := q.Count()
+	want, _ := q.CountCtx(context.Background())
 	if want != millionNodes {
 		t.Fatalf("Count = %d, want %d", want, millionNodes)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if n := q.Count(); n != want {
+		if n, _ := q.CountCtx(context.Background()); n != want {
 			t.Fatalf("Count = %d, want %d", n, want)
 		}
 	})

@@ -199,7 +199,9 @@ func checkPredRows(t *testing.T, doc string, rows []struct {
 			if err != nil {
 				t.Fatal(r.q, err)
 			}
-			if n, nodes := q.Count(), q.Nodes(); n != int64(want) || len(nodes) != want {
+			n, _ := q.CountCtx(context.Background())
+			nodes, _ := q.NodesCtx(context.Background())
+			if n != int64(want) || len(nodes) != want {
 				t.Errorf("%s %s: count %d, %d nodes, DOM %d (plan %s)", cfg.name, r.q, n, len(nodes), want, q.Strategy())
 			}
 			if ok, err := q.Exists(context.Background()); err != nil || ok != (want > 0) {
@@ -297,7 +299,7 @@ func TestSpanTableConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := want.Count()
+		n, _ := want.CountCtx(context.Background())
 		if n == 0 {
 			t.Fatalf("%s matches nothing", src)
 		}
@@ -310,7 +312,7 @@ func TestSpanTableConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := q.Count(); got != n {
+				if got, _ := q.CountCtx(context.Background()); got != n {
 					t.Errorf("%s: concurrent count %d, sequential %d", s, got, n)
 				}
 			}()

@@ -225,17 +225,11 @@ func Compile(src string, doc *xmltree.Doc, opts Options) (*Query, error) {
 // query was compiled.
 func (q *Query) Cost() CostEstimate { return q.cost }
 
-// Count returns the number of result nodes (counting mode, Section 5.5.3).
-func (q *Query) Count() int64 {
-	n, _ := q.CountCtx(context.Background())
-	return n
-}
-
-// CountCtx is Count with cancellation. No strategy materializes a node
-// slice here: the bottom-up plan counts distinct verified candidates during
-// the climb and the automaton runs in counting mode (the deduplicating
-// fallbacks for navigational and possibly-overcounting queries still
-// materialize, as before).
+// CountCtx returns the number of result nodes (counting mode, Section
+// 5.5.3). No strategy materializes a node slice here: the bottom-up plan
+// counts distinct verified candidates during the climb and the automaton
+// runs in counting mode (the deduplicating fallbacks for navigational and
+// possibly-overcounting queries still materialize, as before).
 func (q *Query) CountCtx(ctx context.Context) (int64, error) {
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
@@ -265,14 +259,8 @@ func (q *Query) CountCtx(ctx context.Context) (int64, error) {
 	return n, nil
 }
 
-// Nodes materializes the result nodes in document order.
-func (q *Query) Nodes() []int {
-	nodes, _ := q.NodesCtx(context.Background())
-	return nodes
-}
-
-// NodesCtx is Nodes with cancellation: a nil error means the slice is the
-// complete result set.
+// NodesCtx materializes the result nodes in document order: a nil error
+// means the slice is the complete result set.
 func (q *Query) NodesCtx(ctx context.Context) ([]int, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -316,7 +304,7 @@ func (q *Query) runAuto(ctx context.Context, mode automata.Mode) (int64, []int, 
 	if ev == nil {
 		ev = automata.NewEvaluator(q.auto, q.doc, mode, q.opts.Eval)
 	}
-	n, nodes, err := ev.RunContext(ctx)
+	n, nodes, err := ev.Run(ctx)
 	if err != nil {
 		return 0, nil, automata.Stats{}, err
 	}
@@ -391,12 +379,6 @@ func (q *Query) prefixNodes(ctx context.Context) ([]int, automata.Stats, error) 
 	}
 }
 
-// Serialize writes the XML serialization of every result node to w and
-// returns the number of results.
-func (q *Query) Serialize(w io.Writer) (int, error) {
-	return q.SerializeCtx(context.Background(), w)
-}
-
 // SerializeCtx streams the XML serialization of the result nodes to w, each
 // followed by a newline, and returns the number of results. It pulls from
 // the lazy iterator, so streamable queries hold at most one result at a
@@ -435,7 +417,7 @@ func (q *Query) setStats(s automata.Stats) {
 }
 
 // Stats returns the evaluation statistics of the most recently finished
-// Count/Nodes call (any goroutine's).
+// CountCtx/NodesCtx call (any goroutine's).
 func (q *Query) Stats() automata.Stats {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()

@@ -2,6 +2,7 @@ package xpath_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -66,11 +67,11 @@ func checkAgainstOracle(t *testing.T, docSrc string, queries []string) {
 			if err != nil {
 				t.Fatalf("[%s] compile %q: %v", cfg.name, qs, err)
 			}
-			if got := q.Count(); got != int64(len(want)) {
+			if got, _ := q.CountCtx(context.Background()); got != int64(len(want)) {
 				t.Errorf("[%s] Count(%q)=%d want %d (strategy %s)", cfg.name, qs, got, len(want), q.Strategy())
 				continue
 			}
-			nodes := q.Nodes()
+			nodes, _ := q.NodesCtx(context.Background())
 			if len(nodes) != len(want) {
 				t.Errorf("[%s] Nodes(%q) len=%d want %d", cfg.name, qs, len(nodes), len(want))
 				continue
@@ -231,7 +232,7 @@ func TestStrategySelection(t *testing.T) {
 	if !q.UsesBottomUp() {
 		t.Errorf("expected bottom-up, strategy=%s", q.Strategy())
 	}
-	if got := q.Count(); got != 1 {
+	if got, _ := q.CountCtx(context.Background()); got != 1 {
 		t.Errorf("count=%d", got)
 	}
 	// Complex filter: must stay top-down.
@@ -278,7 +279,7 @@ func TestSerialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := q.Serialize(&buf)
+	n, err := q.SerializeCtx(context.Background(), &buf)
 	if err != nil || n != 1 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
@@ -302,7 +303,7 @@ func TestSerialize(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf.Reset()
-		if _, err := q.Serialize(&buf); err != nil || buf.String() != want {
+		if _, err := q.SerializeCtx(context.Background(), &buf); err != nil || buf.String() != want {
 			t.Errorf("%s: serialized %q (%v), want %q", src, buf.String(), err, want)
 		}
 	}
@@ -333,8 +334,8 @@ func TestParseErrors(t *testing.T) {
 func TestStatsReported(t *testing.T) {
 	d, _ := xmltree.Parse([]byte(listDoc), xmltree.Options{})
 	q, _ := Compile("//keyword", d, Options{})
-	if q.Count() != 5 {
-		t.Fatalf("count=%d", q.Count())
+	if n, _ := q.CountCtx(context.Background()); n != 5 {
+		t.Fatalf("count=%d", n)
 	}
 	st := q.Stats()
 	if st.Marked != 5 {

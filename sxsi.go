@@ -14,19 +14,21 @@
 //
 // Quick start:
 //
-//	idx, err := sxsi.Build(xmlBytes, sxsi.Config{})
-//	n, err := idx.Count("//listitem//keyword")
-//	err = idx.Serialize("//keyword[contains(., 'gold')]", os.Stdout)
+//	ctx := context.Background()
+//	idx, err := sxsi.Build(ctx, xmlBytes, sxsi.Config{})
+//	n, err := idx.Count(ctx, "//listitem//keyword")
+//	_, err = idx.Serialize(ctx, "//keyword[contains(., 'gold')]", os.Stdout)
 //
 // The index replaces the document on disk too: SaveFile writes it in a
-// versioned binary format, and LoadFile restores it while skipping parsing
+// versioned binary format, and OpenFile restores it while skipping parsing
 // and suffix sorting — more than an order of magnitude faster than Build:
 //
 //	_, err = idx.SaveFile("doc.sxsi")
-//	idx, err = sxsi.LoadFile("doc.sxsi", sxsi.Config{})
+//	idx, err = sxsi.OpenFile("doc.sxsi", sxsi.Config{})
 package sxsi
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/core"
@@ -72,54 +74,33 @@ type CostEstimate = xpath.CostEstimate
 // from.
 type ResultIter = xpath.ResultIter
 
-// Build parses and indexes an XML document held in memory.
-func Build(xml []byte, cfg Config) (*Index, error) {
-	e, err := core.Build(xml, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e}, nil
-}
-
-// BuildFile indexes an XML file.
-func BuildFile(path string, cfg Config) (*Index, error) {
-	e, err := core.BuildFile(path, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e}, nil
+// Build parses and indexes an XML document held in memory, polling ctx in
+// every stage of the build.
+func Build(ctx context.Context, xml []byte, cfg Config) (*Index, error) {
+	return index(core.BuildContext(ctx, xml, cfg))
 }
 
 // Load reads an index previously written with Save into one heap buffer
 // and decodes it in place. Loading skips suffix sorting and is much faster
 // than Build.
 func Load(r io.Reader, cfg Config) (*Index, error) {
-	e, err := core.Load(r, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e}, nil
+	return index(core.Load(r, cfg))
 }
 
-// LoadFile reads an index file previously written with SaveFile (or the
-// sxsi CLI's build subcommand).
-func LoadFile(path string, cfg Config) (*Index, error) {
-	e, err := core.LoadFile(path, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e}, nil
-}
-
-// OpenFile opens an index file memory-mapped: the succinct payloads alias
+// OpenFile opens an index file previously written with SaveFile (or the
+// sxsi CLI's build subcommand) memory-mapped: the succinct payloads alias
 // the mapped file, so opening costs only the derived directories and the
 // index pages stay shared with the OS page cache across processes and
 // restarts. With cfg.NoMmap the file is read into one heap buffer instead
-// and decoded the same way (LoadFile). A file of another format version
+// and decoded the same way, as Load does. A file of another format version
 // fails with an error asking to rebuild it with `sxsi build`. Call Close
 // on the returned index once it is no longer used to release the mapping.
 func OpenFile(path string, cfg Config) (*Index, error) {
-	e, err := core.OpenFile(path, cfg)
+	return index(core.OpenFile(path, cfg))
+}
+
+// index wraps the engine a constructor returned.
+func index(e *core.Engine, err error) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}

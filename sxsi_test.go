@@ -2,6 +2,7 @@ package sxsi
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,16 +13,16 @@ import (
 const sampleDoc = `<parts><part name="pen"><color>blue</color><stock>40</stock></part><part name="rubber"><stock>30</stock></part></parts>`
 
 func TestBuildAndQuery(t *testing.T) {
-	idx, err := Build([]byte(sampleDoc), Config{})
+	idx, err := Build(context.Background(), []byte(sampleDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := idx.Count("//stock")
+	n, err := idx.Count(context.Background(), "//stock")
 	if err != nil || n != 2 {
 		t.Fatalf("count=%d err=%v", n, err)
 	}
 	var buf bytes.Buffer
-	k, err := idx.Serialize("//part[@name = 'pen']/color", &buf)
+	k, err := idx.Serialize(context.Background(), "//part[@name = 'pen']/color", &buf)
 	if err != nil || k != 1 {
 		t.Fatalf("k=%d err=%v", k, err)
 	}
@@ -32,7 +33,7 @@ func TestBuildAndQuery(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	data := gen.XMark(11, 100_000)
-	idx, err := Build(data, Config{SampleRate: 16})
+	idx, err := Build(context.Background(), data, Config{SampleRate: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		"//item/@id",
 	}
 	for _, q := range queries {
-		a, err := idx.Count(q)
+		a, err := idx.Count(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		b, err := idx2.Count(q)
+		b, err := idx2.Count(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s after load: %v", q, err)
 		}
@@ -66,10 +67,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Serialization must agree too.
 	var s1, s2 bytes.Buffer
-	if _, err := idx.Serialize("//listitem//keyword", &s1); err != nil {
+	if _, err := idx.Serialize(context.Background(), "//listitem//keyword", &s1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx2.Serialize("//listitem//keyword", &s2); err != nil {
+	if _, err := idx2.Serialize(context.Background(), "//listitem//keyword", &s2); err != nil {
 		t.Fatal(err)
 	}
 	if s1.String() != s2.String() {
@@ -84,7 +85,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // original bytes exactly.
 func TestSavedIndexByteIdentical(t *testing.T) {
 	data := gen.XMark(23, 150_000)
-	idx, err := Build(data, Config{})
+	idx, err := Build(context.Background(), data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSavedIndexByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The loaded index must answer queries (its select samples exist)...
-	if n, err := idx2.Count("//keyword"); err != nil || n == 0 {
+	if n, err := idx2.Count(context.Background(), "//keyword"); err != nil || n == 0 {
 		t.Fatalf("loaded index count=%d err=%v", n, err)
 	}
 	// ...and re-serialize to the identical byte stream.
@@ -119,7 +120,7 @@ func TestLoadFasterThanBuild(t *testing.T) {
 		t.Skip("timing test")
 	}
 	data := gen.XMark(7, 2_000_000)
-	idx, err := Build(data, Config{})
+	idx, err := Build(context.Background(), data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestLoadFasterThanBuild(t *testing.T) {
 	saved := buf.Bytes()
 
 	build := func() {
-		if _, err := Build(data, Config{}); err != nil {
+		if _, err := Build(context.Background(), data, Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +173,7 @@ func TestLoadFasterThanBuild(t *testing.T) {
 // materialization.
 func TestLoadedIndexIdenticalOutput(t *testing.T) {
 	data := gen.Medline(5, 200_000)
-	fresh, err := Build(data, Config{SampleRate: 32})
+	fresh, err := Build(context.Background(), data, Config{SampleRate: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +193,16 @@ func TestLoadedIndexIdenticalOutput(t *testing.T) {
 	}
 	for _, q := range queries {
 		var s1, s2 bytes.Buffer
-		k1, err1 := fresh.Serialize(q, &s1)
-		k2, err2 := loaded.Serialize(q, &s2)
+		k1, err1 := fresh.Serialize(context.Background(), q, &s1)
+		k2, err2 := loaded.Serialize(context.Background(), q, &s2)
 		if err1 != nil || err2 != nil || k1 != k2 {
 			t.Fatalf("%s: k=%d/%d err=%v/%v", q, k1, k2, err1, err2)
 		}
 		if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
 			t.Fatalf("%s: serialized output differs", q)
 		}
-		n1, _ := fresh.Nodes(q)
-		n2, _ := loaded.Nodes(q)
+		n1, _ := fresh.Nodes(context.Background(), q)
+		n2, _ := loaded.Nodes(context.Background(), q)
 		if len(n1) != len(n2) {
 			t.Fatalf("%s: node count differs", q)
 		}
@@ -214,7 +215,7 @@ func TestLoadedIndexIdenticalOutput(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	idx, err := Build([]byte(sampleDoc), Config{})
+	idx, err := Build(context.Background(), []byte(sampleDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +229,11 @@ func TestStats(t *testing.T) {
 }
 
 func TestBadInput(t *testing.T) {
-	if _, err := Build([]byte("<unclosed>"), Config{}); err == nil {
+	if _, err := Build(context.Background(), []byte("<unclosed>"), Config{}); err == nil {
 		t.Fatal("expected parse error")
 	}
-	idx, _ := Build([]byte(sampleDoc), Config{})
-	if _, err := idx.Count("//a["); err == nil {
+	idx, _ := Build(context.Background(), []byte(sampleDoc), Config{})
+	if _, err := idx.Count(context.Background(), "//a["); err == nil {
 		t.Fatal("expected query error")
 	}
 	if _, err := Load(bytes.NewReader([]byte("garbage")), Config{}); err == nil {
