@@ -30,26 +30,7 @@ var twinAllowlist = map[string]bool{
 // XContext, exported or not, unless twinAllowlist names it.
 func TestOneMethodPerOperation(t *testing.T) {
 	funcs := map[string]bool{} // keyed as twinAllowlist
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case "benchmark", "testdata", ".git":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
+	walkSource(t, func(dir string, f *ast.File) {
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok {
 				key := dir + "." + fn.Name.Name
@@ -59,11 +40,7 @@ func TestOneMethodPerOperation(t *testing.T) {
 				funcs[key] = true
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var twins []string
 	allowed := 0
 	for key := range funcs {
@@ -84,6 +61,56 @@ func TestOneMethodPerOperation(t *testing.T) {
 	}
 	if allowed != len(twinAllowlist) {
 		t.Errorf("%d of the %d allowlisted pairs still exist; drop the stale entries", allowed, len(twinAllowlist))
+	}
+}
+
+// unsafeAllowed names the packages that may import unsafe: the two that
+// turn a read-only file image into typed payloads.
+var unsafeAllowed = map[string]bool{"internal/persist": true, "internal/mmap": true}
+
+// TestUnsafeConfined keeps unsafe in the loader-support packages: no other
+// non-test file outside benchmark/ and testdata/ may import it. Payloads
+// decoded from an index image alias read-only memory, and only those two
+// packages may reinterpret it; everywhere else the type system keeps
+// decoded bytes from turning into strings or writable words by accident.
+func TestUnsafeConfined(t *testing.T) {
+	walkSource(t, func(dir string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"unsafe"` && !unsafeAllowed[dir] {
+				t.Errorf("%s: imports unsafe; only internal/persist and internal/mmap may", dir)
+			}
+		}
+	})
+}
+
+// walkSource parses every non-test Go file outside benchmark/ and testdata/
+// and calls fn with the file's slash-separated directory.
+func walkSource(t *testing.T, fn func(dir string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case "benchmark", "testdata", ".git":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -13,9 +15,12 @@ import (
 
 // TestConcurrentCollection hammers one Collection from many goroutines:
 // batch queries over the shared compiled-query cache, single requests,
-// stats polling, and concurrent document churn (replace/remove/re-add of a
-// scratch document). Under -race this is the serving-layer concurrency
-// contract test.
+// stats polling, concurrent document churn (replace/remove/re-add of a
+// scratch document, open/reload/remove of a file-backed one), registry
+// reads, searches and cache lookups. Every method that reads or writes a
+// guarded field (docs, sources, cache) runs beside that field's writers,
+// so under -race a dropped lock fails here. This is the serving-layer
+// concurrency contract test.
 func TestConcurrentCollection(t *testing.T) {
 	c := New(Config{Workers: 4, CacheSize: 8})
 	corpora := map[string][]byte{
@@ -50,17 +55,29 @@ func TestConcurrentCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	filePath := filepath.Join(t.TempDir(), "file.sxsi")
+	if _, err := scratch.SaveFile(filePath); err != nil {
+		t.Fatal(err)
+	}
 
-	const goroutines = 12
+	const goroutines = 18
 	const iters = 25
+	// The readers (cases 3 and 5) run until every churner (cases 2 and 4)
+	// is done, so each guarded read overlaps the writes it must not race.
+	var churning atomic.Int32
+	churning.Store(goroutines / 3)
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				switch g % 4 {
+			if g%6 == 2 || g%6 == 4 {
+				defer churning.Add(-1)
+			}
+			reader := g%6 == 3 || g%6 == 5
+			for it := 0; it < iters || reader && churning.Load() > 0; it++ {
+				switch g % 6 {
 				case 0: // batch across all documents
 					var reqs []Request
 					for doc, qs := range queries {
@@ -93,6 +110,33 @@ func TestConcurrentCollection(t *testing.T) {
 					res := c.DoContext(context.Background(), Request{Doc: "absent", Query: "//x", Mode: ModeCount})
 					if !errors.Is(res.Err, ErrUnknownDoc) {
 						errc <- fmt.Errorf("g%d: want ErrUnknownDoc, got %v", g, res.Err)
+						return
+					}
+				case 4: // file-backed churn: sources are written and reloaded
+					if err := c.Open("file", filePath); err != nil {
+						errc <- fmt.Errorf("g%d open: %v", g, err)
+						return
+					}
+					if rep := c.Reload(context.Background()); len(rep.Failed) != 0 {
+						errc <- fmt.Errorf("g%d reload: %v", g, rep.Failed)
+						return
+					}
+					c.Remove("file")
+				case 5: // registry reads, searches and cache lookups
+					if n := c.Len(); n < len(corpora) {
+						errc <- fmt.Errorf("g%d: Len %d", g, n)
+						return
+					}
+					if _, ok := c.Get("xmark"); !ok {
+						errc <- fmt.Errorf("g%d: Get lost xmark", g)
+						return
+					}
+					if _, err := c.Search(context.Background(), "gold", "", 5); err != nil {
+						errc <- fmt.Errorf("g%d search: %v", g, err)
+						return
+					}
+					if _, err := c.Compiled("wiki", "//page/title"); err != nil {
+						errc <- fmt.Errorf("g%d compiled: %v", g, err)
 						return
 					}
 				}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/build"
 	"repro/internal/mmap"
-	"repro/internal/persist"
 	"repro/internal/search"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -38,18 +37,19 @@ import (
 //
 // A loaded engine's succinct payloads alias the file image it was decoded
 // from and only the derived directories are built beside it. Through
-// OpenFile that image is a memory mapping, which stays valid for the
-// engine's whole lifetime (clones included); Close releases it and must
-// only be called once no goroutine can touch the engine or a clone again.
+// OpenFile that image is a memory mapping; through Load or NoMmap it is a
+// private copy. Either stays valid for the engine's whole lifetime (clones
+// included); Close releases it and must only be called once no goroutine
+// can touch the engine or a clone again.
 type Engine struct {
 	Doc  *xmltree.Doc
 	opts Config
 
-	// backing keeps the file image alive for engines opened through
-	// OpenFile; nil for built or heap-loaded engines.
+	// backing is the file image a loaded engine decodes from (OpenFile,
+	// Load); nil for built engines and clones.
 	backing *mmap.File
 	// mapped records that the image the Doc aliases is an OS mapping
-	// (shared with the page cache) rather than a private heap buffer.
+	// (shared with the page cache) rather than a private copy.
 	mapped bool
 
 	// postings caches the word-level postings of Postings(), built on
@@ -70,14 +70,14 @@ type Config struct {
 	SkipFM bool
 	// SkipPlain drops the redundant plain-text store of Section 3.4; text
 	// extraction then walks the BWT. A loaded index keeps its whole file
-	// image, so on a heap-buffer load (NoMmap, Load) the skipped
+	// image, so on a copying load (NoMmap, Load) the skipped
 	// section's bytes stay resident all the same; only a mapping leaves
 	// them to the page cache.
 	SkipPlain bool
-	// NoMmap makes OpenFile read the whole index file into one aligned
-	// heap buffer, as Load does, instead of mapping it; the decoder is
-	// the same. The buffer is private memory, reported in Stats.HeapBytes,
-	// and it holds every section, SkipFM/SkipPlain ones included.
+	// NoMmap makes OpenFile read the whole index file into one private
+	// image, as Load does, instead of mapping it; the decoder is the
+	// same. The image is private memory, reported in Stats.HeapBytes, and
+	// it holds every section, SkipFM/SkipPlain ones included.
 	NoMmap bool
 	// BuildProcs is the worker count for parallel index construction
 	// (0 = GOMAXPROCS). Any value produces the same index.
@@ -197,47 +197,16 @@ func (cw *ctxWriter) Write(p []byte) (int, error) {
 }
 
 // Load reads an index previously written by Save: r is read to the end
-// into one 8-aligned heap buffer, which the decoder then aliases exactly
-// as it would a mapping. Loading skips suffix sorting and only builds the
-// derived directories.
+// into one private image (read-only where the platform allows), which the
+// decoder then aliases exactly as it would a mapping. Loading skips suffix
+// sorting and only builds the derived directories. The engine owns the
+// image; Close releases it.
 func Load(r io.Reader, cfg Config) (*Engine, error) {
-	buf, err := readAligned(r)
+	f, err := mmap.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return load(buf, false, cfg)
-}
-
-// readAligned reads r to the end into one 8-aligned buffer of exactly the
-// data's length, sized up front when r reports what is left to read
-// (bytes.Reader, bytes.Buffer) and copied once from a growing one
-// otherwise.
-func readAligned(r io.Reader) ([]byte, error) {
-	if lr, ok := r.(interface{ Len() int }); ok {
-		buf := persist.AlignedBuffer(lr.Len())
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	buf := persist.AlignedBuffer(len(data))
-	copy(buf, data)
-	return buf, nil
-}
-
-// load decodes the index image data, which must stay alive and unchanged
-// for the engine's whole lifetime; mapped says whether it is an OS mapping
-// or private heap, which only the caller that produced it knows.
-func load(data []byte, mapped bool, cfg Config) (*Engine, error) {
-	doc, err := xmltree.ReadIndexMapped(data, cfg.treeOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{Doc: doc, opts: cfg, mapped: mapped}, nil
+	return load(f, cfg)
 }
 
 // OpenFile opens an index file for querying with the fastest available
@@ -245,48 +214,54 @@ func load(data []byte, mapped bool, cfg Config) (*Engine, error) {
 // into one aligned buffer) and decoded in place, so opening a
 // multi-gigabyte index costs only its derived directories and restarts hit
 // the OS page cache instead of re-reading the index. cfg.NoMmap reads the
-// file into one aligned heap buffer instead and decodes it in place, like
-// Load. The engine owns the mapping; release it with Close once the engine
-// is no longer in use.
+// file into one private image instead and decodes it in place, like Load.
+// The engine owns the image; release it with Close once the engine is no
+// longer in use.
 func OpenFile(path string, cfg Config) (*Engine, error) {
+	open := mmap.Open
 	if cfg.NoMmap {
-		f, err := mmap.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return load(f.Data(), false, cfg)
+		open = mmap.ReadFile
 	}
-	m, err := mmap.Open(path)
+	f, err := open(path)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := load(m.Data(), m.Mapped(), cfg)
+	return load(f, cfg)
+}
+
+// load decodes the index image f, which the engine then owns: it stays
+// alive and unchanged until Close or the document's finalizer releases it.
+func load(f *mmap.File, cfg Config) (*Engine, error) {
+	doc, err := xmltree.ReadIndexMapped(f.Data(), cfg.treeOptions())
 	if err != nil {
-		m.Close()
+		f.Close()
 		return nil, err
 	}
-	eng.backing = m
 	// Fallback release: once the document — the object whose slices alias
-	// the mapping, shared by every clone and compiled query — is
-	// unreachable, unmap. This is what keeps a long-running service that
-	// replaces documents (collection.Add over an existing name) from
-	// accumulating dead mappings; explicit Close stays available for
-	// deterministic release and the two compose because Close is
+	// the image, shared by every clone and compiled query — is
+	// unreachable, release the image. This is what keeps a long-running
+	// service that replaces documents (collection.Add over an existing
+	// name) from accumulating dead images; explicit Close stays available
+	// for deterministic release and the two compose because Close is
 	// idempotent. Caveat: a caller that keeps an aliased []byte (e.g. a
 	// Doc.Text result) without keeping the engine or document alive has
 	// already broken the documented lifetime contract.
-	runtime.SetFinalizer(eng.Doc, func(*xmltree.Doc) { m.Close() })
-	return eng, nil
+	runtime.SetFinalizer(doc, func(*xmltree.Doc) { f.Close() })
+	return &Engine{Doc: doc, opts: cfg, backing: f, mapped: f.Mapped()}, nil
 }
 
 // Mapped reports whether the engine's payloads alias an OS memory mapping
-// (shared with the page cache) rather than private heap memory.
+// (shared with the page cache) rather than a private copy.
 func (e *Engine) Mapped() bool { return e.mapped }
 
-// Close releases the mapping behind a mapped engine; it is a no-op for
-// heap-loaded engines and is idempotent. The caller must guarantee that
-// neither the engine nor any clone of it is used afterwards — their
-// payloads point into the released region.
+// Close releases the file image behind a loaded engine — the mapping of
+// OpenFile, or the private copy of Load and OpenFile with NoMmap. It is a
+// no-op for built engines and for clones, and it is idempotent. The caller
+// must guarantee that neither the engine nor any clone of it is used
+// afterwards — their payloads point into the released region. Results
+// already returned own their memory and stay valid: counts, node lists,
+// serialized bytes, snippets, and the terms and counts of Postings (whose
+// phrase counting and snippets still need the engine).
 func (e *Engine) Close() error {
 	if e.backing == nil {
 		return nil
@@ -383,10 +358,11 @@ func (e *Engine) Serialize(ctx context.Context, query string, w io.Writer) (int,
 // MappedBytes is the size of the mapped index file, and HeapBytes
 // estimates the private memory left over (the derived directories): the
 // component byte counts include the aliased payloads, so heap usage is
-// their total minus the mapping. An engine decoded from a heap buffer
-// (Load, NoMmap, or a platform without mmap) owns that whole
-// buffer privately: MappedBytes is zero and HeapBytes counts the buffer
-// plus the derived directories.
+// their total minus the mapping. An engine decoded from a private copy
+// (Load, NoMmap, or a platform without mmap) owns that whole image:
+// MappedBytes is zero and HeapBytes counts the image plus the derived
+// directories. Either way the image is read-only on Unix (Linux and macOS
+// for the copy), so a write through a loaded payload faults.
 type Stats struct {
 	Nodes       int  `json:"nodes"`
 	Texts       int  `json:"texts"`

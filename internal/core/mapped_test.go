@@ -7,6 +7,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/persist"
 	"repro/internal/persist/persisttest"
+	"repro/internal/search"
 	"repro/internal/wavelet"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -354,8 +358,8 @@ func TestSaveFileAtomic(t *testing.T) {
 	}
 }
 
-// TestEngineCloseIdempotent: Close twice, and Close on a heap engine, are
-// both fine.
+// TestEngineCloseIdempotent: Close on a built engine, and Close twice on
+// every loaded image, are all fine.
 func TestEngineCloseIdempotent(t *testing.T) {
 	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
@@ -368,16 +372,165 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	if _, err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenFile(path, Config{})
+	for name, open := range openPaths {
+		m, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := m.Close(); err != nil {
+				t.Fatalf("%s: close %d: %v", name, i+1, err)
+			}
+		}
+	}
+}
+
+// faults runs fn and reports whether it panicked, as a memory fault does
+// under debug.SetPanicOnFault.
+func faults(fn func()) (faulted bool) {
+	defer func() { faulted = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestLoadedImageFaultsOnWrite: every loaded image is read-only, the
+// private copies of Load and NoMmap as well as the mapping, so a write
+// through a decoded payload faults instead of corrupting the index.
+func TestLoadedImageFaultsOnWrite(t *testing.T) {
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		t.Skip("the copying image is writable heap where syscall has no mprotect")
+	}
+	e, err := BuildContext(context.Background(), []byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "doc.sxsi")
+	if _, err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Close(); err != nil {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for name, open := range openPaths {
+		m, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		w := &m.Doc.Par.BitWords()[0]
+		if !faults(func() {
+			*w = ^*w // faults on a read-only image
+			*w = ^*w // restores a writable one
+		}) {
+			t.Errorf("%s: a write through the parenthesis words did not fault", name)
+		}
+		m.Close()
+	}
+}
+
+// TestResultsOutliveClose: nothing a query or a search returns aliases the
+// file image. Every public result of a mapped and of a Load engine is
+// taken, the engine is closed, and only then is each result compared with
+// a built engine's answer; a result that still points into the released
+// image faults or differs.
+func TestResultsOutliveClose(t *testing.T) {
+	data := gen.Medline(7, 40_000)
+	built, err := BuildContext(context.Background(), data, Config{SampleRate: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "doc.sxsi")
+	if _, err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"//Author/LastName", "//AbstractText[contains(., 'cell')]",
+		"//MedlineCitation[contains(., 'blood cell')]", "//PMID/text()",
+	}
+	var terms [][]search.Term
+	for _, q := range []string{"cell", "blood", `"blood cell"`, "the"} {
+		ts, err := search.ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms = append(terms, ts)
+	}
+	tokens := map[string]bool{}
+	for id := 0; id < built.Doc.NumTexts(); id++ {
+		for _, tok := range search.Tokenize(built.Doc.Text(id)) {
+			tokens[tok] = true
+		}
+	}
+	want := takeResults(t, built, queries, terms)
+
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, name := range []string{"Load", "OpenFile"} {
+		e, err := openPaths[name](path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := takeResults(t, e, queries, terms)
+		if err := e.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		if faults(func() {
+			if !reflect.DeepEqual(got.results, want.results) {
+				t.Errorf("%s: query results differ after Close", name)
+			}
+			if got.postings.NumTerms() != want.postings.NumTerms() || got.postings.Tokens() != want.postings.Tokens() {
+				t.Errorf("%s: postings shape differs after Close", name)
+			}
+			for tok := range tokens {
+				if g, w := got.postings.TF(tok), want.postings.TF(tok); g != w {
+					t.Errorf("%s: TF(%q) = %d after Close, want %d", name, tok, g, w)
+				}
+			}
+		}) {
+			t.Errorf("%s: reading results after Close faulted: they alias the image", name)
+		}
+	}
+}
+
+// closeResults is everything a caller can keep from an engine: per query
+// its count, nodes, iterator values, existence and serialization, and per
+// search its snippet, plus the postings.
+type closeResults struct {
+	results  []any
+	postings *search.DocPostings
+}
+
+func takeResults(t *testing.T, e *Engine, queries []string, terms [][]search.Term) closeResults {
+	t.Helper()
+	ctx := context.Background()
+	var r closeResults
+	for _, q := range queries {
+		n, err1 := e.Count(ctx, q)
+		nodes, err2 := e.Nodes(ctx, q)
+		ok, err3 := e.Exists(ctx, q)
+		var out bytes.Buffer
+		_, err4 := e.Serialize(ctx, q, &out)
+		it, err5 := e.Iter(ctx, q)
+		if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if n == 0 {
+			t.Fatalf("%q selects nothing, which proves nothing", q)
+		}
+		var vals []int
+		for x, more := it.Next(); more; x, more = it.Next() {
+			vals = append(vals, x)
+		}
+		if err := errors.Join(it.Err(), it.Close()); err != nil {
+			t.Fatalf("%q: iter: %v", q, err)
+		}
+		r.results = append(r.results, n, nodes, vals, ok, out.Bytes())
+	}
+	r.postings = e.Postings()
+	for _, ts := range terms {
+		snip, err := search.Snippet(ctx, r.postings, ts, 0)
+		if err != nil || snip == "" {
+			t.Fatalf("snippet of %v: %q, %v", ts, snip, err)
+		}
+		r.results = append(r.results, snip)
+	}
+	return r
 }
 
 // TestMappedEngineIsZeroCopy pins the aliasing property at the engine

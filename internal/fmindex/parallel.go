@@ -159,7 +159,7 @@ func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
 	}
 	// Free the chunk suffix arrays (and spill files) before the wavelet
 	// build doubles down on allocation.
-	//sxsivet:ignore ctxpoll chunks is capped at maxChunks (512) by planBuild, O(1) body
+	// No poll: chunks is capped at maxChunks (512) by planBuild, O(1) body
 	for _, c := range chunks {
 		c.rows = nil
 	}
@@ -183,7 +183,7 @@ func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
 	sampled.Build()
 	idx.bs = sampled
 	idx.c[1] = d
-	//sxsivet:ignore ctxpoll at most maxChunks (512) iterations of a 256-entry histogram add
+	// No poll: at most maxChunks (512) iterations of a 256-entry histogram add
 	for _, c := range chunks {
 		for b, cnt := range c.hist {
 			idx.c[b+1] += int(cnt)
@@ -303,7 +303,7 @@ func sortChunks(ctx context.Context, texts [][]byte, starts []int, plan *buildPl
 	}
 	plan.nChunks = len(chunks)
 	cleanup := func() {
-		//sxsivet:ignore ctxpoll cleanup over at most maxChunks (512) spill files; must run even when ctx is dead
+		// No poll: cleanup over at most maxChunks (512) spill files; must run even when ctx is dead
 		for _, c := range chunks {
 			if c.f != nil {
 				name := c.f.Name()
@@ -548,7 +548,7 @@ func mergeChunks(ctx context.Context, texts [][]byte, starts []int, chunks []*ch
 	// Merge the segments concurrently, largest first so a big segment is
 	// not left running alone at the tail.
 	order := make([]int, len(refined))
-	//sxsivet:ignore ctxpoll O(1)-body init over segment count; the adjacent sort.Slice cannot poll and dominates it
+	// No poll: O(1)-body init over segment count; the adjacent sort.Slice cannot poll and dominates it
 	for i := range order {
 		order[i] = i
 	}
@@ -731,7 +731,7 @@ func mergeOneSeg(ctx context.Context, sg *mergeSeg, texts [][]byte, starts []int
 		ctx = nil
 	}
 	var curs []*cursor
-	//sxsivet:ignore ctxpoll cursor setup over at most maxChunks (512) chunks, one buffered open each
+	// No poll: cursor setup over at most maxChunks (512) chunks, one buffered open each
 	for ci, c := range chunks {
 		lo, hi := sg.ranges[ci][0], sg.ranges[ci][1]
 		if lo >= hi {

@@ -1,28 +1,31 @@
-// Package mmap provides the two file images the index decoder runs over.
+// Package mmap provides the file images the index decoder runs over.
 // On Unix platforms Open maps the file read-only with mmap(2), so the index
 // pages stay in the OS page cache and are shared across processes serving
-// the same files. ReadFile reads the whole file into an 8-byte-aligned
-// private buffer instead — the copying load, and Open's fallback on other
-// platforms — which keeps the same API (and the same alignment guarantees
-// the decoder relies on) at the cost of the copy.
+// the same files. ReadFile and ReadAll copy the index into a private image
+// instead — the copying loads, and Open's fallback on other platforms —
+// which keeps the same API (and the same alignment guarantees the decoder
+// relies on) at the cost of the copy. On Linux and macOS that private image
+// is an anonymous mapping made read-only once it is filled; elsewhere it
+// is an 8-byte-aligned heap buffer.
 //
-// The returned data is read-only: writing through it faults on mapped
-// platforms. Close invalidates the data — the caller must guarantee no
-// slice aliasing it is used afterwards, which in this codebase means the
-// engine loaded from the mapping has been dropped.
+// The returned data is read-only: writing through it faults on every Unix
+// image, mapped or copied, except on the platforms whose syscall package
+// has no mprotect. Close invalidates the data — the caller must guarantee
+// no slice aliasing it is used afterwards, which in this codebase means
+// the engine loaded from the image has been dropped.
 package mmap
 
 import (
+	"bytes"
 	"io"
 	"os"
-
-	"repro/internal/persist"
 )
 
 // File is an open read-only file image.
 type File struct {
 	data   []byte
-	mapped bool // true when backed by a real OS mapping
+	mapped bool // true when backed by a file mapping shared with the page cache
+	unmap  bool // true when data is an OS mapping that Close must release
 	closed bool
 }
 
@@ -31,8 +34,8 @@ type File struct {
 // mapped), as the aligned container decoders require.
 func (f *File) Data() []byte { return f.data }
 
-// Mapped reports whether the data is backed by an OS memory mapping (as
-// opposed to the read-everything fallback buffer).
+// Mapped reports whether the data is backed by a file mapping shared with
+// the OS page cache (as opposed to a private copy of the file).
 func (f *File) Mapped() bool { return f.mapped }
 
 // Size returns the file image size in bytes.
@@ -43,10 +46,10 @@ func Open(path string) (*File, error) {
 	return open(path)
 }
 
-// ReadFile reads the whole file at path into one 8-byte-aligned heap
-// buffer. The decoder aliases payloads out of it exactly as it would out
-// of a mapping; only the page sharing with the OS cache is lost. The
-// result is never Mapped.
+// ReadFile reads the whole file at path into one private image. The
+// decoder aliases payloads out of it exactly as it would out of a mapping;
+// only the page sharing with the OS cache is lost. The result is never
+// Mapped.
 func ReadFile(path string) (*File, error) {
 	file, err := os.Open(path)
 	if err != nil {
@@ -60,14 +63,29 @@ func ReadFile(path string) (*File, error) {
 	if size != int64(int(size)) {
 		return nil, &os.PathError{Op: "read", Path: path, Err: os.ErrInvalid}
 	}
-	data := persist.AlignedBuffer(int(size))
-	if _, err := io.ReadFull(file, data); err != nil {
+	f, err := readImage(file, int(size))
+	if err != nil {
 		return nil, &os.PathError{Op: "read", Path: path, Err: err}
 	}
-	return &File{data: data}, nil
+	return f, nil
 }
 
-// Close releases the mapping. Any slice aliasing Data becomes invalid.
+// ReadAll reads r to the end into one private image, like ReadFile. The
+// image is sized up front when r reports what is left to read
+// (bytes.Reader, bytes.Buffer) and copied once from a growing buffer
+// otherwise.
+func ReadAll(r io.Reader) (*File, error) {
+	if lr, ok := r.(interface{ Len() int }); ok {
+		return readImage(r, lr.Len())
+	}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return readImage(bytes.NewReader(data), len(data))
+}
+
+// Close releases the image. Any slice aliasing Data becomes invalid.
 // Close is idempotent.
 func (f *File) Close() error {
 	if f.closed {

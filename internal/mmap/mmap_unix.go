@@ -29,13 +29,13 @@ func open(path string) (*File, error) {
 	if err != nil {
 		return nil, &os.PathError{Op: "mmap", Path: path, Err: err}
 	}
-	return &File{data: data, mapped: true}, nil
+	return &File{data: data, mapped: true, unmap: true}, nil
 }
 
 func (f *File) close() error {
 	data := f.data
 	f.data = nil
-	if !f.mapped || data == nil {
+	if !f.unmap || data == nil {
 		return nil
 	}
 	return syscall.Munmap(data)

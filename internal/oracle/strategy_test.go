@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -47,6 +48,25 @@ func drainIter(q *xpath.Query) ([]int, error) {
 	return out, it.Err()
 }
 
+// loadedEngine builds data, saves the index and returns the engine core.Load
+// decodes from the saved bytes; the caller closes it.
+func loadedEngine(t *testing.T, data []byte, cfg core.Config) *core.Engine {
+	t.Helper()
+	built, err := core.BuildContext(context.Background(), data, cfg)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	var saved bytes.Buffer
+	if _, err := built.Save(&saved); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	eng, err := core.Load(&saved, cfg)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return eng
+}
+
 func toPreorders(eng *core.Engine, nodes []int) []int {
 	out := make([]int, len(nodes))
 	for i, x := range nodes {
@@ -72,7 +92,10 @@ func sameInts(a, b []int) bool {
 // forced-top-down, forced-bottom-up} × {materialized, iterator} on top of
 // the rotating base configurations, and every run must agree exactly with
 // the DOM oracle (node identity by preorder, Count with the set size,
-// Exists with set non-emptiness). The cost model's choice is recorded per
+// Exists with set non-emptiness). The engines are built, saved and
+// decoded again with core.Load, so every strategy and match-set arm runs
+// on a loaded image, which is read-only: a write through a decoded
+// payload faults here. The cost model's choice is recorded per
 // query; the suite fails if it never picks one of the two strategies,
 // because then that evaluation path was not actually differentially tested.
 func TestStrategyEquivalence(t *testing.T) {
@@ -90,10 +113,7 @@ func TestStrategyEquivalence(t *testing.T) {
 	for _, c := range withSpanDoc {
 		for seed := uint64(1); seed <= 2; seed++ {
 			data := c.data(seed)
-			eng, err := core.BuildContext(context.Background(), data, core.Config{SampleRate: 4})
-			if err != nil {
-				t.Fatalf("%s/%d: build: %v", c.name, seed, err)
-			}
+			eng := loadedEngine(t, data, core.Config{SampleRate: 4})
 			tree, err := dom.Parse(data)
 			if err != nil {
 				t.Fatalf("%s/%d: dom: %v", c.name, seed, err)
@@ -176,6 +196,9 @@ func TestStrategyEquivalence(t *testing.T) {
 							c.name, base.name, strat, qsrc, ex, err, len(wantOrders) > 0)
 					}
 				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

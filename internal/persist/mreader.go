@@ -17,8 +17,8 @@ var nativeIsLittle = func() bool {
 }()
 
 // MReader deserializes primitives written by Writer out of an in-memory
-// buffer — an mmap'd index file or the whole file read into one aligned
-// heap buffer. Words, Int32s, Bytes and Raw return slices that alias the
+// buffer — an mmap'd index file or a private copy of the whole file (see
+// package mmap). Words, Int32s, Bytes and Raw return slices that alias the
 // buffer instead of copying it, so loading a structure through an MReader
 // costs O(derived directories), not O(index size), and on a mapping the
 // pages behind the payloads stay shared with the OS page cache.
@@ -223,8 +223,10 @@ func (mr *MReader) Check(cond bool, what string) error {
 	return mr.err
 }
 
-// AlignedBuffer returns an 8-byte-aligned byte slice of length n: the heap
-// buffer a whole index file is read into when it is not memory-mapped.
+// AlignedBuffer returns an 8-byte-aligned heap slice of length n. It is the
+// copying load image only where package mmap cannot make a read-only one
+// (platforms without mprotect in syscall); elsewhere it serves
+// EnsureAligned and tests that decode bytes they built themselves.
 func AlignedBuffer(n int) []byte {
 	if n == 0 {
 		return nil

@@ -12,9 +12,10 @@
 // Int32s pad the stream to an 8-byte boundary before their length prefix,
 // and the container gives every section an 8-byte-aligned payload start,
 // so the MReader (mreader.go) can alias word and int32 payloads in place
-// instead of copying them. The buffer behind it is either an mmap'd file
-// or, for the copying loads, the whole file read into one 8-aligned heap
-// buffer (AlignedBuffer); the decoder is the same either way.
+// instead of copying them. The buffer behind it is an image from package
+// mmap: the mapped file, or for the copying loads a private copy, which is
+// read-only as well on Linux and macOS. Either way a write through a
+// decoded payload faults, and the decoder is the same.
 //
 // All corruption and truncation conditions surface as errors wrapping
 // ErrCorrupt; no input may cause a panic or an unbounded allocation.

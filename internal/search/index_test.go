@@ -2,8 +2,10 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -67,6 +69,60 @@ func TestIndexAddRemoveSnapshot(t *testing.T) {
 	if len(s.Docs) != 3 || s.Total != 13 {
 		t.Fatal("snapshot mutated by later Add/Remove")
 	}
+
+	// Concurrent writers and readers: docs and total are guarded by mu, so
+	// under -race a method that drops the lock fails here, and every
+	// snapshot's total must match its documents. The readers run until
+	// both writers are done, so each of them overlaps the writes.
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
+		go func(name string) {
+			defer writers.Done()
+			for it := 0; it < 200; it++ {
+				ix.Add(name, postingsFromText("one two three"))
+				ix.Remove(name)
+			}
+		}(fmt.Sprint("w", g))
+	}
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := ix.Len(); n < 2 || n > 4 {
+				t.Errorf("Len = %d during churn", n)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := ix.Snapshot()
+			var sum int64
+			for _, dp := range snap.Docs {
+				sum += dp.Tokens()
+			}
+			if sum != snap.Total {
+				t.Errorf("snapshot total %d, documents sum to %d", snap.Total, sum)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
 }
 
 func TestAvgLen(t *testing.T) {

@@ -2,6 +2,7 @@ package xmlparse_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/xmlparse"
@@ -71,6 +72,12 @@ func FuzzParse(f *testing.F) {
 		`<a><b></b></a><c/>`,
 		"<\x00a/>",
 		`<a ` + "\xff" + `="1"/>`,
+		// Markup the scanner skips to a terminator: many of each, a
+		// terminator split across units, and each one unterminated.
+		`<a>` + strings.Repeat(`x<!-- c -- -->`, 64) + `</a>`,
+		`<a>` + strings.Repeat(`<![CDATA[]]]]>`, 64) + `</a>`,
+		`<a>` + strings.Repeat(`<?pi ??>x`, 64) + `</a>`,
+		`<a><!-- c ->`, `<a><![CDATA[]]`, `<a><?pi ?`,
 	} {
 		f.Add([]byte(s))
 	}

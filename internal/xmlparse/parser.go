@@ -152,7 +152,7 @@ func (p *parser) skipPI() error {
 
 func (p *parser) skipDecl() error {
 	// <!-- comment -->, <![CDATA[ ... ]]> (handled in text), <!DOCTYPE ...>
-	if strings.HasPrefix(string(p.data[p.pos:min(p.pos+4, len(p.data))]), "<!--") {
+	if bytes.HasPrefix(p.data[p.pos:], []byte("<!--")) {
 		end := indexFrom(p.data, p.pos+4, "-->")
 		if end < 0 {
 			return p.errf("unterminated comment")
@@ -160,7 +160,7 @@ func (p *parser) skipDecl() error {
 		p.pos = end + 3
 		return nil
 	}
-	if strings.HasPrefix(string(p.data[p.pos:min(p.pos+9, len(p.data))]), "<![CDATA[") {
+	if bytes.HasPrefix(p.data[p.pos:], []byte("<![CDATA[")) {
 		end := indexFrom(p.data, p.pos+9, "]]>")
 		if end < 0 {
 			return p.errf("unterminated CDATA section")
@@ -418,11 +418,14 @@ func isNameByte(c byte, first bool) bool {
 	return false
 }
 
+// indexFrom returns the index of the first sub at or after from, or -1. It
+// searches the bytes in place: converting the rest of the document to a
+// string would copy it on every comment, CDATA section and PI.
 func indexFrom(data []byte, from int, sub string) int {
 	if from >= len(data) {
 		return -1
 	}
-	idx := strings.Index(string(data[from:]), sub)
+	idx := bytes.Index(data[from:], []byte(sub))
 	if idx < 0 {
 		return -1
 	}

@@ -3,6 +3,7 @@ package xmlparse
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -211,6 +212,34 @@ func TestEscapeCR(t *testing.T) {
 	for _, attr := range []bool{false, true} {
 		if got := string(AppendEscape(nil, []byte("a\r\nb"), attr)); got != "a&#13;\nb" {
 			t.Errorf("attr=%v: %q", attr, got)
+		}
+	}
+}
+
+// nopHandler drops every event.
+type nopHandler struct{}
+
+func (nopHandler) StartElement(string, []Attr) error { return nil }
+func (nopHandler) EndElement(string) error           { return nil }
+func (nopHandler) Text([]byte) error                 { return nil }
+
+// TestMarkupScanLinear: finding the end of a comment, CDATA section or PI
+// searches the document in place, so a document made of many of them
+// parses with allocation proportional to its size, not to its size times
+// their number.
+func TestMarkupScanLinear(t *testing.T) {
+	for _, unit := range []string{
+		"<a>x</a><!-- c -->", "<a>x</a><![CDATA[c]]>", "<a>x</a><?pi c?>",
+	} {
+		doc := []byte("<r>" + strings.Repeat(unit, 20_000) + "</r>")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := Parse(doc, nopHandler{}); err != nil {
+			t.Fatalf("%q: %v", unit, err)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(doc)) {
+			t.Errorf("%q × 20,000 (%d bytes) allocated %d bytes, want at most 4× the input", unit, len(doc), alloc)
 		}
 	}
 }

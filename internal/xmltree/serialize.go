@@ -107,7 +107,7 @@ func (d *Doc) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadIndexMapped deserializes an index written by WriteTo out of data —
-// an mmap'd file or the whole file read into one aligned heap buffer —
+// an mmap'd file or a private copy of the whole file (package mmap) —
 // aliasing the word, int32 and text payloads in place instead of copying
 // them. Only the derived directories (rank/select structures, the BP
 // range-min-max tree, planner tables) are built in private memory, so
@@ -116,7 +116,7 @@ func (d *Doc) WriteTo(w io.Writer) (int64, error) {
 // opts.SkipPlain is set; with opts.SkipFM the FM section is skipped without
 // being decoded.
 //
-// data must be 8-byte aligned at its base (mmap regions and
+// data must be 8-byte aligned at its base (mmap images and
 // persist.AlignedBuffer both are) and must stay alive and unchanged for
 // the whole lifetime of the returned Doc; the Doc must be treated as
 // read-only even more strictly than usual, since its slices may point into

@@ -289,7 +289,7 @@ func navApplyStep(ctx context.Context, d *xmltree.Doc, opts Options, cur []int, 
 			cur = cur[len(cur)-1:]
 		case AxisFollowing:
 			best, bc := cur[0], d.Close(cur[0])
-			//sxsivet:ignore ctxpoll one O(1) Close lookup per input node, bracketed by the entry ctxErr and the per-target poll below
+			// No poll: one O(1) Close lookup per input node, bracketed by the entry ctxErr and the per-target poll below
 			for _, x := range cur[1:] {
 				if c := d.Close(x); c < bc {
 					best, bc = x, c
