@@ -2,6 +2,8 @@ package automata
 
 import (
 	"context"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -189,6 +191,70 @@ func TestNextInSet(t *testing.T) {
 	}
 	for from := 0; from <= last+1; from += 3 {
 		check(from)
+	}
+}
+
+// TestNextInSetMonotone drives nextInSet as runs do: within a run from
+// only grows, by skips from one position to hundreds, and each new run
+// restarts below the cursors. The sets mix frequent tags, a rare one and
+// one with no occurrence, so cursors are refreshed by a step to the next
+// occurrence, by a search past several, and at the end of a row. Every
+// answer must be the least NextOccurrence of the set's tags below end.
+func TestNextInSetMonotone(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	var open []string
+	sb.WriteString("<r>")
+	for i := 0; i < 6000; i++ {
+		if len(open) > 0 && r.Intn(2) == 0 {
+			sb.WriteString("</" + open[len(open)-1] + ">")
+			open = open[:len(open)-1]
+			continue
+		}
+		name := []string{"a", "b", "c", "d"}[r.Intn(4)]
+		if r.Intn(150) == 0 {
+			name = "rare"
+		}
+		sb.WriteString("<" + name + ">")
+		open = append(open, name)
+	}
+	for len(open) > 0 {
+		sb.WriteString("</" + open[len(open)-1] + ">")
+		open = open[:len(open)-1]
+	}
+	sb.WriteString("</r>")
+	doc, err := xmltree.Parse([]byte(sb.String()), xmltree.Options{SkipFM: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent := doc.AttrsTag()
+	if doc.TagCount(absent) != 0 {
+		t.Fatal("the attribute tag occurs in a document without attributes")
+	}
+	a, b, c, d, rare := doc.TagID("a"), doc.TagID("b"), doc.TagID("c"), doc.TagID("d"), doc.TagID("rare")
+	sets := [][]int32{{a}, {a, b}, {rare}, {rare, c}, {absent}, {absent, d}, {a, b, c, d}, {b, rare, absent}}
+	ev := NewEvaluator(buildFig3(t, doc), doc, Count, Options{})
+	last := doc.Close(doc.Root())
+	for run := 0; run < 60; run++ {
+		from := r.Intn(last / 2)
+		maxSkip := []int{2, 8, 64, 600}[run%4]
+		for from <= last+1 {
+			set := sets[r.Intn(len(sets))]
+			end := last + 1
+			if r.Intn(3) == 0 {
+				end = from + r.Intn(200)
+			}
+			want := xmltree.Nil
+			for _, tag := range set {
+				if p := doc.Tag.NextOccurrence(2*tag, from); p >= 0 && p < end && (want == xmltree.Nil || p < want) {
+					want = p
+				}
+			}
+			if got := ev.nextInSet(set, from, end); got != want {
+				t.Fatalf("run %d: nextInSet(%v, %d, %d) = %d, want %d", run, set, from, end, got, want)
+			}
+			from += 1 + r.Intn(maxSkip)
+		}
 	}
 }
 

@@ -105,8 +105,20 @@ func dedupSorted(a []int) []int {
 
 // runRes maps satisfiable states to their result values.
 type runRes struct {
-	sat  uint64
-	vals []Res // indexed by state; only entries of sat are meaningful
+	sat uint64
+	// vals is indexed by state; only entries of sat are meaningful. It is
+	// nil when every value is zero — a base result, the empty set's, and
+	// an outcome without value ops — so the visits that end a chain or
+	// reach a leaf take nothing from the free list; val reads nil as zeros.
+	vals []Res
+}
+
+// val returns state q's value.
+func (r *runRes) val(q uint8) Res {
+	if r.vals == nil {
+		return Res{}
+	}
+	return r.vals[q]
 }
 
 // Evaluator runs an automaton over a document. After a run that returned,
@@ -135,7 +147,8 @@ type Evaluator struct {
 
 	// freelist of vals slices: child results are copied by value into the
 	// parent's result, so their slices can be recycled immediately. A slice
-	// is cleared when it is freed, so the list holds no results.
+	// is cleared when it is freed, so the list holds no results. Only
+	// results with a value hold a slice (see runRes.vals).
 	valsPool [][]Res
 
 	// cursors caches one jump answer per tag id (see nextInSet); nil until
@@ -152,8 +165,9 @@ type Evaluator struct {
 
 // cursor is a tag's last jump answer: next is the tag's first opening
 // position at or after at (math.MaxInt for none), so it is also the answer
-// for every position in [at, next].
-type cursor struct{ at, next int }
+// for every position in [at, next]. k is next's index among the tag's
+// occurrences, the finger seek steps from, or -1 without one.
+type cursor struct{ at, next, k int }
 
 // runCancelled is the panic sentinel Run recovers.
 type runCancelled struct{ err error }
@@ -290,9 +304,9 @@ func (ev *Evaluator) Run(ctx context.Context) (n int64, nodes []int, err error) 
 	switch {
 	case r.sat>>uint(q)&1 == 0:
 	case ev.Mode == Count:
-		n = r.vals[q].count
+		n = r.val(uint8(q)).count
 	default:
-		nodes = r.vals[q].seq.Expand(ev.Doc)
+		nodes = r.val(uint8(q)).seq.Expand(ev.Doc)
 	}
 	ev.freeVals(&r)
 	if keep := maxFreeBytes / (resBytes * max(1, ev.A.NumStates)); len(ev.valsPool) > keep {
@@ -302,15 +316,17 @@ func (ev *Evaluator) Run(ctx context.Context) (n int64, nodes []int, err error) 
 }
 
 // maxFreeBytes bounds the vals free list an evaluator keeps between runs.
-// The list grows to the deepest chain of live frames in a run — one per
-// sibling the run recursed over — which on a flat document is one per node.
+// The list grows to the most slices live at once in a run: at most one per
+// frame on the deepest chain of live frames — one per sibling the run
+// recursed over, so on a flat document up to one per node — and only
+// frames whose result has a value hold one.
 const maxFreeBytes = 4 << 20
 
 // resBytes is the size of a Res on a 64-bit platform.
 const resBytes = 16
 
 func (ev *Evaluator) base(q uint64) runRes {
-	return runRes{sat: q & ev.A.Bottom, vals: ev.allocVals()}
+	return runRes{sat: q & ev.A.Bottom}
 }
 
 func (ev *Evaluator) allocVals() []Res {
@@ -334,7 +350,7 @@ func (ev *Evaluator) freeVals(r *runRes) {
 // starting at node pos, bounded by end, from the state set with id id.
 func (ev *Evaluator) run(id int32, pos, end int) runRes {
 	if id == 0 {
-		return runRes{vals: ev.allocVals()}
+		return runRes{}
 	}
 	s := ev.sets[id]
 	if pos == xmltree.Nil || pos >= end {
@@ -404,6 +420,7 @@ func (ev *Evaluator) collect(q uint64, ji *jumpInfo, pos, end int) runRes {
 		total += int64(ev.Doc.Tag.Rank(2*t, end) - ev.Doc.Tag.Rank(2*t, pos))
 	}
 	ev.Stats.Marked += total
+	r.vals = ev.allocVals()
 	for s := q; s != 0; s &= s - 1 {
 		qi := bits.TrailingZeros64(s)
 		if ev.Mode == Count {
@@ -424,17 +441,14 @@ func (ev *Evaluator) nextInSet(set []int32, from, end int) int {
 	if ev.cursors == nil {
 		ev.cursors = make([]cursor, ev.Doc.NumTags())
 		for i := range ev.cursors {
-			ev.cursors[i] = cursor{at: 1, next: 0} // answers no position
+			ev.cursors[i] = cursor{at: 1, next: 0, k: -1} // answers no position
 		}
 	}
 	best := end
 	for _, t := range set {
 		c := &ev.cursors[t]
 		if from < c.at || from > c.next {
-			c.at, c.next = from, ev.Doc.Tag.NextOccurrence(2*t, from)
-			if c.next < 0 {
-				c.next = math.MaxInt
-			}
+			ev.seek(c, 2*t, from)
 		}
 		best = min(best, c.next)
 	}
@@ -442,6 +456,26 @@ func (ev *Evaluator) nextInSet(set []int32, from, end int) int {
 		return xmltree.Nil
 	}
 	return best
+}
+
+// seek moves cursor c, of the opening tag id tag, to answer from. When the
+// run has just passed the cursor's answer, the tag's following occurrence
+// usually answers from too, and Step decodes it from the finger without a
+// select; Successor searches the row only when it does not, or on a restart
+// (from < c.at).
+func (ev *Evaluator) seek(c *cursor, tag int32, from int) {
+	at, k, next := from, -1, -1
+	if c.k >= 0 && from > c.next {
+		at, k, next = c.next+1, c.k+1, ev.Doc.Tag.Step(tag, c.k, c.next)
+	}
+	if k < 0 || 0 <= next && next < from {
+		at = from
+		k, next = ev.Doc.Tag.Successor(tag, from)
+	}
+	if next < 0 {
+		k, next = -1, math.MaxInt
+	}
+	*c = cursor{at: at, next: next, k: k}
 }
 
 // computeJumpInfo is the jumpability analysis of a state set. It runs once
@@ -565,16 +599,20 @@ func (ev *Evaluator) outcome(in *instr, pos int, r1, r2 *runRes) *outcome {
 // apply runs a resolved outcome's value ops at node pos. In Count mode a
 // mark counts one; in Materialize mode it is a leaf of the result sequence.
 func (ev *Evaluator) apply(oc *outcome, pos int, r1, r2 *runRes) runRes {
-	res := runRes{sat: oc.sat, vals: ev.allocVals()}
+	res := runRes{sat: oc.sat}
+	if len(oc.ops) == 0 {
+		return res
+	}
+	res.vals = ev.allocVals()
 	for _, op := range oc.ops {
 		var v Res
 		switch op.src {
 		case opMark:
 			v = ev.one(pos)
 		case opDown1:
-			v = r1.vals[op.q]
+			v = r1.val(op.q)
 		default:
-			v = r2.vals[op.q]
+			v = r2.val(op.q)
 		}
 		res.vals[op.dst] = ev.plus(res.vals[op.dst], v)
 	}

@@ -2,6 +2,9 @@
 // structures: population counts, in-word select, and byte-granularity
 // excess tables for balanced-parentheses searches. These are the O(1)
 // building blocks the paper's rank/select structures (Section 2) assume.
+// SelectInWord is branch-free up to its range check: byte prefix counts
+// from one multiply, the answer's byte from one SWAR comparison, and the
+// bit inside that byte from a 2 KB table.
 package bits
 
 import "math/bits"
@@ -61,23 +64,50 @@ func init() {
 		}
 		ExcessBwdMin[v] = int8(mn)
 		ExcessBwdMax[v] = int8(mx)
+		for r := 0; r < 8; r++ {
+			selectInByte[v<<3|r] = 8
+		}
+		r := 0
+		for b := 0; b < 8; b++ {
+			if v>>uint(b)&1 == 1 {
+				selectInByte[v<<3|r] = uint8(b)
+				r++
+			}
+		}
 	}
 }
+
+// selectInByte[v<<3|r] is the position of the (r+1)-th set bit of byte v,
+// or 8 when v has at most r set bits.
+var selectInByte [256 * 8]uint8
+
+const (
+	l8 = 0x0101010101010101 // 1 in every byte
+	h8 = 0x8080808080808080 // the high bit of every byte
+)
 
 // Popcount returns the number of set bits in w.
 func Popcount(w uint64) int { return bits.OnesCount64(w) }
 
 // SelectInWord returns the position (0-based, from the least significant bit)
-// of the (j+1)-th set bit of w. j must be < Popcount(w); otherwise the result
-// is 64.
+// of the (j+1)-th set bit of w, or 64 when j >= Popcount(w) (or j < 0).
+//
+// Byte i of s holds the ones in bytes 0..i (at most 64, so the high bit of
+// every byte is clear). A byte of (j·L8 | H8) − s keeps its high bit exactly
+// when its prefix count is <= j, so those bytes lie below the answer's byte;
+// their number, times 8, is the byte's offset.
 func SelectInWord(w uint64, j int) int {
-	for i := 0; i < j; i++ {
-		w &= w - 1 // clear lowest set bit
-	}
-	if w == 0 {
+	s := w - (w>>1)&0x5555555555555555
+	s = s&0x3333333333333333 + (s>>2)&0x3333333333333333
+	s = (s + s>>4) & 0x0f0f0f0f0f0f0f0f
+	s *= l8
+	if uint(j) >= uint(s>>56) {
 		return 64
 	}
-	return bits.TrailingZeros64(w)
+	below := ((uint64(j)*l8 | h8) - s) & h8
+	off := ((below >> 7) * l8 >> 53) &^ 7 // 8 × the number of bytes below
+	r := uint64(j) - ((s<<8)>>off)&0xff
+	return int(off) + int(selectInByte[((w>>off)&0xff)<<3|r])
 }
 
 // Rank9WordMask returns a mask with the low n bits set (n in [0,64]).

@@ -1,10 +1,34 @@
 package bits
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// naiveSelect is the reference for SelectInWord: clear the j lowest set
+// bits, then take the lowest remaining one (64 when none remains).
+func naiveSelect(w uint64, j int) int {
+	for i := 0; i < j && w != 0; i++ {
+		w &= w - 1
+	}
+	if w == 0 {
+		return 64
+	}
+	return bits.TrailingZeros64(w)
+}
+
+// checkSelect compares SelectInWord with naiveSelect for every j in
+// [0, 64], so every j >= Popcount(w) is checked to return 64.
+func checkSelect(t *testing.T, w uint64) {
+	t.Helper()
+	for j := 0; j <= 64; j++ {
+		if got, want := SelectInWord(w, j), naiveSelect(w, j); got != want {
+			t.Fatalf("SelectInWord(%#016x, %d) = %d, want %d", w, j, got, want)
+		}
+	}
+}
 
 func TestSelectInWordBasic(t *testing.T) {
 	cases := []struct {
@@ -19,6 +43,8 @@ func TestSelectInWordBasic(t *testing.T) {
 		{^uint64(0), 0, 0},
 		{1 << 63, 0, 63},
 		{0, 0, 64},
+		{0b101, 2, 64},
+		{^uint64(0), 64, 64},
 	}
 	for _, c := range cases {
 		if got := SelectInWord(c.w, c.j); got != c.want {
@@ -27,19 +53,50 @@ func TestSelectInWordBasic(t *testing.T) {
 	}
 }
 
+// TestSelectInWordEdges covers the words whose byte prefix counts sit at
+// the limits of the SWAR comparison: empty and full words and bytes, single
+// bits at every position, and alternating and byte-periodic patterns.
+func TestSelectInWordEdges(t *testing.T) {
+	words := []uint64{0, ^uint64(0), 0x5555555555555555, 0xaaaaaaaaaaaaaaaa,
+		0x00ff00ff00ff00ff, 0xff00ff00ff00ff00, 0x8000000000000001,
+		0x0101010101010101, 0x8080808080808080, 0xff, 0xff << 56}
+	for b := 0; b < 64; b++ {
+		words = append(words, 1<<uint(b), ^uint64(1<<uint(b)), ^uint64(0)<<uint(b), ^uint64(0)>>uint(b))
+	}
+	for by := 0; by < 8; by++ {
+		for v := 0; v < 256; v++ {
+			words = append(words, uint64(v)<<uint(8*by))
+		}
+	}
+	for _, w := range words {
+		checkSelect(t, w)
+	}
+}
+
+// TestSelectInWordProperty checks random words of every density, since a
+// uniform word has about 32 ones and so leaves the sparse and dense ends
+// of the range unexercised.
 func TestSelectInWordProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		w := r.Uint64()
+		switch i % 4 {
+		case 1:
+			w &= r.Uint64() & r.Uint64()
+		case 2:
+			w |= r.Uint64() | r.Uint64()
+		case 3:
+			w &= r.Uint64() & r.Uint64() & r.Uint64() & r.Uint64()
+		}
+		checkSelect(t, w)
+	}
 	f := func(w uint64) bool {
-		pc := Popcount(w)
-		seen := 0
-		for b := 0; b < 64; b++ {
-			if w&(1<<uint(b)) != 0 {
-				if SelectInWord(w, seen) != b {
-					return false
-				}
-				seen++
+		for j := 0; j <= 64; j++ {
+			if SelectInWord(w, j) != naiveSelect(w, j) {
+				return false
 			}
 		}
-		return seen == pc
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

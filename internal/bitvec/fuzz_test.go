@@ -38,11 +38,13 @@ func gapBytes(gaps ...int) []byte {
 }
 
 // FuzzSparse is the one reference for the Elias–Fano rows: Rank1, Select1,
-// NextOne and Get of a sparse vector, of its stored and reloaded copy, and
-// tags.Sequence.PrevOccurrence over the same positions, against binary
-// searches of the sorted position slice. Rows up to 8192 positions are
-// queried everywhere; larger ones around every one, at both ends and at
-// 4096 evenly spaced points.
+// NextOne, Get, Successor and Step of a sparse vector, of its stored and
+// reloaded copy, and tags.Sequence.PrevOccurrence, Successor and Step over
+// the same positions, against binary searches of the sorted position slice.
+// Rows up to 8192 positions are queried everywhere; larger ones around
+// every one, at both ends and at 4096 evenly spaced points. From every
+// query point one Step follows Successor, and from every 64th, and from
+// position 0, Step walks on to the end of the row.
 func FuzzSparse(f *testing.F) {
 	f.Add(uint32(0), []byte{})                      // empty universe
 	f.Add(uint32(1000), []byte{})                   // empty row
@@ -85,6 +87,22 @@ func FuzzSparse(f *testing.F) {
 				}
 			}
 		}
+		for _, v := range []*bitvec.Sparse{s, loaded} {
+			walkSteps(t, "Sparse", pos, 0, m, v.Successor, v.Step)
+		}
+		seqSucc := func(p int) (int, int) { return seq.Successor(1, p) }
+		seqStep := func(k, p int) int { return seq.Step(1, k, p) }
+		walkSteps(t, "Sequence", pos, 0, m, seqSucc, seqStep)
+		for i, p := range queryPoints(n, pos) {
+			steps := 1
+			if i%64 == 0 {
+				steps = m
+			}
+			for _, v := range []*bitvec.Sparse{s, loaded} {
+				walkSteps(t, "Sparse", pos, p, steps, v.Successor, v.Step)
+			}
+			walkSteps(t, "Sequence", pos, p, steps, seqSucc, seqStep)
+		}
 		for _, p := range queryPoints(n, pos) {
 			k := sort.SearchInts(pos, p) // ones < p
 			next, prev := -1, -1
@@ -114,6 +132,33 @@ func FuzzSparse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walkSteps checks succ(p) against the sorted positions — the index of the
+// first one at or after p, and its position, or (len(pos), -1) — and then
+// up to steps calls of step from there, each of which must return the
+// following one, and -1 after the last.
+func walkSteps(t *testing.T, what string, pos []int, p, steps int, succ func(int) (int, int), step func(k, v int) int) {
+	t.Helper()
+	k := sort.SearchInts(pos, max(p, 0))
+	want := -1
+	if k < len(pos) {
+		want = pos[k]
+	}
+	gk, v := succ(p)
+	if gk != k || v != want {
+		t.Fatalf("m=%d: %s.Successor(%d) = (%d, %d), want (%d, %d)", len(pos), what, p, gk, v, k, want)
+	}
+	for i := 0; v >= 0 && i < steps; i++ {
+		next := -1
+		if k+1 < len(pos) {
+			next = pos[k+1]
+		}
+		if got := step(k, v); got != next {
+			t.Fatalf("m=%d: %s.Step(%d, %d) = %d, want %d", len(pos), what, k, v, got, next)
+		}
+		k, v = k+1, next
+	}
 }
 
 // queryPoints lists the positions FuzzSparse checks: all of [-2, n+2) for a

@@ -92,7 +92,7 @@ func ReadSparse(pr *persist.MReader) *Sparse {
 	if pr.Check(ok, "sparse vector component mismatch") != nil {
 		return nil
 	}
-	// successor trusts maxValue as its early exit: a larger one would send
+	// Successor trusts maxValue as its early exit: a larger one would send
 	// it past the last one, a smaller one would hide ones.
 	last := s.Select1(s.m - 1)
 	if pr.Check(s.maxValue == last && last < s.n, "sparse maximum mismatch") != nil {

@@ -144,7 +144,7 @@ func TestSparseLoadCorrupt(t *testing.T) {
 
 // TestSparseLoadMaxValue patches the stored maximum (bytes 25-32: after the
 // format byte and the n, m and lowBits words) to values that are still
-// below n. successor exits early on the maximum, so every one of them must
+// below n. Successor exits early on the maximum, so every one of them must
 // be rejected, not loaded.
 func TestSparseLoadMaxValue(t *testing.T) {
 	s := NewSparse(1000, []int{3, 77, 500, 900})

@@ -6,9 +6,12 @@ import "math/bits"
 // out of a universe [0, n) in m*ceil(log2(n/m)) + 2m + o(m) bits. This is the
 // "sarray" structure of Okanohara and Sadakane that the paper uses for each
 // row of the tag matrix R (Section 4.1.2). Select1 is one select on the
-// high stream. Rank1, NextOne and Get are one Select0 plus a scan of one
-// bucket (see successor): O(1) expected, and logarithmic in the worst case,
-// because a long bucket is binary searched and a long gap is selected over.
+// high stream. Rank1, NextOne, Get and Successor are one Select0 plus a
+// scan of one bucket (see Successor): O(1) expected, and logarithmic in the
+// worst case, because a long bucket is binary searched and a long gap is
+// selected over. Step, from a one known by its index and position to the
+// next one, takes no select: it is a next-set-bit scan of the high stream,
+// so a caller that walks a row in order keeps a finger instead of searching.
 type Sparse struct {
 	n        int // universe size
 	m        int // number of ones
@@ -101,23 +104,30 @@ func (s *Sparse) Rank1(i int) int {
 	if i <= 0 {
 		return 0
 	}
-	k, _ := s.successor(i)
+	k, _ := s.Successor(i)
 	return k
 }
 
 // Get returns whether position p is set.
 func (s *Sparse) Get(p int) bool {
-	_, v := s.successor(p)
+	_, v := s.Successor(p)
 	return p >= 0 && v == p
 }
 
 // NextOne returns the smallest set position >= p, or -1 if none.
 func (s *Sparse) NextOne(p int) int {
-	_, v := s.successor(p)
+	_, v := s.Successor(p)
 	return v
 }
 
-// longBucket is the number of ones successor compares one by one in a
+// Step returns the position of one k+1, given that one k (0 <= k < Ones())
+// is at position v, or -1 when one k is the last. One k sits at
+// v>>lowBits+k in the high stream, so one k+1 is its next set bit.
+func (s *Sparse) Step(k, v int) int {
+	return s.valueFrom(k+1, v>>s.lowBits+k+1)
+}
+
+// longBucket is the number of ones Successor compares one by one in a
 // bucket before it binary searches the rest, and gapWords the number of
 // high-stream words it scans past a bucket before it selects instead.
 const (
@@ -125,9 +135,9 @@ const (
 	gapWords   = 8
 )
 
-// successor returns the index k of the first one whose value is >= p, and
-// that value, or (m, -1) when there is none. The ones with high part
-// hi = p>>lowBits are the run of ones after the hi-th zero of the high
+// Successor returns the index k of the first one at or after position p,
+// and its position v, or (Ones(), -1) when there is none. The ones with
+// high part hi = p>>lowBits are the run of ones after the hi-th zero of the high
 // stream: one Select0 finds the run, a scan compares their low parts with
 // p's, and once the run is over the next set bit of the high stream is the
 // first one with a larger high part. Since lowBits = floor(log2(n/m)) makes
@@ -135,7 +145,7 @@ const (
 // ends in a zero (no high part exceeds n>>lowBits), so no scan leaves it;
 // the k >= m test of valueFrom covers low parts that a damaged file left
 // unsorted.
-func (s *Sparse) successor(p int) (int, int) {
+func (s *Sparse) Successor(p int) (k, v int) {
 	if s.m == 0 || p > s.maxValue {
 		return s.m, -1
 	}
@@ -146,7 +156,7 @@ func (s *Sparse) successor(p int) (int, int) {
 	if hi > 0 {
 		pos = s.high.Select0(hi-1) + 1
 	}
-	k := pos - hi
+	k = pos - hi
 	words := s.high.words
 	for seen := 0; words[pos>>6]>>uint(pos&63)&1 == 1; seen++ {
 		if seen == longBucket {
@@ -161,7 +171,7 @@ func (s *Sparse) successor(p int) (int, int) {
 	return k, s.valueFrom(k, pos)
 }
 
-// searchBucket finishes successor in a long bucket: the first one at index
+// searchBucket finishes Successor in a long bucket: the first one at index
 // >= k with high part hi and low part >= lowP, by binary search up to the
 // bucket's end, else the first one after it.
 func (s *Sparse) searchBucket(hi, k int, lowP uint64) (int, int) {

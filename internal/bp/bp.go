@@ -2,8 +2,10 @@
 // ordinal tree (paper Section 4.1.1) with the navigation set of Section 4.2:
 // FindClose/FindOpen/Enclose run on a range-min-max tree over the excess
 // sequence (Sadakane and Navarro, SODA 2010), giving O(log n) worst case and
-// near-constant time in practice for local queries; Preorder and friends use
-// the constant-time rank of the underlying bit vector.
+// near-constant time in practice for local queries. Their searches scan the
+// origin block a word at a time on excess relative to the origin, so they
+// take no rank; Preorder and friends use the constant-time rank of the
+// underlying bit vector.
 //
 // A tree node is identified by the position of its opening parenthesis, as
 // in the paper. Nil is represented by -1.
@@ -177,82 +179,76 @@ func (p *Parens) covers(idx int, target int32, c *navCounter) bool {
 	return p.segMin[idx] <= target && target <= p.segMax[idx]
 }
 
-// fwdSearch returns the smallest j > i with Excess(j) == target, or Nil.
-func (p *Parens) fwdSearch(i, target int) int {
-	return p.fwdSearchCounted(i, target, nil)
-}
-
-func (p *Parens) fwdSearchCounted(i, target int, c *navCounter) int {
+// fwd returns the smallest j > i with Excess(j) − Excess(i) == d, or Nil
+// (i >= -1, with Excess(-1) == 0). The origin block is scanned on excess
+// relative to i, so the search takes no rank. Only a miss needs the absolute
+// target, for the segment tree: the scan ends at the block's last position,
+// whose excess is blockStart[b+1].
+func (p *Parens) fwd(i, d int, c *navCounter) int {
 	start := i + 1
 	b := start / blockBits
 	if b >= p.nBlocks {
 		return Nil
 	}
-	e := p.Excess(i)
-	end := (b + 1) * blockBits
-	if end > p.n {
-		end = p.n
-	}
 	c.block()
-	if j, ok := p.scanFwd(start, end, e, target); ok {
+	j, e := p.scanFwd(start, min((b+1)*blockBits, p.n), d)
+	if j != Nil {
 		return j
 	}
 	// Find the next block whose [min,max] range covers target; inside it a
 	// ±1 walk attains every value of the range, so the scan cannot miss.
+	target := int(p.blockStart[b+1]) - e + d
 	nb := p.nextBlock(b+1, int32(target), c)
 	if nb < 0 {
 		return Nil
 	}
-	lo, hi := nb*blockBits, (nb+1)*blockBits
-	if hi > p.n {
-		hi = p.n
-	}
 	c.block()
-	if j, ok := p.scanFwd(lo, hi, int(p.blockStart[nb]), target); ok {
-		return j
-	}
-	return Nil
+	j, _ = p.scanFwd(nb*blockBits, min((nb+1)*blockBits, p.n), target-int(p.blockStart[nb]))
+	return j
 }
 
-// scanFwd scans positions [start, end) with running excess e (the excess
-// just before start) and returns the first position where excess hits
-// target. Uses byte tables to skip 8 positions at a time.
-func (p *Parens) scanFwd(start, end, e, target int) (int, bool) {
+// scanFwd returns the first position j in [start, end) whose excess,
+// relative to position start-1, is d; on a miss it returns Nil and the
+// relative excess at end-1. It reads a word at a time, shifted so that
+// start is bit 0.
+func (p *Parens) scanFwd(start, end, d int) (int, int) {
 	words := p.bits.Words()
-	i := start
-	for i < end {
-		// Align to byte boundary first.
-		if i%8 != 0 || end-i < 8 {
-			if p.bits.Get(i) {
-				e++
-			} else {
-				e--
-			}
-			if e == target {
-				return i, true
-			}
-			i++
-			continue
+	e := 0
+	for i := start; i < end; {
+		sh := i & 63
+		n := min(64-sh, end-i)
+		// Bits past the n in range are set: opens never lower the excess.
+		w := words[i>>6]>>uint(sh) | ^uint64(0)<<uint(n)
+		if k := scanWordFwd(w, n, d-e); k >= 0 {
+			return i + k, 0
 		}
-		bv := byte(words[i>>6] >> uint(i&63))
-		d := target - e
-		if int(bits.ExcessFwdMin[bv]) <= d && d <= int(bits.ExcessFwdMax[bv]) {
-			// The target is hit inside this byte; scan its bits.
-			for b := 0; b < 8; b++ {
-				if bv>>uint(b)&1 == 1 {
-					e++
-				} else {
-					e--
-				}
-				if e == target {
-					return i + b, true
+		e += 2*bits.Popcount(w) + n - 128 // the excess of the n real bits
+		i += n
+	}
+	return Nil, e
+}
+
+// scanWordFwd returns the first k < n at which the running excess of w's
+// bits 0..k is t, or -1. A byte table lookup decides whether the walk
+// reaches t inside a byte. It is exact for a byte of real bits; a short
+// last byte is padded with opens, which keep its minimum, so the lookup can
+// only be a false positive there, which the bit loop rejects.
+func scanWordFwd(w uint64, n, t int) int {
+	e := 0
+	for k := 0; k < n; k += 8 {
+		bv := byte(w >> uint(k))
+		if d := t - e; int(bits.ExcessFwdMin[bv]) <= d && d <= int(bits.ExcessFwdMax[bv]) {
+			for b := k; b < k+8 && b < n; b++ {
+				e += int(w>>uint(b)&1)*2 - 1
+				if e == t {
+					return b
 				}
 			}
+			return -1
 		}
 		e += int(bits.ExcessTotal[bv])
-		i += 8
 	}
-	return 0, false
+	return -1
 }
 
 // nextBlock returns the first block index >= b whose excess range covers
@@ -312,36 +308,30 @@ func (p *Parens) prevBlock(b int, target int32, c *navCounter) int {
 	return idx - p.segLeaves
 }
 
-// bwdSearch returns the largest j < i with Excess(j) == target, or -2 when
-// no such j exists; j == -1 (Excess(-1) == 0) is a valid answer when target
-// is 0. The position i itself is never returned, even when Excess(i) ==
-// target.
-func (p *Parens) bwdSearch(i, target int) int {
-	return p.bwdSearchCounted(i, target, nil)
-}
-
-func (p *Parens) bwdSearchCounted(i, target int, c *navCounter) int {
-	if i <= 0 {
-		// The only candidate below position 0 is the virtual j == -1.
-		if i == 0 && target == 0 {
+// bwd returns the largest j <= hi with Excess(j) − Excess(hi) == d, where
+// j == -1 (Excess(-1) == 0) counts, or -2 when there is none. Mirror image
+// of fwd: the origin block is scanned on excess relative to hi, down to
+// the block's lower boundary, position lo-1, whose excess is blockStart[b].
+func (p *Parens) bwd(hi, d int, c *navCounter) int {
+	if hi < 0 {
+		if hi == -1 && d == 0 {
 			return -1
 		}
 		return -2
 	}
-	hi := i - 1
 	b := hi / blockBits
 	c.block()
-	if r, ok := p.scanBwd(hi, b*blockBits, p.Excess(hi), target); ok {
-		return r
+	j, e := p.scanBwd(hi, b*blockBits, d)
+	if j != -2 {
+		return j
 	}
-	// The scan covered block b down to its lower boundary (position
-	// b*blockBits-1, whose excess is blockStart[b]). Jump straight to the
-	// last earlier block covering target; blockStart seeds its edge excess,
-	// so no rank is needed.
+	// Jump straight to the last earlier block covering target; blockStart
+	// seeds its edge excess.
+	target := int(p.blockStart[b]) - e + d
 	if pb := p.prevBlock(b-1, int32(target), c); pb >= 0 {
 		c.block()
-		if r, ok := p.scanBwd((pb+1)*blockBits-1, pb*blockBits, int(p.blockStart[pb+1]), target); ok {
-			return r
+		if j, _ := p.scanBwd((pb+1)*blockBits-1, pb*blockBits, target-int(p.blockStart[pb+1])); j != -2 {
+			return j
 		}
 	}
 	if target == 0 {
@@ -350,49 +340,50 @@ func (p *Parens) bwdSearchCounted(i, target int, c *navCounter) int {
 	return -2
 }
 
-// scanBwd scans positions j = start, start-1, ..., lo-1, where e is
-// Excess(start), and returns the largest j with Excess(j) == target
-// (excess(j) = excess(j+1) - delta(j+1)). Uses the backward byte tables to
-// skip 8 positions at a time.
-func (p *Parens) scanBwd(start, lo, e, target int) (int, bool) {
+// scanBwd returns the largest j in [lo-1, start] whose excess, relative to
+// position start, is d (excess(j) = excess(j+1) - delta(j+1)); on a miss it
+// returns -2 and the relative excess at lo-1. It reads a word at a time,
+// shifted so that the bit at start is bit 63.
+func (p *Parens) scanBwd(start, lo, d int) (int, int) {
+	if d == 0 {
+		return start, 0
+	}
 	words := p.bits.Words()
-	j := start
-	for {
-		if e == target {
-			return j, true
+	e := 0
+	for j := start; j >= lo; {
+		n := min(j&63+1, j-lo+1)
+		// Bits below the n in range are clear: undone, closes never lower
+		// the excess.
+		w := words[j>>6] << uint(63-j&63) >> uint(64-n) << uint(64-n)
+		if k := scanWordBwd(w, n, d-e); k >= 0 {
+			return j - k - 1, 0
 		}
-		if j < lo {
-			return 0, false
-		}
-		// Byte acceleration: j at the top of a byte whose 8 backward steps
-		// all stay within [lo-1, start].
-		if j&7 == 7 && j-7 >= lo {
-			bv := byte(words[j>>6] >> uint(j&63&^7))
-			d := target - e
-			if int(bits.ExcessBwdMin[bv]) <= d && d <= int(bits.ExcessBwdMax[bv]) {
-				// The target is hit inside this byte; undo its bits top-down.
-				for b := 7; b >= 0; b-- {
-					if bv>>uint(b)&1 == 1 {
-						e--
-					} else {
-						e++
-					}
-					if e == target {
-						return j - 8 + b, true
-					}
+		e -= 2*bits.Popcount(w) - n
+		j -= n
+	}
+	return -2, e
+}
+
+// scanWordBwd undoes w's bits from bit 63 down and returns the first k < n
+// such that, once bits 63..63-k are undone, the running excess is t, or -1.
+// The backward byte tables play the part of the forward ones in
+// scanWordFwd, and the clear bits below the n real ones are the padding.
+func scanWordBwd(w uint64, n, t int) int {
+	e := 0
+	for k := 0; k < n; k += 8 {
+		bv := byte(w >> uint(56-k))
+		if d := t - e; int(bits.ExcessBwdMin[bv]) <= d && d <= int(bits.ExcessBwdMax[bv]) {
+			for b := k; b < k+8 && b < n; b++ {
+				e -= int(w>>uint(63-b)&1)*2 - 1
+				if e == t {
+					return b
 				}
 			}
-			e -= int(bits.ExcessTotal[bv])
-			j -= 8
-			continue
+			return -1
 		}
-		if p.bits.Get(j) {
-			e--
-		} else {
-			e++
-		}
-		j--
+		e -= int(bits.ExcessTotal[bv])
 	}
+	return -1
 }
 
 // FindClose returns the position of the closing parenthesis matching the
@@ -401,7 +392,7 @@ func (p *Parens) FindClose(i int) int {
 	if i+1 < p.n && !p.bits.Get(i+1) {
 		return i + 1 // leaf fast path
 	}
-	return p.fwdSearch(i, p.Excess(i)-1)
+	return p.fwd(i, -1, nil)
 }
 
 // FindOpen returns the position of the opening parenthesis matching the
@@ -410,7 +401,9 @@ func (p *Parens) FindOpen(j int) int {
 	if j > 0 && p.bits.Get(j-1) {
 		return j - 1 // leaf fast path
 	}
-	r := p.bwdSearch(j, p.Excess(j))
+	// Excess(j) == Excess(j-1) - 1: the match is one past the last earlier
+	// position at that excess.
+	r := p.bwd(j-1, -1, nil)
 	if r < -1 {
 		return Nil
 	}
@@ -423,7 +416,12 @@ func (p *Parens) Enclose(i int) int {
 	if i == 0 {
 		return Nil
 	}
-	r := p.bwdSearch(i, p.Excess(i)-2)
+	if p.bits.Get(i - 1) {
+		return i - 1 // first-child fast path
+	}
+	// The target Excess(i)-2 is Excess(i-1)-1: the parent opens one past
+	// the last earlier position at that excess.
+	r := p.bwd(i-1, -1, nil)
 	if r < -1 {
 		return Nil
 	}
@@ -496,12 +494,13 @@ func (p *Parens) Parent(x int) int { return p.Enclose(x) }
 // Enclose: inside the subtree of the ancestor at depth Depth(x)-d the excess
 // never drops below that depth, so the largest position before x with excess
 // Depth(x)-d-1 is the position just before that ancestor's opening
-// parenthesis — one bwdSearch instead of d Parent hops.
+// parenthesis — one backward search instead of d Parent hops. Relative to
+// position x-1, whose excess is Depth(x)-1, that target is -d.
 func (p *Parens) LevelAncestor(x, d int) int {
 	if d <= 0 {
 		return x
 	}
-	r := p.bwdSearch(x, p.Excess(x)-1-d)
+	r := p.bwd(x-1, -d, nil)
 	if r < -1 {
 		return Nil
 	}

@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// --- absolute forms ---
+
+// fwdSearch returns the smallest j > i with Excess(j) == target, or Nil: fwd
+// with its target stated in absolute excess, as the naive references take it.
+func (p *Parens) fwdSearch(i, target int) int { return p.fwdSearchCounted(i, target, nil) }
+
+func (p *Parens) fwdSearchCounted(i, target int, c *navCounter) int {
+	return p.fwd(i, target-p.Excess(i), c)
+}
+
+// bwdSearch returns the largest j < i with Excess(j) == target, or -2 when
+// no such j exists; j == -1 (Excess(-1) == 0) is a valid answer when target
+// is 0. The position i itself is never returned.
+func (p *Parens) bwdSearch(i, target int) int { return p.bwdSearchCounted(i, target, nil) }
+
+func (p *Parens) bwdSearchCounted(i, target int, c *navCounter) int {
+	return p.bwd(i-1, target-p.Excess(i-1), c)
+}
+
 // --- naive references ---
 
 // excessPrefix returns exc with exc[j+1] == Excess(j), exc[0] == 0, so the

@@ -3,6 +3,11 @@
 // the parentheses, stored as a packed array for O(1) access plus one sparse
 // "sarray" row per distinct tag for rank/select. These power the jump
 // operations TaggedDesc, TaggedPrec and TaggedFoll of Section 4.2.2.
+//
+// A caller that jumps forward through one tag's occurrences, as the
+// automaton run does, keeps a finger: Successor returns an occurrence with
+// its index in the tag's row, and Step goes from there to the next
+// occurrence without a select. The rows themselves stay private.
 package tags
 
 import (
@@ -14,9 +19,10 @@ import (
 // Sequence stores 2n tag identifiers (one per parenthesis). Identifiers are
 // in [0, 2t): even for any value; the caller decides the open/close
 // convention. Access is O(1). Select is one select on a row's high stream;
-// Rank and NextOccurrence are one select plus a scan of one Elias–Fano
-// bucket, O(1) expected and logarithmic at worst (see bitvec.Sparse), and
-// PrevOccurrence is a Rank and a Select.
+// Rank, NextOccurrence and Successor are one select plus a scan of one
+// Elias–Fano bucket, O(1) expected and logarithmic at worst (see
+// bitvec.Sparse); Step is a next-set-bit scan; and PrevOccurrence is a Rank
+// and a Select.
 type Sequence struct {
 	packed   []uint64
 	width    uint // bits per entry
@@ -104,6 +110,23 @@ func (s *Sequence) NextOccurrence(tag int32, p int) int {
 		return -1
 	}
 	return s.rows[tag].NextOne(p)
+}
+
+// Successor returns the index k among tag's occurrences, and the position,
+// of the first occurrence at or after p, or (Count(tag), -1) when there is
+// none. It costs what NextOccurrence does.
+func (s *Sequence) Successor(tag int32, p int) (k, pos int) {
+	if int(tag) >= len(s.rows) {
+		return 0, -1
+	}
+	return s.rows[tag].Successor(p)
+}
+
+// Step returns the position of tag's occurrence k+1, given that its
+// occurrence k is at pos, or -1 when that was the last: one next-set-bit
+// scan of the row, with no select (see bitvec.Sparse.Step).
+func (s *Sequence) Step(tag int32, k, pos int) int {
+	return s.rows[tag].Step(k, pos)
 }
 
 // PrevOccurrence returns the largest position < p holding tag, or -1.

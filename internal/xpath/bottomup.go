@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"cmp"
 	"context"
 	"sort"
 	"sync"
@@ -259,15 +260,23 @@ func (p *buPlan) forEachCandidate(ctx context.Context, emit func(int) bool) erro
 
 // verifier checks candidates against the last step's test and the upward
 // main path (MatchAbove of Figure 6), memoizing both the per-candidate
-// verdict and the shared ancestor verification.
+// verdict and the shared ancestor verification. A descendant step walks
+// every ancestor of a candidate, which is document-scale on one long
+// element chain, so the walks poll ctx like the climb does: every 1,024
+// steps. Once a poll has seen it done, err is set, every verdict is false
+// and nothing more is memoized.
 type verifier struct {
 	p       *buPlan
 	verdict map[int]bool
 	memo    map[nodeStep]bool
+	ctx     context.Context
+	done    <-chan struct{}
+	ticks   int
+	err     error
 }
 
-func (p *buPlan) newVerifier() *verifier {
-	return &verifier{p: p, verdict: map[int]bool{}, memo: map[nodeStep]bool{}}
+func (p *buPlan) newVerifier(ctx context.Context) *verifier {
+	return &verifier{p: p, verdict: map[int]bool{}, memo: map[nodeStep]bool{}, ctx: ctx, done: ctxDone(ctx)}
 }
 
 func (v *verifier) ok(x int) bool {
@@ -275,23 +284,42 @@ func (v *verifier) ok(x int) bool {
 		return res
 	}
 	res := matchesTest(v.p.doc, x, v.p.mainSteps[len(v.p.mainSteps)-1].Test) &&
-		v.p.matchUp(x, len(v.p.mainSteps)-1, v.memo)
+		v.matchUp(x, len(v.p.mainSteps)-1)
+	if v.err != nil {
+		return false
+	}
 	v.verdict[x] = res
 	return res
+}
+
+// cancelled counts one ancestor step, polls ctx on every 1,024th, and
+// reports whether a poll has seen it done.
+func (v *verifier) cancelled() bool {
+	if v.done == nil {
+		return false
+	}
+	if v.ticks++; v.ticks&1023 == 0 && v.err == nil {
+		select {
+		case <-v.done:
+			v.err = v.ctx.Err()
+		default:
+		}
+	}
+	return v.err != nil
 }
 
 // runCtx executes the plan and returns the sorted result node positions: a
 // nil error means out is complete.
 func (p *buPlan) runCtx(ctx context.Context) ([]int, error) {
-	v := p.newVerifier()
+	v := p.newVerifier(ctx)
 	var out []int
 	err := p.forEachCandidate(ctx, func(x int) bool {
 		if _, seen := v.verdict[x]; !seen && v.ok(x) {
 			out = append(out, x)
 		}
-		return true
+		return v.err == nil
 	})
-	if err != nil {
+	if err = cmp.Or(err, v.err); err != nil {
 		return nil, err
 	}
 	sort.Ints(out)
@@ -301,15 +329,15 @@ func (p *buPlan) runCtx(ctx context.Context) ([]int, error) {
 // countCtx counts the distinct verified results without materializing a
 // node slice (counting mode over the climb).
 func (p *buPlan) countCtx(ctx context.Context) (int64, error) {
-	v := p.newVerifier()
+	v := p.newVerifier(ctx)
 	var n int64
 	err := p.forEachCandidate(ctx, func(x int) bool {
 		if _, seen := v.verdict[x]; !seen && v.ok(x) {
 			n++
 		}
-		return true
+		return v.err == nil
 	})
-	if err != nil {
+	if err = cmp.Or(err, v.err); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -319,16 +347,16 @@ func (p *buPlan) countCtx(ctx context.Context) (int64, error) {
 // climb at the first verified candidate: for a selective text predicate
 // this touches one leaf-to-root path instead of the whole match set.
 func (p *buPlan) existsCtx(ctx context.Context) (bool, error) {
-	v := p.newVerifier()
+	v := p.newVerifier(ctx)
 	found := false
 	err := p.forEachCandidate(ctx, func(x int) bool {
 		if v.ok(x) {
 			found = true
 			return false
 		}
-		return true
+		return v.err == nil
 	})
-	if err != nil {
+	if err = cmp.Or(err, v.err); err != nil {
 		return false, err
 	}
 	return found, nil
@@ -343,9 +371,10 @@ func (p *buPlan) matchesChain(node, j int) bool {
 }
 
 // matchUp verifies that mainSteps[0..i-1] can be matched on the ancestor
-// path of node (which matches step i), reaching the synthetic root.
-func (p *buPlan) matchUp(node, i int, memo map[nodeStep]bool) bool {
-	d := p.doc
+// path of node (which matches step i), reaching the synthetic root. It
+// returns false, and memoizes nothing, once the walk has been cancelled.
+func (v *verifier) matchUp(node, i int) bool {
+	p, d := v.p, v.p.doc
 	if i == 0 {
 		if p.mainSteps[0].Axis == AxisChild {
 			return d.Parent(node) == d.Root()
@@ -353,24 +382,27 @@ func (p *buPlan) matchUp(node, i int, memo map[nodeStep]bool) bool {
 		return node != d.Root()
 	}
 	key := nodeStep{node, i}
-	if v, ok := memo[key]; ok {
-		return v
+	if res, ok := v.memo[key]; ok {
+		return res
 	}
 	res := false
 	if p.mainSteps[i].Axis == AxisChild {
 		pa := d.Parent(node)
 		if pa != xmltree.Nil && matchesTest(d, pa, p.mainSteps[i-1].Test) {
-			res = p.matchUp(pa, i-1, memo)
+			res = v.matchUp(pa, i-1)
 		}
 	} else {
-		for a := d.Parent(node); a != xmltree.Nil; a = d.Parent(a) {
-			if matchesTest(d, a, p.mainSteps[i-1].Test) && p.matchUp(a, i-1, memo) {
+		for a := d.Parent(node); a != xmltree.Nil && !v.cancelled(); a = d.Parent(a) {
+			if matchesTest(d, a, p.mainSteps[i-1].Test) && v.matchUp(a, i-1) {
 				res = true
 				break
 			}
 		}
 	}
-	memo[key] = res
+	if v.err != nil {
+		return false
+	}
+	v.memo[key] = res
 	return res
 }
 

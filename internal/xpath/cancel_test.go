@@ -290,53 +290,63 @@ func TestMidFlightCancelBottomUp(t *testing.T) {
 		})
 	}
 
-	// One leaf under 300,000 ancestors, each a candidate of the predicate's
-	// descendant hop: after the leaf loop's poll has passed, only the
-	// climb's own poll can see a cancellation.
+	// One leaf under 300,000 nested x in a y. In "climb", every x is a
+	// candidate of the predicate's descendant hop; in "verify", the climb is
+	// one hop to t, and the verifier walks all of t's ancestors up to the y
+	// of the main path. Either way, after the leaf loop's poll has passed,
+	// only the walk's own poll can see a cancellation.
 	// The match-set call just before that loop starts a timer that cancels
-	// 1 ms later, well inside the climb; a run that then finishes without
+	// 1 ms later, well inside the walk; a run that then finishes without
 	// an error ignored it. A cancel that lands after the run returned says
 	// nothing, so that attempt is repeated.
-	t.Run("climb", func(t *testing.T) {
-		const depth = 300_000
-		d := buildTestDoc(t, "<y>"+strings.Repeat("<x>", depth)+"<t>w</t>"+strings.Repeat("</x>", depth)+"</y>")
-		for attempt := 0; attempt < 5; attempt++ {
-			ctx, cancel := context.WithCancel(context.Background())
-			var cancelledAt atomic.Int64
-			calls := 0
-			opts := Options{
-				ForceStrategy: StrategyBottomUp,
-				CustomMatchSets: map[string]func(string) []int32{
-					"cancelset": func(string) []int32 {
-						if calls++; calls == 2 {
-							time.AfterFunc(time.Millisecond, func() {
-								cancelledAt.Store(time.Now().UnixNano())
-								cancel()
-							})
-						}
-						return allTextIDs(d)
+	const depth = 300_000
+	deep := buildTestDoc(t, "<y>"+strings.Repeat("<x>", depth)+"<t>w</t>"+strings.Repeat("</x>", depth)+"</y>")
+	for _, c := range []struct{ name, query string }{
+		{"climb", "//y[cancelset(.//t, 'w')]"},
+		{"verify", "//y//t[cancelset(., 'w')]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for attempt := 0; attempt < 5; attempt++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				var cancelledAt atomic.Int64
+				calls := 0
+				opts := Options{
+					ForceStrategy: StrategyBottomUp,
+					CustomMatchSets: map[string]func(string) []int32{
+						"cancelset": func(string) []int32 {
+							if calls++; calls == 2 {
+								time.AfterFunc(time.Millisecond, func() {
+									cancelledAt.Store(time.Now().UnixNano())
+									cancel()
+								})
+							}
+							return allTextIDs(deep)
+						},
 					},
-				},
+				}
+				q, err := Compile(c.query, deep, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !q.UsesBottomUp() {
+					t.Fatal("expected the bottom-up plan to be selected")
+				}
+				_, err = q.CountCtx(ctx)
+				returnedAt := time.Now().UnixNano()
+				cancel()
+				if errors.Is(err, context.Canceled) {
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if at := cancelledAt.Load(); at != 0 && at < returnedAt {
+					t.Fatalf("the walk ran %v past a cancellation", time.Duration(returnedAt-at))
+				}
 			}
-			q, err := Compile("//y[cancelset(.//t, 'w')]", d, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = q.CountCtx(ctx)
-			returnedAt := time.Now().UnixNano()
-			cancel()
-			if errors.Is(err, context.Canceled) {
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if at := cancelledAt.Load(); at != 0 && at < returnedAt {
-				t.Fatalf("the climb ran %v past a cancellation", time.Duration(returnedAt-at))
-			}
-		}
-		t.Fatal("the climb always finished before the cancellation landed")
-	})
+			t.Fatal("the walk always finished before the cancellation landed")
+		})
+	}
 }
 
 // TestMidFlightCancelScanIter cancels a streaming iteration between Next
