@@ -199,7 +199,8 @@ func TestNextInSet(t *testing.T) {
 // restarts below the cursors. The sets mix frequent tags, a rare one and
 // one with no occurrence, so cursors are refreshed by a step to the next
 // occurrence, by a search past several, and at the end of a row. Every
-// answer must be the least NextOccurrence of the set's tags below end.
+// answer must be the least NextOccurrence of the set's tags below end, and
+// every cursor's rank k must select its answer.
 func TestNextInSetMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var sb strings.Builder
@@ -252,6 +253,14 @@ func TestNextInSetMonotone(t *testing.T) {
 			}
 			if got := ev.nextInSet(set, from, end); got != want {
 				t.Fatalf("run %d: nextInSet(%v, %d, %d) = %d, want %d", run, set, from, end, got, want)
+			}
+			// The finger: a cursor that answers a position holds its rank
+			// in the tag row, so the next refresh can Step from it.
+			for _, tag := range set {
+				if c := ev.cursors[tag]; c.k >= 0 && doc.Tag.Select(2*tag, c.k) != c.next {
+					t.Fatalf("run %d: cursor of tag %d at %d has rank %d, which selects %d",
+						run, tag, c.next, c.k, doc.Tag.Select(2*tag, c.k))
+				}
 			}
 			from += 1 + r.Intn(maxSkip)
 		}

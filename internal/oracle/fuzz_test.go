@@ -27,8 +27,9 @@ func (b *byteChooser) Intn(n int) int {
 // SpanDoc document and the second half into a SpanQuery over it (a text
 // predicate on a multi-text target, with a literal that mostly crosses text
 // boundaries) and requires the engine to select exactly the DOM's nodes,
-// and to count them, under the cost model's choice, both forced strategies
-// and the naive string values. The seeds run
+// to count them, to stream them through Iter and to report them through
+// Exists, under the cost model's choice, both forced strategies and the
+// naive string values. The seeds run
 // in every plain `go test`; CI fuzzes further with
 // `go test -run '^$' -fuzz '^FuzzStringValueContains$' -fuzztime 15s ./internal/oracle`.
 func FuzzStringValueContains(f *testing.F) {
@@ -68,6 +69,21 @@ func FuzzStringValueContains(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%q %+v: %v", q, opts, err)
 			}
+			it, err := e.Iter(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%q %+v: %v", q, opts, err)
+			}
+			var streamed []int
+			for x, ok := it.Next(); ok; x, ok = it.Next() {
+				streamed = append(streamed, x)
+			}
+			if err := it.Err(); err != nil {
+				t.Fatalf("%q %+v: Iter: %v", q, opts, err)
+			}
+			ex, err := e.Exists(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%q %+v: %v", q, opts, err)
+			}
 			got := toPreorders(eng, nodes)
 			wantOrders := make([]int, len(want))
 			for i, x := range want {
@@ -75,6 +91,9 @@ func FuzzStringValueContains(f *testing.F) {
 			}
 			if !sameInts(got, wantOrders) || n != int64(len(want)) {
 				t.Fatalf("%q %+v: nodes %v, count %d; DOM %v\n%s", q, opts, got, n, wantOrders, data)
+			}
+			if got := toPreorders(eng, streamed); !sameInts(got, wantOrders) || ex != (len(want) > 0) {
+				t.Fatalf("%q %+v: Iter %v, Exists %v; DOM %v\n%s", q, opts, got, ex, wantOrders, data)
 			}
 		}
 	})

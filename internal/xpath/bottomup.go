@@ -1,7 +1,6 @@
 package xpath
 
 import (
-	"cmp"
 	"context"
 	"sort"
 	"sync"
@@ -94,18 +93,15 @@ func buildBottomUpPlan(c *compiler, path *Path) *buPlan {
 		return nil
 	}
 	plan := &buPlan{doc: doc, mainSteps: path.Steps, op: te.Op, fn: te.Func, lit: te.Literal, opts: opts}
-	var tgt predTarget
-	if te.Target == nil {
-		tgt = predTarget{test: last.Test, underAttr: last.underAttr}
-	} else {
+	tgt := last
+	if te.Target != nil {
 		for _, st := range te.Target.Steps {
 			if (st.Axis != AxisChild && st.Axis != AxisDescendant) || len(st.Filters) > 0 {
 				return nil
 			}
 			plan.downChain = append(plan.downChain, dstep{axis: st.Axis, test: st.Test})
 		}
-		tl := te.Target.Steps[len(te.Target.Steps)-1]
-		tgt = predTarget{test: tl.Test, underAttr: tl.underAttr}
+		tgt = te.Target.Steps[len(te.Target.Steps)-1]
 	}
 	leafTag, single := c.singleText(tgt)
 	if !single {
@@ -121,13 +117,8 @@ func buildBottomUpPlan(c *compiler, path *Path) *buPlan {
 	plan.leafTag = leafTag
 	// Unless the value target is itself a text() leaf, append the virtual
 	// hop from the pure-text element (or attribute node) onto its leaf.
-	if tgt.test.Kind != TestText {
+	if tgt.Test.Kind != TestText {
 		plan.downChain = append(plan.downChain, dstep{axis: AxisChild, leaf: true})
-	}
-	if te.Op == OpCustom {
-		if _, ok := opts.CustomMatchSets[te.Func]; !ok {
-			return nil
-		}
 	}
 	return plan
 }
@@ -158,30 +149,26 @@ func estimateMatches(doc *xmltree.Doc, opts Options, op TextOp, fn, lit string) 
 	return doc.NumTexts()
 }
 
-// nodeStep keys the climbing/verification memo tables.
+// nodeStep keys the climbing memo table.
 type nodeStep struct{ node, j int }
 
 // forEachCandidate climbs from each matched leaf in text order, calling
 // emit for every candidate result node it discovers. Candidates can repeat
 // (the same node is reachable from several leaves or chains); callers
 // deduplicate. emit returns false to stop the climb early, which is what
-// makes bottom-up existence checks output-sensitive. Cancellation is
-// checked between leaves (a single climb is bounded by the tree depth).
-func (p *buPlan) forEachCandidate(ctx context.Context, emit func(int) bool) error {
+// makes bottom-up existence checks output-sensitive. Cancellation is polled
+// through v: between leaves every 64 leaves, and inside the ancestor climbs,
+// whose depth is document-scale on degenerate inputs (one long element
+// chain), every 1,024 steps. A stop on a dead ctx leaves v.err set.
+func (p *buPlan) forEachCandidate(v *upVerifier, emit func(int) bool) {
 	if p.spans != nil {
-		return p.spans.get().forEachSpanCandidate(ctx, emit)
+		p.spans.get().forEachSpanCandidate(v, emit)
+		return
 	}
 	d := p.doc
 	set := p.matchedSet()
 	climbed := map[nodeStep]bool{}
 	stopped := false
-	done := ctxDone(ctx)
-	// The ancestor climbs are bounded by tree depth, but depth itself is
-	// document-scale on degenerate inputs (one long element chain), so the
-	// climbs share a poll counter with cancellation surfaced via climbErr —
-	// stopping on a dead ctx must not masquerade as a complete result.
-	var climbErr error
-	climbTicks := 0
 
 	var addCandidatesAbove func(node int, j int)
 	addCandidatesAbove = func(node, j int) {
@@ -209,15 +196,9 @@ func (p *buPlan) forEachCandidate(ctx context.Context, emit func(int) bool) erro
 		}
 		// descendant hop: any proper ancestor can be the previous node
 		for a := d.Parent(node); a != xmltree.Nil && !stopped; a = d.Parent(a) {
-			climbTicks++
-			if done != nil && climbTicks&1023 == 0 {
-				select {
-				case <-done:
-					climbErr = ctx.Err()
-					stopped = true
-					return
-				default:
-				}
+			if v.cancelled() {
+				stopped = true
+				return
 			}
 			if j == 0 {
 				stopped = !emit(a)
@@ -228,12 +209,8 @@ func (p *buPlan) forEachCandidate(ctx context.Context, emit func(int) bool) erro
 	}
 
 	for i, id := range set {
-		if done != nil && i&63 == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
+		if i&63 == 0 && v.poll() {
+			return
 		}
 		leaf := d.TextIDToNode(int(id))
 		if d.TagOf(leaf) != p.leafTag {
@@ -242,7 +219,7 @@ func (p *buPlan) forEachCandidate(ctx context.Context, emit func(int) bool) erro
 		if len(p.downChain) == 0 {
 			// The result nodes are the text leaves themselves.
 			if !emit(leaf) {
-				return nil
+				return
 			}
 			continue
 		}
@@ -252,74 +229,37 @@ func (p *buPlan) forEachCandidate(ctx context.Context, emit func(int) bool) erro
 		}
 		addCandidatesAbove(leaf, len(p.downChain)-1)
 		if stopped {
-			return climbErr // nil when emit asked to stop; ctx.Err() when cancelled mid-climb
+			return
 		}
 	}
-	return nil
 }
 
-// verifier checks candidates against the last step's test and the upward
-// main path (MatchAbove of Figure 6), memoizing both the per-candidate
-// verdict and the shared ancestor verification. A descendant step walks
-// every ancestor of a candidate, which is document-scale on one long
-// element chain, so the walks poll ctx like the climb does: every 1,024
-// steps. Once a poll has seen it done, err is set, every verdict is false
-// and nothing more is memoized.
-type verifier struct {
-	p       *buPlan
-	verdict map[int]bool
-	memo    map[nodeStep]bool
-	ctx     context.Context
-	done    <-chan struct{}
-	ticks   int
-	err     error
-}
-
-func (p *buPlan) newVerifier(ctx context.Context) *verifier {
-	return &verifier{p: p, verdict: map[int]bool{}, memo: map[nodeStep]bool{}, ctx: ctx, done: ctxDone(ctx)}
-}
-
-func (v *verifier) ok(x int) bool {
-	if res, seen := v.verdict[x]; seen {
-		return res
-	}
-	res := matchesTest(v.p.doc, x, v.p.mainSteps[len(v.p.mainSteps)-1].Test) &&
-		v.matchUp(x, len(v.p.mainSteps)-1)
-	if v.err != nil {
-		return false
-	}
-	v.verdict[x] = res
-	return res
-}
-
-// cancelled counts one ancestor step, polls ctx on every 1,024th, and
-// reports whether a poll has seen it done.
-func (v *verifier) cancelled() bool {
-	if v.done == nil {
-		return false
-	}
-	if v.ticks++; v.ticks&1023 == 0 && v.err == nil {
-		select {
-		case <-v.done:
-			v.err = v.ctx.Err()
-		default:
+// results calls emit once for each distinct verified result, until emit
+// returns false, and returns the context's error if the run was cancelled.
+// A candidate satisfies the text predicate by construction; the verifier
+// checks the last step's test and the main path above it.
+func (p *buPlan) results(ctx context.Context, emit func(int) bool) error {
+	v := newUpVerifier(ctx, p.doc, p.mainSteps)
+	last := len(p.mainSteps) - 1
+	seen := map[int]bool{}
+	p.forEachCandidate(&v, func(x int) bool {
+		if seen[x] {
+			return true
 		}
-	}
-	return v.err != nil
+		seen[x] = true
+		if tagMatches(p.doc, p.doc.TagOf(x), p.mainSteps[last].Test, v.names[last]) && v.above(x, last) && !emit(x) {
+			return false
+		}
+		return v.err == nil
+	})
+	return v.err
 }
 
 // runCtx executes the plan and returns the sorted result node positions: a
 // nil error means out is complete.
 func (p *buPlan) runCtx(ctx context.Context) ([]int, error) {
-	v := p.newVerifier(ctx)
 	var out []int
-	err := p.forEachCandidate(ctx, func(x int) bool {
-		if _, seen := v.verdict[x]; !seen && v.ok(x) {
-			out = append(out, x)
-		}
-		return v.err == nil
-	})
-	if err = cmp.Or(err, v.err); err != nil {
+	if err := p.results(ctx, func(x int) bool { out = append(out, x); return true }); err != nil {
 		return nil, err
 	}
 	sort.Ints(out)
@@ -329,15 +269,8 @@ func (p *buPlan) runCtx(ctx context.Context) ([]int, error) {
 // countCtx counts the distinct verified results without materializing a
 // node slice (counting mode over the climb).
 func (p *buPlan) countCtx(ctx context.Context) (int64, error) {
-	v := p.newVerifier(ctx)
 	var n int64
-	err := p.forEachCandidate(ctx, func(x int) bool {
-		if _, seen := v.verdict[x]; !seen && v.ok(x) {
-			n++
-		}
-		return v.err == nil
-	})
-	if err = cmp.Or(err, v.err); err != nil {
+	if err := p.results(ctx, func(int) bool { n++; return true }); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -347,16 +280,8 @@ func (p *buPlan) countCtx(ctx context.Context) (int64, error) {
 // climb at the first verified candidate: for a selective text predicate
 // this touches one leaf-to-root path instead of the whole match set.
 func (p *buPlan) existsCtx(ctx context.Context) (bool, error) {
-	v := p.newVerifier(ctx)
 	found := false
-	err := p.forEachCandidate(ctx, func(x int) bool {
-		if v.ok(x) {
-			found = true
-			return false
-		}
-		return v.err == nil
-	})
-	if err = cmp.Or(err, v.err); err != nil {
+	if err := p.results(ctx, func(int) bool { found = true; return false }); err != nil {
 		return false, err
 	}
 	return found, nil
@@ -370,37 +295,107 @@ func (p *buPlan) matchesChain(node, j int) bool {
 	return matchesTest(p.doc, node, step.test)
 }
 
-// matchUp verifies that mainSteps[0..i-1] can be matched on the ancestor
-// path of node (which matches step i), reaching the synthetic root. It
-// returns false, and memoizes nothing, once the walk has been cancelled.
-func (v *verifier) matchUp(node, i int) bool {
-	p, d := v.p, v.p.doc
-	if i == 0 {
-		if p.mainSteps[0].Axis == AxisChild {
-			return d.Parent(node) == d.Root()
+// upVerifier is MatchAbove of Figure 6 for a downward main path: it checks
+// that the ancestors of a node of step i match steps[:i], anchored at the
+// synthetic root by the first step's axis. The bottom-up plan verifies its
+// candidates with it, and scanIter the candidates of its last step. At each
+// ancestor a step's test and compiled filters (Step.pass) are checked before
+// the walk goes on, and the verdicts of steps memoFrom.. are memoized per
+// (node, step), so ancestors shared between candidates are verified once:
+// the streaming analogue of the stop-at-LCA rule. The steps before memoFrom
+// are child or leading descendant steps without filters, verified in one
+// parent move each, which costs less than a map operation and allocates
+// nothing. A descendant step walks every ancestor, which is document-scale
+// on one long element chain, so the walks poll ctx every 1,024 steps. Once
+// a poll has seen it done, err is set, every verdict is false and nothing
+// more is memoized.
+type upVerifier struct {
+	d        *xmltree.Doc
+	steps    []*Step
+	names    []int32 // each step's name test resolved by testTag
+	memoFrom int
+	memo     map[uint64]bool // keyed by node*len(steps)+step
+
+	ctx   context.Context
+	done  <-chan struct{}
+	ticks int
+	err   error
+}
+
+func newUpVerifier(ctx context.Context, d *xmltree.Doc, steps []*Step) upVerifier {
+	v := upVerifier{d: d, steps: steps, names: make([]int32, len(steps)), memoFrom: len(steps), ctx: ctx, done: ctxDone(ctx)}
+	for i, st := range steps {
+		v.names[i] = testTag(d, st.Test)
+		if v.memoFrom == len(steps) && (len(st.Filters) > 0 || i > 0 && st.Axis == AxisDescendant) {
+			v.memoFrom = i
 		}
-		return node != d.Root()
 	}
-	key := nodeStep{node, i}
+	return v
+}
+
+// poll checks ctx now and reports whether it has been seen done.
+func (v *upVerifier) poll() bool {
+	if v.done != nil && v.err == nil {
+		select {
+		case <-v.done:
+			v.err = v.ctx.Err()
+		default:
+		}
+	}
+	return v.err != nil
+}
+
+// cancelled counts one ancestor step, polls ctx on every 1,024th, and
+// reports whether a poll has seen it done.
+func (v *upVerifier) cancelled() bool {
+	if v.ticks++; v.ticks&1023 == 0 {
+		return v.poll()
+	}
+	return v.err != nil
+}
+
+// above reports whether the ancestors of x, a node of step i, match
+// steps[:i].
+func (v *upVerifier) above(x, i int) bool {
+	d := v.d
+	if i == 0 {
+		if v.steps[0].Axis == AxisChild {
+			return d.Parent(x) == d.Root()
+		}
+		return x != d.Root()
+	}
+	if v.steps[i].Axis == AxisChild {
+		pa := d.Parent(x)
+		return pa != xmltree.Nil && v.at(pa, i-1)
+	}
+	for a := d.Parent(x); a != xmltree.Nil && !v.cancelled(); a = d.Parent(a) {
+		if v.at(a, i-1) {
+			return true
+		}
+	}
+	return false
+}
+
+// at reports whether node x can play step i: it passes the step's test and
+// filters, and its ancestors match the steps before.
+func (v *upVerifier) at(x, i int) bool {
+	st := v.steps[i]
+	if !tagMatches(v.d, v.d.TagOf(x), st.Test, v.names[i]) {
+		return false
+	}
+	if i < v.memoFrom {
+		return (st.pass == nil || st.pass(x)) && v.above(x, i)
+	}
+	key := uint64(x)*uint64(len(v.steps)) + uint64(i)
 	if res, ok := v.memo[key]; ok {
 		return res
 	}
-	res := false
-	if p.mainSteps[i].Axis == AxisChild {
-		pa := d.Parent(node)
-		if pa != xmltree.Nil && matchesTest(d, pa, p.mainSteps[i-1].Test) {
-			res = v.matchUp(pa, i-1)
-		}
-	} else {
-		for a := d.Parent(node); a != xmltree.Nil && !v.cancelled(); a = d.Parent(a) {
-			if matchesTest(d, a, p.mainSteps[i-1].Test) && v.matchUp(a, i-1) {
-				res = true
-				break
-			}
-		}
-	}
+	res := (st.pass == nil || st.pass(x)) && v.above(x, i)
 	if v.err != nil {
 		return false
+	}
+	if v.memo == nil {
+		v.memo = map[uint64]bool{}
 	}
 	v.memo[key] = res
 	return res

@@ -294,16 +294,42 @@ func TestMidFlightCancelBottomUp(t *testing.T) {
 	// candidate of the predicate's descendant hop; in "verify", the climb is
 	// one hop to t, and the verifier walks all of t's ancestors up to the y
 	// of the main path. Either way, after the leaf loop's poll has passed,
-	// only the walk's own poll can see a cancellation.
-	// The match-set call just before that loop starts a timer that cancels
-	// 1 ms later, well inside the walk; a run that then finishes without
-	// an error ignored it. A cancel that lands after the run returned says
-	// nothing, so that attempt is repeated.
+	// only the walk's own poll can see a cancellation. The "stream" rows run
+	// the "verify" query top-down, so Iter and Exists take the streaming
+	// iterator, whose one candidate t passes its filter and is then verified
+	// by the same upward walk.
+	// The match-set call that opens the evaluation (the second under the
+	// bottom-up plan, whose cost model makes the first; the first top-down)
+	// starts a timer that cancels 1 ms later, well inside the walk; a run
+	// that then finishes without an error ignored it. A cancel that lands
+	// after the run returned says nothing, so that attempt is repeated.
 	const depth = 300_000
 	deep := buildTestDoc(t, "<y>"+strings.Repeat("<x>", depth)+"<t>w</t>"+strings.Repeat("</x>", depth)+"</y>")
-	for _, c := range []struct{ name, query string }{
-		{"climb", "//y[cancelset(.//t, 'w')]"},
-		{"verify", "//y//t[cancelset(., 'w')]"},
+	count := func(ctx context.Context, q *Query) error {
+		_, err := q.CountCtx(ctx)
+		return err
+	}
+	drain := func(ctx context.Context, q *Query) error {
+		it := q.Iter(ctx)
+		defer it.Close()
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+		}
+		return it.Err()
+	}
+	exists := func(ctx context.Context, q *Query) error {
+		_, err := q.Exists(ctx)
+		return err
+	}
+	for _, c := range []struct {
+		name, query string
+		strategy    Strategy
+		armAt       int // the match-set call that starts the timer
+		run         func(context.Context, *Query) error
+	}{
+		{"climb", "//y[cancelset(.//t, 'w')]", StrategyBottomUp, 2, count},
+		{"verify", "//y//t[cancelset(., 'w')]", StrategyBottomUp, 2, count},
+		{"stream-iter", "//y//t[cancelset(., 'w')]", StrategyTopDown, 1, drain},
+		{"stream-exists", "//y//t[cancelset(., 'w')]", StrategyTopDown, 1, exists},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for attempt := 0; attempt < 5; attempt++ {
@@ -311,10 +337,10 @@ func TestMidFlightCancelBottomUp(t *testing.T) {
 				var cancelledAt atomic.Int64
 				calls := 0
 				opts := Options{
-					ForceStrategy: StrategyBottomUp,
+					ForceStrategy: c.strategy,
 					CustomMatchSets: map[string]func(string) []int32{
 						"cancelset": func(string) []int32 {
-							if calls++; calls == 2 {
+							if calls++; calls == c.armAt {
 								time.AfterFunc(time.Millisecond, func() {
 									cancelledAt.Store(time.Now().UnixNano())
 									cancel()
@@ -328,10 +354,10 @@ func TestMidFlightCancelBottomUp(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !q.UsesBottomUp() {
-					t.Fatal("expected the bottom-up plan to be selected")
+				if q.UsesBottomUp() != (c.strategy == StrategyBottomUp) {
+					t.Fatalf("strategy %s, want %s", q.Strategy(), c.strategy)
 				}
-				_, err = q.CountCtx(ctx)
+				err = c.run(ctx, q)
 				returnedAt := time.Now().UnixNano()
 				cancel()
 				if errors.Is(err, context.Canceled) {

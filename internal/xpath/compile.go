@@ -136,6 +136,10 @@ type compiler struct {
 	// literal and by its bottom-up plan.
 	spans map[string]*spanTable
 
+	// arm is the slowest arm makePred has taken (armNone without text
+	// predicates); Strategy reports it.
+	arm int
+
 	// mayOvercount is set when the construction cannot guarantee disjoint
 	// result values (descendant step followed by following-sibling step);
 	// counting then falls back to materialization.
@@ -410,52 +414,108 @@ func (c *compiler) compileExpr(e Expr, carrier *Step) (*automata.Formula, error)
 		}
 		return c.f.Not(inner), nil
 	case *PathExpr:
-		if pathNeedsNav(x.Path) {
-			// A predicate path with a backward (or following) step becomes a
-			// built-in predicate that walks the document from the carrier
-			// node; both TopDownRun and the bottom-up verifier then see it
-			// as an ordinary node test (see nav.go).
-			if err := navValidateSteps(c.opts, x.Path.Steps); err != nil {
-				return nil, err
-			}
-			d, opts, steps := c.doc, c.opts, x.Path.Steps
-			return c.f.Pred(x.String(), func(node int) bool {
-				return navExists(d, opts, node, steps)
-			}), nil
+		if !pathNeedsNav(x.Path) {
+			return c.compilePathFormula(x.Path, nil)
 		}
-		return c.compilePathFormula(x.Path, nil)
 	case *TextExpr:
-		if x.Op == OpCustom {
-			if _, ok := c.opts.CustomMatchSets[x.Func]; !ok {
-				return nil, fmt.Errorf("xpath: unknown function %q", x.Func)
-			}
+		if x.Target == nil {
+			return c.f.Pred(x.String(), c.pred(x, carrier)), nil
 		}
-		if x.Target != nil && pathNeedsNav(x.Target) {
-			if err := navValidateSteps(c.opts, x.Target.Steps); err != nil {
-				return nil, err
-			}
-			d, opts, te := c.doc, c.opts, x
-			return c.f.Pred(x.String(), func(node int) bool {
-				found := false
-				navWalkPath(d, opts, node, te.Target.Steps, func(m int) bool {
-					if navTextMatch(d, opts, m, te) {
-						found = true
-						return false
-					}
-					return true
-				})
-				return found
-			}), nil
+		if !pathNeedsNav(x.Target) {
+			last := x.Target.Steps[len(x.Target.Steps)-1]
+			return c.compilePathFormula(x.Target, c.f.Pred(x.String(), c.pred(x, last)))
+		}
+	default:
+		return nil, fmt.Errorf("xpath: unknown expression %T", e)
+	}
+	// A predicate path with a backward (or following) step becomes a
+	// built-in predicate, its compiled filter, which walks the document from
+	// the carrier node; both TopDownRun and the bottom-up verifier then see
+	// it as an ordinary node test (see nav.go).
+	test, err := c.filter(e, carrier)
+	if err != nil {
+		return nil, err
+	}
+	return c.f.Pred(e.String(), test), nil
+}
+
+// compilePass compiles st's filters, a conjunction, into st.pass, once:
+// Compile runs it on every step of the main path, and filter on every step
+// of a predicate path, so a query's filters are compiled, and its extension
+// functions validated, before any plan is built.
+func (c *compiler) compilePass(st *Step) (err error) {
+	if st.pass == nil && len(st.Filters) > 0 {
+		e := st.Filters[0]
+		for _, f := range st.Filters[1:] {
+			e = &AndExpr{L: e, R: f}
+		}
+		st.pass, err = c.filter(e, st)
+	}
+	return err
+}
+
+// filter compiles predicate e, evaluated at a node of step carrier, into a
+// node test for the evaluators that do not run the automaton: the streaming
+// iterator, the navigational steps and the backward-axis predicate paths.
+// Text predicates are makePred's, shared with the automaton (pred); a path
+// is a navigational existence check over steps whose filters are compiled
+// here too.
+func (c *compiler) filter(e Expr, carrier *Step) (func(int) bool, error) {
+	switch x := e.(type) {
+	case *AndExpr:
+		l, err := c.filter(x.L, carrier)
+		if err != nil {
+			return nil, err
+		}
+		r, err := c.filter(x.R, carrier)
+		if err != nil {
+			return nil, err
+		}
+		return func(n int) bool { return l(n) && r(n) }, nil
+	case *OrExpr:
+		l, err := c.filter(x.L, carrier)
+		if err != nil {
+			return nil, err
+		}
+		r, err := c.filter(x.R, carrier)
+		if err != nil {
+			return nil, err
+		}
+		return func(n int) bool { return l(n) || r(n) }, nil
+	case *NotExpr:
+		inner, err := c.filter(x.E, carrier)
+		if err != nil {
+			return nil, err
+		}
+		return func(n int) bool { return !inner(n) }, nil
+	case *PathExpr:
+		return c.exists(x.Path, nil)
+	case *TextExpr:
+		if x.Op == OpCustom && c.opts.CustomMatchSets[x.Func] == nil {
+			return nil, fmt.Errorf("xpath: unknown function %q", x.Func)
 		}
 		if x.Target == nil {
-			pred := c.makePred(x.Op, x.Func, x.Literal, predTarget{test: carrier.Test, underAttr: carrier.underAttr})
-			return c.f.Pred(x.String(), pred), nil
+			return c.pred(x, carrier), nil
 		}
-		last := x.Target.Steps[len(x.Target.Steps)-1]
-		pred := c.makePred(x.Op, x.Func, x.Literal, predTarget{test: last.Test, underAttr: last.underAttr})
-		return c.compilePathFormula(x.Target, c.f.Pred(x.String(), pred))
+		return c.exists(x.Target, c.pred(x, x.Target.Steps[len(x.Target.Steps)-1]))
 	}
 	return nil, fmt.Errorf("xpath: unknown expression %T", e)
+}
+
+// exists compiles a relative path into the test "the path selects a node
+// from here that satisfies last" (any node when last is nil).
+func (c *compiler) exists(p *Path, last func(int) bool) (func(int) bool, error) {
+	for _, st := range p.Steps {
+		if err := c.compilePass(st); err != nil {
+			return nil, err
+		}
+	}
+	d, steps := c.doc, p.Steps
+	miss := func(int) bool { return false }
+	if last != nil {
+		miss = func(m int) bool { return !last(m) }
+	}
+	return func(x int) bool { return !navWalkPath(d, x, steps, miss) }, nil
 }
 
 // compilePathFormula compiles an existence path inside a predicate and

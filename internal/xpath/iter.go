@@ -14,6 +14,12 @@ package xpath
 // downward fragment this yields lazy document-order iteration whose cost is
 // proportional to the candidates of the most selective bound we have — the
 // last step — not to the full result set.
+//
+// The iterator evaluates nothing of its own: the upward check is the
+// bottom-up plan's upVerifier (bottomup.go), polling cancellation inside
+// long ancestor walks as the plan does, and the filters are the node tests
+// Compile built, whose text predicates share the automaton's match sets
+// and occurrence spans.
 
 import (
 	"context"
@@ -84,46 +90,25 @@ func (it *materializedIter) Close() error {
 // only, no navigational post segment) in document order: candidates for the
 // last step come from a tag-row occurrence scan (named and text() tests) or
 // a sweep over the opening parentheses (star and node() tests), and each
-// candidate is verified upward with upMatchEval. Predicates anywhere in the
-// path are evaluated with the naive navigational semantics (navEvalExpr),
-// which the differential suite pins against the DOM oracle.
+// candidate that passes the last step's filters is verified upward by the
+// embedded upVerifier, the bottom-up plan's. Filters anywhere in the path
+// are the node tests Compile built (Step.pass), so text predicates read the
+// same match sets and occurrence spans as the automaton.
 type scanIter struct {
-	ctx  context.Context
-	done <-chan struct{}
-	d    *xmltree.Doc
-	opts Options
-
-	steps []*Step
-	names []int32 // each step's name test resolved by testTag
+	upVerifier
 
 	useJump   bool
 	jumpTag   int32
 	rank      int // next occurrence of jumpTag to yield (jump mode)
 	pos       int // next BP position to probe (sweep mode)
 	exhausted bool
-
-	// memo holds the verdicts of steps memoFrom.. before the last, keyed by
-	// node*len(steps)+step. The steps before memoFrom are child or leading
-	// descendant steps without filters, verified in one parent move each,
-	// which costs less than a map operation and allocates nothing.
-	memo     map[uint64]bool
-	memoFrom int
-	checked  int
-	err      error
-	closed   bool
+	checked   int
+	closed    bool
 }
 
-func newScanIter(ctx context.Context, d *xmltree.Doc, opts Options, steps []*Step) *scanIter {
-	it := &scanIter{
-		ctx:   ctx,
-		done:  ctxDone(ctx),
-		d:     d,
-		opts:  opts,
-		steps: steps,
-		names: make([]int32, len(steps)),
-		err:   ctxErr(ctx),
-	}
-	it.resolveSteps()
+func newScanIter(ctx context.Context, d *xmltree.Doc, steps []*Step) *scanIter {
+	it := &scanIter{upVerifier: newUpVerifier(ctx, d, steps)}
+	it.err = ctxErr(ctx)
 	last := steps[len(steps)-1]
 	if tag, ok := navJumpTag(d, last.Test); ok {
 		if tag < 0 {
@@ -134,22 +119,6 @@ func newScanIter(ctx context.Context, d *xmltree.Doc, opts Options, steps []*Ste
 		}
 	}
 	return it
-}
-
-// resolveSteps fills names and memoFrom from the steps.
-func (it *scanIter) resolveSteps() {
-	it.memoFrom = len(it.steps)
-	for i, st := range it.steps {
-		it.names[i] = testTag(it.d, st.Test)
-		if it.memoFrom == len(it.steps) && (len(st.Filters) > 0 || i > 0 && st.Axis == AxisDescendant) {
-			it.memoFrom = i
-		}
-	}
-}
-
-// matches checks step i's node test on node x.
-func (it *scanIter) matches(x, i int) bool {
-	return tagMatches(it.d, it.d.TagOf(x), it.steps[i].Test, it.names[i])
 }
 
 // nextCandidate yields the next node matching the last step's test, in
@@ -172,7 +141,7 @@ func (it *scanIter) nextCandidate() (int, bool) {
 	for n := it.d.Par.Len(); it.pos < n; {
 		p := it.pos
 		it.pos++
-		if it.d.Par.IsOpen(p) && it.matches(p, last) {
+		if it.d.Par.IsOpen(p) && tagMatches(it.d, it.d.TagOf(p), it.steps[last].Test, it.names[last]) {
 			return p, true
 		}
 	}
@@ -180,79 +149,26 @@ func (it *scanIter) nextCandidate() (int, bool) {
 	return 0, false
 }
 
-// upMatch is upMatchEval for a step before the last, memoized per (node,
-// step) from memoFrom on, so ancestors shared between candidates are
-// verified once — the streaming analogue of the bottom-up verifier's
-// stop-at-LCA memoization. The last step is not memoized: each candidate
-// reaches it exactly once.
-func (it *scanIter) upMatch(x, i int) bool {
-	if i < it.memoFrom {
-		return it.upMatchEval(x, i)
-	}
-	key := uint64(x)*uint64(len(it.steps)) + uint64(i)
-	if v, ok := it.memo[key]; ok {
-		return v
-	}
-	if it.memo == nil {
-		it.memo = map[uint64]bool{}
-	}
-	res := it.upMatchEval(x, i)
-	it.memo[key] = res
-	return res
-}
-
-// upMatchEval reports whether node x can play the role of step i: it
-// satisfies the step's test and filters, and some ancestor chain above it
-// matches steps[0..i-1], anchored at the synthetic root by step 0's axis.
-func (it *scanIter) upMatchEval(x, i int) bool {
-	d, st := it.d, it.steps[i]
-	if !it.matches(x, i) {
-		return false
-	}
-	for _, f := range st.Filters {
-		if !navEvalExpr(d, it.opts, x, f) {
-			return false
-		}
-	}
-	if i == 0 {
-		if st.Axis == AxisChild {
-			return d.Parent(x) == d.Root()
-		}
-		return x != d.Root()
-	}
-	if st.Axis == AxisChild {
-		pa := d.Parent(x)
-		return pa != xmltree.Nil && it.upMatch(pa, i-1)
-	}
-	for a := d.Parent(x); a != xmltree.Nil; a = d.Parent(a) {
-		if it.upMatch(a, i-1) {
-			return true
-		}
-	}
-	return false
-}
-
 func (it *scanIter) Next() (int, bool) {
 	if it.closed || it.err != nil {
 		return 0, false
 	}
 	last := len(it.steps) - 1
+	pass := it.steps[last].pass
 	for {
 		it.checked++
-		if it.done != nil && it.checked&255 == 0 {
-			select {
-			case <-it.done:
-				it.err = it.ctx.Err()
-				return 0, false
-			default:
-			}
+		if it.checked&255 == 0 && it.poll() {
+			return 0, false
 		}
 		x, ok := it.nextCandidate()
 		if !ok {
 			return 0, false
 		}
-		if it.upMatchEval(x, last) {
+		if (pass == nil || pass(x)) && it.above(x, last) {
 			return x, true
+		}
+		if it.err != nil {
+			return 0, false
 		}
 	}
 }

@@ -22,13 +22,17 @@ package xpath
 //     (compileExpr), so both TopDownRun and the bottom-up verifier see the
 //     predicate as an ordinary node test.
 //
+// Either way the steps' filters are not interpreted here: Compile has turned
+// each into a node test (Step.pass, see compiler.filter) whose text
+// predicates are the ones the automaton runs, with the same match sets,
+// occurrence spans or naive string values.
+//
 // Semantics are defined on the document model tree (synthetic & root,
 // @/%-encoded attributes, # text leaves) exactly as in the dom oracle:
 // axes navigate the model tree and node tests do the filtering.
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -187,83 +191,21 @@ func navDescendants(d *xmltree.Doc, x int, t NodeTest, emit func(int) bool) {
 	}
 }
 
-// navEvalExpr evaluates a predicate expression at node x with the naive
-// navigational semantics, mirroring the dom oracle's evalExpr. Text
-// predicates use the string-value semantics directly; extension predicates
-// (OpCustom) fall back to the match-set containment check.
-func navEvalExpr(d *xmltree.Doc, opts Options, x int, e Expr) bool {
-	switch t := e.(type) {
-	case *AndExpr:
-		return navEvalExpr(d, opts, x, t.L) && navEvalExpr(d, opts, x, t.R)
-	case *OrExpr:
-		return navEvalExpr(d, opts, x, t.L) || navEvalExpr(d, opts, x, t.R)
-	case *NotExpr:
-		return !navEvalExpr(d, opts, x, t.E)
-	case *PathExpr:
-		return navExists(d, opts, x, t.Path.Steps)
-	case *TextExpr:
-		if t.Target == nil {
-			return navTextMatch(d, opts, x, t)
-		}
-		found := false
-		navWalkPath(d, opts, x, t.Target.Steps, func(m int) bool {
-			if navTextMatch(d, opts, m, t) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	return false
-}
-
-// navTextMatch applies a text predicate to the string value of node x. The
-// custom (set-based) predicates recompute their match set per call: they
-// only reach this path combined with backward axes, which no benchmark
-// workload does; everything else uses the naive string-value check, whose
-// agreement with the FM-index path is pinned by the differential suite.
-func navTextMatch(d *xmltree.Doc, opts Options, x int, te *TextExpr) bool {
-	if te.Op == OpCustom {
-		set := matchSet(d, opts, te.Op, te.Func, te.Literal)
-		lo, hi := d.TextIDs(x)
-		i := sort.Search(len(set), func(k int) bool { return int(set[k]) >= lo })
-		return i < len(set) && int(set[i]) < hi
-	}
-	return evalTextOp(te.Op, nodeValue(d, x), []byte(te.Literal))
-}
-
 // navWalkPath visits the nodes selected by the relative path from x,
-// applying each step's filters; the visitor returns false to stop early.
-func navWalkPath(d *xmltree.Doc, opts Options, x int, steps []*Step, visit func(int) bool) {
-	var rec func(cur, i int) bool
-	rec = func(cur, i int) bool {
-		if i == len(steps) {
-			return visit(cur)
-		}
-		cont := true
-		navCollect(d, cur, steps[i], func(m int) bool {
-			for _, f := range steps[i].Filters {
-				if !navEvalExpr(d, opts, m, f) {
-					return true
-				}
-			}
-			cont = rec(m, i+1)
-			return cont
-		})
-		return cont
+// applying each step's compiled filters (Step.pass); the visitor returns
+// false to stop the walk, and navWalkPath then returns false too.
+func navWalkPath(d *xmltree.Doc, x int, steps []*Step, visit func(int) bool) bool {
+	if len(steps) == 0 {
+		return visit(x)
 	}
-	rec(x, 0)
-}
-
-// navExists reports whether the relative path selects anything from x.
-func navExists(d *xmltree.Doc, opts Options, x int, steps []*Step) bool {
-	found := false
-	navWalkPath(d, opts, x, steps, func(int) bool {
-		found = true
-		return false
+	st, cont := steps[0], true
+	navCollect(d, x, st, func(m int) bool {
+		if st.pass == nil || st.pass(m) {
+			cont = navWalkPath(d, m, steps[1:], visit)
+		}
+		return cont
 	})
-	return found
+	return cont
 }
 
 // navApplyStep applies one location step to a sorted node set, returning
@@ -276,7 +218,7 @@ func navExists(d *xmltree.Doc, opts Options, x int, steps []*Step) bool {
 // following:: of the member whose closing parenthesis is smallest.
 // Cancellation is polled between enumerated target nodes, which covers the
 // expensive part of a step: the per-target filter evaluations.
-func navApplyStep(ctx context.Context, d *xmltree.Doc, opts Options, cur []int, st *Step) ([]int, error) {
+func navApplyStep(ctx context.Context, d *xmltree.Doc, cur []int, st *Step) ([]int, error) {
 	// Entry check: cancellation that arrived while the previous pipeline
 	// stage was finishing is honored here even when this step emits fewer
 	// nodes than the polling interval.
@@ -317,13 +259,7 @@ func navApplyStep(ctx context.Context, d *xmltree.Doc, opts Options, cur []int, 
 			if _, ok := decided[m]; ok {
 				return true
 			}
-			pass := true
-			for _, f := range st.Filters {
-				if !navEvalExpr(d, opts, m, f) {
-					pass = false
-					break
-				}
-			}
+			pass := st.pass == nil || st.pass(m)
 			decided[m] = pass
 			if pass {
 				out = append(out, m)
@@ -336,55 +272,4 @@ func navApplyStep(ctx context.Context, d *xmltree.Doc, opts Options, cur []int, 
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// navValidateStep rejects at compile time what the automaton path would
-// also reject: extension predicates that were never registered. It recurses
-// through the step's filters and their nested paths.
-func navValidateStep(opts Options, st *Step) error {
-	for _, f := range st.Filters {
-		if err := navValidateExpr(opts, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func navValidateExpr(opts Options, e Expr) error {
-	switch t := e.(type) {
-	case *AndExpr:
-		if err := navValidateExpr(opts, t.L); err != nil {
-			return err
-		}
-		return navValidateExpr(opts, t.R)
-	case *OrExpr:
-		if err := navValidateExpr(opts, t.L); err != nil {
-			return err
-		}
-		return navValidateExpr(opts, t.R)
-	case *NotExpr:
-		return navValidateExpr(opts, t.E)
-	case *PathExpr:
-		return navValidateSteps(opts, t.Path.Steps)
-	case *TextExpr:
-		if t.Op == OpCustom {
-			if _, ok := opts.CustomMatchSets[t.Func]; !ok {
-				return fmt.Errorf("xpath: unknown function %q", t.Func)
-			}
-		}
-		if t.Target != nil {
-			return navValidateSteps(opts, t.Target.Steps)
-		}
-		return nil
-	}
-	return fmt.Errorf("xpath: unknown expression %T", e)
-}
-
-func navValidateSteps(opts Options, steps []*Step) error {
-	for _, st := range steps {
-		if err := navValidateStep(opts, st); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -105,6 +105,9 @@ type Step struct {
 	// underAttr is set by normalization when this step selects attribute
 	// nodes (whose value leaf is labeled %, not #).
 	underAttr bool
+	// pass is the node test of Filters compiled by Compile (compilePass);
+	// nil when the step has no filters.
+	pass func(int) bool
 }
 
 func (s *Step) String() string {
@@ -180,6 +183,10 @@ type TextExpr struct {
 	Literal string
 	// Func names the extension predicate when Op == OpCustom.
 	Func string
+
+	// pred is the predicate makePred built for the expression, once per
+	// compiled query (see compiler.pred).
+	pred func(int) bool
 }
 
 func (e *TextExpr) String() string {

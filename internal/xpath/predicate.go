@@ -6,30 +6,22 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/automata"
 	"repro/internal/xmltree"
 )
 
-// predTarget describes the node type a text predicate applies to, which
-// decides whether the FM-index can be used (Section 6.6 step 2: the
-// predicate must apply to a single text node).
-type predTarget struct {
-	test      NodeTest
-	underAttr bool
-}
-
-// singleText reports whether the target's string value is always a single
-// text of the collection, and the leaf label that holds it.
-func (c *compiler) singleText(t predTarget) (int32, bool) {
+// singleText reports whether the string value at a node of step t is always
+// a single text of the collection (Section 6.6 step 2: only then can the
+// FM-index answer the predicate), and the leaf label that holds it.
+func (c *compiler) singleText(t *Step) (int32, bool) {
 	d := c.doc
 	if t.underAttr {
 		return d.AttrValTag(), true
 	}
-	switch t.test.Kind {
+	switch t.Test.Kind {
 	case TestText:
 		return d.TextTag(), true
 	case TestName:
-		id := d.TagID(t.test.Name)
+		id := d.TagID(t.Test.Name)
 		if id >= 0 && d.PureText(id) {
 			return d.TextTag(), true
 		}
@@ -37,8 +29,31 @@ func (c *compiler) singleText(t predTarget) (int32, bool) {
 	return 0, false
 }
 
+// The arms a text predicate takes, in the order Strategy ranks them: it
+// reports the slowest arm of any predicate of the query.
+const (
+	armNone = iota
+	armFM
+	armSpans
+	armNaive
+)
+
+var armNames = [...]string{"", "fm", "spans", "naive"}
+
+// pred returns te's predicate at a node of step tgt (the carrier step for
+// ".", the target path's last step otherwise). makePred builds it once per
+// expression, so the automaton, the streaming iterator and the navigational
+// steps of a query share one match set.
+func (c *compiler) pred(te *TextExpr, tgt *Step) func(int) bool {
+	if te.pred == nil {
+		te.pred = c.makePred(te.Op, te.Func, te.Literal, tgt)
+	}
+	return te.pred
+}
+
 // makePred builds the predicate function for op(value, literal), choosing
-// the cheapest exact evaluation the target allows:
+// the cheapest exact evaluation the target allows, and records the arm it
+// takes in c.arm:
 //   - An empty literal is a prefix, suffix and substring of every string, so
 //     contains, starts-with and ends-with with "" are constant true.
 //   - When the FM-index is available and the target is a single text node,
@@ -51,13 +66,22 @@ func (c *compiler) singleText(t predTarget) (int32, bool) {
 //     (spans.go): one plain-store pass per compiled query, then one binary
 //     search per node.
 //   - Otherwise the naive string-value semantics is used (Section 6.6).
-func (c *compiler) makePred(op TextOp, fn, lit string, tgt predTarget) automata.PredFunc {
+func (c *compiler) makePred(op TextOp, fn, lit string, tgt *Step) func(int) bool {
 	d := c.doc
+	leafTag, single := c.singleText(tgt)
+	arm := armNaive
+	switch {
+	case op == OpCustom || (d.FM != nil && single && !c.opts.ForceNaiveText):
+		arm = armFM
+	case !single && spansUsable(d, c.opts, op, lit):
+		arm = armSpans
+	}
+	c.arm = max(c.arm, arm)
 	if lit == "" && op != OpCustom && op != OpEquals {
 		return func(int) bool { return true }
 	}
-	leafTag, single := c.singleText(tgt)
-	if op == OpCustom || (d.FM != nil && single && !c.opts.ForceNaiveText) {
+	switch arm {
+	case armFM:
 		// Custom predicates (e.g. PSSM) are always set-based; when the
 		// target is not a single text node the predicate holds if any text
 		// leaf in the node's range matches (the //*[pssm(...)] case of
@@ -79,8 +103,7 @@ func (c *compiler) makePred(op TextOp, fn, lit string, tgt predTarget) automata.
 			}
 			return emptyEq && !hasLeaf(d, lo, hi, leafTag)
 		}
-	}
-	if !single && spansUsable(d, c.opts, op, lit) {
+	case armSpans:
 		t := c.spanTable(lit)
 		return func(node int) bool { return t.get().contains(node) }
 	}

@@ -242,6 +242,59 @@ func TestEmptyLiteral(t *testing.T) {
 	})
 }
 
+// TestCustomMatchSetOnce pins that a compiled query builds one match set
+// per text predicate, whichever entry point evaluates it: the custom set of
+// //a[f(., 'x')] and //*[f(., 'x')] (targets that hold several texts, so
+// no bottom-up plan) is computed once across CountCtx, NodesCtx, a drained
+// Iter and Exists, and Strategy reports the set-based arm as fm.
+func TestCustomMatchSetOnce(t *testing.T) {
+	d, err := xmltree.Parse([]byte(`<r><a>x<b>y</b></a><a>z</a><c>x</c></r>`), xmltree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		src  string
+		want int
+	}{
+		{`//a[f(., "x")]`, 1},
+		{`//*[f(., "x")]`, 3},
+	} {
+		calls := 0
+		q, err := Compile(c.src, d, Options{CustomMatchSets: map[string]func(string) []int32{
+			"f": func(string) []int32 { calls++; return []int32{0, 3} }, // the two "x" texts
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		n, err := q.CountCtx(ctx)
+		if err != nil || n != int64(c.want) {
+			t.Fatalf("%s: CountCtx = %d, %v; want %d", c.src, n, err, c.want)
+		}
+		nodes, err := q.NodesCtx(ctx)
+		if err != nil || len(nodes) != c.want {
+			t.Fatalf("%s: NodesCtx = %v, %v", c.src, nodes, err)
+		}
+		it := q.Iter(ctx)
+		var streamed []int
+		for x, ok := it.Next(); ok; x, ok = it.Next() {
+			streamed = append(streamed, x)
+		}
+		if err := it.Err(); err != nil || !slices.Equal(streamed, nodes) {
+			t.Fatalf("%s: Iter = %v, %v; NodesCtx %v", c.src, streamed, err, nodes)
+		}
+		if ok, err := q.Exists(ctx); err != nil || !ok {
+			t.Fatalf("%s: Exists = %v, %v", c.src, ok, err)
+		}
+		if calls != 1 {
+			t.Errorf("%s: the custom set was computed %d times, want 1", c.src, calls)
+		}
+		if s := q.Strategy(); s != "top-down,fm" {
+			t.Errorf("%s: Strategy = %q, want top-down,fm", c.src, s)
+		}
+	}
+}
+
 // TestContainsSpans pins contains(., p) on multi-text targets, which runs
 // on occurrence spans: a pattern inside one text, across two and three
 // texts and across one text per byte; the join of the texts on either side

@@ -58,6 +58,11 @@ type Query struct {
 	// Count falls back to materialized set semantics.
 	mayOvercount bool
 
+	// text is the slowest arm a text predicate of the query takes, as
+	// makePred recorded it: "fm", "spans", "naive", or "" without text
+	// predicates.
+	text string
+
 	// evals holds finished evaluators, indexed by automata.Mode, so the
 	// runs of a cached query share their JIT tables, vals free lists and
 	// jump cursors (see runAuto). The pool empties itself under GC and goes
@@ -70,12 +75,12 @@ type Query struct {
 
 // Strategy describes the chosen evaluation plan, in the notation of
 // Figure 14: "top-down" or "bottom-up", plus "fm", "spans" or "naive" when
-// the query has text predicates. "fm" means the text index is usable for the
-// match sets, not that they are located: a frequent contains or ends-with
-// literal is still answered by a plain-store scan (see matchSet). "spans"
-// means some contains on a multi-text target reads occurrence spans
-// (spans.go) and none falls to the naive string values; "naive" means at
-// least one does.
+// the query has text predicates. "fm" means a match set answers the
+// predicates: the text index is usable for it (a frequent contains or
+// ends-with literal is still answered by a plain-store scan, see matchSet),
+// or an extension function computes it. "spans" means some contains on a
+// multi-text target reads occurrence spans (spans.go) and none falls to the
+// naive string values; "naive" means at least one does.
 func (q *Query) Strategy() string {
 	s := "top-down"
 	if q.plan != nil {
@@ -88,80 +93,10 @@ func (q *Query) Strategy() string {
 			s += "+nav"
 		}
 	}
-	if text := q.textPath(); text != "" {
-		return s + "," + text
+	if q.text != "" {
+		return s + "," + q.text
 	}
 	return s
-}
-
-// textPath returns "" when the query has no text predicate, otherwise the
-// slowest path one of them takes: "naive" over "spans" over "fm".
-func (q *Query) textPath() string {
-	c := &compiler{doc: q.doc, opts: q.opts}
-	// Steps evaluated navigationally (the post segment) apply their text
-	// predicates with the naive string-value semantics, as does anything
-	// nested under a backward-axis predicate path.
-	postSet := map[*Step]bool{}
-	for _, st := range q.post {
-		postSet[st] = true
-	}
-	var hasText, spans, naive bool
-	var walkExpr func(e Expr, carrier *Step, nav bool)
-	var walkPath func(p *Path, nav bool)
-	walkExpr = func(e Expr, carrier *Step, nav bool) {
-		switch x := e.(type) {
-		case *AndExpr:
-			walkExpr(x.L, carrier, nav)
-			walkExpr(x.R, carrier, nav)
-		case *OrExpr:
-			walkExpr(x.L, carrier, nav)
-			walkExpr(x.R, carrier, nav)
-		case *NotExpr:
-			walkExpr(x.E, carrier, nav)
-		case *PathExpr:
-			walkPath(x.Path, nav || pathNeedsNav(x.Path))
-		case *TextExpr:
-			hasText = true
-			if nav || x.Target != nil && pathNeedsNav(x.Target) {
-				naive = true
-				if x.Target != nil {
-					walkPath(x.Target, true)
-				}
-				return
-			}
-			tgt := predTarget{test: carrier.Test, underAttr: carrier.underAttr}
-			if x.Target != nil {
-				walkPath(x.Target, false)
-				tl := x.Target.Steps[len(x.Target.Steps)-1]
-				tgt = predTarget{test: tl.Test, underAttr: tl.underAttr}
-			}
-			_, single := c.singleText(tgt)
-			switch {
-			case !single && spansUsable(q.doc, q.opts, x.Op, x.Literal):
-				spans = true
-			case !single || q.doc.FM == nil || q.opts.ForceNaiveText:
-				naive = true
-			}
-		}
-	}
-	walkPath = func(p *Path, nav bool) {
-		for _, st := range p.Steps {
-			stepNav := nav || postSet[st]
-			for _, f := range st.Filters {
-				walkExpr(f, st, stepNav)
-			}
-		}
-	}
-	walkPath(q.AST, false)
-	switch {
-	case !hasText:
-		return ""
-	case naive:
-		return "naive"
-	case spans:
-		return "spans"
-	}
-	return "fm"
 }
 
 // Compile parses, normalizes, plans and compiles a query against a document.
@@ -171,7 +106,9 @@ func (q *Query) textPath() string {
 // the usual planner (bottom-up when the text predicate is selective,
 // TopDownRun otherwise) and the remaining steps become navigational set
 // transformations over the BP structure. Pure downward queries take exactly
-// the pre-existing pipeline.
+// the pre-existing pipeline. Before the split, every filter of the main
+// path is compiled once into a node test (compilePass), which validates the
+// extension functions and records the text-predicate arms Strategy reports.
 func Compile(src string, doc *xmltree.Doc, opts Options) (*Query, error) {
 	ast, err := ParseQuery(src)
 	if err != nil {
@@ -181,7 +118,13 @@ func Compile(src string, doc *xmltree.Doc, opts Options) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{Src: src, AST: norm, doc: doc, opts: opts}
+	c := &compiler{doc: doc, f: automata.NewFactory(), opts: opts}
+	for _, st := range norm.Steps {
+		if err := c.compilePass(st); err != nil {
+			return nil, err
+		}
+	}
+	q := &Query{Src: src, AST: norm, doc: doc, opts: opts, text: armNames[c.arm]}
 	split := 0
 	for split < len(norm.Steps) && automatonAxis(norm.Steps[split].Axis) {
 		split++
@@ -194,9 +137,6 @@ func Compile(src string, doc *xmltree.Doc, opts Options) (*Query, error) {
 	}
 	if split < len(norm.Steps) {
 		q.post = norm.Steps[split:]
-		if err := navValidateSteps(opts, q.post); err != nil {
-			return nil, err
-		}
 		if split == 0 {
 			// Fully navigational; record the (top-down) decision for Cost
 			// against the whole path, since there is no downward prefix.
@@ -205,7 +145,6 @@ func Compile(src string, doc *xmltree.Doc, opts Options) (*Query, error) {
 		}
 		norm = &Path{Steps: norm.Steps[:split]}
 	}
-	c := &compiler{doc: doc, f: automata.NewFactory(), opts: opts}
 	plan := buildBottomUpPlan(c, norm)
 	q.cost = chooseStrategy(doc, norm, opts, plan)
 	if plan != nil && q.cost.Chosen == StrategyBottomUp {
@@ -271,7 +210,7 @@ func (q *Query) NodesCtx(ctx context.Context) ([]int, error) {
 			return nil, err
 		}
 		for _, st := range q.post {
-			nodes, err = navApplyStep(ctx, q.doc, q.opts, nodes, st)
+			nodes, err = navApplyStep(ctx, q.doc, nodes, st)
 			if err != nil {
 				return nil, err
 			}
@@ -341,7 +280,7 @@ func (q *Query) Exists(ctx context.Context) (bool, error) {
 // underlying index is.
 func (q *Query) Iter(ctx context.Context) ResultIter {
 	if q.streamable() {
-		return newScanIter(ctx, q.doc, q.opts, q.AST.Steps)
+		return newScanIter(ctx, q.doc, q.AST.Steps)
 	}
 	nodes, err := q.NodesCtx(ctx)
 	return &materializedIter{nodes: nodes, err: err}

@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"bytes"
-	"context"
 	"sort"
 	"sync"
 
@@ -208,48 +207,31 @@ func (t *spanTable) contains(x int) bool {
 // attribute node of each matching attribute value. Each climb stops at a
 // node already emitted, whose ancestors were emitted with it, so every node
 // is emitted once. emit returns false to stop; cancellation is polled
-// between spans and inside long climbs.
-func (t *spanTable) forEachSpanCandidate(ctx context.Context, emit func(int) bool) error {
+// through v, one step per span, climbed node and attribute value.
+func (t *spanTable) forEachSpanCandidate(v *upVerifier, emit func(int) bool) {
 	d := t.doc
-	done := ctxDone(ctx)
 	emitted := map[int]bool{}
-	ticks := 0
-	poll := func() error {
-		ticks++
-		if done != nil && ticks&1023 == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		return nil
-	}
 	for k := range t.first {
-		if err := poll(); err != nil {
-			return err
+		if v.cancelled() {
+			return
 		}
 		a, b := d.TextIDToNode(int(t.first[k])), d.TextIDToNode(int(t.last[k]))
 		for !d.IsAncestor(a, b) {
 			a = d.Parent(a)
 		}
 		for ; a != xmltree.Nil && !emitted[a]; a = d.Parent(a) {
-			if err := poll(); err != nil {
-				return err
+			if v.cancelled() {
+				return
 			}
 			emitted[a] = true
 			if !emit(a) {
-				return nil
+				return
 			}
 		}
 	}
 	for _, id := range t.attrs {
-		if err := poll(); err != nil {
-			return err
-		}
-		if !emit(d.Parent(d.TextIDToNode(int(id)))) {
-			return nil
+		if v.cancelled() || !emit(d.Parent(d.TextIDToNode(int(id)))) {
+			return
 		}
 	}
-	return nil
 }
