@@ -71,7 +71,7 @@ func Document(ctx context.Context, xml []byte, o Options) (*xmltree.Doc, error) 
 		if err != nil {
 			return nil, err
 		}
-		fm, err := fmindex.NewCtx(ctx, raw.Texts, fmOpts)
+		fm, err := fmindex.NewCtx(ctx, raw.Texts.All(), fmOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +86,7 @@ func Document(ctx context.Context, xml []byte, o Options) (*xmltree.Doc, error) 
 	)
 	go func() {
 		defer close(fmDone)
-		fm, fmErr = fmindex.NewCtx(ctx, raw.Texts, fmOpts)
+		fm, fmErr = fmindex.NewCtx(ctx, raw.Texts.All(), fmOpts)
 	}()
 	doc, err := xmltree.AssembleStructure(ctx, raw, o.Tree)
 	<-fmDone

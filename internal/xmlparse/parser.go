@@ -246,13 +246,19 @@ func (p *parser) startTag() error {
 		quote := p.data[p.pos]
 		p.pos++
 		vstart := p.pos
-		for p.pos < len(p.data) && p.data[p.pos] != quote {
-			p.pos++
-		}
-		if p.pos >= len(p.data) {
+		end := bytes.IndexByte(p.data[vstart:], quote)
+		if end < 0 {
+			p.pos = len(p.data)
 			return p.errf("unterminated attribute value for %q", aname)
 		}
-		val, err := p.decode(p.data[vstart:p.pos], true)
+		p.pos = vstart + end
+		raw := p.data[vstart:p.pos]
+		if k := bytes.IndexByte(raw, '<'); k >= 0 {
+			// XML 1.0 §3.1 (AttValue): a literal '<' cannot occur in a value.
+			p.pos = vstart + k
+			return p.errf("'<' in attribute value for %q", aname)
+		}
+		val, err := p.decode(raw, true)
 		if err != nil {
 			return err
 		}
@@ -283,10 +289,14 @@ func (p *parser) endTag() error {
 	return p.h.EndElement(name)
 }
 
+// cdataEnd closes a CDATA section; character data cannot contain it.
+var cdataEnd = []byte("]]>")
+
 func (p *parser) text() error {
 	start := p.pos
-	for p.pos < len(p.data) && p.data[p.pos] != '<' {
-		p.pos++
+	p.pos = len(p.data)
+	if end := bytes.IndexByte(p.data[start:], '<'); end >= 0 {
+		p.pos = start + end
 	}
 	raw := p.data[start:p.pos]
 	if len(p.stack) == 0 {
@@ -296,6 +306,11 @@ func (p *parser) text() error {
 			return p.errf("character data outside root element")
 		}
 		return nil
+	}
+	if k := bytes.Index(raw, cdataEnd); k >= 0 {
+		// XML 1.0 §2.4: character data cannot contain "]]>".
+		p.pos = start + k
+		return p.errf("']]>' in character data")
 	}
 	data, err := p.decode(raw, true)
 	if err != nil {

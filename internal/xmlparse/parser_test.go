@@ -193,6 +193,34 @@ func TestLineEnds(t *testing.T) {
 		"<a t=\"1\\n2\\n3\">", "T:x\ny\nz\r\n", "T:p\nq\n", "</a>")
 }
 
+// TestMarkupInData pins two well-formedness rules: a literal '<' cannot
+// occur in an attribute value (XML 1.0 §3.1, AttValue), and "]]>" cannot
+// occur in character data (§2.4). Both are SyntaxErrors at the offending
+// byte; their escaped forms, and "]]>" closing a CDATA section, parse.
+func TestMarkupInData(t *testing.T) {
+	for _, c := range []struct {
+		doc    string
+		offset int
+	}{
+		{`<a t="x<y"/>`, 7},
+		{`<a t='<'/>`, 6},
+		{`<a u="1" t="a&lt;<"></a>`, 17},
+		{`<a>x]]>y</a>`, 4},
+		{`<a>]]></a>`, 3},
+		{"<a>\n]]]>\n</a>", 5},
+		{`<a><b/>]]></a>`, 7},
+	} {
+		var se *SyntaxError
+		if err := Parse([]byte(c.doc), &recorder{}); !errors.As(err, &se) {
+			t.Errorf("%q: err = %v, want a SyntaxError", c.doc, err)
+		} else if se.Offset != c.offset {
+			t.Errorf("%q: error at offset %d, want %d (%v)", c.doc, se.Offset, c.offset, err)
+		}
+	}
+	expectEvents(t, `<a t="x&lt;y" u='>'>]]&gt; ]] &gt; ]>]<![CDATA[]]]]><![CDATA[>]]></a>`,
+		`<a t="x<y" u=">">`, "T:]]> ]] > ]>]", "T:]]", "T:>", "</a>")
+}
+
 // TestCharReferenceNotChar: a character reference must name an XML Char
 // (tab, LF, CR, U+0020–U+D7FF, U+E000–U+FFFD, U+10000–U+10FFFF).
 func TestCharReferenceNotChar(t *testing.T) {

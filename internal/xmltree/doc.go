@@ -78,75 +78,6 @@ type Doc struct {
 	aliasedBytes int
 }
 
-// TextStore is the redundant plain-text collection of Section 3.4. It has
-// two representations behind one accessor: the builder keeps the parsed
-// texts as individual slices, while a loaded store is a single blob plus
-// cumulative end offsets, sliced on demand — on a mapped index both alias
-// the file, so restoring millions of texts costs nothing at open time and
-// no per-text headers are ever materialized.
-type TextStore struct {
-	parts [][]byte // building path: one slice per text
-	blob  []byte   // loaded path: concatenated texts…
-	offs  []uint64 // …and their cumulative end offsets (len = text count)
-}
-
-// NewTextStoreParts wraps per-text slices (the parse/build path).
-func NewTextStoreParts(parts [][]byte) *TextStore { return &TextStore{parts: parts} }
-
-// NewTextStoreBlob wraps a concatenated blob with cumulative end offsets,
-// which must be monotone and end at len(blob) — the loaders validate this
-// before construction, and Get relies on it.
-func NewTextStoreBlob(blob []byte, offs []uint64) *TextStore {
-	return &TextStore{blob: blob, offs: offs}
-}
-
-// Len returns the number of texts.
-func (ts *TextStore) Len() int {
-	if ts.parts != nil {
-		return len(ts.parts)
-	}
-	return len(ts.offs)
-}
-
-// Get returns text id without copying.
-func (ts *TextStore) Get(id int) []byte {
-	if ts.parts != nil {
-		return ts.parts[id]
-	}
-	lo := uint64(0)
-	if id > 0 {
-		lo = ts.offs[id-1]
-	}
-	hi := ts.offs[id]
-	return ts.blob[lo:hi:hi]
-}
-
-// All materializes the collection as one slice per text (sharing the
-// underlying bytes). Intended for bulk consumers like the word index;
-// query paths should use Get.
-func (ts *TextStore) All() [][]byte {
-	if ts.parts != nil {
-		return ts.parts
-	}
-	out := make([][]byte, len(ts.offs))
-	for i := range out {
-		out[i] = ts.Get(i)
-	}
-	return out
-}
-
-// SizeInBytes reports the memory footprint (content plus headers).
-func (ts *TextStore) SizeInBytes() int {
-	if ts.parts != nil {
-		n := 0
-		for _, t := range ts.parts {
-			n += len(t) + 24
-		}
-		return n
-	}
-	return len(ts.blob) + 8*len(ts.offs)
-}
-
 type tagSet []uint64
 
 func newTagSet(n int) tagSet { return make(tagSet, (n+63)/64) }
@@ -186,7 +117,7 @@ type Raw struct {
 	Parens []bool           // the parentheses sequence (true = open)
 	TagIDs []int32          // 2*tag for an opening paren, 2*tag+1 for a closing
 	Leaves []int            // paren positions of text leaves, ascending
-	Texts  [][]byte         // the text collection, in leaf order
+	Texts  *TextStore       // the text collection, in leaf order
 }
 
 // builder accumulates the model during the parse.
@@ -209,7 +140,7 @@ func Parse(data []byte, opts Options) (*Doc, error) {
 		return nil, err
 	}
 	if !opts.SkipFM {
-		fm, err := fmindex.NewCtx(context.Background(), raw.Texts, fmindex.Options{SampleRate: opts.SampleRate})
+		fm, err := fmindex.NewCtx(context.Background(), raw.Texts.All(), fmindex.Options{SampleRate: opts.SampleRate})
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +154,7 @@ func Parse(data []byte, opts Options) (*Doc, error) {
 // intervals; a failed or cancelled parse leaves no partially built state
 // behind (the raw product is local until returned).
 func ParseRaw(ctx context.Context, data []byte) (*Raw, error) {
-	raw := &Raw{NameID: map[string]int32{}}
+	raw := &Raw{NameID: map[string]int32{}, Texts: &TextStore{}}
 	b := &builder{raw: raw}
 	for _, s := range reservedLabels {
 		b.intern(s)
@@ -266,7 +197,8 @@ func (b *builder) StartElement(name string, attrs []xmlparse.Attr) error {
 		for _, a := range attrs {
 			atag := b.intern(a.Name)
 			b.open(atag)
-			b.textLeaf(attrValTag, []byte(a.Value))
+			b.raw.Texts.blob = append(b.raw.Texts.blob, a.Value...)
+			b.textLeaf(attrValTag)
 			b.close(atag)
 		}
 		b.close(attrsTag)
@@ -280,22 +212,29 @@ func (b *builder) EndElement(name string) error {
 }
 
 func (b *builder) Text(data []byte) error {
+	ts := b.raw.Texts
+	start := len(ts.blob)
+	ts.blob = append(ts.blob, data...)
 	// Texts must not contain the reserved terminator byte.
 	if bytes.IndexByte(data, 0) >= 0 {
-		data = bytes.ReplaceAll(data, []byte{0}, []byte{' '})
+		for i, c := range ts.blob[start:] {
+			if c == 0 {
+				ts.blob[start+i] = ' '
+			}
+		}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	b.textLeaf(textTag, cp)
+	b.textLeaf(textTag)
 	return nil
 }
 
-// textLeaf adds a leaf node carrying one text.
-func (b *builder) textLeaf(tag int32, text []byte) {
+// textLeaf adds a leaf node carrying one text, the bytes appended to the
+// text blob since the previous text.
+func (b *builder) textLeaf(tag int32) {
 	b.raw.Leaves = append(b.raw.Leaves, len(b.raw.Parens))
 	b.open(tag)
 	b.close(tag)
-	b.raw.Texts = append(b.raw.Texts, text)
+	ts := b.raw.Texts
+	ts.offs = append(ts.offs, uint64(len(ts.blob)))
 }
 
 // AssembleStructure builds the structural side of the document from a
@@ -327,10 +266,10 @@ func AssembleStructure(ctx context.Context, raw *Raw, opts Options) (*Doc, error
 	}
 	lb.Build()
 	d.leafB = lb
-	d.nText = len(raw.Texts)
+	d.nText = raw.Texts.Len()
 
 	if !opts.SkipPlain {
-		d.Plain = NewTextStoreParts(raw.Texts)
+		d.Plain = raw.Texts
 	}
 	if err := d.buildTagTablesCtx(ctx); err != nil {
 		return nil, err

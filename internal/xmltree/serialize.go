@@ -263,8 +263,8 @@ func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
 }
 
 // decodeTexts restores the text collection: one blob plus cumulative end
-// offsets, both aliasing the buffer, wrapped in a lazy TextStore — no
-// per-text headers are materialized. The only per-text
+// offsets, both aliasing the buffer, wrapped in a TextStore — no per-text
+// headers are materialized. The only per-text
 // cost left is the monotonicity validation (Get's slicing depends on it),
 // chunked across the CPUs since millions of texts are normal.
 func (sd *sectionDecoder) decodeTexts(pr *persist.MReader) error {
@@ -308,7 +308,7 @@ func (sd *sectionDecoder) decodeTexts(pr *persist.MReader) error {
 	if err := pr.Check(!bad.Load(), "text offsets not monotone"); err != nil {
 		return err
 	}
-	sd.texts = NewTextStoreBlob(blob, offs)
+	sd.texts = NewTextStore(blob, offs)
 	sd.haveTexts = true
 	return nil
 }

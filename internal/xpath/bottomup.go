@@ -3,7 +3,6 @@ package xpath
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"repro/internal/xmltree"
 )
@@ -21,31 +20,20 @@ type buPlan struct {
 	doc       *xmltree.Doc
 	mainSteps []*Step // the k main steps; result nodes match the last one
 	downChain []dstep // from result node down to the value leaf
-	op        TextOp
-	fn        string
-	lit       string
 	leafTag   int32
-	opts      Options
 
-	estMatches int
+	// match is the text predicate's match set, shared with the predicate
+	// makePred built for it: the set is computed once per compiled query,
+	// whichever evaluations read it (a cached query served concurrently
+	// must not repeat the FM locate or the scan, which dominate bottom-up
+	// cost).
+	match *textMatch
 
 	// spans is set when the predicate is contains(., lit) on a target whose
 	// string value is not a single text: the candidates are then the
-	// ancestors of the occurrence spans' LCAs (spans.go), and leafTag and
-	// downChain are unused.
+	// ancestors of the occurrence spans' LCAs (spans.go), and leafTag,
+	// downChain and match are unused.
 	spans *spanTable
-
-	// The text match set is deterministic over the immutable document, so
-	// it is computed once per compiled query and shared by all evaluations
-	// (a cached query served concurrently must not repeat the FM locate,
-	// which dominates bottom-up cost).
-	matchOnce sync.Once
-	matches   []int32
-}
-
-func (p *buPlan) matchedSet() []int32 {
-	p.matchOnce.Do(func() { p.matches = matchSet(p.doc, p.opts, p.op, p.fn, p.lit) })
-	return p.matches
 }
 
 // dstep is one downward hop of the predicate path.
@@ -92,7 +80,7 @@ func buildBottomUpPlan(c *compiler, path *Path) *buPlan {
 	if !ok || (te.Literal == "" && te.Op != OpCustom) {
 		return nil
 	}
-	plan := &buPlan{doc: doc, mainSteps: path.Steps, op: te.Op, fn: te.Func, lit: te.Literal, opts: opts}
+	plan := &buPlan{doc: doc, mainSteps: path.Steps}
 	tgt := last
 	if te.Target != nil {
 		for _, st := range te.Target.Steps {
@@ -111,10 +99,11 @@ func buildBottomUpPlan(c *compiler, path *Path) *buPlan {
 		plan.spans = c.spanTable(te.Literal)
 		return plan
 	}
-	if doc.FM == nil {
+	c.pred(te, tgt) // memoized: the plan climbs from the set the predicate tests
+	if doc.FM == nil || te.match == nil {
 		return nil
 	}
-	plan.leafTag = leafTag
+	plan.leafTag, plan.match = leafTag, te.match
 	// Unless the value target is itself a text() leaf, append the virtual
 	// hop from the pure-text element (or attribute node) onto its leaf.
 	if tgt.Test.Kind != TestText {
@@ -129,24 +118,7 @@ func (p *buPlan) textMatches() int {
 	if p.spans != nil {
 		return p.spans.get().count
 	}
-	return estimateMatches(p.doc, p.opts, p.op, p.fn, p.lit)
-}
-
-func estimateMatches(doc *xmltree.Doc, opts Options, op TextOp, fn, lit string) int {
-	p := []byte(lit)
-	switch op {
-	case OpContains:
-		return doc.FM.GlobalCount(p)
-	case OpStartsWith:
-		return doc.FM.StartsWithCount(p)
-	case OpEndsWith:
-		return doc.FM.EndsWithCount(p)
-	case OpEquals:
-		return doc.FM.EqualsCount(p)
-	case OpCustom:
-		return len(matchSet(doc, opts, op, fn, lit))
-	}
-	return doc.NumTexts()
+	return p.match.estimate()
 }
 
 // nodeStep keys the climbing memo table.
@@ -166,7 +138,7 @@ func (p *buPlan) forEachCandidate(v *upVerifier, emit func(int) bool) {
 		return
 	}
 	d := p.doc
-	set := p.matchedSet()
+	set, n := p.match.get(), d.NumTexts()
 	climbed := map[nodeStep]bool{}
 	stopped := false
 
@@ -208,11 +180,11 @@ func (p *buPlan) forEachCandidate(v *upVerifier, emit func(int) bool) {
 		}
 	}
 
-	for i, id := range set {
+	for i, id := 0, set.First(0, n); id >= 0; i, id = i+1, set.First(id+1, n) {
 		if i&63 == 0 && v.poll() {
 			return
 		}
-		leaf := d.TextIDToNode(int(id))
+		leaf := d.TextIDToNode(id)
 		if d.TagOf(leaf) != p.leafTag {
 			continue
 		}

@@ -131,7 +131,6 @@ func chooseStrategy(doc *xmltree.Doc, path *Path, opts Options, plan *buPlan) Co
 		return est
 	}
 	est.TextMatches = plan.textMatches()
-	plan.estMatches = est.TextMatches
 	if opts.ForceStrategy == StrategyBottomUp {
 		est.Forced = true
 		est.Chosen = StrategyBottomUp

@@ -185,8 +185,10 @@ type TextExpr struct {
 	Func string
 
 	// pred is the predicate makePred built for the expression, once per
-	// compiled query (see compiler.pred).
-	pred func(int) bool
+	// compiled query (see compiler.pred), and match the match set it tests,
+	// when it tests one.
+	pred  func(int) bool
+	match *textMatch
 }
 
 func (e *TextExpr) String() string {

@@ -3,7 +3,6 @@ package xpath
 import (
 	"bytes"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/xmltree"
@@ -42,11 +41,11 @@ var armNames = [...]string{"", "fm", "spans", "naive"}
 
 // pred returns te's predicate at a node of step tgt (the carrier step for
 // ".", the target path's last step otherwise). makePred builds it once per
-// expression, so the automaton, the streaming iterator and the navigational
-// steps of a query share one match set.
+// expression, so the automaton, the streaming iterator, the navigational
+// steps and the bottom-up plan of a query share one match set.
 func (c *compiler) pred(te *TextExpr, tgt *Step) func(int) bool {
 	if te.pred == nil {
-		te.pred = c.makePred(te.Op, te.Func, te.Literal, tgt)
+		te.pred, te.match = c.makePred(te.Op, te.Func, te.Literal, tgt)
 	}
 	return te.pred
 }
@@ -57,16 +56,20 @@ func (c *compiler) pred(te *TextExpr, tgt *Step) func(int) bool {
 //   - An empty literal is a prefix, suffix and substring of every string, so
 //     contains, starts-with and ends-with with "" are constant true.
 //   - When the FM-index is available and the target is a single text node,
-//     the matching text identifiers are computed once (by FM-index search or
-//     a plain scan, whichever costs less, Section 3.4) and the predicate
-//     becomes a range check against the node's text identifier interval.
-//     = "" also holds at a node whose range has no text of the target kind
-//     (an empty element has no text for the match set to hit).
+//     the matching texts are computed once into a text-id bitmap (by
+//     FM-index search or a plain scan, whichever costs less, Section 3.4),
+//     returned as the second result, and the predicate becomes a bit test:
+//     at a node that is its text's leaf or that leaf's parent, one rank
+//     finds the id (Doc.OwnTextID); otherwise (an element whose first child
+//     is its @ container, an empty element) the node's text-id interval is
+//     searched for a leaf of the target kind. = "" also holds at a node whose
+//     interval has no text of the target kind (an empty element has no text
+//     for the match set to hit).
 //   - contains(., p) on any other target reads the occurrence spans of p
 //     (spans.go): one plain-store pass per compiled query, then one binary
 //     search per node.
 //   - Otherwise the naive string-value semantics is used (Section 6.6).
-func (c *compiler) makePred(op TextOp, fn, lit string, tgt *Step) func(int) bool {
+func (c *compiler) makePred(op TextOp, fn, lit string, tgt *Step) (func(int) bool, *textMatch) {
 	d := c.doc
 	leafTag, single := c.singleText(tgt)
 	arm := armNaive
@@ -78,39 +81,88 @@ func (c *compiler) makePred(op TextOp, fn, lit string, tgt *Step) func(int) bool
 	}
 	c.arm = max(c.arm, arm)
 	if lit == "" && op != OpCustom && op != OpEquals {
-		return func(int) bool { return true }
+		return func(int) bool { return true }, nil
 	}
 	switch arm {
 	case armFM:
-		// Custom predicates (e.g. PSSM) are always set-based; when the
-		// target is not a single text node the predicate holds if any text
-		// leaf in the node's range matches (the //*[pssm(...)] case of
-		// Figure 18). The set is computed once per compiled query, guarded
-		// for concurrent evaluations of a shared Query.
-		anyLeaf := !single
+		m := &textMatch{d: d, opts: c.opts, op: op, fn: fn, lit: lit}
+		if !single {
+			// Custom predicates (e.g. PSSM) are always set-based; when the
+			// target is not a single text node the predicate holds if any
+			// text leaf in the node's range matches (the //*[pssm(...)]
+			// case of Figure 18).
+			return func(node int) bool {
+				lo, hi := d.TextIDs(node)
+				return m.get().First(lo, hi) >= 0
+			}, m
+		}
 		emptyEq := op == OpEquals && lit == ""
-		var once sync.Once
-		var set []int32
-		opts := c.opts
 		return func(node int) bool {
-			once.Do(func() { set = matchSet(d, opts, op, fn, lit) })
+			set := m.get()
+			if id, ok := d.OwnTextID(node); ok {
+				return set.Has(id)
+			}
 			lo, hi := d.TextIDs(node)
-			i := sort.Search(len(set), func(k int) bool { return int(set[k]) >= lo })
-			for ; i < len(set) && int(set[i]) < hi; i++ {
-				if anyLeaf || d.TagOf(d.TextIDToNode(int(set[i]))) == leafTag {
+			for id := set.First(lo, hi); id >= 0; id = set.First(id+1, hi) {
+				if d.TagOf(d.TextIDToNode(id)) == leafTag {
 					return true
 				}
 			}
 			return emptyEq && !hasLeaf(d, lo, hi, leafTag)
-		}
+		}, m
 	case armSpans:
 		t := c.spanTable(lit)
-		return func(node int) bool { return t.get().contains(node) }
+		return func(node int) bool { return t.get().contains(node) }, nil
 	}
 	pb := []byte(lit)
 	return func(node int) bool {
 		return evalTextOp(op, nodeValue(d, node), pb)
+	}, nil
+}
+
+// textMatch is the match set of one text expression over one document. It
+// is computed on first use, once per compiled query, and read by the
+// expression's predicate and by the query's bottom-up plan; the once guards
+// concurrent evaluations of a shared Query.
+type textMatch struct {
+	d    *xmltree.Doc
+	opts Options
+	op   TextOp
+	fn   string
+	lit  string
+
+	once sync.Once
+	set  xmltree.TextSet
+}
+
+func (m *textMatch) get() xmltree.TextSet {
+	m.once.Do(func() { m.set = matchSet(m.d, m.opts, m.op, m.fn, m.lit) })
+	return m.set
+}
+
+// estimate is the exact match count the cost model weighs (cost.go), read
+// without computing the set: one backward search for the FM operators,
+// counting occurrences for contains and one text per hit for the others. A
+// custom function has no count of its own, so it runs for the estimate,
+// apart from get's run.
+func (m *textMatch) estimate() int {
+	fm, p := m.d.FM, []byte(m.lit)
+	switch m.op {
+	case OpContains:
+		return fm.GlobalCount(p)
+	case OpStartsWith:
+		return fm.StartsWithCount(p)
+	case OpEndsWith:
+		return fm.EndsWithCount(p)
+	case OpEquals:
+		return fm.EqualsCount(p)
+	case OpCustom:
+		if f, ok := m.opts.CustomMatchSets[m.fn]; ok {
+			return len(f(m.lit))
+		}
+		return 0
 	}
+	return m.d.NumTexts()
 }
 
 // hasLeaf reports whether a leaf labelled tag holds one of the text ids
@@ -159,19 +211,28 @@ func nodeValue(d *xmltree.Doc, x int) []byte {
 	return d.TextValue(x)
 }
 
-// matchSet returns the sorted identifiers of texts matching op(text, lit).
-// contains and ends-with pick between locating every occurrence through the
-// FM-index and scanning the plain-text store (Sections 3.4 and 6.3) by
-// comparing the two costs (scanThreshold). starts-with and equality have no
-// scan arm: they read text ids straight from the Doc array after the
-// backward search, without locating, so the FM-index is always the cheaper
-// arm for them.
-func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
+// matchSet returns the set of texts matching op(text, lit). contains and
+// ends-with pick between locating every occurrence through the FM-index and
+// scanning the plain-text store (Sections 3.4 and 6.3) by comparing the two
+// costs (scanThreshold); either arm sets the bits directly. starts-with and
+// equality have no scan arm: they read text ids straight from the Doc array
+// after the backward search, without locating, so the FM-index is always the
+// cheaper arm for them. A custom function's ids outside the document are
+// dropped.
+func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) xmltree.TextSet {
+	n := d.NumTexts()
 	if op == OpCustom {
-		if f, ok := opts.CustomMatchSets[fn]; ok {
-			return f(lit)
+		f, ok := opts.CustomMatchSets[fn]
+		if !ok {
+			return nil
 		}
-		return nil
+		set := xmltree.NewTextSet(n)
+		for _, id := range f(lit) {
+			if id >= 0 && int(id) < n {
+				set.Add(int(id))
+			}
+		}
+		return set
 	}
 	fm := d.FM
 	p := []byte(lit)
@@ -183,34 +244,46 @@ func matchSet(d *xmltree.Doc, opts Options, op TextOp, fn, lit string) []int32 {
 		ids = fm.Equals(p)
 	case OpEndsWith:
 		if fm.EndsWithCount(p) > scanThreshold(d, opts) {
-			return plainScan(d, op, p)
+			set := xmltree.NewTextSet(n)
+			d.Plain.EndsWith(p, set)
+			return set
 		}
 		ids = fm.EndsWith(p)
 	case OpContains:
-		g := fm.GlobalCount(p)
-		if g == 0 {
+		sp, ep := fm.BackwardSearch(p)
+		if ep <= sp {
 			return nil
 		}
-		if g > scanThreshold(d, opts) {
-			return plainScan(d, op, p)
+		set := xmltree.NewTextSet(n)
+		if ep-sp > scanThreshold(d, opts) {
+			d.Plain.Contains(p, d.RareByte(p), set)
+		} else {
+			for r := sp; r < ep; r++ {
+				set.Add(fm.LocateRow(r).Text)
+			}
 		}
-		ids = fm.Contains(p)
+		return set
 	}
-	out := make([]int32, len(ids))
-	for i, id := range ids {
-		out[i] = int32(id)
+	if len(ids) == 0 {
+		return nil
 	}
-	return out
+	set := xmltree.NewTextSet(n)
+	for _, id := range ids {
+		set.Add(id)
+	}
+	return set
 }
 
-// Cost constants of the match-set rule, in nanoseconds. lfStepNs is one LF
+// Cost constants of the match-set rule, in picoseconds. lfStepPs is one LF
 // step of a locate walk, read from the benchmark's fmindex.locate_ns_per_occ
-// (2.3-5.9 us per occurrence at l = 64, i.e. 70-180 ns per step). scanByteNs
-// is one byte of a bytes.Contains pass over the plain store, read from the
-// naive/<pattern> rows of BenchmarkTable2_FMSearch (~1 ms over 2 MB Medline).
+// (2.3-5.9 us per occurrence at l = 64, i.e. 70-180 ns per step). scanBytePs
+// is one byte of the plain-store scan (TextStore.Contains), read from the
+// scan/<pattern> rows of BenchmarkTable2_FMSearch: the median over the
+// patterns of each row's median of -count 5 is 478 us over the 1.14 MB
+// Medline store.
 const (
-	lfStepNs   = 150
-	scanByteNs = 1
+	lfStepPs   = 150_000
+	scanBytePs = 420
 )
 
 // scanThreshold returns the occurrence count above which scanning the plain
@@ -225,16 +298,5 @@ func scanThreshold(d *xmltree.Doc, opts Options) int {
 	case opts.PlainCutoff > 0:
 		return opts.PlainCutoff
 	}
-	return d.FM.Size() * scanByteNs / ((d.FM.SampleRate()/2 + 1) * lfStepNs)
-}
-
-// plainScan evaluates the predicate over the redundant plain-text store.
-func plainScan(d *xmltree.Doc, op TextOp, p []byte) []int32 {
-	var out []int32
-	for id, n := 0, d.Plain.Len(); id < n; id++ {
-		if evalTextOp(op, d.Plain.Get(id), p) {
-			out = append(out, int32(id))
-		}
-	}
-	return out
+	return d.FM.Size() * scanBytePs / ((d.FM.SampleRate()/2 + 1) * lfStepPs)
 }

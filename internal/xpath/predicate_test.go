@@ -340,36 +340,48 @@ func TestContainsSpans(t *testing.T) {
 	})
 }
 
-// TestSpanTableConcurrent evaluates one compiled span query from several
-// goroutines before its table exists, under both strategies: the first
-// evaluations race to build the shared table, and every one must count the
-// sequential result. Run with -race.
+// TestSpanTableConcurrent evaluates one compiled span query, and one
+// match-set query, from several goroutines before its table or set exists,
+// under both strategies: the first evaluations race to build the shared
+// table or set, which the bottom-up plan's counts and the streaming
+// iterator's predicate read alike, and every count and drained Iter must
+// find the sequential result. Run with -race.
 func TestSpanTableConcurrent(t *testing.T) {
 	d := medlineDoc(t, 100_000, 16, false)
-	for _, s := range []Strategy{StrategyTopDown, StrategyBottomUp} {
-		src := `//*[contains(., "\n199")]`
-		want, err := Compile(src, d, Options{ForceStrategy: s})
-		if err != nil {
-			t.Fatal(err)
+	for _, src := range []string{`//*[contains(., "\n199")]`, `//AbstractText[contains(., "the")]`} {
+		for _, s := range []Strategy{StrategyTopDown, StrategyBottomUp} {
+			want, err := Compile(src, d, Options{ForceStrategy: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, _ := want.CountCtx(context.Background())
+			if n == 0 {
+				t.Fatalf("%s matches nothing", src)
+			}
+			q, err := Compile(src, d, Options{ForceStrategy: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var got int64
+					if g%2 == 0 {
+						got, _ = q.CountCtx(context.Background())
+					} else {
+						it := q.Iter(context.Background())
+						for _, ok := it.Next(); ok; _, ok = it.Next() {
+							got++
+						}
+					}
+					if got != n {
+						t.Errorf("%s %s: concurrent count %d, sequential %d", s, src, got, n)
+					}
+				}()
+			}
+			wg.Wait()
 		}
-		n, _ := want.CountCtx(context.Background())
-		if n == 0 {
-			t.Fatalf("%s matches nothing", src)
-		}
-		q, err := Compile(src, d, Options{ForceStrategy: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if got, _ := q.CountCtx(context.Background()); got != n {
-					t.Errorf("%s: concurrent count %d, sequential %d", s, got, n)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 }
