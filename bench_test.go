@@ -383,7 +383,7 @@ func (nopHandler) Text([]byte) error                          { return nil }
 // BenchmarkTable4_Construction is Table IV, per corpus: the SAX parse alone,
 // the pointer DOM, the succinct tree store (an index without the FM-index),
 // and the succinct components rebuilt from the stored tree's own data —
-// parentheses, tag sequence and tag tables (recomputed in place; identical).
+// parentheses and tag sequence.
 func BenchmarkTable4_Construction(b *testing.B) {
 	setup(b)
 	for _, c := range treeCorpora() {
@@ -400,7 +400,6 @@ func BenchmarkTable4_Construction(b *testing.B) {
 		})
 		sub(b, c.name+"/parentheses", nil, func() error { bp.NewFromBools(parens); return nil })
 		sub(b, c.name+"/tags", nil, func() error { tags.Build(ids, 2*doc.NumTags()); return nil })
-		sub(b, c.name+"/tag-tables", nil, func() error { doc.RebuildTagTables(); return nil })
 	}
 }
 

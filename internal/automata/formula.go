@@ -142,9 +142,6 @@ func (f *Factory) Pred(name string, fn PredFunc) *Formula {
 	return f.intern(&Formula{Kind: FPred, PredID: id})
 }
 
-// HasMark reports whether evaluating phi may produce marked nodes.
-func (phi *Formula) HasMark() bool { return phi.hasMark }
-
 // downStates accumulates the states referenced by ↓1 (into q1) and ↓2
 // (into q2) anywhere in the formula, including under negation. It reports
 // whether the formula contains a predicate atom.

@@ -288,40 +288,19 @@ func (c *Collection) Reload(ctx context.Context) ReloadReport {
 		}
 	}
 
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	workers := c.cfg.workers()
-	if workers > len(changed) {
-		workers = len(changed)
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if err := c.Open(j.name, j.src.path); err != nil {
-					fail(j.name, err)
-					continue
-				}
-				mu.Lock()
-				rep.Reloaded = append(rep.Reloaded, j.name)
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i, j := range changed {
-		select {
-		case jobs <- j:
-		case <-ctx.Done():
-			for _, rest := range changed[i:] {
-				fail(rest.name, ctx.Err())
-			}
-			break feed
+	started := c.runPool(ctx, len(changed), func(i int) {
+		j := changed[i]
+		if err := c.Open(j.name, j.src.path); err != nil {
+			fail(j.name, err)
+			return
 		}
+		mu.Lock()
+		rep.Reloaded = append(rep.Reloaded, j.name)
+		mu.Unlock()
+	})
+	for _, rest := range changed[started:] {
+		fail(rest.name, ctx.Err())
 	}
-	close(jobs)
-	wg.Wait()
 	sort.Strings(rep.Reloaded)
 	sort.Strings(rep.Removed)
 	c.met.reloads.Add(1)
@@ -355,37 +334,22 @@ func (c *Collection) LoadDir(ctx context.Context, dir string) ([]string, error) 
 		paths[name] = filepath.Join(dir, e.Name())
 	}
 
-	type job struct{ name, path string }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
+	names := make([]string, 0, len(paths))
+	for name := range paths {
+		names = append(names, name)
+	}
 	var errMu sync.Mutex
 	var errs []error
-	for i := 0; i < c.cfg.workers(); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if err := c.Open(j.name, j.path); err != nil {
-					errMu.Lock()
-					errs = append(errs, err)
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for name, path := range paths {
-		select {
-		case jobs <- job{name, path}:
-		case <-ctx.Done():
+	started := c.runPool(ctx, len(names), func(i int) {
+		if err := c.Open(names[i], paths[names[i]]); err != nil {
 			errMu.Lock()
-			errs = append(errs, ctx.Err())
+			errs = append(errs, err)
 			errMu.Unlock()
-			break feed
 		}
+	})
+	if started < len(names) {
+		errs = append(errs, ctx.Err())
 	}
-	close(jobs)
-	wg.Wait()
 	return c.Names(), errors.Join(errs...)
 }
 
@@ -599,52 +563,47 @@ func (c *Collection) Query(ctx context.Context, reqs []Request) []Result {
 	if len(reqs) == 0 {
 		return out
 	}
-	workers := c.cfg.workers()
-	if workers > len(reqs) {
-		workers = len(reqs)
+	started := c.runPool(ctx, len(reqs), func(i int) { out[i] = c.DoContext(ctx, reqs[i]) })
+	for j := started; j < len(reqs); j++ {
+		out[j] = Result{Doc: reqs[j].Doc, Query: reqs[j].Query, Mode: reqs[j].Mode, Err: ctx.Err()}
 	}
+	return out
+}
+
+// runPool calls fn(i) for every i in [0, n) on a bounded pool of at most
+// Config.Workers goroutines, handing the indices out in ascending order. A
+// canceled context stops the handing out. runPool returns once every
+// started call has returned, with the number of indices started: fn ran
+// for exactly the indices below it.
+func (c *Collection) runPool(ctx context.Context, n int, fn func(i int)) (started int) {
 	idx := make(chan int)
-	done := make([]bool, len(reqs))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(c.cfg.workers(), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = c.DoContext(ctx, reqs[i])
-				done[i] = true
+				fn(i)
 			}
 		}()
 	}
-	canceled := false
 feed:
-	for i := range reqs {
+	for started < n {
 		// Checked first because select picks randomly among ready cases: an
 		// idle worker must not keep winning against a canceled context.
 		if ctx.Err() != nil {
-			canceled = true
 			break
 		}
 		select {
-		case idx <- i:
+		case idx <- started:
+			started++
 		case <-ctx.Done():
-			canceled = true
 			break feed
 		}
 	}
 	close(idx)
 	wg.Wait()
-	if canceled {
-		// Each index is handed to exactly one worker, and the pool has
-		// drained, so done[] is settled: unstarted requests report the
-		// cancellation.
-		for j := range reqs {
-			if !done[j] {
-				out[j] = Result{Doc: reqs[j].Doc, Query: reqs[j].Query, Mode: reqs[j].Mode, Err: ctx.Err()}
-			}
-		}
-	}
-	return out
+	return started
 }
 
 // Stats is a snapshot of the collection's serving counters. MappedDocs

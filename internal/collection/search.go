@@ -133,7 +133,8 @@ func (c *Collection) Search(ctx context.Context, query, xpath string, k int) (re
 	if len(phrases) > 0 {
 		phraseTF = make(map[string][]int64, len(cands))
 		var mu sync.Mutex
-		err = c.forEach(ctx, cands, func(name string) {
+		started := c.runPool(ctx, len(cands), func(i int) {
+			name := cands[i]
 			dp := snap.Docs[name]
 			counts := make([]int64, len(phrases))
 			if d := dp.Doc(); d != nil && d.FM != nil {
@@ -145,8 +146,8 @@ func (c *Collection) Search(ctx context.Context, query, xpath string, k int) (re
 			phraseTF[name] = counts
 			mu.Unlock()
 		})
-		if err != nil {
-			return nil, err
+		if started < len(cands) {
+			return nil, ctx.Err()
 		}
 	}
 
@@ -230,8 +231,8 @@ func (c *Collection) searchSnapshot(ctx context.Context) (search.Snapshot, error
 	for name := range unbuilt {
 		names = append(names, name)
 	}
-	if err := c.forEach(ctx, names, func(name string) { unbuilt[name].Postings() }); err != nil {
-		return search.Snapshot{}, err
+	if c.runPool(ctx, len(names), func(i int) { unbuilt[names[i]].Postings() }) < len(names) {
+		return search.Snapshot{}, ctx.Err()
 	}
 	for name, eng := range unbuilt {
 		dp := eng.Postings()
@@ -247,63 +248,16 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// forEach runs fn over names on a bounded pool of Config.Workers
-// goroutines; a canceled context stops feeding and returns its error (some
-// names will not have been visited).
-func (c *Collection) forEach(ctx context.Context, names []string, fn func(name string)) error {
-	if len(names) == 0 {
-		return ctx.Err()
-	}
-	workers := c.cfg.workers()
-	if workers > len(names) {
-		workers = len(names)
-	}
-	jobs := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for name := range jobs {
-				fn(name)
-			}
-		}()
-	}
-	canceled := false
-feed:
-	for _, name := range names {
-		if ctx.Err() != nil {
-			canceled = true
-			break
-		}
-		select {
-		case jobs <- name:
-		case <-ctx.Done():
-			canceled = true
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if canceled {
-		return ctx.Err()
-	}
-	return nil
-}
-
 // SearchIndex returns the posting index of the documents registered now
 // (nil when the tier is disabled), building the postings no search has
-// needed yet. It is a copy for tests and tools: later Add, Remove and
-// Reload calls do not reach it.
+// needed yet. It is a read-only copy for tests and tools: later Add,
+// Remove and Reload calls do not reach it.
 func (c *Collection) SearchIndex() *search.Index {
 	if c.cfg.DisableSearch {
 		return nil
 	}
 	// The only error searchSnapshot returns is its context's.
 	snap, _ := c.searchSnapshot(context.Background())
-	ix := search.NewIndex()
-	for name, dp := range snap.Docs {
-		ix.Add(name, dp)
-	}
-	return ix
+	ix := search.Index(snap)
+	return &ix
 }

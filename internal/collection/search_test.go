@@ -142,11 +142,11 @@ func TestSearchErrors(t *testing.T) {
 
 func TestSearchIndexFollowsRegistry(t *testing.T) {
 	c := searchCollection(t)
-	if got := c.SearchIndex().Len(); got != 3 {
+	if got := len(c.SearchIndex().Snapshot().Docs); got != 3 {
 		t.Fatalf("index Len = %d", got)
 	}
 	c.Remove("cooking")
-	if got := c.SearchIndex().Len(); got != 2 {
+	if got := len(c.SearchIndex().Snapshot().Docs); got != 2 {
 		t.Fatalf("index Len after Remove = %d", got)
 	}
 	// Replacing a document re-points its postings: the old terms vanish.

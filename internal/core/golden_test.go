@@ -19,8 +19,8 @@ func TestSaveGoldenDigest(t *testing.T) {
 		xml  []byte
 		want string
 	}{
-		{"xmark", gen.XMark(7, 120_000), "52036103d0768906e09b4e81f3b46dbc2cef9de2ca3230a7b4b8ef0bf951f6a7"},
-		{"medline", gen.Medline(7, 120_000), "d6e7604f6e7c5ed54d191024e7d7b5b47377c769cd818250beef50ce1b9fcd93"},
+		{"xmark", gen.XMark(7, 120_000), "811555f1503c3605789c14bf883a3258a86d9e4d44b3155a97e6311fc65f386c"},
+		{"medline", gen.Medline(7, 120_000), "514ccdec6e0e85f5c566665c4dce6b5f33d485766801c8469eb5316c503151e4"},
 	} {
 		e, err := BuildContext(context.Background(), c.xml, Config{})
 		if err != nil {

@@ -68,9 +68,6 @@ func (x *Index) Size() int { return x.n }
 // about l/2 LF steps per occurrence.
 func (x *Index) SampleRate() int { return x.l }
 
-// TextLen returns the length of text id (without terminator).
-func (x *Index) TextLen(id int) int { return int(x.lens[id]) }
-
 // LF computes the last-to-first mapping for BWT row i.
 func (x *Index) LF(i int) int {
 	c := x.bwt.Access(i)
@@ -170,9 +167,6 @@ func (x *Index) Contains(p []byte) []int {
 	sort.Ints(ids)
 	return slices.Compact(ids)
 }
-
-// ContainsCount returns the number of distinct texts containing p.
-func (x *Index) ContainsCount(p []byte) int { return len(x.Contains(p)) }
 
 // ContainsAny reports whether any text contains p (existential query).
 func (x *Index) ContainsAny(p []byte) bool {

@@ -52,15 +52,6 @@ func (t *StrategyTally) Count(s xpath.Strategy) int {
 	return t.counts[s]
 }
 
-// Records returns a copy of the recorded decisions in recording order.
-func (t *StrategyTally) Records() []StrategyRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]StrategyRecord, len(t.records))
-	copy(out, t.records)
-	return out
-}
-
 // String summarizes the tally as "strategy=count" pairs, sorted by name.
 func (t *StrategyTally) String() string {
 	t.mu.Lock()

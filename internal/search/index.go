@@ -4,75 +4,26 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 )
 
-// Index is a mutable set of named document postings: what
-// collection.Collection.SearchIndex assembles from its engines for tests
-// and tools. A serving collection keeps none — it derives a Snapshot from
-// its registry per search. All methods are safe for concurrent use; readers work on
-// snapshots, so a swap never mixes old and new postings within one query.
-type Index struct {
-	mu    sync.RWMutex
-	docs  map[string]*DocPostings // guarded by mu
-	total int64                   // guarded by mu; sum of per-doc token counts
-}
-
-// NewIndex creates an empty posting index.
-func NewIndex() *Index {
-	return &Index{docs: map[string]*DocPostings{}}
-}
-
-// Add registers (or replaces) the postings of one document. The swap is a
-// pointer flip: searches that already snapshotted the index keep scoring
-// the old postings.
-func (ix *Index) Add(name string, dp *DocPostings) {
-	ix.mu.Lock()
-	if old, ok := ix.docs[name]; ok {
-		ix.total -= old.tokens
-	}
-	ix.docs[name] = dp
-	ix.total += dp.tokens
-	ix.mu.Unlock()
-}
-
-// Remove drops a document's postings; it reports whether they existed.
-func (ix *Index) Remove(name string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	dp, ok := ix.docs[name]
-	if ok {
-		ix.total -= dp.tokens
-		delete(ix.docs, name)
-	}
-	return ok
-}
-
-// Len returns the number of indexed documents.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.docs)
-}
-
-// Snapshot is a point-in-time view of the index: the document→postings
-// map (postings values are immutable) and the aggregate token count.
-// Scoring a snapshot is unaffected by concurrent Add/Remove.
+// Snapshot is a point-in-time set of named document postings: the
+// document→postings map (postings values are immutable) and the aggregate
+// token count. Nothing modifies a snapshot once it is built, so scoring
+// one is unaffected by whatever the registry it came from does next.
 type Snapshot struct {
 	Docs  map[string]*DocPostings
 	Total int64
 }
 
-// Snapshot copies the current registry (O(docs) pointer copies).
-func (ix *Index) Snapshot() Snapshot {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	s := Snapshot{Docs: make(map[string]*DocPostings, len(ix.docs)), Total: ix.total}
-	for name, dp := range ix.docs {
-		s.Docs[name] = dp
-	}
-	return s
-}
+// Index is a read-only snapshot under its own name: what
+// collection.Collection.SearchIndex assembles from its engines for tests
+// and tools. A serving collection keeps none — it derives a Snapshot from
+// its registry per search.
+type Index Snapshot
+
+// Snapshot returns the index's documents and token count; the map is
+// shared, and neither side modifies it.
+func (ix *Index) Snapshot() Snapshot { return Snapshot(*ix) }
 
 // AvgLen returns the average document length in tokens (1 when the
 // snapshot is empty or all-empty, so BM25 normalization never divides by

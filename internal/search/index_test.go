@@ -2,10 +2,8 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -18,12 +16,21 @@ func postingsFromText(text string) *DocPostings {
 	return tc.freeze()
 }
 
-func testIndex() *Index {
-	ix := NewIndex()
-	ix.Add("a", postingsFromText("gold rush gold mine"))
-	ix.Add("b", postingsFromText("silver age silver screen silver"))
-	ix.Add("c", postingsFromText("gold and silver coins"))
-	return ix
+// snapshotOf builds a snapshot of the named postings.
+func snapshotOf(docs map[string]*DocPostings) Snapshot {
+	s := Snapshot{Docs: docs}
+	for _, dp := range docs {
+		s.Total += dp.Tokens()
+	}
+	return s
+}
+
+func testSnapshot() Snapshot {
+	return snapshotOf(map[string]*DocPostings{
+		"a": postingsFromText("gold rush gold mine"),
+		"b": postingsFromText("silver age silver screen silver"),
+		"c": postingsFromText("gold and silver coins"),
+	})
 }
 
 func TestPostingsTF(t *testing.T) {
@@ -45,97 +52,17 @@ func TestPostingsTF(t *testing.T) {
 	}
 }
 
-func TestIndexAddRemoveSnapshot(t *testing.T) {
-	ix := testIndex()
-	if ix.Len() != 3 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	s := ix.Snapshot()
-	if s.Total != 4+5+4 {
-		t.Fatalf("Total = %d", s.Total)
-	}
-	// Replacing a document adjusts the aggregate token count.
-	ix.Add("a", postingsFromText("one two"))
-	if got := ix.Snapshot().Total; got != 2+5+4 {
-		t.Fatalf("Total after replace = %d", got)
-	}
-	if !ix.Remove("a") || ix.Remove("a") {
-		t.Fatal("Remove semantics")
-	}
-	if got := ix.Snapshot().Total; got != 5+4 {
-		t.Fatalf("Total after remove = %d", got)
-	}
-	// The earlier snapshot is unaffected by all of the above.
-	if len(s.Docs) != 3 || s.Total != 13 {
-		t.Fatal("snapshot mutated by later Add/Remove")
-	}
-
-	// Concurrent writers and readers: docs and total are guarded by mu, so
-	// under -race a method that drops the lock fails here, and every
-	// snapshot's total must match its documents. The readers run until
-	// both writers are done, so each of them overlaps the writes.
-	var writers, readers sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 2; g++ {
-		writers.Add(1)
-		go func(name string) {
-			defer writers.Done()
-			for it := 0; it < 200; it++ {
-				ix.Add(name, postingsFromText("one two three"))
-				ix.Remove(name)
-			}
-		}(fmt.Sprint("w", g))
-	}
-	readers.Add(2)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if n := ix.Len(); n < 2 || n > 4 {
-				t.Errorf("Len = %d during churn", n)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := ix.Snapshot()
-			var sum int64
-			for _, dp := range snap.Docs {
-				sum += dp.Tokens()
-			}
-			if sum != snap.Total {
-				t.Errorf("snapshot total %d, documents sum to %d", snap.Total, sum)
-				return
-			}
-		}
-	}()
-	writers.Wait()
-	close(stop)
-	readers.Wait()
-}
-
 func TestAvgLen(t *testing.T) {
 	if got := (Snapshot{}).AvgLen(); got != 1 {
 		t.Fatalf("empty AvgLen = %v", got)
 	}
-	if got := testIndex().Snapshot().AvgLen(); math.Abs(got-13.0/3) > 1e-12 {
+	if got := testSnapshot().AvgLen(); math.Abs(got-13.0/3) > 1e-12 {
 		t.Fatalf("AvgLen = %v", got)
 	}
 }
 
 func TestCandidates(t *testing.T) {
-	s := testIndex().Snapshot()
+	s := testSnapshot()
 	ctx := context.Background()
 	for _, tc := range []struct {
 		q    string
@@ -165,7 +92,7 @@ func TestCandidates(t *testing.T) {
 }
 
 func TestRankOrderAndConjunction(t *testing.T) {
-	s := testIndex().Snapshot()
+	s := testSnapshot()
 	ctx := context.Background()
 	terms, _ := ParseQuery("gold")
 	cands, _ := Candidates(ctx, s, terms)
@@ -202,12 +129,12 @@ func TestRankOrderAndConjunction(t *testing.T) {
 }
 
 func TestRankDeterministicTieBreak(t *testing.T) {
-	ix := NewIndex()
 	// Identical documents: identical scores, so the name decides.
+	docs := map[string]*DocPostings{}
 	for _, name := range []string{"z", "m", "a"} {
-		ix.Add(name, postingsFromText("same words here"))
+		docs[name] = postingsFromText("same words here")
 	}
-	s := ix.Snapshot()
+	s := snapshotOf(docs)
 	terms, _ := ParseQuery("words")
 	cands, _ := Candidates(context.Background(), s, terms)
 	scored, err := Rank(context.Background(), s, terms, cands, nil)
@@ -232,11 +159,11 @@ func TestIdfPositive(t *testing.T) {
 }
 
 func TestScoringLoopsPollContext(t *testing.T) {
-	ix := NewIndex()
+	docs := map[string]*DocPostings{}
 	for i := 0; i < 4*pollStride; i++ {
-		ix.Add(string(rune('a'+i%26))+string(rune('0'+i%10))+string(rune('A'+i/260%26))+string(rune(i)), postingsFromText("gold"))
+		docs[string(rune('a'+i%26))+string(rune('0'+i%10))+string(rune('A'+i/260%26))+string(rune(i))] = postingsFromText("gold")
 	}
-	s := ix.Snapshot()
+	s := snapshotOf(docs)
 	terms, _ := ParseQuery("gold")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,9 +1,9 @@
 // Package xmltree assembles the succinct XML document model of the paper:
 // the balanced-parentheses structure Par, the tag sequence Tag, the leaf
-// bitmap B connecting tree nodes and text identifiers (Section 4), the text
-// collection (Section 3), and the relative tag position tables of Section
-// 5.5.6. The model adds an extra root labeled "&" and encodes attributes via
-// "@"/"%" nodes and text via "#" leaves exactly as Section 2 describes.
+// bitmap B connecting tree nodes and text identifiers (Section 4), and the
+// text collection (Section 3). The model adds an extra root labeled "&"
+// and encodes attributes via "@"/"%" nodes and text via "#" leaves exactly
+// as Section 2 describes.
 package xmltree
 
 import (
@@ -58,40 +58,15 @@ type Doc struct {
 	Plain *TextStore
 	nText int
 
-	// per-tag statistics
-	tagCount []int32 // occurrences of each tag (as node label)
-
-	// pureText[tag] reports that every element with this tag has pure
-	// PCDATA content: either no children or exactly one # text child.
-	// Used by the planner rule of Section 6.6 (step 2).
+	// pureText[tag] reports that every node with this tag has pure
+	// PCDATA content: apart from its @ attribute container, either no
+	// children or exactly one # text child. Used by the planner rule of
+	// Section 6.6 (step 2).
 	pureText []bool
-
-	// Relative tag position tables (Section 5.5.6): bitsets over tag ids.
-	childTags, descTags, follSibTags, follTags []tagSet
-
-	// min close / max open positions per tag, used to build follTags and
-	// useful for planning.
-	minClose, maxOpen []int32
 
 	// aliasedBytes is the size of the buffer a ReadIndexMapped load aliases
 	// its payloads out of; zero for parsed documents.
 	aliasedBytes int
-}
-
-type tagSet []uint64
-
-func newTagSet(n int) tagSet { return make(tagSet, (n+63)/64) }
-func (s tagSet) set(i int32) { s[i>>6] |= 1 << uint(i&63) }
-func (s tagSet) get(i int32) bool {
-	if int(i>>6) >= len(s) {
-		return false
-	}
-	return s[i>>6]&(1<<uint(i&63)) != 0
-}
-func (s tagSet) or(o tagSet) {
-	for i := range o {
-		s[i] |= o[i]
-	}
 }
 
 // Options configure document indexing.
@@ -109,8 +84,10 @@ type Options struct {
 // Raw is the stage-1 parse product of the staged build pipeline (package
 // build): the event stream of one document flattened into plain arrays,
 // before any succinct structure exists. It decouples parsing from assembly
-// so the structural side (BP, tags, leaf bitmap, planner tables) and the
-// text side (FM-index) can be built concurrently from one parse.
+// so the structural side (BP, tags, leaf bitmap) and the text side
+// (FM-index) can be built concurrently from one parse. The one derived
+// per-tag fact the planner reads, PureText, is decided during the parse,
+// so assembly makes no pass over the document of its own.
 type Raw struct {
 	Names  []string         // label table; reserved labels occupy ids 0..3
 	NameID map[string]int32 // inverse of Names
@@ -118,13 +95,22 @@ type Raw struct {
 	TagIDs []int32          // 2*tag for an opening paren, 2*tag+1 for a closing
 	Leaves []int            // paren positions of text leaves, ascending
 	Texts  *TextStore       // the text collection, in leaf order
+	// PureText[tag] is false once some node labeled tag has a child other
+	// than # and @, or two or more # children (see Doc.PureText).
+	PureText []bool
 }
 
 // builder accumulates the model during the parse.
 type builder struct {
-	raw  *Raw
-	opts Options
+	raw *Raw
+	// kids holds, for every open node (innermost last), the children seen
+	// so far that decide its label's PureText.
+	kids []kidCount
 }
+
+// kidCount counts the # children of one open node and its children that
+// are neither # nor @.
+type kidCount struct{ texts, others int32 }
 
 // Parse indexes an XML document held in memory. It is the convenience
 // path: ParseRaw, AssembleStructure and the FM-index build run one after
@@ -174,17 +160,34 @@ func (b *builder) intern(name string) int32 {
 	id := int32(len(b.raw.Names))
 	b.raw.Names = append(b.raw.Names, name)
 	b.raw.NameID[name] = id
+	b.raw.PureText = append(b.raw.PureText, true)
 	return id
 }
 
 func (b *builder) open(tag int32) {
 	b.raw.Parens = append(b.raw.Parens, true)
 	b.raw.TagIDs = append(b.raw.TagIDs, 2*tag)
+	if n := len(b.kids); n > 0 {
+		switch top := &b.kids[n-1]; tag {
+		case textTag:
+			top.texts++
+		case attrsTag:
+			// attributes do not affect PCDATA purity
+		default:
+			top.others++
+		}
+	}
+	b.kids = append(b.kids, kidCount{})
 }
 
 func (b *builder) close(tag int32) {
 	b.raw.Parens = append(b.raw.Parens, false)
 	b.raw.TagIDs = append(b.raw.TagIDs, 2*tag+1)
+	k := b.kids[len(b.kids)-1]
+	b.kids = b.kids[:len(b.kids)-1]
+	if k.others > 0 || k.texts > 1 {
+		b.raw.PureText[tag] = false
+	}
 }
 
 // The Handler interface (xmlparse events):
@@ -238,14 +241,14 @@ func (b *builder) textLeaf(tag int32) {
 }
 
 // AssembleStructure builds the structural side of the document from a
-// stage-1 parse product: balanced parentheses, tag sequence, leaf bitmap,
-// the plain-text store (unless opts.SkipPlain) and the derived per-tag
-// planner tables. The FM-index is NOT built here — attach one with SetFM,
-// or leave it absent for tree-only workloads. Cancellation is polled
-// between the component constructors and inside the tag-table traversal;
-// on error the partially assembled document is dropped, never returned.
+// stage-1 parse product: balanced parentheses, tag sequence, leaf bitmap
+// and the plain-text store (unless opts.SkipPlain); the parse's PureText
+// is taken as it is. The FM-index is NOT built here — attach one with
+// SetFM, or leave it absent for tree-only workloads. Cancellation is
+// polled between the component constructors; on error the partially
+// assembled document is dropped, never returned.
 func AssembleStructure(ctx context.Context, raw *Raw, opts Options) (*Doc, error) {
-	d := &Doc{names: raw.Names, nameID: raw.NameID}
+	d := &Doc{names: raw.Names, nameID: raw.NameID, pureText: raw.PureText}
 	nTags := len(d.names)
 
 	if err := ctxErr(ctx); err != nil {
@@ -271,9 +274,6 @@ func AssembleStructure(ctx context.Context, raw *Raw, opts Options) (*Doc, error
 	if !opts.SkipPlain {
 		d.Plain = raw.Texts
 	}
-	if err := d.buildTagTablesCtx(ctx); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
@@ -289,126 +289,6 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// tablePollStride is how many parenthesis positions the tag-table traversal
-// visits between context polls.
-const tablePollStride = 1 << 16
-
-// RebuildTagTables recomputes the derived per-tag tables; exposed so the
-// benchmark harness can time this construction component (Table IV).
-func (d *Doc) RebuildTagTables() { d.buildTagTablesCtx(context.Background()) }
-
-// buildTagTablesCtx computes pureText, tag counts, and the four relative tag
-// position tables by one traversal of the built structure, polling ctx
-// every tablePollStride positions.
-func (d *Doc) buildTagTablesCtx(ctx context.Context) error {
-	nTags := len(d.names)
-	d.tagCount = make([]int32, nTags)
-	d.pureText = make([]bool, nTags)
-	for i := range d.pureText {
-		d.pureText[i] = true
-	}
-	d.childTags = make([]tagSet, nTags)
-	d.descTags = make([]tagSet, nTags)
-	d.follSibTags = make([]tagSet, nTags)
-	d.follTags = make([]tagSet, nTags)
-	d.minClose = make([]int32, nTags)
-	d.maxOpen = make([]int32, nTags)
-	for i := range d.minClose {
-		d.minClose[i] = int32(1) << 30
-		d.maxOpen[i] = -1
-	}
-	for i := 0; i < nTags; i++ {
-		d.childTags[i] = newTagSet(nTags)
-		d.descTags[i] = newTagSet(nTags)
-		d.follSibTags[i] = newTagSet(nTags)
-		d.follTags[i] = newTagSet(nTags)
-	}
-	type tframe struct {
-		tag      int32
-		desc     tagSet
-		sibSeen  []int32
-		textKids int
-		elemKids int
-	}
-	var stack []tframe
-	n := d.Par.Len()
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil // uncancellable: skip the polls
-	}
-	for p := 0; p < n; p++ {
-		if ctx != nil && p%tablePollStride == tablePollStride-1 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if d.Par.IsOpen(p) {
-			tag := d.Tag.Access(p) / 2
-			d.tagCount[tag]++
-			if int32(p) > d.maxOpen[tag] {
-				d.maxOpen[tag] = int32(p)
-			}
-			if len(stack) > 0 {
-				top := &stack[len(stack)-1]
-				d.childTags[top.tag].set(tag)
-				for _, s := range top.sibSeen {
-					d.follSibTags[s].set(tag)
-				}
-				// keep distinct sibling tags only
-				dup := false
-				for _, s := range top.sibSeen {
-					if s == tag {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					top.sibSeen = append(top.sibSeen, tag)
-				}
-				switch tag {
-				case textTag:
-					top.textKids++
-				case attrsTag:
-					// attributes do not affect PCDATA purity
-				default:
-					top.elemKids++
-				}
-			}
-			stack = append(stack, tframe{tag: tag, desc: newTagSet(nTags)})
-		} else {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			tag := d.Tag.Access(p) / 2
-			if int32(p) < d.minClose[tag] {
-				d.minClose[tag] = int32(p)
-			}
-			d.descTags[tag].or(f.desc)
-			if f.elemKids > 0 || f.textKids > 1 {
-				d.pureText[tag] = false
-			}
-			if len(stack) > 0 {
-				top := &stack[len(stack)-1]
-				top.desc.or(f.desc)
-				top.desc.set(tag)
-			}
-		}
-	}
-	// follTags: l' follows l iff some l' opens after some l closes.
-	for l := 0; l < nTags; l++ {
-		if d.tagCount[l] == 0 {
-			continue
-		}
-		for l2 := 0; l2 < nTags; l2++ {
-			if d.tagCount[l2] == 0 {
-				continue
-			}
-			if d.maxOpen[l2] > d.minClose[l] {
-				d.follTags[l].set(int32(l2))
-			}
-		}
-	}
-	return nil
 }
 
 // --- Names and tags ---
@@ -433,12 +313,13 @@ func (d *Doc) TextTag() int32    { return textTag }
 func (d *Doc) AttrsTag() int32   { return attrsTag }
 func (d *Doc) AttrValTag() int32 { return attrValTag }
 
-// TagCount returns the number of nodes labeled tag.
+// TagCount returns the number of nodes labeled tag: the size of its
+// opening row in the tag sequence, O(1).
 func (d *Doc) TagCount(tag int32) int {
-	if tag < 0 || int(tag) >= len(d.tagCount) {
+	if tag < 0 || int(tag) >= len(d.names) {
 		return 0
 	}
-	return int(d.tagCount[tag])
+	return d.Tag.Count(2 * tag)
 }
 
 // PureText reports whether every node labeled tag has pure PCDATA content.
@@ -448,19 +329,6 @@ func (d *Doc) PureText(tag int32) bool {
 	}
 	return d.pureText[tag]
 }
-
-// HasDescendantTag reports whether any node labeled l has a descendant
-// labeled l2 (relative tag position table, Section 5.5.6).
-func (d *Doc) HasDescendantTag(l, l2 int32) bool { return d.descTags[l].get(l2) }
-
-// HasChildTag reports whether any l-node has an l2 child.
-func (d *Doc) HasChildTag(l, l2 int32) bool { return d.childTags[l].get(l2) }
-
-// HasFollowingSiblingTag reports whether any l-node has a following sibling l2.
-func (d *Doc) HasFollowingSiblingTag(l, l2 int32) bool { return d.follSibTags[l].get(l2) }
-
-// HasFollowingTag reports whether any l2-node opens after some l-node closes.
-func (d *Doc) HasFollowingTag(l, l2 int32) bool { return d.follTags[l].get(l2) }
 
 // --- Tree navigation (delegated to Par, Section 4.2.1) ---
 
@@ -536,9 +404,6 @@ func (d *Doc) TaggedPrec(x int, tag int32) int {
 // NumTexts returns d, the number of texts.
 func (d *Doc) NumTexts() int { return d.nText }
 
-// LeafNumber returns the number of text leaves with opening paren <= x.
-func (d *Doc) LeafNumber(x int) int { return d.leafB.Rank1(x + 1) }
-
 // TextIDs returns the half-open range [lo, hi) of text identifiers that
 // descend from node x (including x itself if it is a text leaf).
 func (d *Doc) TextIDs(x int) (int, int) {
@@ -555,10 +420,6 @@ func (d *Doc) NodeToTextID(x int) int {
 	}
 	return d.leafB.Rank1(x)
 }
-
-// XMLIdText returns the global preorder identifier of the node holding text
-// id (Section 4.2.3).
-func (d *Doc) XMLIdText(id int) int { return d.Par.Preorder(d.leafB.Select1(id)) }
 
 // --- Text access ---
 
@@ -619,10 +480,7 @@ func (d *Doc) AliasedBytes() int { return d.aliasedBytes }
 
 // SizeInBytes reports the in-memory footprint, split by component.
 func (d *Doc) SizeInBytes() (tree, text, plain int) {
-	tree = d.Par.SizeInBytes() + d.Tag.SizeInBytes() + d.leafB.SizeInBytes()
-	for i := range d.childTags {
-		tree += 8 * (len(d.childTags[i]) + len(d.descTags[i]) + len(d.follSibTags[i]) + len(d.follTags[i]))
-	}
+	tree = d.Par.SizeInBytes() + d.Tag.SizeInBytes() + d.leafB.SizeInBytes() + len(d.pureText)
 	if d.FM != nil {
 		text = d.FM.SizeInBytes()
 	}

@@ -152,32 +152,6 @@ func TestPureText(t *testing.T) {
 	}
 }
 
-func TestRelativeTagTables(t *testing.T) {
-	d := parse(t, paperDoc, Options{})
-	parts, part, color, stock := d.TagID("parts"), d.TagID("part"), d.TagID("color"), d.TagID("stock")
-	if !d.HasChildTag(parts, part) {
-		t.Fatal("parts/part child")
-	}
-	if d.HasChildTag(parts, color) {
-		t.Fatal("parts has no color child")
-	}
-	if !d.HasDescendantTag(parts, color) {
-		t.Fatal("parts//color")
-	}
-	if d.HasDescendantTag(color, parts) {
-		t.Fatal("color has no parts below")
-	}
-	if !d.HasFollowingSiblingTag(color, stock) {
-		t.Fatal("color then stock siblings")
-	}
-	if d.HasFollowingSiblingTag(stock, color) {
-		t.Fatal("no color after stock among siblings")
-	}
-	if !d.HasFollowingTag(color, part) {
-		t.Fatal("part2 opens after color closes")
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	docs := []string{
 		paperDoc,

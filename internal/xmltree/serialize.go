@@ -20,17 +20,18 @@ import (
 // persist container — magic number, format version, and one length-framed
 // section per component — holding each structure's own serialization:
 //
-//	names   the label table
-//	tree    balanced parentheses (package bp)
-//	tags    the tag sequence (package tags)
-//	leaves  the text-leaf bitmap and text count
-//	texts   the plain text store (always present: it is the document)
-//	fm      the FM-index (package fmindex), if built
+//	names      the label table
+//	tree       balanced parentheses (package bp)
+//	tags       the tag sequence (package tags)
+//	leaves     the text-leaf bitmap and text count
+//	texts      the plain text store (always present: it is the document)
+//	fm         the FM-index (package fmindex), if built
+//	tagtables  one PureText byte per label, the planner's per-tag fact
 //
 // Loading never re-runs suffix sorting — the dominant construction cost —
-// and only rebuilds linear-time directories (rank structures, tag rows,
-// the per-tag planner tables), which is why loading a saved index is an
-// order of magnitude faster than indexing (the Figure 8 gap). Unknown
+// and only rebuilds linear-time directories (rank structures, tag rows),
+// which is why loading a saved index is an order of magnitude faster than
+// indexing (the Figure 8 gap). Unknown
 // sections are skipped by their recorded length, and any version other
 // than the current one is reported as an error before any payload is
 // interpreted, so layout changes are detected rather than silently
@@ -38,13 +39,15 @@ import (
 
 // Magic and version of the index container. The magic is shared with the
 // CLI's format sniffing; the version is bumped on any layout change.
-// Version 3 is the aligned layout: section payloads and their word/int32
-// arrays sit on 8-byte file offsets, which is what lets ReadIndexMapped
-// alias them straight out of the file image. It is the only version read;
-// older files are rebuilt from their XML.
+// Version 3 introduced the aligned layout: section payloads and their
+// word/int32 arrays sit on 8-byte file offsets, which is what lets
+// ReadIndexMapped alias them straight out of the file image. Version 4
+// keeps that layout and cuts the tagtables section down to the PureText
+// flags. It is the only version read; older files are rebuilt from their
+// XML.
 const (
 	IndexMagic   = "SXSIGO"
-	indexVersion = 3
+	indexVersion = 4
 )
 
 // maxLabels caps the label count of a loaded index.
@@ -102,7 +105,15 @@ func (d *Doc) WriteTo(w io.Writer) (int64, error) {
 	if d.FM != nil {
 		fw.Section(secFM, func(pw *persist.Writer) { d.FM.Store(pw) })
 	}
-	fw.Section(secTagTables, func(pw *persist.Writer) { d.storeTagTables(pw) })
+	fw.Section(secTagTables, func(pw *persist.Writer) {
+		pure := make([]byte, len(d.pureText))
+		for i, p := range d.pureText {
+			if p {
+				pure[i] = 1
+			}
+		}
+		pw.Bytes(pure)
+	})
 	return fw.Close()
 }
 
@@ -110,8 +121,8 @@ func (d *Doc) WriteTo(w io.Writer) (int64, error) {
 // an mmap'd file or a private copy of the whole file (package mmap) —
 // aliasing the word, int32 and text payloads in place instead of copying
 // them. Only the derived directories (rank/select structures, the BP
-// range-min-max tree, planner tables) are built in private memory, so
-// opening is O(derived structures) and, on a mapping, the payload pages
+// range-min-max tree) are built in private memory, so opening is
+// O(derived structures) and, on a mapping, the payload pages
 // stay shared with the OS page cache. The plain-text store is kept unless
 // opts.SkipPlain is set; with opts.SkipFM the FM section is skipped without
 // being decoded.
@@ -184,7 +195,7 @@ func ReadIndexMapped(data []byte, opts Options) (*Doc, error) {
 			return nil, err
 		}
 	}
-	d, err := sd.d.assemble(sd.texts, sd.haveTexts, sd.haveTables, opts)
+	d, err := sd.d.assemble(sd.texts, sd.haveTexts, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -196,11 +207,10 @@ func ReadIndexMapped(data []byte, opts Options) (*Doc, error) {
 // its own fields only, which is what lets ReadIndexMapped decode sections
 // in parallel without locks.
 type sectionDecoder struct {
-	d          *Doc
-	opts       Options
-	texts      *TextStore
-	haveTexts  bool
-	haveTables bool
+	d         *Doc
+	opts      Options
+	texts     *TextStore
+	haveTexts bool
 }
 
 func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
@@ -252,10 +262,15 @@ func (sd *sectionDecoder) decode(id uint32, pr *persist.MReader) error {
 		}
 		d.FM = fm
 	case secTagTables:
-		if err := d.readTagTables(pr); err != nil {
-			return err
+		// The length is checked against the label table in assemble.
+		pure := pr.Bytes()
+		if pr.Err() != nil {
+			return pr.Err()
 		}
-		sd.haveTables = true
+		d.pureText = make([]bool, len(pure))
+		for i, b := range pure {
+			d.pureText[i] = b != 0
+		}
 	default:
 		// Unknown section from a future minor revision: skip.
 	}
@@ -313,75 +328,16 @@ func (sd *sectionDecoder) decodeTexts(pr *persist.MReader) error {
 	return nil
 }
 
-// storeTagTables serializes the derived per-tag planner tables, so loading
-// can skip the whole-document traversal of buildTagTablesCtx.
-func (d *Doc) storeTagTables(pw *persist.Writer) {
-	nTags := len(d.names)
-	pw.Int(nTags)
-	pw.Int32s(d.tagCount)
-	pure := make([]byte, nTags)
-	for i, p := range d.pureText {
-		if p {
-			pure[i] = 1
-		}
-	}
-	pw.Bytes(pure)
-	pw.Int32s(d.minClose)
-	pw.Int32s(d.maxOpen)
-	for _, tbl := range [][]tagSet{d.childTags, d.descTags, d.follSibTags, d.follTags} {
-		for _, row := range tbl {
-			pw.Words(row)
-		}
-	}
-}
-
-// readTagTables restores the tables written by storeTagTables. Dimension
-// consistency against the other sections is checked in assemble.
-func (d *Doc) readTagTables(pr *persist.MReader) error {
-	nTags := pr.Len(4, maxLabels) // each tag has at least its int32 count
-	d.tagCount = pr.Int32s()
-	pure := pr.Bytes()
-	d.minClose = pr.Int32s()
-	d.maxOpen = pr.Int32s()
-	if pr.Err() != nil {
-		return pr.Err()
-	}
-	ok := len(d.tagCount) == nTags && len(pure) == nTags &&
-		len(d.minClose) == nTags && len(d.maxOpen) == nTags
-	if err := pr.Check(ok, "tag table dimensions mismatch"); err != nil {
-		return err
-	}
-	d.pureText = make([]bool, nTags)
-	for i, b := range pure {
-		d.pureText[i] = b != 0
-	}
-	wlen := (nTags + 63) / 64
-	for _, tbl := range []*[]tagSet{&d.childTags, &d.descTags, &d.follSibTags, &d.follTags} {
-		rows := make([]tagSet, nTags)
-		for i := range rows {
-			w := pr.Words()
-			if pr.Err() != nil {
-				return pr.Err()
-			}
-			if err := pr.Check(len(w) == wlen, "tag table row width mismatch"); err != nil {
-				return err
-			}
-			rows[i] = w
-		}
-		*tbl = rows
-	}
-	return nil
-}
-
-// assemble cross-validates the decoded sections, fills the redundant
-// parts, and runs the derived-table construction.
-func (d *Doc) assemble(texts *TextStore, haveTexts, haveTables bool, opts Options) (*Doc, error) {
-	if d.names == nil || d.Par == nil || d.Tag == nil || d.leafB == nil || !haveTexts {
+// assemble cross-validates the decoded sections and fills the redundant
+// parts.
+func (d *Doc) assemble(texts *TextStore, haveTexts bool, opts Options) (*Doc, error) {
+	if d.names == nil || d.Par == nil || d.Tag == nil || d.leafB == nil || !haveTexts || d.pureText == nil {
 		return nil, fmt.Errorf("%w: missing a required section", ErrBadIndexFile)
 	}
 	n := d.Par.Len()
 	ok := d.Tag.Len() == n &&
 		d.Tag.NumIDs() == 2*len(d.names) &&
+		len(d.pureText) == len(d.names) &&
 		d.leafB.Len() == n &&
 		d.leafB.Ones() == d.nText &&
 		texts.Len() == d.nText
@@ -418,9 +374,5 @@ func (d *Doc) assemble(texts *TextStore, haveTexts, haveTables bool, opts Option
 		}
 		d.FM = fm
 	}
-	if haveTables && len(d.tagCount) == len(d.names) {
-		return d, nil // the stored tables match this document's tag space
-	}
-	d.buildTagTablesCtx(context.Background())
 	return d, nil
 }

@@ -49,14 +49,6 @@ func checkDocsEqual(t *testing.T, a, b *Doc) {
 			a.PureText(id) != b.PureText(id) {
 			t.Fatalf("tag %d differs", id)
 		}
-		for id2 := int32(0); int(id2) < a.NumTags(); id2++ {
-			if a.HasDescendantTag(id, id2) != b.HasDescendantTag(id, id2) ||
-				a.HasChildTag(id, id2) != b.HasChildTag(id, id2) ||
-				a.HasFollowingSiblingTag(id, id2) != b.HasFollowingSiblingTag(id, id2) ||
-				a.HasFollowingTag(id, id2) != b.HasFollowingTag(id, id2) {
-				t.Fatalf("tag tables differ at (%d,%d)", id, id2)
-			}
-		}
 	}
 	for x := 0; x < a.Par.Len(); x++ {
 		if a.Par.IsOpen(x) != b.Par.IsOpen(x) || a.Tag.Access(x) != b.Tag.Access(x) {
