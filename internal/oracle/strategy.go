@@ -8,41 +8,24 @@ import (
 	"repro/internal/xpath"
 )
 
-// StrategyRecord is one cost-model decision observed by the differential
-// harness: the query, the statistics the planner consulted and the strategy
-// it chose.
-type StrategyRecord struct {
-	Query string
-	Cost  xpath.CostEstimate
-}
-
 // StrategyTally collects the cost model's per-query decisions across a
 // differential run, so the harness can both report the strategy mix and
 // assert that a suite actually exercised every evaluation path (a suite
 // where the cost model never picks bottom-up is not testing bottom-up).
 // Safe for concurrent use.
 type StrategyTally struct {
-	mu      sync.Mutex
-	records []StrategyRecord
-	counts  map[xpath.Strategy]int
+	mu     sync.Mutex
+	counts map[xpath.Strategy]int
 }
 
 // Record notes one compiled query's decision.
-func (t *StrategyTally) Record(query string, c xpath.CostEstimate) {
+func (t *StrategyTally) Record(c xpath.CostEstimate) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.counts == nil {
 		t.counts = map[xpath.Strategy]int{}
 	}
-	t.records = append(t.records, StrategyRecord{Query: query, Cost: c})
 	t.counts[c.Chosen]++
-}
-
-// Len returns the number of recorded decisions.
-func (t *StrategyTally) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.records)
 }
 
 // Count returns how many recorded queries chose the given strategy.

@@ -162,7 +162,7 @@ func TestStrategyEquivalence(t *testing.T) {
 						continue
 					}
 					if strat == xpath.StrategyAuto && base.name == "default" {
-						tally.Record(qsrc, q.Cost())
+						tally.Record(q.Cost())
 					}
 					mat, err := q.NodesCtx(context.Background())
 					if err != nil {

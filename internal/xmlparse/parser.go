@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -206,6 +207,7 @@ func (p *parser) startTag() error {
 		return err
 	}
 	var attrs []Attr
+	var names map[string]bool // the names in attrs, once there are 8
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.data) {
@@ -230,9 +232,24 @@ func (p *parser) startTag() error {
 			}
 			return p.h.EndElement(name)
 		}
+		nstart := p.pos
 		aname, err := p.name()
 		if err != nil {
 			return err
+		}
+		if len(attrs) == 8 { // past a few names, a set keeps the check linear
+			names = make(map[string]bool, 16)
+			for _, a := range attrs {
+				names[a.Name] = true
+			}
+		}
+		if names[aname] || names == nil && slices.ContainsFunc(attrs, func(a Attr) bool { return a.Name == aname }) {
+			// XML 1.0 §3.1 (Unique Att Spec): a name appears once per tag.
+			p.pos = nstart
+			return p.errf("duplicate attribute %q", aname)
+		}
+		if names != nil {
+			names[aname] = true
 		}
 		p.skipSpace()
 		if p.pos >= len(p.data) || p.data[p.pos] != '=' {

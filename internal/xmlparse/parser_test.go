@@ -193,10 +193,11 @@ func TestLineEnds(t *testing.T) {
 		"<a t=\"1\\n2\\n3\">", "T:x\ny\nz\r\n", "T:p\nq\n", "</a>")
 }
 
-// TestMarkupInData pins two well-formedness rules: a literal '<' cannot
-// occur in an attribute value (XML 1.0 §3.1, AttValue), and "]]>" cannot
-// occur in character data (§2.4). Both are SyntaxErrors at the offending
-// byte; their escaped forms, and "]]>" closing a CDATA section, parse.
+// TestMarkupInData pins three well-formedness rules: a literal '<' cannot
+// occur in an attribute value (XML 1.0 §3.1, AttValue), "]]>" cannot occur
+// in character data (§2.4), and no attribute name appears twice in one tag
+// (§3.1, Unique Att Spec). Each is a SyntaxError at the offending byte (the
+// second name); the escaped forms, and "]]>" closing a CDATA section, parse.
 func TestMarkupInData(t *testing.T) {
 	for _, c := range []struct {
 		doc    string
@@ -209,6 +210,8 @@ func TestMarkupInData(t *testing.T) {
 		{`<a>]]></a>`, 3},
 		{"<a>\n]]]>\n</a>", 5},
 		{`<a><b/>]]></a>`, 7},
+		{`<a x="1" x="2"/>`, 9},
+		{`<a a="" b="" c="" d="" e="" f="" g="" h="" i="" c=""/>`, 48}, // past 8 names
 	} {
 		var se *SyntaxError
 		if err := Parse([]byte(c.doc), &recorder{}); !errors.As(err, &se) {
@@ -219,6 +222,8 @@ func TestMarkupInData(t *testing.T) {
 	}
 	expectEvents(t, `<a t="x&lt;y" u='>'>]]&gt; ]] &gt; ]>]<![CDATA[]]]]><![CDATA[>]]></a>`,
 		`<a t="x<y" u=">">`, "T:]]> ]] > ]>]", "T:]]", "T:>", "</a>")
+	expectEvents(t, `<a a="" b="" c="" d="" e="" f="" g="" h="" i="" j=""/>`,
+		`<a a="" b="" c="" d="" e="" f="" g="" h="" i="" j="">`, "</a>")
 }
 
 // TestCharReferenceNotChar: a character reference must name an XML Char

@@ -52,12 +52,8 @@ func (ts *TextStore) All() [][]byte {
 // SizeInBytes reports the memory footprint (content plus offsets).
 func (ts *TextStore) SizeInBytes() int { return len(ts.blob) + 8*len(ts.offs) }
 
-// Contains adds to set the id of every text that contains p, in one pass over
-// the blob. p[rare] is the prefilter byte: bytes.IndexByte runs to each of
-// its occurrences, bytes.Equal confirms the candidate there, and a match that
-// crosses a text end is rejected. After a match the pass skips to the next
-// text. The fewer occurrences p[rare] has, the fewer candidates the pass
-// stops at, so callers pick the literal's rarest byte (Doc.RareByte).
+// Contains adds to set the id of every text that contains p: Occurrences
+// with no joined texts, skipping to the next text after each match.
 func (ts *TextStore) Contains(p []byte, rare int, set TextSet) {
 	if len(p) == 0 {
 		for id := range ts.offs {
@@ -65,9 +61,23 @@ func (ts *TextStore) Contains(p []byte, rare int, set TextSet) {
 		}
 		return
 	}
+	ts.Occurrences(p, rare, nil, func(id, _ int) bool { set.Add(id); return false })
+}
+
+// Occurrences calls fn with the text ids of the first and last byte of every
+// occurrence of p (non-empty), overlapping ones included, in the order of
+// their byte p[rare] in the blob. The texts in join match as one
+// concatenation that leaves the other texts out; every other text matches on
+// its own. When fn returns false the pass skips to the texts after last.
+// bytes.IndexByte runs to each blob occurrence of p[rare]; without join, a
+// candidate the blob does not confirm (first byte, last byte, bytes.Equal)
+// costs no text-id lookup. A window that crosses a text end matches only by
+// walking the joined texts (joined). Callers pick the literal's rarest byte
+// (Doc.RareByte): the fewer candidates, the faster the pass.
+func (ts *TextStore) Occurrences(p []byte, rare int, join TextSet, fn func(first, last int) bool) {
 	blob, offs, m, b := ts.blob, ts.offs, len(p), p[rare]
-	id := 0 // the text of the last candidate: candidates only move right
-	for i := rare; i < len(blob); {
+	id := 0 // a text at or before the candidate's first byte: candidates only move right
+	for i := rare; i < len(blob); i++ {
 		k := bytes.IndexByte(blob[i:], b)
 		if k < 0 {
 			return
@@ -75,18 +85,64 @@ func (ts *TextStore) Contains(p []byte, rare int, set TextSet) {
 		i += k
 		start := i - rare
 		if start+m > len(blob) {
-			return
+			return // a joined occurrence spans at least as many blob bytes
 		}
-		if blob[start] == p[0] && blob[start+m-1] == p[m-1] && bytes.Equal(blob[start:start+m], p) {
-			id = textAt(offs, id, uint64(start))
-			if end := int(offs[id]); start+m <= end {
-				set.Add(id)
-				i = end + rare // the next candidate starts in a later text
-				continue
+		ok := blob[start] == p[0] && blob[start+m-1] == p[m-1] && bytes.Equal(blob[start:start+m], p)
+		if !ok && join == nil {
+			continue
+		}
+		first, last := -1, -1
+		if id = textAt(offs, id, uint64(start)); start+m <= int(offs[id]) { // inside one text
+			if ok {
+				first, last = id, id
 			}
+		} else if cur := textAt(offs, id, uint64(i)); join.Has(cur) { // may cross text ends
+			first, last = ts.joined(p, rare, i, cur, join)
 		}
-		i++
+		if first >= 0 && !fn(first, last) {
+			i = int(offs[last]) + rare - 1 // the next candidate starts in a later text
+		}
 	}
+}
+
+// joined matches p in the concatenation of the join texts with p[rare] at
+// blob offset i, which lies in text cur (in join), comparing outward from it
+// one text at a time. It returns the text ids of the occurrence's first and
+// last byte, or -1, -1.
+func (ts *TextStore) joined(p []byte, rare, i, cur int, join TextSet) (first, last int) {
+	text := ts.Get(cur)
+	k := i - int(ts.offs[cur]) + len(text) // p[rare]'s offset in text
+	head, before := p[:rare], text[:k]
+	for first = cur; ; before = ts.Get(first) {
+		n := min(len(head), len(before))
+		if !bytes.Equal(head[len(head)-n:], before[len(before)-n:]) {
+			return -1, -1
+		}
+		if head = head[:len(head)-n]; len(head) == 0 {
+			break
+		}
+		for first--; first >= 0 && !join.Has(first); first-- {
+		}
+		if first < 0 {
+			return -1, -1
+		}
+	}
+	tail, after := p[rare:], text[k:]
+	for last = cur; ; after = ts.Get(last) {
+		n := min(len(tail), len(after))
+		if !bytes.Equal(tail[:n], after[:n]) {
+			return -1, -1
+		}
+		if tail = tail[n:]; len(tail) == 0 {
+			break
+		}
+		for last++; last < len(ts.offs) && !join.Has(last); last++ {
+		}
+		if last == len(ts.offs) {
+			return -1, -1
+		}
+	}
+	return first, last
 }
 
 // textAt returns the id of the text holding blob byte pos, the first id at

@@ -20,13 +20,12 @@ import (
 // first >= lo and last < hi. The % leaves inside [lo, hi) hold no byte of C,
 // so numbering by text id (not by # rank) keeps the rule exact.
 //
-// One pass over the plain store builds the table. An occurrence that
-// contains another one's span is implied by it, so only the minimal spans
-// are kept: sorted by first, their last values increase too, and entry k's
-// last is the suffix minimum of last over every occurrence starting at or
-// after first[k]. The top-down test is then one binary search (inSpan), and
-// the nodes a span selects are exactly the ancestors-or-self of
-// LCA(leaf(first), leaf(last)), which is what the bottom-up arm climbs
+// One pass over the plain store (TextStore.Occurrences, with the element
+// texts joined into C) builds the table. An occurrence whose span contains
+// another's is implied by it, so only the minimal spans are kept, sorted by
+// first and by last alike. The top-down test is then one binary search
+// (inSpan), and the nodes a span selects are exactly the ancestors-or-self
+// of LCA(leaf(first), leaf(last)), which is what the bottom-up arm climbs
 // (forEachSpanCandidate).
 //
 // An attribute node is a node test's match too (//*, //node() and a name
@@ -76,103 +75,47 @@ func (t *spanTable) get() *spanTable {
 	return t
 }
 
-// scan makes the one pass over C. Occurrences inside one text are found by
-// bytes.Index on that text; an occurrence that crosses a boundary is found
-// at the text holding its last byte, in the join of the carried window (the
-// last |p|-1 bytes of C before that text, with the text id of each byte) and
-// the text's first |p|-1 bytes. Only the occurrence with the largest first
-// of each text can be minimal, and it is minimal unless the previous minimal
-// span starts at or after it.
+// scan makes the pass. Occurrences in C arrive by increasing first, so a
+// stack keeps the minimal spans: the spans on top that contain the new one
+// (last >= its last) are popped, and it is pushed unless the top starts in
+// the same text, and so lies inside it. Every occurrence counts.
 func (t *spanTable) scan() {
 	d, p := t.doc, t.lit
-	w := len(p) - 1
-	win := make([]byte, 0, 2*w)
-	winIDs := make([]int32, 0, 2*w)
-	var join []byte
-	attrs := attrValueIDs(d)
-	for id, n := 0, d.Plain.Len(); id < n; id++ {
-		text := d.Plain.Get(id)
-		if len(attrs) > 0 && int(attrs[0]) == id {
-			attrs = attrs[1:]
-			if k := bytes.Index(text, p); k >= 0 {
-				t.count += countFrom(text[k:], p)
-				t.attrs = append(t.attrs, int32(id))
+	join := elementTexts(d)
+	d.Plain.Occurrences(p, d.RareByte(p), join, func(first, last int) bool {
+		t.count++
+		f, l := int32(first), int32(last)
+		if !join.Has(first) { // an attribute value, matched on its own
+			if n := len(t.attrs); n == 0 || t.attrs[n-1] != f {
+				t.attrs = append(t.attrs, f)
 			}
-			continue
+			return true
 		}
-		if len(text) == 0 {
-			continue
+		k := len(t.first)
+		for k > 0 && t.last[k-1] >= l {
+			k--
 		}
-		first := int32(-1)
-		if len(win) > 0 {
-			join = append(append(join[:0], win...), text[:min(len(text), w)]...)
-			for s := 0; s < len(win) && s+len(p) <= len(join); s++ {
-				k := bytes.Index(join[s:], p)
-				if k < 0 || s+k >= len(win) {
-					break
-				}
-				s += k
-				t.count++
-				first = winIDs[s]
-			}
+		t.first, t.last = t.first[:k], t.last[:k]
+		if k == 0 || t.first[k-1] != f {
+			t.first, t.last = append(t.first, f), append(t.last, l)
 		}
-		if k := bytes.Index(text, p); k >= 0 {
-			t.count += countFrom(text[k:], p)
-			first = int32(id)
-		}
-		if first >= 0 && (len(t.first) == 0 || t.first[len(t.first)-1] < first) {
-			t.first = append(t.first, first)
-			t.last = append(t.last, int32(id))
-		}
-		if w > 0 {
-			win, winIDs = carry(win, winIDs, text, int32(id), w)
-		}
-	}
+		return true
+	})
 }
 
-// countFrom counts the occurrences of p in s, which starts with one,
-// overlapping occurrences included (the count an FM backward search gives).
-func countFrom(s, p []byte) int {
-	n := 0
-	for {
-		n++
-		k := bytes.Index(s[1:], p)
-		if k < 0 {
-			return n
-		}
-		s = s[1+k:]
+// elementTexts returns the set of element (#) texts: every text id but the
+// attribute values, which one walk of the % row of the tag sequence finds.
+// The bits past the last text id are set too; Occurrences reads none.
+func elementTexts(d *xmltree.Doc) xmltree.TextSet {
+	set, tag := xmltree.NewTextSet(d.NumTexts()), 2*d.AttrValTag()
+	for w := range set {
+		set[w] = ^uint64(0)
 	}
-}
-
-// carry appends text (of text id id) to the window and keeps its last w
-// bytes.
-func carry(win []byte, ids []int32, text []byte, id int32, w int) ([]byte, []int32) {
-	if len(text) >= w {
-		text = text[len(text)-w:]
-		win, ids = win[:0], ids[:0]
-	} else if drop := len(win) + len(text) - w; drop > 0 {
-		win = append(win[:0], win[drop:]...)
-		ids = append(ids[:0], ids[drop:]...)
+	for k, pos := d.Tag.Successor(tag, 0); pos >= 0; k, pos = k+1, d.Tag.Step(tag, k, pos) {
+		id := d.NodeToTextID(pos)
+		set[id>>6] &^= 1 << uint(id&63)
 	}
-	for range text {
-		ids = append(ids, id)
-	}
-	return append(win, text...), ids
-}
-
-// attrValueIDs returns the text ids of the attribute-value leaves in
-// increasing order.
-func attrValueIDs(d *xmltree.Doc) []int32 {
-	tag := d.AttrValTag()
-	n := d.TagCount(tag)
-	if n == 0 {
-		return nil
-	}
-	ids := make([]int32, n)
-	for j := range ids {
-		ids[j] = int32(d.NodeToTextID(d.Tag.Select(2*tag, j)))
-	}
-	return ids
+	return set
 }
 
 // inSpan reports whether some minimal span lies in the text ids [lo, hi).
@@ -204,13 +147,14 @@ func (t *spanTable) contains(x int) bool {
 
 // forEachSpanCandidate calls emit for every node whose string value contains
 // the literal: the ancestors-or-self of each minimal span's LCA, and the
-// attribute node of each matching attribute value. Each climb stops at a
-// node already emitted, whose ancestors were emitted with it, so every node
-// is emitted once. emit returns false to stop; cancellation is polled
-// through v, one step per span, climbed node and attribute value.
+// attribute node of each matching attribute value. Each climb stops at the
+// first ancestor-or-self of the previous span's LCA, so every node is
+// emitted once: the spans are sorted by first and by last, so a node that
+// covers an earlier span and this one covers the previous span too. emit
+// returns false to stop; cancellation is polled through v, one step per
+// span, climbed node and attribute value.
 func (t *spanTable) forEachSpanCandidate(v *upVerifier, emit func(int) bool) {
-	d := t.doc
-	emitted := map[int]bool{}
+	d, prev := t.doc, xmltree.Nil
 	for k := range t.first {
 		if v.cancelled() {
 			return
@@ -219,15 +163,13 @@ func (t *spanTable) forEachSpanCandidate(v *upVerifier, emit func(int) bool) {
 		for !d.IsAncestor(a, b) {
 			a = d.Parent(a)
 		}
-		for ; a != xmltree.Nil && !emitted[a]; a = d.Parent(a) {
-			if v.cancelled() {
-				return
-			}
-			emitted[a] = true
-			if !emit(a) {
+		lca := a
+		for ; a != xmltree.Nil && !d.IsAncestor(a, prev); a = d.Parent(a) {
+			if v.cancelled() || !emit(a) {
 				return
 			}
 		}
+		prev = lca
 	}
 	for _, id := range t.attrs {
 		if v.cancelled() || !emit(d.Parent(d.TextIDToNode(int(id)))) {

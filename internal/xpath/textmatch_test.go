@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -60,6 +61,61 @@ func TestBottomUpMatchSetOnce(t *testing.T) {
 	check("a drained Iter", 2)
 }
 
+// TestSpanCandidatesOnce pins the bottom-up climb over occurrence spans:
+// forEachSpanCandidate must emit exactly the nodes that the top-down span
+// test accepts (attribute-value leaves aside, which the plan never reaches),
+// each once, on random mixed-content documents where consecutive spans
+// share ancestors and attribute values sit between texts.
+func TestSpanCandidatesOnce(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for n := 0; n < 200; n++ {
+		var b strings.Builder
+		text := func() {
+			for k := r.IntN(3); k >= 0; k-- {
+				b.WriteByte("ab"[r.IntN(2)])
+			}
+		}
+		var elem func(depth int)
+		elem = func(depth int) {
+			b.WriteString("<e")
+			if r.IntN(3) == 0 {
+				b.WriteString(` k="`)
+				text()
+				b.WriteString(`"`)
+			}
+			b.WriteString(">")
+			for k := r.IntN(4); k > 0; k-- {
+				if depth < 4 && r.IntN(2) == 0 {
+					elem(depth + 1)
+				} else {
+					text()
+				}
+			}
+			b.WriteString("</e>")
+		}
+		elem(0)
+		d, err := xmltree.Parse([]byte(b.String()), xmltree.Options{SampleRate: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lit := range []string{"a", "ab", "ba", "aba", "bab", "abba"} {
+			tab := (&spanTable{doc: d, lit: []byte(lit)}).get()
+			v := newUpVerifier(context.Background(), d, nil)
+			emitted := map[int]int{}
+			tab.forEachSpanCandidate(&v, func(x int) bool { emitted[x]++; return true })
+			for k := 0; k < d.NumNodes(); k++ {
+				x, want := d.NodeAtPreorder(k), 0
+				if d.TagOf(x) != d.AttrValTag() && tab.contains(x) {
+					want = 1
+				}
+				if emitted[x] != want {
+					t.Fatalf("%s %q: node %d emitted %d times, want %d", b.String(), lit, x, emitted[x], want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzTextScan checks the plain-store scans against a per-text pass. The
 // input's 0 bytes cut data into texts, which become attribute values (the
 // only texts that can be empty) and element texts by turns; lit is the
@@ -67,7 +123,10 @@ func TestBottomUpMatchSetOnce(t *testing.T) {
 // prefilter byte, and TextStore.EndsWith must find exactly the texts that
 // bytes.Contains and bytes.HasSuffix accept, and so must matchSet with the
 // scan forced and with the FM-index forced, on the parsed document and on
-// its saved-then-mapped copy.
+// its saved-then-mapped copy. TextStore.Occurrences with the element texts
+// joined must report, for every prefilter byte, exactly the occurrences of
+// a search of their concatenation and of each attribute value on its own,
+// in the order of the prefilter byte.
 func FuzzTextScan(f *testing.F) {
 	for _, s := range []struct{ data, lit string }{
 		{"abc\x00abcabc\x00\x00bc", "bc"},
@@ -81,6 +140,11 @@ func FuzzTextScan(f *testing.F) {
 		{"<a&b>\x00]]>", "&b"},
 		{"\x00\x00\x00", "q"},
 		{"hello world\x00world hello", "lo w"},
+		{"x\x00ab\x00zz\x00cd", "bc"},           // joins two element texts across an attribute value
+		{"x\x00ab\x00\x00cd", "bc"},             // across an empty attribute value
+		{"x\x00ab\x00q\x00c\x00q\x00de", "bcd"}, // across three element texts
+		{"x\x00ab\x00bc\x00d", "bc"},            // inside an attribute value, not across it
+		{"ab\x00a\x00ab\x00b\x00b", "abab"},
 	} {
 		f.Add([]byte(s.data), []byte(s.lit))
 	}
@@ -145,6 +209,24 @@ func checkTextScan(t *testing.T, name string, d *xmltree.Doc, lit []byte) {
 		d.Plain.Contains(lit, rare, set)
 		check(fmt.Sprintf("Contains, prefilter byte %d", rare), set, wantContains)
 	}
+	if len(lit) > 0 {
+		hits, textOf := occurrencesRef(d, lit)
+		join := elementTexts(d)
+		for rare := range lit {
+			slices.SortFunc(hits, func(a, b []int) int { return a[rare] - b[rare] })
+			var got, want [][2]int
+			for _, h := range hits {
+				want = append(want, [2]int{textOf[h[0]], textOf[h[len(h)-1]]})
+			}
+			d.Plain.Occurrences(lit, rare, join, func(first, last int) bool {
+				got = append(got, [2]int{first, last})
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("%s Occurrences %q, prefilter byte %d: %v, reference %v", name, lit, rare, got, want)
+			}
+		}
+	}
 	set := xmltree.NewTextSet(n)
 	d.Plain.EndsWith(lit, set)
 	check("EndsWith", set, wantEnds)
@@ -155,6 +237,45 @@ func checkTextScan(t *testing.T, name string, d *xmltree.Doc, lit []byte) {
 		check(arm.name+" contains", matchSet(d, arm.opts, OpContains, "", string(lit)), wantContains)
 		check(arm.name+" ends-with", matchSet(d, arm.opts, OpEndsWith, "", string(lit)), wantEnds)
 	}
+}
+
+// occurrencesRef is the reference of TextStore.Occurrences with d's element
+// texts joined: bytes.Index at every offset of their concatenation, and of
+// each attribute value on its own. Each hit is the blob offsets of its
+// bytes; textOf maps a blob offset to its text id.
+func occurrencesRef(d *xmltree.Doc, lit []byte) (hits [][]int, textOf []int) {
+	var concat []byte
+	var at []int // the blob offset of each byte of concat
+	search := func(s []byte, pos func(k int) int) {
+		for k := 0; ; k++ {
+			j := bytes.Index(s[k:], lit)
+			if j < 0 {
+				return
+			}
+			k += j
+			h := make([]int, len(lit))
+			for i := range h {
+				h[i] = pos(k + i)
+			}
+			hits = append(hits, h)
+		}
+	}
+	for id := 0; id < d.NumTexts(); id++ {
+		text, start := d.Text(id), len(textOf)
+		for range text {
+			textOf = append(textOf, id)
+		}
+		if d.TagOf(d.TextIDToNode(id)) != d.TextTag() {
+			search(text, func(k int) int { return start + k })
+			continue
+		}
+		concat = append(concat, text...)
+		for k := range text {
+			at = append(at, start+k)
+		}
+	}
+	search(concat, func(k int) int { return at[k] })
+	return hits, textOf
 }
 
 // escapeXML writes text as character data or an attribute value: the markup
