@@ -1,7 +1,6 @@
 package bp
 
 import (
-	"repro/internal/bits"
 	"repro/internal/bitvec"
 	"repro/internal/persist"
 )
@@ -33,30 +32,13 @@ func Read(pr *persist.MReader) *Parens {
 		return nil
 	}
 	// The sequence must be balanced: navigation (and consumers iterating
-	// open/close pairs) assume every close matches an earlier open. Walk
-	// whole bytes with the prefix-excess tables where possible.
-	excess, n := 0, v.Len()
-	words := v.Words()
-	for i := 0; i < n && excess >= 0; {
-		if i%8 == 0 && n-i >= 8 {
-			bv := byte(words[i>>6] >> uint(i&63))
-			if excess+int(bits.ExcessFwdMin[bv]) < 0 {
-				excess = -1
-				break
-			}
-			excess += int(bits.ExcessTotal[bv])
-			i += 8
-			continue
-		}
-		if v.Get(i) {
-			excess++
-		} else {
-			excess--
-		}
-		i++
-	}
-	if pr.Check(excess == 0, "unbalanced parentheses") != nil {
+	// open/close pairs) assume every close matches an earlier open. The
+	// rmM build's excess sweep decides it: no prefix dips below zero (the
+	// root minimum, which stays at 1<<30 for an empty sequence) and the
+	// whole sequence ends at zero.
+	p := New(v)
+	if pr.Check(p.blockStart[p.nBlocks] == 0 && p.segMin[1] >= 0, "unbalanced parentheses") != nil {
 		return nil
 	}
-	return New(v)
+	return p
 }

@@ -3,6 +3,7 @@ package bp
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/persist"
@@ -67,5 +68,31 @@ func TestParensLoadCorrupt(t *testing.T) {
 	bad[2] = 7 // vector length field (offset: parens format byte + vector format byte)
 	if _, err := persisttest.Read(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("odd count: %v", err)
+	}
+	// Even-length sequences that are not trees: one dips below zero and
+	// climbs back (so only the minimum shows it), one ends above zero.
+	// Each fault sits at the start, past the first 512-bit rmM block (in a
+	// whole byte, read through the byte tables), and in a sub-byte tail
+	// (read bit by bit).
+	block := strings.Repeat("()", 260) // 520 bits: the fault lands in block 1
+	for name, seq := range map[string]string{
+		"dip":             "())(",
+		"dip/next block":  block + "())(()()",
+		"dip/tail":        "()()()()" + "())(",
+		"open":            "((",
+		"open/next block": block + "((()()()",
+		"open/tail":       "()()()()" + "((",
+	} {
+		bools := make([]bool, len(seq))
+		for i, c := range seq {
+			bools[i] = c == '('
+		}
+		if _, err := persisttest.Read(persisttest.Bytes(t, NewFromBools(bools)), Read); !errors.Is(err, persist.ErrCorrupt) {
+			t.Errorf("%s (%d parens): want ErrCorrupt, got %v", name, len(seq), err)
+		}
+	}
+	// The empty sequence is the one tree with no root minimum.
+	if _, err := persisttest.Read(persisttest.Bytes(t, NewFromBools(nil)), Read); err != nil {
+		t.Fatalf("empty sequence: %v", err)
 	}
 }

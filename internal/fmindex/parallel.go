@@ -1,33 +1,37 @@
 package fmindex
 
 // FM-index construction: parallel and memory-bounded (the write-side
-// counterpart of the mmap read path). NewCtx chunks the text collection at
-// text boundaries, runs SA-IS over the chunks concurrently, and merges the
-// per-chunk suffix orders into the one global suffix order of the whole
-// collection. The result depends on neither the worker count nor the
-// memory budget; the equivalence suite pins it against a naive suffix sort
-// across corpora, worker counts and budgets.
+// counterpart of the mmap read path). NewCtx copies the text collection
+// once into T, a flat byte string with byte 0 as every text's terminator,
+// chunks it at text boundaries, runs SA-IS over the chunks concurrently,
+// and merges the per-chunk suffix orders into the one global suffix order
+// of the whole collection. The result depends on neither the worker count
+// nor the memory budget; the equivalence suite pins it against a naive
+// suffix sort across corpora, worker counts and budgets.
 //
 // Why per-chunk sorting is exact: every text carries a distinct terminator
 // that sorts below all characters and by text identifier (Section 3.2's
 // fixed ordering), so any two distinct suffixes differ at or before the
 // first terminator either one contains. Suffix comparisons therefore never
-// cross a text boundary, a chunk-local sort (with terminators renumbered
-// 0..m-1, preserving relative order) agrees with the global order, and two
-// suffixes from different chunks compare by their raw text bytes with the
-// "prefix is smaller" rule plus a text-id tie-break — exactly
-// bytes.Compare semantics.
+// cross a text boundary, and a chunk-local sort (with terminators
+// renumbered 0..m-1, preserving relative order) agrees with the global
+// order. Two suffixes from different chunks compare on T's bytes up to the
+// first 0 either one reaches; when both reach it at the same offset the
+// lower position wins, because positions run in text order.
 //
 // The merge is parallel too: the global suffix order splits into
 // independent output segments by suffix prefix (the d terminator rows
 // first, then one bucket per leading byte, recursively refined while a
 // bucket stays oversized), and every segment k-way-merges its per-chunk
-// subranges into a disjoint range of the output BWT.
+// subranges into a disjoint range of the output BWT. A merge compare reads
+// 8 bytes of T at a time as one big-endian word; a row's BWT symbol is the
+// byte before it in T, and only the d rows that start a text look up
+// which one (binary search over the text starts, for the Doc array).
 //
 // Memory is bounded by construction: the chunk size caps the SA-IS working
-// set per worker, and when holding every chunk's suffix array in RAM would
-// exceed the budget they are spilled to temporary files and streamed back
-// during the merge.
+// set per worker, and when holding every chunk's suffix array in RAM
+// beside T and the BWT would exceed the budget they are spilled to
+// temporary files and streamed back during the merge.
 
 import (
 	"bufio"
@@ -36,6 +40,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"runtime"
 	"sort"
@@ -59,9 +64,10 @@ type Options struct {
 	Procs int
 	// MemoryBudget bounds the transient construction memory in bytes: the
 	// concurrent SA-IS working sets, the retained per-chunk suffix arrays
-	// (spilled to disk when they alone would blow the budget) and the BWT
-	// scratch buffer. 0 means unbounded. The budget cannot undercut the
-	// hard floor of one BWT buffer (|T| bytes) plus one minimal chunk
+	// (spilled to disk when they alone would blow the budget), the BWT
+	// scratch buffer and the flat copy of the texts the merge reads. 0
+	// means unbounded. The budget cannot undercut the hard floor of the
+	// flat copy and the BWT buffer (2|T| bytes) plus one minimal chunk
 	// working set; smaller budgets are honored best-effort at that floor.
 	MemoryBudget int64
 	// TempDir receives suffix-array spill files ("" = os.TempDir()).
@@ -127,7 +133,12 @@ func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
 		return idx, nil
 	}
 
-	starts := make([]int, d)
+	// The flat copy is T itself: every text followed by its terminator,
+	// written as byte 0, plus 7 zero bytes so that a key load at any
+	// position of T reads a whole word. starts[t] is text t's first
+	// position, starts[d] = n.
+	flat := make([]byte, n+7)
+	starts := make([]int, d+1)
 	idx.lens = make([]int32, d)
 	pos := 0
 	for i, t := range texts {
@@ -136,24 +147,29 @@ func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
 				return nil, err
 			}
 		}
+		if bytes.IndexByte(t, 0) >= 0 {
+			return nil, ErrNulByte
+		}
 		starts[i] = pos
 		idx.lens[i] = int32(len(t))
+		copy(flat[pos:], t)
 		pos += len(t) + 1
 	}
-	idx.strt = bitvec.NewSparse(n+1, starts)
+	starts[d] = n
+	idx.strt = bitvec.NewSparse(n+1, starts[:d])
 
 	plan := planBuild(n, opts)
 	if opts.Stats != nil {
 		defer func() { *opts.Stats = plan.stats() }()
 	}
-	chunks, cleanup, err := sortChunks(ctx, texts, starts, plan)
+	chunks, cleanup, err := sortChunks(ctx, flat, starts, plan)
 	defer cleanup()
 	if err != nil {
 		return nil, err
 	}
 
 	bwt := make([]byte, n)
-	outs, err := mergeChunks(ctx, texts, starts, chunks, plan, bwt, idx.l)
+	outs, err := mergeChunks(ctx, flat, starts, chunks, plan, bwt, idx.l)
 	if err != nil {
 		return nil, err
 	}
@@ -211,6 +227,7 @@ type buildPlan struct {
 	procs     int
 	chunkSyms int // target symbols per chunk
 	spill     bool
+	even      bool // unbounded: cut chunks at the text boundaries nearest k·n/P
 	tempDir   string
 	transient int64
 	nChunks   int // filled after chunking
@@ -226,10 +243,11 @@ func (p *buildPlan) stats() BuildStats {
 
 // planBuild sizes chunks and concurrency against the memory budget.
 // Unbounded: one chunk per worker. Bounded: the concurrent SA-IS working
-// sets get at most half the budget (the other half covers the BWT scratch
-// and retained suffix arrays), workers shed if even minimal chunks would
-// not fit, and suffix arrays spill to disk when holding them all in RAM
-// (4 bytes/symbol) plus the BWT buffer would overflow.
+// sets get at most half the budget (the other half covers the flat text,
+// the BWT scratch and retained suffix arrays), workers shed if even
+// minimal chunks would not fit, and suffix arrays spill to disk when
+// holding them all in RAM (4 bytes/symbol) beside the flat text and the
+// BWT buffer would overflow.
 func planBuild(n int, opts Options) *buildPlan {
 	p := &buildPlan{procs: opts.Procs, tempDir: opts.TempDir}
 	if p.procs <= 0 {
@@ -240,8 +258,9 @@ func planBuild(n int, opts Options) *buildPlan {
 		minChunk = n / maxChunks
 	}
 	if opts.MemoryBudget <= 0 {
+		p.even = true
 		p.chunkSyms = maxInt((n+p.procs-1)/p.procs, minChunk)
-		p.transient = int64(5*n) + int64(p.procs)*saisBytesPerSym*int64(p.chunkSyms)
+		p.transient = int64(6*n) + int64(p.procs)*saisBytesPerSym*int64(p.chunkSyms)
 		return p
 	}
 	budget := opts.MemoryBudget
@@ -256,8 +275,8 @@ func planBuild(n int, opts Options) *buildPlan {
 		p.chunkSyms = perProc
 	}
 	inflight := int64(p.procs) * saisBytesPerSym * int64(p.chunkSyms)
-	p.spill = int64(n)+int64(4*n)+inflight > budget // bwt + retained SAs + sorting
-	p.transient = int64(n) + inflight
+	p.spill = int64(2*n)+int64(4*n)+inflight > budget // flat + bwt + retained SAs + sorting
+	p.transient = int64(2*n) + inflight
 	if !p.spill {
 		p.transient += int64(4 * n)
 	}
@@ -275,31 +294,66 @@ func maxInt(a, b int) int {
 // that start with a character (terminator rows are reconstructed directly),
 // and the first-byte bucket boundaries within them.
 type chunkSA struct {
-	tlo, thi int      // text id range [tlo, thi)
-	gstart   int      // global position of the chunk's first symbol
-	rows     []int32  // char-starting suffix positions (global), sorted; nil when spilled
-	f        *os.File // spill file holding rows as little-endian int32s
-	cum      [257]int64
-	hist     [256]int64 // byte histogram of the chunk's texts
+	m      int      // number of texts
+	lo, hi int      // global position range [lo, hi) of the chunk's symbols
+	rows   []int32  // char-starting suffix positions (global), sorted; nil when spilled
+	f      *os.File // spill file holding rows as little-endian int32s
+	cum    [257]int64
+	hist   [256]int64 // byte histogram of the chunk's texts
+}
+
+// cutChunks partitions the texts into chunks and returns the text id
+// boundaries 0 = b[0] < b[1] < ... = d. An unbounded plan cuts at the text
+// boundaries nearest k·n/parts, so P workers get P chunks of about equal
+// size; a bounded plan closes each chunk before it would pass chunkSyms
+// symbols, which is what its memory budget was sized for.
+func cutChunks(ctx context.Context, starts []int, plan *buildPlan) ([]int, error) {
+	d := len(starts) - 1
+	n := starts[d]
+	bounds := []int{0}
+	if plan.even {
+		parts := (n + plan.chunkSyms - 1) / plan.chunkSyms
+		for k := 1; k < parts; k++ {
+			if err := ctxErr(ctx); err != nil {
+				return nil, err
+			}
+			target := k * n / parts
+			t := sort.SearchInts(starts, target) // starts[t] >= target, t <= d
+			if t > 0 && target-starts[t-1] < starts[t]-target {
+				t--
+			}
+			if t > bounds[len(bounds)-1] && t < d {
+				bounds = append(bounds, t)
+			}
+		}
+		return append(bounds, d), nil
+	}
+	for tlo := 0; tlo < d; {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		// The last boundary at most chunkSyms symbols on, but one text at least.
+		thi := sort.SearchInts(starts, starts[tlo]+plan.chunkSyms+1) - 1
+		thi = maxInt(thi, tlo+1)
+		bounds = append(bounds, thi)
+		tlo = thi
+	}
+	return bounds, nil
 }
 
 // sortChunks partitions the collection at text boundaries and suffix-sorts
 // the chunks concurrently. The returned cleanup closes and removes any
 // spill files; it is safe to call more than once.
-func sortChunks(ctx context.Context, texts [][]byte, starts []int, plan *buildPlan) ([]*chunkSA, func(), error) {
-	var chunks []*chunkSA
-	d := len(texts)
-	for tlo := 0; tlo < d; {
-		if err := ctxErr(ctx); err != nil {
-			return nil, func() {}, err
-		}
-		thi, syms := tlo, 0
-		for thi < d && (syms == 0 || syms+len(texts[thi])+1 <= plan.chunkSyms) {
-			syms += len(texts[thi]) + 1
-			thi++
-		}
-		chunks = append(chunks, &chunkSA{tlo: tlo, thi: thi, gstart: starts[tlo]})
-		tlo = thi
+func sortChunks(ctx context.Context, flat []byte, starts []int, plan *buildPlan) ([]*chunkSA, func(), error) {
+	bounds, err := cutChunks(ctx, starts, plan)
+	if err != nil {
+		return nil, func() {}, err
+	}
+	chunks := make([]*chunkSA, len(bounds)-1)
+	// No poll: at most maxChunks (512) chunks, O(1) body
+	for i := range chunks {
+		tlo, thi := bounds[i], bounds[i+1]
+		chunks[i] = &chunkSA{m: thi - tlo, lo: starts[tlo], hi: starts[thi]}
 	}
 	plan.nChunks = len(chunks)
 	cleanup := func() {
@@ -333,7 +387,7 @@ func sortChunks(ctx context.Context, texts [][]byte, starts []int, plan *buildPl
 			if failed.Load() {
 				return
 			}
-			if err := sortOneChunk(ctx, texts, c, plan); err != nil {
+			if err := sortOneChunk(ctx, flat, c, plan); err != nil {
 				fail(err)
 			}
 		}(c)
@@ -349,34 +403,24 @@ func sortChunks(ctx context.Context, texts [][]byte, starts []int, plan *buildPl
 // sortOneChunk builds the chunk's integer string with renumbered
 // terminators (0..m-1, preserving relative order), suffix-sorts it, and
 // keeps the char-starting rows as global positions — in RAM or spilled.
-func sortOneChunk(ctx context.Context, texts [][]byte, c *chunkSA, plan *buildPlan) error {
-	m := c.thi - c.tlo
-	syms := 0
-	for i, t := range texts[c.tlo:c.thi] {
+func sortOneChunk(ctx context.Context, flat []byte, c *chunkSA, plan *buildPlan) error {
+	s := make([]int32, 0, c.hi-c.lo)
+	rest := flat[c.lo:c.hi]
+	for i := 0; i < c.m; i++ {
 		if i&0xfff == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return err
 			}
 		}
-		syms += len(t) + 1
-	}
-	s := make([]int32, 0, syms)
-	for i, t := range texts[c.tlo:c.thi] {
-		if i&0xfff == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-		}
-		for _, ch := range t {
-			if ch == 0 {
-				return ErrNulByte
-			}
-			s = append(s, int32(m)+int32(ch))
+		e := bytes.IndexByte(rest, 0)
+		for _, ch := range rest[:e] {
+			s = append(s, int32(c.m)+int32(ch))
 			c.hist[ch]++
 		}
 		s = append(s, int32(i))
+		rest = rest[e+1:]
 	}
-	sa, err := sais.Compute(ctx, s, m+256)
+	sa, err := sais.Compute(ctx, s, c.m+256)
 	if err != nil {
 		return err
 	}
@@ -391,14 +435,14 @@ func sortOneChunk(ctx context.Context, texts [][]byte, c *chunkSA, plan *buildPl
 	}
 	c.cum[256] = acc
 	// Drop the terminator rows and globalize the rest in place.
-	rows := sa[m:]
+	rows := sa[c.m:]
 	for i, p := range rows {
 		if i&(mergePollStride-1) == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return err
 			}
 		}
-		rows[i] = int32(c.gstart) + p
+		rows[i] = int32(c.lo) + p
 	}
 	if !plan.spill {
 		c.rows = rows
@@ -470,8 +514,8 @@ type mergeSeg struct {
 // mergeChunks emits the terminator rows directly, plans the bucket
 // segments, refines oversized ones by deeper suffix prefixes, and merges
 // all segments concurrently into bwt. Side outputs come back in row order.
-func mergeChunks(ctx context.Context, texts [][]byte, starts []int, chunks []*chunkSA, plan *buildPlan, bwt []byte, l int) ([]segOut, error) {
-	d := len(texts)
+func mergeChunks(ctx context.Context, flat []byte, starts []int, chunks []*chunkSA, plan *buildPlan, bwt []byte, l int) ([]segOut, error) {
+	d := len(starts) - 1
 	n := len(bwt)
 
 	// Terminator rows 0..d-1: the suffix starting at text t's terminator
@@ -485,12 +529,11 @@ func mergeChunks(ctx context.Context, texts [][]byte, starts []int, chunks []*ch
 				return nil, err
 			}
 		}
-		p := starts[t] + len(texts[t])
-		if len(texts[t]) > 0 {
-			bwt[t] = texts[t][len(texts[t])-1]
-		} else {
-			bwt[t] = 0
+		p := starts[t+1] - 1
+		if p == starts[t] {
 			termOut.doc = append(termOut.doc, int32(t))
+		} else {
+			bwt[t] = flat[p-1]
 		}
 		termOut.samples = appendSample(termOut.samples, int32(t), int32(p), l)
 	}
@@ -531,7 +574,7 @@ func mergeChunks(ctx context.Context, texts [][]byte, starts []int, chunks []*ch
 			refined = append(refined, sg)
 			continue
 		}
-		subs, err := splitSeg(sg, texts, starts, chunks)
+		subs, err := splitSeg(sg, flat, chunks)
 		if err != nil {
 			return nil, err
 		}
@@ -573,7 +616,7 @@ func mergeChunks(ctx context.Context, texts [][]byte, starts []int, chunks []*ch
 			if failed.Load() {
 				return
 			}
-			out, err := mergeOneSeg(ctx, refined[oi], texts, starts, chunks, bwt, l)
+			out, err := mergeOneSeg(ctx, refined[oi], flat, starts, chunks, bwt, l)
 			if err != nil {
 				fail(err)
 				return
@@ -595,50 +638,34 @@ func appendSample(s []sample, row, pos int32, every int) []sample {
 	return s
 }
 
-// suffixKey orders the symbol at offset k of the suffix (t, off): the
-// text's terminator (when the suffix ends exactly there) sorts below every
-// character and by text id; characters sort by byte value above all
-// terminators — the same total order the global integer alphabet realizes.
-func suffixKey(texts [][]byte, d int, t int32, off int64, k int) int {
-	text := texts[t]
-	if off+int64(k) == int64(len(text)) {
-		return int(t)
-	}
-	return d + int(text[off+int64(k)])
-}
-
 // splitSeg partitions a segment by the symbol at its refinement depth:
 // first the terminator class (suffixes ending exactly at the shared-prefix
-// boundary), then one class per next byte. Each chunk's subranges are found
-// by binary search — the rows of a segment share their first depth symbols,
-// so the symbol at that depth is nondecreasing across them; spilled chunks
-// are probed with point reads.
-func splitSeg(sg *mergeSeg, texts [][]byte, starts []int, chunks []*chunkSA) ([]*mergeSeg, error) {
-	d := len(texts)
+// boundary, byte 0 of the flat text), then one class per next byte. Each
+// chunk's subranges are found by binary search — the rows of a segment
+// share their first depth symbols, so the symbol at that depth is
+// nondecreasing across them; spilled chunks are probed with point reads.
+func splitSeg(sg *mergeSeg, flat []byte, chunks []*chunkSA) ([]*mergeSeg, error) {
 	k := sg.depth
-	// cuts[ci] holds 258 cut points per chunk: before the terminator
-	// class, after it (= before byte 0), ..., after byte 255.
-	cuts := make([][258]int64, len(chunks))
+	// cuts[ci] holds 257 cut points per chunk: before the terminator
+	// class, after it (= before byte 1), ..., after byte 255.
+	cuts := make([][257]int64, len(chunks))
 	var probeErr error
-	keyAt := func(c *chunkSA, i int64) int {
+	symAt := func(c *chunkSA, i int64) byte {
 		p, err := c.rowAt(i)
 		if err != nil {
 			probeErr = err
 			return 0
 		}
-		t, off := locate(starts, c, p)
-		return suffixKey(texts, d, t, off, k)
+		return flat[int(p)+k]
 	}
 	for ci, c := range chunks {
 		lo, hi := sg.ranges[ci][0], sg.ranges[ci][1]
 		cuts[ci][0] = lo
-		// One binary search per class threshold: first row with key >= d
-		// (end of the terminator class), then first row with key >= d+b+1.
-		for cls := 0; cls < 257; cls++ {
-			thr := d + cls // keys below thr belong to classes before cls
+		// One binary search per class: the first row past it.
+		for cls := 0; cls < 256; cls++ {
 			base := cuts[ci][cls]
 			idx := int64(sort.Search(int(hi-base), func(i int) bool {
-				return keyAt(c, base+int64(i)) >= thr
+				return int(symAt(c, base+int64(i))) > cls
 			}))
 			cuts[ci][cls+1] = base + idx
 			if probeErr != nil {
@@ -648,7 +675,7 @@ func splitSeg(sg *mergeSeg, texts [][]byte, starts []int, chunks []*chunkSA) ([]
 	}
 	subs := make([]*mergeSeg, 0, 8)
 	row := sg.row
-	for cls := 0; cls < 257; cls++ {
+	for cls := 0; cls < 256; cls++ {
 		var size int64
 		ranges := make([][2]int64, len(chunks))
 		for ci := range chunks {
@@ -669,13 +696,6 @@ func splitSeg(sg *mergeSeg, texts [][]byte, starts []int, chunks []*chunkSA) ([]
 	return subs, nil
 }
 
-// locate maps a global position inside a chunk to (text id, offset).
-func locate(starts []int, c *chunkSA, p int32) (int32, int64) {
-	lo, hi := c.tlo, c.thi // the position belongs to one of the chunk's texts
-	t := lo + sort.Search(hi-lo, func(i int) bool { return starts[lo+i] > int(p) }) - 1
-	return int32(t), int64(int(p) - starts[t])
-}
-
 // cursor streams one chunk's rows of a merge segment.
 type cursor struct {
 	c    *chunkSA
@@ -683,53 +703,114 @@ type cursor struct {
 	end  int64
 	rd   *bufio.Reader // spill reader, nil for RAM chunks
 
-	// current entry
-	pos int32
-	t   int32
-	off int64
-	suf []byte
+	pos int    // the current row's suffix position in T
+	key uint64 // its 8 symbols from the segment's skip offset on, see keyAt
 }
 
-func (cu *cursor) advance(texts [][]byte, starts []int) (bool, error) {
+func (cu *cursor) advance() (bool, error) {
 	if cu.next >= cu.end {
 		return false, nil
 	}
-	var p int32
 	if cu.rd != nil {
 		var le [4]byte
 		if _, err := io.ReadFull(cu.rd, le[:]); err != nil {
 			return false, err
 		}
-		p = int32(binary.LittleEndian.Uint32(le[:]))
+		cu.pos = int(binary.LittleEndian.Uint32(le[:]))
 	} else {
-		p = cu.c.rows[cu.next]
+		cu.pos = int(cu.c.rows[cu.next])
 	}
 	cu.next++
-	cu.pos = p
-	cu.t, cu.off = locate(starts, cu.c, p)
-	cu.suf = texts[cu.t][cu.off:]
 	return true, nil
 }
 
-// less orders two cursors by their current suffix: raw byte comparison
-// with the prefix-is-smaller rule (a suffix that runs out hits its
-// terminator, which sorts below every byte), ties — identical remainders —
-// by text id (terminators are distinct).
-func (cu *cursor) less(o *cursor) bool {
-	if c := bytes.Compare(cu.suf, o.suf); c != 0 {
-		return c < 0
+const low7 = 0x7f7f7f7f7f7f7f7f
+
+// keyAt reads the 8 symbols of T from position q as a big-endian word, so
+// that keys compare like the byte strings they hold, and clears every byte
+// after the first terminator: what follows it belongs to the next text. A
+// key that reaches a terminator therefore ends in a zero byte, and any
+// other key does not.
+func keyAt(flat []byte, q int) uint64 {
+	x := binary.BigEndian.Uint64(flat[q:])
+	// 0x80 in exactly the zero bytes of x, with no carry between bytes.
+	zero := ^((x&low7 + low7) | x | low7)
+	if zero == 0 {
+		return x
 	}
-	return cu.t < o.t
+	return x &^ (^uint64(0) >> (bits.LeadingZeros64(zero) + 8))
+}
+
+// merger k-way-merges the cursors of one segment. Its suffixes agree on
+// their first skip bytes, so keys start at offset skip; one further would
+// read past the terminators that a terminator class ends in.
+type merger struct {
+	flat   []byte
+	starts []int
+	skip   int
+	bwt    []byte
+	l      int
+	row    int32
+	out    segOut
+}
+
+// less orders two cursors by their suffixes: by key, then 8 symbols per
+// step under the same mask. Two suffixes that reach their terminators at
+// the same offset are ordered by position, which is text order and so
+// Section 3.2's terminator order.
+func (m *merger) less(a, b *cursor) bool {
+	ka, kb := a.key, b.key
+	for q := m.skip + 8; ka == kb; q += 8 {
+		if ka&0xff == 0 {
+			return a.pos < b.pos
+		}
+		ka, kb = keyAt(m.flat, a.pos+q), keyAt(m.flat, b.pos+q)
+	}
+	return ka < kb
+}
+
+// emit writes the row of the suffix at p: its BWT symbol T[p-1] (T[n-1],
+// a terminator, for p = 0), and when that is a terminator, the doc entry
+// of the text starting at p (the paper's Doc convention).
+func (m *merger) emit(p int) {
+	var prev byte
+	if p > 0 {
+		prev = m.flat[p-1]
+	}
+	m.bwt[m.row] = prev
+	if prev == 0 {
+		m.out.doc = append(m.out.doc, int32(sort.SearchInts(m.starts, p)))
+	}
+	m.out.samples = appendSample(m.out.samples, m.row, int32(p), m.l)
+	m.row++
+}
+
+func (m *merger) siftDown(h []*cursor, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(h) && m.less(h[l], h[smallest]) {
+			smallest = l
+		}
+		if r < len(h) && m.less(h[r], h[smallest]) {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
+	}
 }
 
 // mergeOneSeg k-way-merges one segment's chunk subranges into its disjoint
 // slice of the output BWT, collecting doc entries and locate samples in
-// row order. Single-chunk segments stream without a heap.
-func mergeOneSeg(ctx context.Context, sg *mergeSeg, texts [][]byte, starts []int, chunks []*chunkSA, bwt []byte, l int) (segOut, error) {
-	var out segOut
+// row order. Single-chunk segments stream without a heap and load no key.
+func mergeOneSeg(ctx context.Context, sg *mergeSeg, flat []byte, starts []int, chunks []*chunkSA, bwt []byte, l int) (segOut, error) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
+	m := &merger{flat: flat, starts: starts, skip: sg.depth - 1, bwt: bwt, l: l, row: int32(sg.row)}
 	var curs []*cursor
 	// No poll: cursor setup over at most maxChunks (512) chunks, one buffered open each
 	for ci, c := range chunks {
@@ -741,24 +822,10 @@ func mergeOneSeg(ctx context.Context, sg *mergeSeg, texts [][]byte, starts []int
 		if c.rows == nil {
 			cu.rd = bufio.NewReaderSize(io.NewSectionReader(c.f, lo*4, (hi-lo)*4), spillBufBytes)
 		}
-		if _, err := cu.advance(texts, starts); err != nil {
-			return out, err
+		if _, err := cu.advance(); err != nil {
+			return m.out, err
 		}
 		curs = append(curs, cu)
-	}
-	row := int32(sg.row)
-	emit := func(cu *cursor) {
-		if cu.off == 0 {
-			// The previous symbol is the terminator of the preceding text:
-			// byte 0 in the BWT plus the doc entry of the text starting
-			// here (the paper's Doc convention).
-			bwt[row] = 0
-			out.doc = append(out.doc, cu.t)
-		} else {
-			bwt[row] = texts[cu.t][cu.off-1]
-		}
-		out.samples = appendSample(out.samples, row, cu.pos, l)
-		row++
 	}
 	poll := mergePollStride
 	checkPoll := func() error {
@@ -772,59 +839,47 @@ func mergeOneSeg(ctx context.Context, sg *mergeSeg, texts [][]byte, starts []int
 	if len(curs) == 1 {
 		cu := curs[0]
 		for {
-			emit(cu)
+			m.emit(cu.pos)
 			if err := checkPoll(); err != nil {
-				return out, err
+				return m.out, err
 			}
-			ok, err := cu.advance(texts, starts)
+			ok, err := cu.advance()
 			if err != nil {
-				return out, err
+				return m.out, err
 			}
 			if !ok {
-				return out, nil
+				return m.out, nil
 			}
 		}
 	}
 	// Binary min-heap over the cursors.
 	h := curs
+	// No poll: at most maxChunks (512) cursors, one key load each
+	for _, cu := range h {
+		cu.key = keyAt(flat, cu.pos+m.skip)
+	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+		m.siftDown(h, i)
 	}
 	for len(h) > 0 {
 		cu := h[0]
-		emit(cu)
+		m.emit(cu.pos)
 		if err := checkPoll(); err != nil {
-			return out, err
+			return m.out, err
 		}
-		ok, err := cu.advance(texts, starts)
+		ok, err := cu.advance()
 		if err != nil {
-			return out, err
+			return m.out, err
 		}
-		if !ok {
+		if ok {
+			cu.key = keyAt(flat, cu.pos+m.skip)
+		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
 		if len(h) > 0 {
-			siftDown(h, 0)
+			m.siftDown(h, 0)
 		}
 	}
-	return out, nil
-}
-
-func siftDown(h []*cursor, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l].less(h[smallest]) {
-			smallest = l
-		}
-		if r < len(h) && h[r].less(h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
+	return m.out, nil
 }

@@ -78,7 +78,12 @@ func naiveIndex(texts [][]byte, rate int) *Index {
 // of the serialized payload, so they are compared directly).
 func assertIdentical(t *testing.T, texts [][]byte, opts Options) {
 	t.Helper()
-	want := naiveIndex(texts, opts.SampleRate)
+	assertMatches(t, naiveIndex(texts, opts.SampleRate), texts, opts)
+}
+
+// assertMatches is assertIdentical against a reference built once.
+func assertMatches(t *testing.T, want *Index, texts [][]byte, opts Options) {
+	t.Helper()
 	got, err := NewCtx(context.Background(), texts, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +141,56 @@ func TestParallelEquivalenceRandom(t *testing.T) {
 				assertIdentical(t, texts, Options{SampleRate: 4, Procs: p, MemoryBudget: b, TempDir: t.TempDir()})
 			}
 		}
+	}
+}
+
+// TestParallelHeapMerge pins the in-RAM heap merge: unbounded builds of at
+// least 3·64 Ki symbols at 2 and 3 workers make exactly one chunk per
+// worker, so most segments merge several cursors, and the index must match
+// the naive reference. The shapes aim at the merge's compare: 8-byte keys
+// over a wide alphabet and over bytes >= 0x80, keys that run into a
+// terminator (texts of 1–7 bytes), ties longer than a key that only the
+// position breaks (copies of one text), and deep shared prefixes with
+// terminator classes split out of oversized buckets (two letters).
+func TestParallelHeapMerge(t *testing.T) {
+	const minSyms = 3 * minChunkSyms
+	rng := rand.New(rand.NewSource(48))
+	// fill draws texts from gen until the collection holds minSyms symbols.
+	fill := func(gen func() []byte) [][]byte {
+		var texts [][]byte
+		for n := 0; n < minSyms; {
+			b := gen()
+			texts = append(texts, b)
+			n += len(b) + 1
+		}
+		return texts
+	}
+	letters := func(n, sigma, base int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(base + rng.Intn(sigma))
+		}
+		return b
+	}
+	copyText := letters(40, 3, 'a')
+	shapes := map[string][][]byte{
+		"sigma 26":    fill(func() []byte { return letters(rng.Intn(300), 26, 'a') }),
+		"sigma 255":   fill(func() []byte { return letters(rng.Intn(300), 255, 1) }),
+		"short texts": fill(func() []byte { return letters(1+rng.Intn(7), 4, 'a') }),
+		"copies":      fill(func() []byte { return copyText }),
+		"two letters": fill(func() []byte { return letters(rng.Intn(2000), 2, 'a') }),
+	}
+	for name, texts := range shapes {
+		t.Run(name, func(t *testing.T) {
+			want := naiveIndex(texts, 16)
+			for _, p := range []int{2, 3} {
+				var st BuildStats
+				assertMatches(t, want, texts, Options{SampleRate: 16, Procs: p, Stats: &st})
+				if st.Chunks != p || st.Spilled {
+					t.Fatalf("procs=%d: want %d chunks in RAM, got %+v", p, p, st)
+				}
+			}
+		})
 	}
 }
 

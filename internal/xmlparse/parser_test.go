@@ -14,11 +14,13 @@ type recorder struct {
 }
 
 func (r *recorder) StartElement(name string, attrs []Attr) error {
-	s := "<" + name
+	var b strings.Builder
+	b.WriteString("<" + name)
 	for _, a := range attrs {
-		s += fmt.Sprintf(" %s=%q", a.Name, a.Value)
+		fmt.Fprintf(&b, " %s=%q", a.Name, a.Value)
 	}
-	r.events = append(r.events, s+">")
+	b.WriteByte('>')
+	r.events = append(r.events, b.String())
 	return nil
 }
 func (r *recorder) EndElement(name string) error {
