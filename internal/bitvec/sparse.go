@@ -24,14 +24,7 @@ type Sparse struct {
 // NewSparse builds a sparse vector over universe [0, n) from the sorted,
 // strictly increasing list of one-positions.
 func NewSparse(n int, positions []int) *Sparse {
-	return NewSparseSeq(n, len(positions), func(i int) int { return positions[i] })
-}
-
-// NewSparseSeq builds a sparse vector over universe [0, n) from m sorted,
-// strictly increasing one-positions delivered by pos, which is called once
-// per index in ascending order — the allocation-free form of NewSparse for
-// callers that derive positions on the fly (e.g. from a lengths array).
-func NewSparseSeq(n, m int, pos func(i int) int) *Sparse {
+	m := len(positions)
 	s := &Sparse{n: n, m: m}
 	if m == 0 {
 		s.high = New(0)
@@ -47,9 +40,7 @@ func NewSparseSeq(n, m int, pos func(i int) int) *Sparse {
 	s.low = make([]uint64, (m*lb+63)/64)
 	highLen := (n >> s.lowBits) + m + 1
 	s.high = New(highLen)
-	p := 0
-	for i := 0; i < m; i++ {
-		p = pos(i)
+	for i, p := range positions {
 		if lb > 0 {
 			s.setLow(i, uint64(p)&((1<<s.lowBits)-1))
 		}
@@ -57,7 +48,7 @@ func NewSparseSeq(n, m int, pos func(i int) int) *Sparse {
 		s.high.Set(hp)
 	}
 	s.high.Build()
-	s.maxValue = p
+	s.maxValue = positions[m-1]
 	return s
 }
 

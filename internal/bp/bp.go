@@ -129,23 +129,10 @@ func New(v *bitvec.Vector) *Parens {
 	}
 	p.blockStart[nb] = e
 	for i := leaves - 1; i >= 1; i-- {
-		p.segMin[i] = min32(p.segMin[2*i], p.segMin[2*i+1])
-		p.segMax[i] = max32(p.segMax[2*i], p.segMax[2*i+1])
+		p.segMin[i] = min(p.segMin[2*i], p.segMin[2*i+1])
+		p.segMax[i] = max(p.segMax[2*i], p.segMax[2*i+1])
 	}
 	return p
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Len returns the number of parentheses (2x number of nodes).

@@ -19,8 +19,8 @@ func TestSaveGoldenDigest(t *testing.T) {
 		xml  []byte
 		want string
 	}{
-		{"xmark", gen.XMark(7, 120_000), "811555f1503c3605789c14bf883a3258a86d9e4d44b3155a97e6311fc65f386c"},
-		{"medline", gen.Medline(7, 120_000), "514ccdec6e0e85f5c566665c4dce6b5f33d485766801c8469eb5316c503151e4"},
+		{"xmark", gen.XMark(7, 120_000), "babba17672f07faf5cccc592d3ce3a7d85fcdb1abe51d0dd3618ad03c29265d8"},
+		{"medline", gen.Medline(7, 120_000), "42fb8cf78835831ec53bfa606381e49c96df461115155e28634ae31c3ee05cec"},
 	} {
 		e, err := BuildContext(context.Background(), c.xml, Config{})
 		if err != nil {

@@ -162,8 +162,8 @@ func rawBWTPayload(t *testing.T, fm []byte) []byte {
 	for range 3 {
 		pw.Int(mr.Int()) // n, d, l
 	}
-	for range 3 {
-		pw.Int32s(mr.Int32s()) // lens, doc, ps
+	for range 2 {
+		pw.Int32s(mr.Int32s()) // doc, ps
 	}
 	bitvec.ReadVector(mr).Store(pw)
 	mr.Byte() // sequence kind 1: the wavelet tree

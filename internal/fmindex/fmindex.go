@@ -29,9 +29,8 @@ type Index struct {
 	n    int      // |T| including one terminator per text
 	l    int      // sampling step
 	bs   *bitvec.Vector
-	ps   []int32        // global position samples, in bwt-rank order
-	strt *bitvec.Sparse // bit at the global start position of each text
-	lens []int32        // text lengths (without terminator)
+	ps   []int32  // global position samples, in bwt-rank order
+	ends []uint64 // cumulative end offsets of the texts, terminators excluded
 }
 
 // ErrNulByte reports a text containing the reserved terminator byte.
@@ -105,28 +104,21 @@ func (x *Index) GlobalCount(p []byte) int {
 	return ep - sp
 }
 
-// locateRow returns the global position in T of the suffix at BWT row i.
-func (x *Index) locateRow(i int) int {
-	steps := 0
-	for {
-		if x.bs.Get(i) {
-			return int(x.ps[x.bs.Rank1(i)]) + steps
-		}
-		c := x.bwt.Access(i)
-		if c == 0 {
-			// Suffix starts at the beginning of text doc[r].
-			r := x.bwt.Rank(0, i)
-			return x.strt.Select1(int(x.doc[r])) + steps
-		}
-		i = x.c[c] + x.bwt.Rank(c, i)
-		steps++
-	}
+// PosToText maps a global position of T to (text id, offset inside text).
+// Text i spans positions [ends[i-1]+i, ends[i]+i] of T, its terminator
+// included, so its id is the first i with ends[i]+i >= p. A position past
+// the end of T maps into the last text.
+func (x *Index) PosToText(p int) (int, int) {
+	id := sort.Search(x.d-1, func(i int) bool { return int(x.ends[i])+i >= p })
+	return id, p - x.start(id)
 }
 
-// PosToText maps a global position of T to (text id, offset inside text).
-func (x *Index) PosToText(p int) (int, int) {
-	id := x.strt.Rank1(p+1) - 1
-	return id, p - x.strt.Select1(id)
+// start returns the global position of text id's first symbol.
+func (x *Index) start(id int) int {
+	if id == 0 {
+		return 0
+	}
+	return int(x.ends[id-1]) + id
 }
 
 // Occurrence is a located pattern match.
@@ -136,12 +128,26 @@ type Occurrence struct {
 }
 
 // LocateRow locates the suffix at BWT row i and maps it to a text position.
-// It is the building block external searchers (e.g. the PSSM backtracking
-// of Section 6.7) use to report matches from interval ranges.
+// It walks LF to a sampled row or to the start of the suffix's text,
+// whichever comes first. At a text start the Doc array names the text and
+// the step count is the offset; only a walk that ends at a sample maps a
+// global position to its text. It is the building block external searchers
+// (e.g. the PSSM backtracking of Section 6.7) use to report matches from
+// interval ranges.
 func (x *Index) LocateRow(i int) Occurrence {
-	g := x.locateRow(i)
-	t, off := x.PosToText(g)
-	return Occurrence{Text: t, Offset: off}
+	steps := 0
+	for {
+		if x.bs.Get(i) {
+			t, off := x.PosToText(int(x.ps[x.bs.Rank1(i)]) + steps)
+			return Occurrence{Text: t, Offset: off}
+		}
+		c := x.bwt.Access(i)
+		if c == 0 {
+			return Occurrence{Text: int(x.doc[x.bwt.Rank(0, i)]), Offset: steps}
+		}
+		i = x.c[c] + x.bwt.Rank(c, i)
+		steps++
+	}
 }
 
 // Locate reports all occurrences of p, unordered.
@@ -149,9 +155,7 @@ func (x *Index) Locate(p []byte) []Occurrence {
 	sp, ep := x.BackwardSearch(p)
 	occs := make([]Occurrence, 0, max(0, ep-sp))
 	for i := sp; i < ep; i++ {
-		g := x.locateRow(i)
-		t, off := x.PosToText(g)
-		occs = append(occs, Occurrence{Text: t, Offset: off})
+		occs = append(occs, x.LocateRow(i))
 	}
 	return occs
 }
@@ -161,8 +165,7 @@ func (x *Index) Contains(p []byte) []int {
 	sp, ep := x.BackwardSearch(p)
 	ids := make([]int, 0, max(0, ep-sp))
 	for i := sp; i < ep; i++ {
-		t, _ := x.PosToText(x.locateRow(i))
-		ids = append(ids, t)
+		ids = append(ids, x.LocateRow(i).Text)
 	}
 	sort.Ints(ids)
 	return slices.Compact(ids)
@@ -206,9 +209,7 @@ func (x *Index) EndsWith(p []byte) []int {
 	sp, ep := x.endsWithRange(p)
 	ids := make([]int, 0, ep-sp)
 	for i := sp; i < ep; i++ {
-		g := x.locateRow(i)
-		t, _ := x.PosToText(g)
-		ids = append(ids, t)
+		ids = append(ids, x.LocateRow(i).Text)
 	}
 	sort.Ints(ids)
 	return ids
@@ -293,7 +294,8 @@ func (x *Index) Extract(id int) []byte {
 	if id < 0 || id >= x.d {
 		return nil
 	}
-	out := make([]byte, x.lens[id])
+	// The text's length: its terminator's position in T minus its start.
+	out := make([]byte, int(x.ends[id])+id-x.start(id))
 	i := id // row of terminator of text id
 	for k := len(out) - 1; k >= 0; k-- {
 		c := x.bwt.Access(i)
@@ -306,16 +308,9 @@ func (x *Index) Extract(id int) []byte {
 // SizeInBytes reports the memory footprint of the structure.
 func (x *Index) SizeInBytes() int {
 	return x.bwt.SizeInBytes() + 257*8 + 4*len(x.doc) + x.bs.SizeInBytes() +
-		4*len(x.ps) + x.strt.SizeInBytes() + 4*len(x.lens) + 64
+		4*len(x.ps) + 64
 }
 
 func (x *Index) String() string {
 	return fmt.Sprintf("fmindex[n=%d d=%d l=%d]", x.n, x.d, x.l)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -129,17 +129,16 @@ func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
 	if d == 0 {
 		idx.bwt = wavelet.New(nil)
 		idx.bs = bitvec.FromBools(nil)
-		idx.strt = bitvec.NewSparse(1, nil)
 		return idx, nil
 	}
 
 	// The flat copy is T itself: every text followed by its terminator,
 	// written as byte 0, plus 7 zero bytes so that a key load at any
 	// position of T reads a whole word. starts[t] is text t's first
-	// position, starts[d] = n.
+	// position, starts[d] = n; ends holds the texts' cumulative end offsets.
 	flat := make([]byte, n+7)
 	starts := make([]int, d+1)
-	idx.lens = make([]int32, d)
+	idx.ends = make([]uint64, d)
 	pos := 0
 	for i, t := range texts {
 		if i&0xfff == 0 {
@@ -151,12 +150,11 @@ func NewCtx(ctx context.Context, texts [][]byte, opts Options) (*Index, error) {
 			return nil, ErrNulByte
 		}
 		starts[i] = pos
-		idx.lens[i] = int32(len(t))
 		copy(flat[pos:], t)
 		pos += len(t) + 1
+		idx.ends[i] = uint64(pos - i - 1)
 	}
 	starts[d] = n
-	idx.strt = bitvec.NewSparse(n+1, starts[:d])
 
 	plan := planBuild(n, opts)
 	if opts.Stats != nil {
@@ -259,7 +257,7 @@ func planBuild(n int, opts Options) *buildPlan {
 	}
 	if opts.MemoryBudget <= 0 {
 		p.even = true
-		p.chunkSyms = maxInt((n+p.procs-1)/p.procs, minChunk)
+		p.chunkSyms = max((n+p.procs-1)/p.procs, minChunk)
 		p.transient = int64(6*n) + int64(p.procs)*saisBytesPerSym*int64(p.chunkSyms)
 		return p
 	}
@@ -281,13 +279,6 @@ func planBuild(n int, opts Options) *buildPlan {
 		p.transient += int64(4 * n)
 	}
 	return p
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // chunkSA is one sorted chunk: a contiguous text range, its suffix rows
@@ -334,7 +325,7 @@ func cutChunks(ctx context.Context, starts []int, plan *buildPlan) ([]int, error
 		}
 		// The last boundary at most chunkSyms symbols on, but one text at least.
 		thi := sort.SearchInts(starts, starts[tlo]+plan.chunkSyms+1) - 1
-		thi = maxInt(thi, tlo+1)
+		thi = max(thi, tlo+1)
 		bounds = append(bounds, thi)
 		tlo = thi
 	}

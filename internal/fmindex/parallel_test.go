@@ -16,26 +16,19 @@ import (
 	"repro/internal/wavelet"
 )
 
-// naiveIndex is the test-only reference builder. It lays the collection
-// out as one integer string in the terminator order of Section 3.2 — text
-// i's terminator is i, so it sorts below text j's for i < j, and byte c is
-// d+c, above every terminator — sorts the suffix starts with sort.Slice,
-// and reads every stored field off that order.
-func naiveIndex(texts [][]byte, rate int) *Index {
+// naiveSuffixOrder lays the collection out as one integer string in the
+// terminator order of Section 3.2 — text i's terminator is i, so it sorts
+// below text j's for i < j, and byte c is d+c, above every terminator — and
+// sorts the suffix starts with sort.Slice.
+func naiveSuffixOrder(texts [][]byte) (s []int32, sa []int) {
 	d := len(texts)
-	var s []int32
-	var starts []int
-	x := &Index{d: d, l: rate}
 	for i, t := range texts {
-		starts = append(starts, len(s))
-		x.lens = append(x.lens, int32(len(t)))
 		for _, c := range t {
 			s = append(s, int32(d)+int32(c))
 		}
 		s = append(s, int32(i))
 	}
-	x.n = len(s)
-	sa := make([]int, x.n)
+	sa = make([]int, len(s))
 	for i := range sa {
 		sa[i] = i
 	}
@@ -48,6 +41,20 @@ func naiveIndex(texts [][]byte, rate int) *Index {
 		}
 		return s[a] < s[b]
 	})
+	return s, sa
+}
+
+// naiveIndex is the test-only reference builder: it reads every stored
+// field off naiveSuffixOrder.
+func naiveIndex(texts [][]byte, rate int) *Index {
+	d := len(texts)
+	s, sa := naiveSuffixOrder(texts)
+	x := &Index{d: d, n: len(s), l: rate}
+	end := uint64(0)
+	for _, t := range texts {
+		end += uint64(len(t))
+		x.ends = append(x.ends, end)
+	}
 	bwt := make([]byte, x.n)
 	x.bs = bitvec.New(x.n)
 	for r, p := range sa {
@@ -69,12 +76,11 @@ func naiveIndex(texts [][]byte, rate int) *Index {
 		x.c[c] += x.c[c-1]
 	}
 	x.bwt = wavelet.New(bwt)
-	x.strt = bitvec.NewSparse(x.n+1, starts)
 	return x
 }
 
 // assertIdentical pins NewCtx against the naive reference: identical
-// serialized bytes and identical in-memory tables (c and strt are not part
+// serialized bytes and identical in-memory tables (c and ends are not part
 // of the serialized payload, so they are compared directly).
 func assertIdentical(t *testing.T, texts [][]byte, opts Options) {
 	t.Helper()
@@ -97,10 +103,8 @@ func assertMatches(t *testing.T, want *Index, texts [][]byte, opts Options) {
 	if !reflect.DeepEqual(want.doc, got.doc) || !reflect.DeepEqual(want.ps, got.ps) {
 		t.Fatal("doc/ps differ")
 	}
-	for i := 0; i < len(texts); i++ {
-		if want.strt.Select1(i) != got.strt.Select1(i) {
-			t.Fatalf("strt differs at text %d", i)
-		}
+	if !reflect.DeepEqual(want.ends, got.ends) {
+		t.Fatal("text ends differ")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,9 +13,16 @@ import (
 )
 
 // load decodes a stored index the way the index container's FM section is
-// read.
-func load(data []byte) (*Index, error) {
-	return persisttest.Read(data, Read)
+// read, then attaches the text ends the container's text store holds.
+func load(data []byte, ends []uint64) (*Index, error) {
+	x, err := persisttest.Read(data, Read)
+	if err != nil {
+		return nil, err
+	}
+	if !x.SetTextEnds(ends) {
+		return nil, fmt.Errorf("%w: text ends do not match the index", persist.ErrCorrupt)
+	}
+	return x, nil
 }
 
 var persistTexts = [][]byte{
@@ -66,7 +74,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := load(persisttest.Bytes(t, x))
+	got, err := load(persisttest.Bytes(t, x), x.ends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func TestIndexSaveLoadEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := load(persisttest.Bytes(t, x))
+	got, err := load(persisttest.Bytes(t, x), x.ends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +105,6 @@ func rawBWTPayload(t *testing.T, x *Index) []byte {
 	pw.Int(x.n)
 	pw.Int(x.d)
 	pw.Int(x.l)
-	pw.Int32s(x.lens)
 	pw.Int32s(x.doc)
 	pw.Int32s(x.ps)
 	x.bs.Store(pw)
@@ -120,7 +127,7 @@ func TestIndexLoadRawBWTRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := load(rawBWTPayload(t, x)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := load(rawBWTPayload(t, x), x.ends); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("raw BWT payload: want ErrCorrupt, got %v", err)
 	}
 }
@@ -132,13 +139,13 @@ func TestIndexLoadCorrupt(t *testing.T) {
 	}
 	data := persisttest.Bytes(t, x)
 	persisttest.Sweep(t, data, func(b []byte) error {
-		_, err := load(b)
+		_, err := load(b, x.ends)
 		return err
 	})
 	// Text count inconsistent with the terminator count.
 	bad := persisttest.Flip(data, 9)
 	bad[9] = data[9] + 1 // d field (format byte + n)
-	if _, err := load(bad); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := load(bad, x.ends); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad d: %v", err)
 	}
 }

@@ -149,10 +149,3 @@ func (s *Sequence) SizeInBytes() int {
 	}
 	return sz
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

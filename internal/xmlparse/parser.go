@@ -505,10 +505,3 @@ func AppendEscape(dst, s []byte, attr bool) []byte {
 	}
 	return append(dst, s[last:]...)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

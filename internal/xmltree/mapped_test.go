@@ -89,11 +89,12 @@ func withVersion(data []byte, v uint16) []byte {
 
 // TestOldVersionRejected: a container of any version other than the
 // current one — the retired unaligned version 2, version 3 with its
-// relative tag tables, or one from a newer build — fails typed before any section is decoded, and the message
-// names the version and the way out.
+// relative tag tables, version 4 with the FM-index's own text lengths, or
+// one from a newer build — fails typed before any section is decoded, and
+// the message names the version and the way out.
 func TestOldVersionRejected(t *testing.T) {
 	data := saveBytes(t, mustParse(t, Options{SampleRate: 4}))
-	for _, v := range []uint16{0, 1, 2, 3, indexVersion + 1} {
+	for _, v := range []uint16{0, 1, 2, 3, 4, indexVersion + 1} {
 		_, err := ReadIndexMapped(withVersion(data, v), Options{})
 		if !errors.Is(err, ErrBadIndexFile) {
 			t.Fatalf("version %d: want ErrBadIndexFile, got %v", v, err)

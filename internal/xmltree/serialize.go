@@ -24,7 +24,8 @@ import (
 //	tree       balanced parentheses (package bp)
 //	tags       the tag sequence (package tags)
 //	leaves     the text-leaf bitmap and text count
-//	texts      the plain text store (always present: it is the document)
+//	texts      the plain text store (always present: it is the document);
+//	           its end offsets are also the FM-index's text boundaries
 //	fm         the FM-index (package fmindex), if built
 //	tagtables  one PureText byte per label, the planner's per-tag fact
 //
@@ -43,11 +44,12 @@ import (
 // word/int32 arrays sit on 8-byte file offsets, which is what lets
 // ReadIndexMapped alias them straight out of the file image. Version 4
 // keeps that layout and cuts the tagtables section down to the PureText
-// flags. It is the only version read; older files are rebuilt from their
-// XML.
+// flags. Version 5 drops the text lengths from the fm section: the FM-index
+// reads the text boundaries from the texts section. It is the only version
+// read; older files are rebuilt from their XML.
 const (
 	IndexMagic   = "SXSIGO"
-	indexVersion = 4
+	indexVersion = 5
 )
 
 // maxLabels caps the label count of a loaded index.
@@ -359,8 +361,11 @@ func (d *Doc) assemble(texts *TextStore, haveTexts bool, opts Options) (*Doc, er
 	}
 	switch {
 	case d.FM != nil:
-		if d.FM.NumTexts() != d.nText {
-			return nil, fmt.Errorf("%w: FM-index text count mismatch", ErrBadIndexFile)
+		// The FM-index maps rows to texts through the text store's end
+		// offsets (one per text, checked above): the one record of the
+		// text boundaries.
+		if !d.FM.SetTextEnds(texts.offs) {
+			return nil, fmt.Errorf("%w: FM-index does not match the texts", ErrBadIndexFile)
 		}
 	case !opts.SkipFM:
 		// The file carries no FM-index but the caller wants one: rebuild it.

@@ -154,6 +154,26 @@ func TestReadIndexCorrupt(t *testing.T) {
 	if _, err := ReadIndexMapped(bad, Options{}); !errors.Is(err, ErrBadIndexFile) {
 		t.Fatalf("future version: %v", err)
 	}
+
+	// The texts section of another document with as many texts but a
+	// different total length: the FM-index reads the text boundaries from
+	// that section, and they do not add up to its |T|. WriteTo writes the
+	// texts section from the plain store alone, so swapping the store
+	// splices the other document's section into d's file.
+	other, err := Parse([]byte(strings.Replace(serializeDoc, "Gold Ring", "Gold Rings", 1)), Options{SampleRate: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.NumTexts() != d.NumTexts() {
+		t.Fatalf("text counts %d and %d differ", other.NumTexts(), d.NumTexts())
+	}
+	d.Plain = other.Plain
+	bad = saveBytes(t, d)
+	for _, opts := range []Options{{}, {SkipPlain: true}} {
+		if _, err := ReadIndexMapped(bad, opts); !errors.Is(err, ErrBadIndexFile) {
+			t.Fatalf("texts of another document (%+v): %v", opts, err)
+		}
+	}
 }
 
 // TestReadIndexNulText: a text holding the FM terminator byte can only come
